@@ -75,6 +75,7 @@ from .protocol import (
     InputConfig,
     OutcomeReport,
     View,
+    ViewTable,
     algorithm_by_name,
     builtin_algorithms,
     flood_dominator,

@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
                         help="indented JSON (tables for triangulate)")
-    common.add_argument("--threads", type=_positive, default=1,
-                        help="worker cap; results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", parents=[common],

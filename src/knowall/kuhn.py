@@ -21,8 +21,8 @@ from itertools import permutations
 from typing import Callable, Iterator, Mapping, Union
 
 from .dyngraph import DynamicGraphSpec, closure, min_dominating_set
-from .errors import AlgorithmRangeError, AssignmentImpossible, NoPanchromaticCell
-from .protocol import AlgorithmSpec, InputConfig, view_of
+from .errors import AssignmentImpossible, NoPanchromaticCell
+from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
 Carrier = frozenset[int]
@@ -99,9 +99,7 @@ def carrier(v: Vertex, n: int) -> Carrier:
     diffs = {0: n - v[0], k: v[k - 1]}
     for j in range(1, k):
         diffs[j] = v[j - 1] - v[j]
-    result = frozenset(j for j, d in diffs.items() if d > 0)
-    assert result == frozenset(inp(v, n)), "carrier must equal the values held"
-    return result
+    return frozenset(j for j, d in diffs.items() if d > 0)
 
 
 def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
@@ -129,24 +127,30 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
 
 
 def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec,
-          v: Vertex) -> int:
-    """Output of the algorithm at v's assigned node on v's configuration."""
+          v: Vertex, table: ViewTable | None = None) -> int:
+    """Output of the algorithm at v's assigned node on v's configuration.
+
+    `table`, a ViewTable for the same (spec, k, alg, budget), carries the
+    views already decided across calls; without one a fresh table is used.
+    """
     node = assign_node(spec, k, budget, v)
-    out = alg.decide(spec, k, view_of(spec, inp(v, spec.n), node, budget))
-    if not isinstance(out, int) or not 0 <= out <= k:
-        raise AlgorithmRangeError(
-            f"{alg.name} returned {out!r} at node {node}, outside 0..{k}")
-    return out
+    if table is None:
+        table = ViewTable(spec, k, alg, budget)
+    return table.output(node, inp(v, spec.n))
 
 
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
                        alg: AlgorithmSpec) -> Callable[[Vertex], int]:
-    """Vertex-coloring view of an algorithm, memoized per vertex."""
+    """Vertex-coloring view of an algorithm, memoized per vertex.
+
+    Vertices share one ViewTable, so `decide` runs once per distinct view.
+    """
+    table = ViewTable(spec, k, alg, budget)
     cache: dict[Vertex, int] = {}
 
     def coloring(v: Vertex) -> int:
         if v not in cache:
-            cache[v] = color(spec, k, budget, alg, v)
+            cache[v] = color(spec, k, budget, alg, v, table)
         return cache[v]
 
     return coloring

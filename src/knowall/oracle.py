@@ -1,18 +1,22 @@
-"""Brute-force baselines, deliberately independent of the production searches.
+"""Configuration sweeps, and brute-force baselines for the test suite.
 
-Nothing here is called by the bound/solve/refute pipelines; these exist
-so tests and the `check` command can cross-examine them.
+`exhaustive_check` and `sample_check` are the production sweeps behind
+the `check` command and `certify`; they score every configuration
+through a ViewTable.  `brute_domination` and `brute_panchromatic` are
+deliberately independent re-implementations of the production searches,
+used only by tests to cross-examine them.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Iterable
 
 from .dyngraph import Digraph, DynamicGraphSpec
 from .errors import CapExceeded
 from .kuhn import Coloring, PrimitiveSimplex, _color_fn
-from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, run
+from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
 
 EXHAUSTIVE_CONFIG_CAP = 10 ** 6
 BRUTE_DOMINATION_CAP = 20
@@ -29,6 +33,22 @@ class ExhaustiveReport:
         return not self.failures
 
 
+def _sweep(table: ViewTable, configs: Iterable[InputConfig]
+           ) -> tuple[tuple[InputConfig, OutcomeReport], ...]:
+    """Score each configuration as `run` would; keep the failing ones in order."""
+    k = table.k
+    failures = []
+    for cfg in configs:
+        outputs = table.outputs(cfg)
+        decided = set(outputs)
+        valid = decided.issubset(cfg)
+        if not valid or len(decided) > k:
+            failures.append((cfg, OutcomeReport(
+                outputs=outputs, valid=valid, agreeing=len(decided) <= k,
+                distinct_count=len(decided))))
+    return tuple(failures)
+
+
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                      budget: int, cap: int = EXHAUSTIVE_CONFIG_CAP) -> ExhaustiveReport:
     """Run every input configuration and collect validity/agreement failures."""
@@ -36,25 +56,19 @@ def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
     if total > cap:
         raise CapExceeded(
             f"exhaustive check needs {total} configurations, cap is {cap}")
-    failures = []
-    for cfg in product(range(k + 1), repeat=spec.n):
-        report = run(spec, k, alg, cfg, budget)
-        if not (report.valid and report.agreeing):
-            failures.append((cfg, report))
-    return ExhaustiveReport(total_configs=total, failures=tuple(failures))
+    failures = _sweep(ViewTable(spec, k, alg, budget),
+                      product(range(k + 1), repeat=spec.n))
+    return ExhaustiveReport(total_configs=total, failures=failures)
 
 
 def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
                  samples: int = 1000, seed: int = 0) -> ExhaustiveReport:
     """Seeded random configurations; same report shape as the exhaustive run."""
     rng = random.Random(seed)
-    failures = []
-    for _ in range(samples):
-        cfg = tuple(rng.randrange(k + 1) for _ in range(spec.n))
-        report = run(spec, k, alg, cfg, budget)
-        if not (report.valid and report.agreeing):
-            failures.append((cfg, report))
-    return ExhaustiveReport(total_configs=samples, failures=tuple(failures))
+    configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
+               for _ in range(samples))
+    failures = _sweep(ViewTable(spec, k, alg, budget), configs)
+    return ExhaustiveReport(total_configs=samples, failures=failures)
 
 
 def brute_domination(H: Digraph, cap: int = BRUTE_DOMINATION_CAP) -> int:

@@ -5,11 +5,19 @@ nodes' inputs.  After flooding for `budget` rounds a node's entire
 usable knowledge is therefore the restriction of the input vector to its
 in-neighborhood in the closure H_budget.  That restriction is the View,
 and a candidate algorithm is any pure function of (sequence, k, view).
+
+Purity is a contract, not a convention: `decide` must return the same
+value whenever it is given the same (spec, k, view).  `run` calls it for
+every node of the one configuration it executes, but configuration
+sweeps and the triangulation coloring go through a ViewTable, which
+calls it once per distinct view it meets and replays the remembered
+output afterwards.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .dyngraph import (
@@ -20,10 +28,14 @@ from .dyngraph import (
     min_dominating_set,
     min_rounds,
 )
-from .errors import AlgorithmRangeError
+from .errors import AlgorithmRangeError, LemmaFalsified
 from functools import lru_cache
 
 InputConfig = tuple[int, ...]
+
+# decided views a ViewTable keeps per node; a node that hears many inputs
+# has up to (k+1)^|heard| views, so the memo is emptied when it fills
+VIEW_MEMO_CAP = 4096
 
 
 def validate_inputs(values, n: int, k: int) -> InputConfig:
@@ -125,6 +137,58 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
     )
 
 
+class ViewTable:
+    """Outputs of one algorithm at one budget, decided once per distinct view.
+
+    A node's view is fixed by the inputs of its in-neighborhood in
+    H_budget, so each node keeps a memo from those heard digits to its
+    output; `decide` is called only on a memo miss, with the same View
+    and the same range check as `run`.  Configurations passed in must
+    already be valid (see validate_inputs).  Each memo holds at most
+    VIEW_MEMO_CAP views.
+    """
+
+    def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
+                 budget: int) -> None:
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
+        self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
+        self._senders = _in_neighbor_lists(closure(spec, budget))
+        # (node, heard-digit key of a configuration, memo) per node
+        self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
+                       for node, senders in enumerate(self._senders, start=1)]
+
+    def _decide(self, node: int, cfg: InputConfig, memo: dict, key) -> int:
+        heard = {j: cfg[j - 1] for j in self._senders[node - 1]}
+        out = self.alg.decide(self.spec, self.k,
+                              View(observer=node, budget=self.budget, heard=heard))
+        if not isinstance(out, int) or not 0 <= out <= self.k:
+            raise AlgorithmRangeError(
+                f"{self.alg.name} returned {out!r} at node {node}, outside 0..{self.k}")
+        if len(memo) >= VIEW_MEMO_CAP:
+            memo.clear()
+        memo[key] = out
+        return out
+
+    def output(self, node: int, cfg: InputConfig) -> int:
+        """Output of `node` on configuration `cfg`."""
+        if not 1 <= node <= len(self._nodes):
+            raise ValueError(f"node {node} outside 1..{len(self._nodes)}")
+        _node, key_of, memo = self._nodes[node - 1]
+        key = key_of(cfg)
+        out = memo.get(key)
+        return self._decide(node, cfg, memo, key) if out is None else out
+
+    def outputs(self, cfg: InputConfig) -> tuple[int, ...]:
+        """Outputs of nodes 1..n on `cfg`, decided in node order."""
+        outs = []
+        for node, key_of, memo in self._nodes:
+            key = key_of(cfg)
+            out = memo.get(key)
+            outs.append(self._decide(node, cfg, memo, key) if out is None else out)
+        return tuple(outs)
+
+
 # ---------------------------------------------------------------------------
 # built-in algorithms
 # ---------------------------------------------------------------------------
@@ -188,6 +252,10 @@ def flood_solve(spec: DynamicGraphSpec, k: int, inputs,
                 max_rounds: int = DEFAULT_MAX_ROUNDS) -> OutcomeReport:
     """Solve k-set agreement in exactly the optimal number of rounds."""
     r = min_rounds(spec, k, max_rounds)
-    report = run(spec, k, flood_dominator(r), inputs, budget=r)
-    assert report.valid and report.agreeing, "flooding at the tight bound must succeed"
+    vals = validate_inputs(inputs, spec.n, k)
+    report = run(spec, k, flood_dominator(r), vals, budget=r)
+    if not (report.valid and report.agreeing):
+        raise LemmaFalsified(
+            f"flooding at the tight bound {r} failed on inputs "
+            f"{format_inputs(vals)}: outputs {report.outputs}")
     return report

@@ -112,7 +112,10 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
         raise LemmaFalsified(
             f"panchromatic cell {simplex} decoded to outputs {outputs} "
             f"in configuration {format_inputs(config)}; expected k+1 distinct")
-    assert not report.agreeing, "k+1 distinct outputs cannot be agreeing"
+    if report.agreeing:
+        raise LemmaFalsified(
+            f"re-simulation of {format_inputs(config)} reported agreement "
+            f"although nodes {nodes} output {outputs}")
     return Witness(
         kind=WitnessKind.AGREEMENT_VIOLATION,
         config=config,

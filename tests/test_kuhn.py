@@ -193,6 +193,13 @@ def test_carrier_examples():
     assert carrier((0, 0, 0), 4) == {0}
 
 
+def test_carrier_equals_values_held():
+    for n in range(1, 9):
+        for k in range(1, 5):
+            for v in vertices(n, k):
+                assert carrier(v, n) == set(inp(v, n)), (n, v)
+
+
 def test_assign_node_examples(c5):
     assert assign_node(c5, 2, 1, (3, 1)) == 5
     assert assign_node(c5, 2, 1, (4, 1)) == 3

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
 from knowall import (
+    MAJORITY_HEARD,
+    MAX_HEARD,
+    AlgorithmSpec,
     CapExceeded,
     Digraph,
+    ExhaustiveReport,
+    KnowAllError,
     brute_domination,
     brute_panchromatic,
     carrier,
@@ -17,9 +23,12 @@ from knowall import (
     find_panchromatic,
     flood_dominator,
     min_dominating_set,
+    run,
     sample_check,
     vertices,
 )
+from knowall import protocol
+from knowall.kuhn import algorithm_coloring, check_sperner
 from knowall.protocol import MIN_HEARD
 
 from conftest import random_spec
@@ -46,6 +55,83 @@ def test_sample_check_seeded(c5):
     b = sample_check(c5, 2, MIN_HEARD, 1, samples=200, seed=5)
     assert a == b and a.total_configs == 200
     assert sample_check(c5, 2, flood_dominator(2), 2, samples=200, seed=5).passed
+
+
+def _naive_sweep(spec, k, alg, budget, configs):
+    failures = []
+    for cfg in configs:
+        report = run(spec, k, alg, cfg, budget)
+        if not (report.valid and report.agreeing):
+            failures.append((cfg, report))
+    return tuple(failures)
+
+
+def _outcome(fn):
+    """The report, or the type and text of the error the call raised."""
+    try:
+        return fn()
+    except KnowAllError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# leaves 0..k on views whose heard inputs sum past k, so sweeps must raise
+# at the same configuration and node as the naive loop
+SUM_HEARD = AlgorithmSpec("sum_heard", lambda spec, k, view: sum(view.heard.values()))
+# stays in 0..k but outputs values nobody may hold, so validity can fail
+FLIP_OWN = AlgorithmSpec("flip_own", lambda spec, k, view: k - view.heard[view.observer])
+
+
+@pytest.mark.parametrize("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
+def test_sweeps_equal_naive_run_loop(memo_cap, monkeypatch):
+    monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
+    rng = random.Random(20261017)
+    extensions = set()
+    for _ in range(20):
+        spec = random_spec(rng, max_n=5)
+        extensions.add(spec.extension)
+        k = rng.randint(1, 2)
+        budget = rng.randint(0, 3)
+        algs = [flood_dominator(), MIN_HEARD, MAX_HEARD, MAJORITY_HEARD,
+                flood_dominator(rng.randint(1, 3)), SUM_HEARD, FLIP_OWN]
+        for alg in algs:
+            total = (k + 1) ** spec.n
+            expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+                spec, k, alg, budget, product(range(k + 1), repeat=spec.n))))
+            assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
+
+            seed = rng.randrange(1000)
+            sampler = random.Random(seed)
+            configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
+                       for _ in range(60)]
+            expected = _outcome(lambda: ExhaustiveReport(60, _naive_sweep(
+                spec, k, alg, budget, configs)))
+            assert _outcome(lambda: sample_check(
+                spec, k, alg, budget, samples=60, seed=seed)) == expected
+    assert len(extensions) == 2
+
+
+def _counting(decided):
+    def decide(spec, k, view):
+        decided.append((view.observer, tuple(view.heard.items())))
+        return min(view.heard.values())
+    return AlgorithmSpec("counting_min", decide)
+
+
+def test_sweeps_and_coloring_decide_each_view_once():
+    spec = directed_cycle(5)
+    for budget in (0, 1, 2):
+        decided = []
+        exhaustive_check(spec, 2, _counting(decided), budget)
+        # node v hears budget+1 inputs, each one of k+1 = 3 values
+        assert len(decided) == len(set(decided)) == 5 * 3 ** (budget + 1)
+
+        decided = []
+        sample_check(spec, 2, _counting(decided), budget, samples=300, seed=1)
+        assert len(decided) == len(set(decided))
+
+    decided = []
+    check_sperner(5, 2, algorithm_coloring(spec, 2, 1, _counting(decided)))
+    assert len(decided) == len(set(decided)) == 10
 
 
 def test_brute_domination_values(c5):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,9 @@ from knowall import (
     MIN_HEARD,
     AlgorithmRangeError,
     AlgorithmSpec,
+    LemmaFalsified,
     View,
+    ViewTable,
     algorithm_by_name,
     builtin_algorithms,
     complete_graph,
@@ -23,6 +27,8 @@ from knowall import (
     validate_inputs,
     view_of,
 )
+
+from knowall import protocol
 
 from conftest import random_spec
 import random
@@ -125,6 +131,31 @@ def test_flood_solve_worked_example(c5):
 def test_flood_solve_consensus(c5, k4):
     assert format_inputs(flood_solve(c5, 1, parse_inputs("10000", 5, 1)).outputs) == "11111"
     assert format_inputs(flood_solve(k4, 1, parse_inputs("0110", 4, 1)).outputs) == "0000"
+
+
+def test_view_table_memo_stays_within_cap(monkeypatch):
+    # on K4 after one round every node hears all 4 inputs: 81 views each
+    monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", 5)
+    table = ViewTable(complete_graph(4), 2, MIN_HEARD, 1)
+    for cfg in product(range(3), repeat=4):
+        assert table.outputs(cfg) == run(complete_graph(4), 2, MIN_HEARD, cfg, 1).outputs
+    assert all(len(memo) <= 5 for _node, _key_of, memo in table._nodes)
+
+
+def test_view_table_rejects_unknown_node(c5):
+    table = ViewTable(c5, 2, MIN_HEARD, 1)
+    assert table.output(5, (0, 1, 2, 1, 0)) == run(c5, 2, MIN_HEARD, (0, 1, 2, 1, 0), 1).outputs[4]
+    for node in (0, 6):
+        with pytest.raises(ValueError, match="outside 1..5"):
+            table.output(node, (0, 1, 2, 1, 0))
+
+
+def test_flood_solve_failure_raises(c5, monkeypatch):
+    # an agreement-breaking stand-in for flooding: every node keeps its input
+    own = AlgorithmSpec("own", lambda s, k, v: v.heard[v.observer])
+    monkeypatch.setattr(protocol, "flood_dominator", lambda r: own)
+    with pytest.raises(LemmaFalsified, match="01201"):
+        flood_solve(c5, 2, parse_inputs("01201", 5, 2))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import math
+import dataclasses
 
 import pytest
 
@@ -10,16 +10,21 @@ from knowall import (
     LemmaFalsified,
     PrimitiveSimplex,
     WitnessKind,
+    assign_node,
     builtin_algorithms,
     certify,
     directed_cycle,
     flood_dominator,
     format_inputs,
+    inp,
     min_rounds,
     refute,
     run,
     standard_family,
+    vertices,
+    view_of,
 )
+from knowall import refuter
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
@@ -92,9 +97,13 @@ def test_witness_to_dict(c5):
 
 def test_lemma_falsified_tripwire(c5):
     # a stateful (hence illegal) algorithm: behaves like min_heard while the
-    # coloring phase touches each of the C(7,2) vertices once, then goes
-    # constant, so the re-simulation cannot reproduce the panchromatic cell
-    flips_after = math.comb(5 + 2, 2)
+    # coloring phase decides each distinct view of the C(7,2) vertices once,
+    # then goes constant, so the re-simulation cannot reproduce the
+    # panchromatic cell
+    flips_after = len({
+        (node, tuple(view_of(c5, inp(v, 5), node, 1).heard.items()))
+        for v in vertices(5, 2)
+        for node in [assign_node(c5, 2, 1, v)]})
     calls = {"n": 0}
 
     def decide(spec, k, view):
@@ -105,6 +114,17 @@ def test_lemma_falsified_tripwire(c5):
 
     with pytest.raises(LemmaFalsified):
         refute(c5, 2, AlgorithmSpec("stateful", decide), 1)
+
+
+def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
+    real_run = refuter.run
+
+    def agreeing_run(*args):
+        return dataclasses.replace(real_run(*args), agreeing=True)
+
+    monkeypatch.setattr(refuter, "run", agreeing_run)
+    with pytest.raises(LemmaFalsified, match="reported agreement"):
+        refute(c5, 2, flood_dominator(2), budget=1)
 
 
 def test_certify_exhaustive_pass(c5):
