@@ -22,7 +22,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import CapExceeded, GraphFormatError, NotDominatedWithinCap
+from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NotDominatedWithinCap
 
 Arc = tuple[int, int]
 
@@ -308,7 +308,8 @@ def _lex_min_dominating(covers: tuple[int, ...], dom: tuple[int, ...],
                 floor = u + 1
                 break
         else:
-            raise AssertionError("exact size was feasible but reconstruction failed")
+            raise LemmaFalsified(
+                f"a dominating set of size {size} exists but none was rebuilt")
     return members
 
 

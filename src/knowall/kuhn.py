@@ -5,7 +5,8 @@ n^k primitive cells, each the convex hull of a base lattice point plus a
 chain of k unit steps ordered by a permutation.  Every lattice vertex v
 carries an input configuration inp(v) (node i holds the number of
 coordinates that are >= i) and a node assign_node(v) that hears none of
-the positive coordinates of v within the refuted budget.
+the positive coordinates of v within the refuted budget: the lowest node
+outside the union of those coordinates' reach masks in H_budget.
 
 Coloring each vertex with the output the candidate algorithm produces at
 its assigned node turns correctness questions combinatorial: a color
@@ -13,6 +14,14 @@ outside the carrier is a value nobody holds (validity broken at that
 vertex's configuration), and otherwise a panchromatic cell must exist,
 whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
+
+algorithm_coloring checks the domination precondition once and colors
+each vertex from the reach masks and a shared ViewTable.  The
+panchromatic search visits cells in (base, permutation) lexicographic
+order, but walks each base's permutations as a prefix tree and drops a
+prefix as soon as its corners leave the triangulation, repeat a color or
+take one outside 0..k; no cell below such a prefix can be panchromatic,
+so the first cell reached is the first in enumeration order.
 """
 from __future__ import annotations
 
@@ -20,8 +29,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Union
 
-from .dyngraph import DynamicGraphSpec, closure, min_dominating_set
-from .errors import AssignmentImpossible, NoPanchromaticCell
+from .dyngraph import DynamicGraphSpec, _reach_masks, closure, min_dominating_set
+from .errors import AssignmentImpossible, LemmaFalsified, NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
@@ -37,12 +46,18 @@ def is_vertex(v: Vertex, n: int) -> bool:
 
 
 def _monotone(bound: int, k: int) -> Iterator[Vertex]:
-    if k == 0:
-        yield ()
-        return
-    for x in range(bound + 1):
-        for rest in _monotone(x, k - 1):
-            yield (x, *rest)
+    # odometer: bump the rightmost coordinate still below its bound (the
+    # coordinate before it, or `bound` for the first) and zero the rest
+    v = [0] * k
+    while True:
+        yield tuple(v)
+        j = k - 1
+        while j >= 0 and v[j] == (v[j - 1] if j else bound):
+            j -= 1
+        if j < 0:
+            return
+        v[j] += 1
+        v[j + 1:] = [0] * (k - 1 - j)
 
 
 def vertices(n: int, k: int) -> Iterator[Vertex]:
@@ -86,20 +101,50 @@ def primitive_simplices(n: int, k: int) -> Iterator[PrimitiveSimplex]:
                 yield PrimitiveSimplex(base=base, perm=perm)
 
 
+def _config(v: Vertex, n: int) -> InputConfig:
+    # v is monotone, so the configuration is k repeated v[k-1] times,
+    # then k-1 repeated v[k-2] - v[k-1] times, ..., then n - v[0] zeros
+    k = len(v)
+    cfg = (k,) * v[-1]
+    for j in range(k - 1, 0, -1):
+        cfg += (j,) * (v[j - 1] - v[j])
+    return cfg + (0,) * (n - v[0])
+
+
 def inp(v: Vertex, n: int) -> InputConfig:
     """Input configuration of a vertex: node i holds #{coordinates >= i}."""
     if not is_vertex(v, n):
         raise ValueError(f"{v} is not a vertex for n={n}")
-    return tuple(sum(1 for x in v if x >= i) for i in range(1, n + 1))
+    return _config(v, n)
 
 
 def carrier(v: Vertex, n: int) -> Carrier:
     """Face of the simplex containing v: values with positive barycentric weight."""
-    k = len(v)
-    diffs = {0: n - v[0], k: v[k - 1]}
-    for j in range(1, k):
-        diffs[j] = v[j - 1] - v[j]
-    return frozenset(j for j, d in diffs.items() if d > 0)
+    # value j has weight x_j - x_{j+1}, reading x_0 = n and x_{k+1} = 0
+    xs = (n, *v, 0)
+    return frozenset(j for j in range(len(v) + 1) if xs[j] > xs[j + 1])
+
+
+def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
+    """Reach masks of H_budget, after checking that k nodes cannot dominate it."""
+    if min_dominating_set(closure(spec, budget)).size <= k:
+        raise AssignmentImpossible(
+            f"H_{budget} is dominated by {k} or fewer nodes; the budget is not below the bound")
+    return _reach_masks(spec, budget)
+
+
+def _unheard_node(reach: tuple[int, ...], v: Vertex) -> int:
+    """Lowest node outside the reach masks of v's positive coordinates."""
+    heard = 0
+    for x in v:
+        if x:
+            heard |= reach[x - 1]
+    free = ((1 << len(reach)) - 1) & ~heard
+    if not free:
+        raise LemmaFalsified(
+            f"the positive coordinates of {v} reach every node although the "
+            f"closure needs more than {len(v)} dominators")
+    return (free & -free).bit_length()
 
 
 def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
@@ -107,23 +152,11 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
 
     Requires the domination number of H_budget to exceed k (true at any
     budget below the tight bound), which guarantees such a node exists
-    for every vertex.
+    for every vertex: at most k coordinates cannot reach every node.
     """
     if len(v) != k or not is_vertex(v, spec.n):
         raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
-    H = closure(spec, budget)
-    if min_dominating_set(H).size <= k:
-        raise AssignmentImpossible(
-            f"H_{budget} is dominated by {k} or fewer nodes; the budget is not below the bound")
-    senders = {x for x in v if x != 0}
-    blocked = set(senders)
-    for u, w in H.arcs:
-        if u in senders:
-            blocked.add(w)
-    for w in range(1, spec.n + 1):
-        if w not in blocked:
-            return w
-    raise AssertionError("k+ nodes cannot dominate yet blocked everything")
+    return _unheard_node(_reach_below_bound(spec, k, budget), v)
 
 
 def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec,
@@ -143,30 +176,27 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
                        alg: AlgorithmSpec) -> Callable[[Vertex], int]:
     """Vertex-coloring view of an algorithm, memoized per vertex.
 
+    The coloring agrees with `color` on every vertex.  The domination
+    precondition of assign_node is checked once, here, and a vertex
+    passed in is trusted to be one of the (spec.n, k) triangulation.
     Vertices share one ViewTable, so `decide` runs once per distinct view.
     """
     table = ViewTable(spec, k, alg, budget)
+    reach = _reach_below_bound(spec, k, budget)
+    n = spec.n
     cache: dict[Vertex, int] = {}
 
     def coloring(v: Vertex) -> int:
-        if v not in cache:
-            cache[v] = color(spec, k, budget, alg, v, table)
-        return cache[v]
+        out = cache.get(v)
+        if out is None:
+            out = cache[v] = table.output(_unheard_node(reach, v), _config(v, n))
+        return out
 
     return coloring
 
 
-def _color_fn(coloring: Coloring) -> Callable[[Vertex], int]:
-    if callable(coloring):
-        cache: dict[Vertex, int] = {}
-
-        def fn(v: Vertex) -> int:
-            if v not in cache:
-                cache[v] = coloring(v)
-            return cache[v]
-
-        return fn
-    return coloring.__getitem__
+def _lookup(coloring: Coloring) -> Callable[[Vertex], int]:
+    return coloring if callable(coloring) else coloring.__getitem__
 
 
 @dataclass(frozen=True)
@@ -179,7 +209,7 @@ class SpernerReport:
 
 def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
     """Verify every vertex's color lies in its carrier."""
-    fn = _color_fn(coloring)
+    fn = _lookup(coloring)
     violations = []
     for v in vertices(n, k):
         c = fn(v)
@@ -193,12 +223,35 @@ def find_panchromatic(n: int, k: int, coloring: Coloring) -> PrimitiveSimplex:
     """First cell (in enumeration order) whose corners take all k+1 colors.
 
     For a Sperner coloring one always exists; NoPanchromaticCell can
-    only surface when the precondition was violated.
+    only surface when the precondition was violated.  A callable coloring
+    is called as given, once per corner visited, so a costly one should
+    memoize itself as algorithm_coloring's does.
     """
-    fn = _color_fn(coloring)
-    target = frozenset(range(k + 1))
-    for simplex in primitive_simplices(n, k):
-        if frozenset(fn(v) for v in simplex.vertices()) == target:
-            return simplex
+    fn = _lookup(coloring)
+    palette = frozenset(range(k + 1))
+    for base in vertices(n, k):
+        color0 = fn(base)
+        if color0 not in palette:
+            continue
+        # depth-first over permutation prefixes; a stack entry is
+        # (last corner, corner colors, prefix), and children are pushed in
+        # decreasing coordinate order so that prefixes pop in lex order
+        stack = [(base, (color0,), ())]
+        while stack:
+            corner, colors, perm = stack.pop()
+            if len(perm) == k:
+                # k+1 distinct colors, all in 0..k: exactly the palette
+                return PrimitiveSimplex(base=base, perm=perm)
+            for j in range(k, 0, -1):
+                if j in perm:
+                    continue
+                x = corner[j - 1] + 1
+                # only the bound on the bumped coordinate can break
+                if x > (n if j == 1 else corner[j - 2]):
+                    continue
+                nxt = corner[:j - 1] + (x,) + corner[j:]
+                c = fn(nxt)
+                if c in palette and c not in colors:
+                    stack.append((nxt, colors + (c,), perm + (j,)))
     raise NoPanchromaticCell(
         f"no panchromatic cell in the n={n}, k={k} triangulation; coloring was not Sperner")

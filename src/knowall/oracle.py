@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .dyngraph import Digraph, DynamicGraphSpec
 from .errors import CapExceeded
-from .kuhn import Coloring, PrimitiveSimplex, _color_fn
+from .kuhn import Coloring, PrimitiveSimplex
 from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
 
 EXHAUSTIVE_CONFIG_CAP = 10 ** 6
@@ -100,7 +100,7 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
     """
     if n ** k > cap:
         raise CapExceeded(f"brute panchromatic scan capped at {cap} cells")
-    fn = _color_fn(coloring)
+    fn = coloring if callable(coloring) else coloring.__getitem__
     target = set(range(k + 1))
     found = []
     for base in product(range(n + 1), repeat=k):

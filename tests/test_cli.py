@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from knowall import complete_graph, save_graph_file
+from knowall import (
+    DominatingSetResult,
+    DynamicGraphSpec,
+    Extension,
+    complete_graph,
+    save_graph_file,
+)
+from knowall import dyngraph, kuhn
 from knowall.cli import main
 
 
@@ -104,6 +111,33 @@ def test_triangulate_budget_requires_graph(capsys):
     code, _, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
                            "--budget", "1")
     assert code == 2 and "--graph" in err
+
+
+def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
+    # a domination search claiming H_2 of the 5-cycle needs three nodes
+    # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
+    # without a node
+    monkeypatch.setattr(kuhn, "min_dominating_set",
+                        lambda H: DominatingSetResult(3, frozenset({1, 2, 3}), True))
+    code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
+                             "--graph", c5_file, "--budget", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
+
+
+def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(dyngraph, "_exists_cover", lambda *args: False)
+    # fresh results, so the cached ones of other tests cannot hide the failure
+    dyngraph.min_dominating_set.cache_clear()
+    dyngraph.min_rounds.cache_clear()
+    spec = DynamicGraphSpec(n=6, rounds=(frozenset({(1, 2), (3, 4), (5, 6)}),
+                                         frozenset({(2, 3), (6, 1)})),
+                            extension=Extension.CYCLE)
+    path = tmp_path / "g.json"
+    save_graph_file(spec, str(path))
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("internal error: LemmaFalsified: a dominating set of size")
 
 
 def test_check_exhaustive_pass(capsys, c5_file):

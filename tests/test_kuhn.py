@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from knowall import (
     MIN_HEARD,
     AssignmentImpossible,
+    Extension,
     NoPanchromaticCell,
+    NotDominatedWithinCap,
     PrimitiveSimplex,
+    algorithm_coloring,
     assign_node,
     brute_panchromatic,
+    builtin_algorithms,
     carrier,
     check_sperner,
     closure,
@@ -28,6 +32,8 @@ from knowall import (
     standard_family,
     vertices,
 )
+
+from conftest import random_spec
 
 # Sperner coloring transcribed from a drawn n=5, k=2 example
 # (values 0, 1, 2 at each lattice vertex)
@@ -213,6 +219,8 @@ def test_assign_node_requires_budget_below_bound(c5):
         assign_node(c5, 2, 2, (3, 1))
     with pytest.raises(AssignmentImpossible):
         assign_node(complete_graph(3), 2, 1, (1, 1))
+    with pytest.raises(AssignmentImpossible):
+        algorithm_coloring(c5, 2, 2, MIN_HEARD)
 
 
 def test_assigned_node_hears_no_positive_coordinate():
@@ -224,6 +232,37 @@ def test_assigned_node_hears_no_positive_coordinate():
             senders = {x for x in v if x != 0}
             assert w not in senders
             assert all((p, w) not in H.arcs for p in senders), (name, v, w)
+
+
+def _arc_scan_assign_node(spec, k, budget, v):
+    # reference: scan every arc of H_budget for the nodes v's senders reach
+    H = closure(spec, budget)
+    senders = {x for x in v if x != 0}
+    blocked = senders | {w for u, w in H.arcs if u in senders}
+    return min(w for w in range(1, spec.n + 1) if w not in blocked)
+
+
+def test_assign_node_matches_arc_scan_on_random_specs():
+    rng = random.Random(2718)
+    extensions, budgets = set(), 0
+    for _ in range(30):
+        spec = random_spec(rng, max_n=7)
+        k = rng.randint(1, min(3, spec.n - 1))
+        try:
+            bound = min_rounds(spec, k)
+        except NotDominatedWithinCap:
+            continue
+        extensions.add(spec.extension)
+        for budget in range(bound):
+            colorings = [(alg, algorithm_coloring(spec, k, budget, alg))
+                         for alg in builtin_algorithms()]
+            for v in vertices(spec.n, k):
+                assert assign_node(spec, k, budget, v) == \
+                    _arc_scan_assign_node(spec, k, budget, v), (spec, k, budget, v)
+                for alg, coloring in colorings:
+                    assert coloring(v) == color(spec, k, budget, alg, v), alg.name
+            budgets += 1
+    assert extensions == set(Extension) and budgets >= 30
 
 
 def test_color_example(c5):

@@ -13,6 +13,7 @@ from knowall import (
     Digraph,
     ExhaustiveReport,
     KnowAllError,
+    NoPanchromaticCell,
     brute_domination,
     brute_panchromatic,
     carrier,
@@ -154,14 +155,37 @@ def test_exact_search_matches_brute_on_random_closures():
         assert min_dominating_set(H).size == brute_domination(H)
 
 
+def _random_coloring(rng, n, k, kind):
+    if kind == "sperner":
+        return {v: rng.choice(sorted(carrier(v, n))) for v in vertices(n, k)}
+    if kind == "palette":
+        return {v: rng.randrange(k + 1) for v in vertices(n, k)}
+    # colors below 0 and above k, which no panchromatic cell may use
+    return {v: rng.randrange(-1, k + 3) for v in vertices(n, k)}
+
+
 def test_brute_panchromatic_matches_streaming_search():
+    # the pruned search returns brute force's first cell, or raises exactly
+    # when there is none, for mapping and callable colorings alike
     rng = random.Random(99)
-    for _ in range(15):
-        n, k = rng.randint(1, 5), rng.randint(1, 2)
-        coloring = {v: rng.choice(sorted(carrier(v, n))) for v in vertices(n, k)}
-        cells = brute_panchromatic(n, k, coloring)
-        assert cells, "Sperner colorings always have a panchromatic cell"
-        assert find_panchromatic(n, k, coloring) == cells[0]
+    outcomes = set()
+    for k in range(1, 5):
+        for n in range(1, 7):
+            for kind in ("sperner", "palette", "wild"):
+                for _ in range(2 if k == 4 else 4):
+                    coloring = _random_coloring(rng, n, k, kind)
+                    cells = brute_panchromatic(n, k, coloring)
+                    assert cells or kind != "sperner", \
+                        "Sperner colorings always have a panchromatic cell"
+                    for form in (coloring, lambda v: coloring[v]):
+                        if cells:
+                            assert find_panchromatic(n, k, form) == cells[0], (n, k, kind)
+                        else:
+                            with pytest.raises(NoPanchromaticCell):
+                                find_panchromatic(n, k, form)
+                    outcomes.add((kind, bool(cells)))
+    assert outcomes == {("sperner", True), ("palette", True), ("palette", False),
+                        ("wild", True), ("wild", False)}
 
 
 def test_brute_panchromatic_cap():

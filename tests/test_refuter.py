@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -24,7 +26,7 @@ from knowall import (
     vertices,
     view_of,
 )
-from knowall import refuter
+from knowall import kuhn, refuter
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
@@ -125,6 +127,30 @@ def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
     monkeypatch.setattr(refuter, "run", agreeing_run)
     with pytest.raises(LemmaFalsified, match="reported agreement"):
         refute(c5, 2, flood_dominator(2), budget=1)
+
+
+def test_refute_releases_its_coloring(c5, monkeypatch):
+    # the per-vertex memo and its ViewTable die with the call, not at the
+    # next cycle collection: no reference cycle may hold them
+    refs = []
+
+    def recorded(make):
+        def wrapper(*args):
+            obj = make(*args)
+            refs.append(weakref.ref(obj))
+            return obj
+        return wrapper
+
+    monkeypatch.setattr(kuhn, "ViewTable", recorded(kuhn.ViewTable))
+    monkeypatch.setattr(refuter, "algorithm_coloring", recorded(refuter.algorithm_coloring))
+    gc.disable()
+    try:
+        witness = refute(c5, 2, flood_dominator(2), budget=1)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert witness.kind is WitnessKind.AGREEMENT_VIOLATION
+    assert alive == [False, False]
 
 
 def test_certify_exhaustive_pass(c5):
