@@ -6,8 +6,8 @@ solve k-set agreement when the whole graph sequence is known in advance
 refutes any candidate algorithm that claims to need fewer rounds by
 constructing and re-simulating an explicit counterexample.
 """
+from .check import EXHAUSTIVE_CONFIG_CAP, ExhaustiveReport, exhaustive_check, sample_check
 from .dyngraph import (
-    DEFAULT_MAX_ROUNDS,
     EXACT_SEARCH_CAP,
     Arc,
     Digraph,
@@ -32,8 +32,8 @@ from .errors import (
     GraphFormatError,
     KnowAllError,
     LemmaFalsified,
+    NeverDominated,
     NoPanchromaticCell,
-    NotDominatedWithinCap,
 )
 from .families import (
     complete_graph,
@@ -58,15 +58,7 @@ from .kuhn import (
     primitive_simplices,
     vertices,
 )
-from .oracle import (
-    BRUTE_DOMINATION_CAP,
-    EXHAUSTIVE_CONFIG_CAP,
-    ExhaustiveReport,
-    brute_domination,
-    brute_panchromatic,
-    exhaustive_check,
-    sample_check,
-)
+from .oracle import BRUTE_DOMINATION_CAP, brute_domination, brute_panchromatic
 from .protocol import (
     MAJORITY_HEARD,
     MAX_HEARD,

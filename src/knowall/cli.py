@@ -12,13 +12,8 @@ import json
 import math
 import sys
 
-from .dyngraph import (
-    DEFAULT_MAX_ROUNDS,
-    closure,
-    load_graph_file,
-    min_dominating_set,
-    min_rounds,
-)
+from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
+from .dyngraph import _dominating, closure, load_graph_file, min_rounds
 from .errors import (
     AlgorithmRangeError,
     AssignmentImpossible,
@@ -26,10 +21,9 @@ from .errors import (
     CapExceeded,
     GraphFormatError,
     KnowAllError,
-    NotDominatedWithinCap,
+    NeverDominated,
 )
 from .kuhn import algorithm_coloring, assign_node, inp, primitive_simplices, vertices
-from .oracle import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
 from .protocol import algorithm_by_name, flood_solve, format_inputs, parse_inputs
 from .refuter import refute
 
@@ -60,10 +54,9 @@ def _nonnegative(text: str) -> int:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
-    r = min_rounds(spec, args.k, args.max_rounds)
-    gammas = [min_dominating_set(closure(spec, i)).size for i in range(1, r + 1)]
-    dom = min_dominating_set(closure(spec, r))
-    _emit({"r": r, "dominating_set": dom.sorted_members(),
+    r = min_rounds(spec, args.k)
+    gammas = [len(_dominating(spec, i)) for i in range(1, r + 1)]
+    _emit({"r": r, "dominating_set": list(_dominating(spec, r)),
            "gamma_by_round": gammas}, args.pretty)
     return 0
 
@@ -71,13 +64,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
     inputs = parse_inputs(args.inputs, spec.n, args.k)
-    r = min_rounds(spec, args.k, args.max_rounds)
-    dom = min_dominating_set(closure(spec, r))
-    report = flood_solve(spec, args.k, inputs, args.max_rounds)
+    report = flood_solve(spec, args.k, inputs)
+    r = min_rounds(spec, args.k)  # derived by flood_solve, read from the spec
     _emit({
         "outputs": format_inputs(report.outputs),
         "r": r,
-        "dominating_set": dom.sorted_members(),
+        "dominating_set": list(_dominating(spec, r)),
         "valid": report.valid,
         "agreeing": report.agreeing,
     }, args.pretty)
@@ -87,7 +79,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
     alg = algorithm_by_name(args.alg)
-    witness = refute(spec, args.k, alg, args.budget, args.max_rounds)
+    witness = refute(spec, args.k, alg, args.budget)
     _emit(witness.to_dict(), args.pretty)
     return 1
 
@@ -192,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="tight round bound and a witnessing dominating set")
     p.add_argument("--graph", required=True, help="graph sequence JSON file")
     p.add_argument("--k", type=_positive, required=True)
-    p.add_argument("--max-rounds", type=_positive, default=DEFAULT_MAX_ROUNDS)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("solve", parents=[common],
@@ -200,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--inputs", required=True, help="digit string, node 1 first")
-    p.add_argument("--max-rounds", type=_positive, default=DEFAULT_MAX_ROUNDS)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("refute", parents=[common],
@@ -209,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--alg", required=True, help="builtin algorithm name")
     p.add_argument("--budget", type=_nonnegative, required=True)
-    p.add_argument("--max-rounds", type=_positive, default=DEFAULT_MAX_ROUNDS)
     p.set_defaults(func=cmd_refute)
 
     p = sub.add_parser("triangulate", parents=[common],
@@ -246,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, CapExceeded, NotDominatedWithinCap,
+    except (GraphFormatError, CapExceeded, NeverDominated,
             BudgetNotBelowBound, AssignmentImpossible, AlgorithmRangeError,
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,21 +13,24 @@ member, so after flooding for r rounds every node has heard the input
 of at least one member of any dominating set of H_r.  The smallest r
 whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
+
+Every answer is derived from the reach masks of H_r, which are its
+cover masks: entry u is the bitmask of nodes u's token can occupy after
+rounds 1..r.  Each spec keeps them, and the dominating sets and bounds
+derived from them, in a private memo that is freed with the spec.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable
 
-from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NotDominatedWithinCap
+from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated
 
 Arc = tuple[int, int]
 
 EXACT_SEARCH_CAP = 32
-DEFAULT_MAX_ROUNDS = 64
 
 
 class Extension(str, Enum):
@@ -57,16 +60,23 @@ class Digraph:
             if not (1 <= u <= self.n and 1 <= v <= self.n):
                 raise ValueError(f"arc ({u}, {v}) outside node range 1..{self.n}")
 
-    def out_neighbors(self, u: int) -> frozenset[int]:
-        return frozenset(v for (a, v) in self.arcs if a == u)
-
-    def in_neighbors(self, v: int) -> frozenset[int]:
-        return frozenset(u for (u, b) in self.arcs if b == v)
-
     def to_dot(self) -> str:
         """DOT text with one line per arc, `u -> v;`."""
         lines = [f"  {u} -> {v};" for u, v in sorted(self.arcs)]
         return "digraph {\n" + "\n".join(lines) + ("\n" if lines else "") + "}\n"
+
+
+class _Memo:
+    """A spec's derived data, grown on demand; it never refers to the spec."""
+
+    __slots__ = ("out", "reach", "dominating", "bounds")
+
+    def __init__(self, n: int, out: tuple[tuple[int, ...], ...]) -> None:
+        self.out = out  # out masks of each stored round graph
+        self.reach: list[tuple[int, ...]] = [tuple(1 << i for i in range(n))]
+        # r -> sorted members of the lex-smallest minimum dominating set of H_r
+        self.dominating: dict[int, tuple[int, ...]] = {}
+        self.bounds: dict[int, int] = {}  # k -> min_rounds(spec, k)
 
 
 @dataclass(frozen=True)
@@ -75,6 +85,8 @@ class DynamicGraphSpec:
 
     Round graphs hold communication arcs only, so self-loops are rejected
     here; staying put is always possible and is modelled by the closure.
+    The derived data lives in `_memo`, which is not a field: equality,
+    hashing and repr see only n, rounds and extension.
     """
 
     n: int
@@ -87,14 +99,19 @@ class DynamicGraphSpec:
         rounds = tuple(frozenset((int(u), int(v)) for u, v in rnd) for rnd in self.rounds)
         if not rounds:
             raise ValueError("need at least one round graph")
+        out = []
         for t, rnd in enumerate(rounds, start=1):
+            masks = [0] * self.n
             for u, v in rnd:
                 if not (1 <= u <= self.n and 1 <= v <= self.n):
                     raise ValueError(f"round {t}: arc ({u}, {v}) outside 1..{self.n}")
                 if u == v:
                     raise ValueError(f"round {t}: self-loop ({u}, {v}) not allowed")
+                masks[u - 1] |= 1 << (v - 1)
+            out.append(tuple(masks))
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "extension", Extension(self.extension))
+        object.__setattr__(self, "_memo", _Memo(self.n, tuple(out)))
 
 
 @dataclass(frozen=True)
@@ -114,42 +131,31 @@ class DominatingSetResult:
 # ---------------------------------------------------------------------------
 
 
-def graph_at(spec: DynamicGraphSpec, t: int) -> Digraph:
-    """Round graph G_t for t >= 1, applying the extension rule past the prefix."""
+def _round_index(spec: DynamicGraphSpec, t: int) -> int:
+    """Index into spec.rounds of G_t, applying the extension rule past the prefix."""
     if t < 1:
         raise ValueError(f"rounds are numbered from 1, got t={t}")
     m = len(spec.rounds)
-    if t <= m:
-        arcs = spec.rounds[t - 1]
-    elif spec.extension is Extension.REPEAT_LAST:
-        arcs = spec.rounds[m - 1]
-    else:
-        arcs = spec.rounds[(t - 1) % m]
-    return Digraph(spec.n, arcs)
+    if t > m and spec.extension is Extension.REPEAT_LAST:
+        return m - 1
+    return (t - 1) % m
 
 
-@lru_cache(maxsize=None)
-def _out_masks(arcs: frozenset[Arc], n: int) -> tuple[int, ...]:
-    masks = [0] * n
-    for u, v in arcs:
-        masks[u - 1] |= 1 << (v - 1)
-    return tuple(masks)
-
-
-# reach masks per spec, grown lazily round by round; entry r holds, for each
-# source u, the bitmask of nodes u's token can occupy after rounds 1..r
-_REACH: dict[DynamicGraphSpec, list[tuple[int, ...]]] = {}
+def graph_at(spec: DynamicGraphSpec, t: int) -> Digraph:
+    """Round graph G_t for t >= 1, applying the extension rule past the prefix."""
+    return Digraph(spec.n, spec.rounds[_round_index(spec, t)])
 
 
 def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    seq = _REACH.setdefault(spec, [tuple(1 << i for i in range(spec.n))])
+    """Reach masks of H_r, one per source node, grown round by round on the spec."""
+    if r < 0:
+        raise ValueError(f"closure needs r >= 0, got {r}")
+    seq = spec._memo.reach
     while len(seq) <= r:
-        t = len(seq)
-        out = _out_masks(graph_at(spec, t).arcs, spec.n)
+        out = spec._memo.out[_round_index(spec, len(seq))]
         nxt = []
         for m in seq[-1]:
-            acc = m
-            rest = m
+            acc = rest = m
             while rest:
                 low = rest & -rest
                 acc |= out[low.bit_length() - 1]
@@ -159,20 +165,11 @@ def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     return seq[r]
 
 
-@lru_cache(maxsize=None)
 def closure(spec: DynamicGraphSpec, r: int) -> Digraph:
     """Information-flow closure H_r; H_0 is the identity relation."""
-    if r < 0:
-        raise ValueError(f"closure needs r >= 0, got {r}")
-    masks = _reach_masks(spec, r)
-    arcs = []
-    for u in range(spec.n):
-        m = masks[u]
-        while m:
-            low = m & -m
-            arcs.append((u + 1, low.bit_length()))
-            m ^= low
-    return Digraph(spec.n, frozenset(arcs))
+    return Digraph(spec.n, frozenset(
+        (u, v) for u, mask in enumerate(_reach_masks(spec, r), start=1)
+        for v in range(1, spec.n + 1) if mask >> (v - 1) & 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,6 @@ def closure(spec: DynamicGraphSpec, r: int) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _cover_masks(H: Digraph) -> tuple[int, ...]:
     # node u covers itself plus its out-neighbors
     covers = [1 << i for i in range(H.n)]
@@ -291,17 +287,24 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
     return False
 
 
-def _lex_min_dominating(covers: tuple[int, ...], dom: tuple[int, ...],
-                        full: int, size: int) -> list[int]:
-    # the sorted member list is built greedily: each position takes the
-    # smallest node that still allows completion with larger ids only
+def _exact_dominating(covers: tuple[int, ...], cap: int) -> tuple[int, ...]:
+    """Sorted members of the lex-smallest minimum dominating set.
+
+    After the minimum size is known, each position of the sorted member
+    list takes the smallest node that still allows completion with larger
+    ids only.
+    """
     n = len(covers)
+    if n > cap:
+        raise CapExceeded(f"exact dominating-set search capped at n <= {cap}, got n = {n}")
+    dom = _dominator_masks(covers)
+    uncovered = full = (1 << n) - 1
+    size = _min_domination_size(covers, dom, full)
     members: list[int] = []
-    uncovered = full
     floor = 0
     for remaining in range(size, 0, -1):
         for u in range(floor, n):
-            after = ((1 << n) - 1) & ~((1 << (u + 1)) - 1)
+            after = full & ~((1 << (u + 1)) - 1)
             if _exists_cover(covers, dom, uncovered & ~covers[u], after, remaining - 1):
                 members.append(u + 1)
                 uncovered &= ~covers[u]
@@ -310,10 +313,9 @@ def _lex_min_dominating(covers: tuple[int, ...], dom: tuple[int, ...],
         else:
             raise LemmaFalsified(
                 f"a dominating set of size {size} exists but none was rebuilt")
-    return members
+    return tuple(members)
 
 
-@lru_cache(maxsize=None)
 def min_dominating_set(H: Digraph, cap: int = EXACT_SEARCH_CAP) -> DominatingSetResult:
     """Exact minimum dominating set; lexicographically smallest member list.
 
@@ -321,14 +323,8 @@ def min_dominating_set(H: Digraph, cap: int = EXACT_SEARCH_CAP) -> DominatingSet
     out-neighbors.  Raises CapExceeded when n exceeds the exact-search
     cap; greedy_dominating_set has no cap and can serve as a fallback.
     """
-    if H.n > cap:
-        raise CapExceeded(f"exact dominating-set search capped at n <= {cap}, got n = {H.n}")
-    covers = _cover_masks(H)
-    dom = _dominator_masks(covers)
-    full = (1 << H.n) - 1
-    size = _min_domination_size(covers, dom, full)
-    members = _lex_min_dominating(covers, dom, full, size)
-    return DominatingSetResult(size=size, members=frozenset(members), exact=True)
+    members = _exact_dominating(_cover_masks(H), cap)
+    return DominatingSetResult(size=len(members), members=frozenset(members), exact=True)
 
 
 def greedy_dominating_set(H: Digraph) -> DominatingSetResult:
@@ -338,18 +334,46 @@ def greedy_dominating_set(H: Digraph) -> DominatingSetResult:
     return DominatingSetResult(size=len(members), members=frozenset(members), exact=False)
 
 
-@lru_cache(maxsize=None)
-def min_rounds(spec: DynamicGraphSpec, k: int, max_rounds: int = DEFAULT_MAX_ROUNDS) -> int:
-    """Smallest r >= 1 with a dominating set of H_r no larger than k."""
+def _dominating(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
+    """Sorted members of min_dominating_set(closure(spec, r)), memoized on the spec."""
+    found = spec._memo.dominating
+    if r not in found:
+        reach = _reach_masks(spec, r)
+        # the reach masks of H_r are its cover masks; an unchanged closure
+        # keeps the set of the round before
+        same = r - 1 in found and spec._memo.reach[r - 1] == reach
+        found[r] = found[r - 1] if same else _exact_dominating(reach, EXACT_SEARCH_CAP)
+    return found[r]
+
+
+def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
+    """Smallest r >= 1 with a dominating set of H_r no larger than k.
+
+    Closures only grow, and any m = len(spec.rounds) consecutive rounds use
+    every round graph that occurs later.  So once m consecutive rounds
+    change no reach mask, H_r is fixed for good: NeverDominated if it needs
+    more than k dominators.  Each window that changes something adds an
+    arc, so the search ends within about n^2 * m rounds.
+    """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    for r in range(1, max_rounds + 1):
-        if min_dominating_set(closure(spec, r)).size <= k:
+    memo = spec._memo
+    bound = memo.bounds.get(k)
+    if bound is not None:
+        return bound
+    m = len(spec.rounds)
+    r = quiet = 0
+    while True:
+        r += 1
+        members = _dominating(spec, r)
+        if len(members) <= k:
+            memo.bounds[k] = r
             return r
-    raise NotDominatedWithinCap(
-        f"no dominating set of size <= {k} within {max_rounds} rounds")
+        quiet = quiet + 1 if memo.reach[r] == memo.reach[r - 1] else 0
+        if quiet == m:
+            raise NeverDominated(
+                f"no round suffices: H_r is fixed from round {r - m} on and its "
+                f"domination number is {len(members)} > k = {k}")
 
 
 # ---------------------------------------------------------------------------

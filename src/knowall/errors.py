@@ -13,8 +13,8 @@ class CapExceeded(KnowAllError):
     """An exact search was asked to run beyond its configured cap."""
 
 
-class NotDominatedWithinCap(KnowAllError):
-    """No round count up to the cap brings the domination number low enough."""
+class NeverDominated(KnowAllError):
+    """The closures stop growing while they still need more than k dominators."""
 
 
 class AlgorithmRangeError(KnowAllError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Union
 
-from .dyngraph import DynamicGraphSpec, _reach_masks, closure, min_dominating_set
+from .dyngraph import DynamicGraphSpec, _dominating, _reach_masks
 from .errors import AssignmentImpossible, LemmaFalsified, NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
@@ -127,7 +127,7 @@ def carrier(v: Vertex, n: int) -> Carrier:
 
 def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
     """Reach masks of H_budget, after checking that k nodes cannot dominate it."""
-    if min_dominating_set(closure(spec, budget)).size <= k:
+    if len(_dominating(spec, budget)) <= k:
         raise AssignmentImpossible(
             f"H_{budget} is dominated by {k} or fewer nodes; the budget is not below the bound")
     return _reach_masks(spec, budget)
@@ -213,9 +213,9 @@ def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
     violations = []
     for v in vertices(n, k):
         c = fn(v)
-        car = carrier(v, n)
-        if c not in car:
-            violations.append((v, c, car))
+        # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
+        if not (0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
+            violations.append((v, c, carrier(v, n)))
     return SpernerReport(is_sperner=not violations, violations=tuple(violations))
 
 

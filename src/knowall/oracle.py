@@ -1,74 +1,19 @@
-"""Configuration sweeps, and brute-force baselines for the test suite.
+"""Brute-force baselines for the test suite.
 
-`exhaustive_check` and `sample_check` are the production sweeps behind
-the `check` command and `certify`; they score every configuration
-through a ViewTable.  `brute_domination` and `brute_panchromatic` are
-deliberately independent re-implementations of the production searches,
-used only by tests to cross-examine them.
+`brute_domination` and `brute_panchromatic` are deliberately independent
+re-implementations of the production searches, used only by tests to
+cross-examine them.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable
 
-from .dyngraph import Digraph, DynamicGraphSpec
+from .dyngraph import Digraph
 from .errors import CapExceeded
 from .kuhn import Coloring, PrimitiveSimplex
-from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
 
-EXHAUSTIVE_CONFIG_CAP = 10 ** 6
 BRUTE_DOMINATION_CAP = 20
 BRUTE_SIMPLEX_CAP = 10 ** 6
-
-
-@dataclass(frozen=True)
-class ExhaustiveReport:
-    total_configs: int
-    failures: tuple[tuple[InputConfig, OutcomeReport], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
-
-
-def _sweep(table: ViewTable, configs: Iterable[InputConfig]
-           ) -> tuple[tuple[InputConfig, OutcomeReport], ...]:
-    """Score each configuration as `run` would; keep the failing ones in order."""
-    k = table.k
-    failures = []
-    for cfg in configs:
-        outputs = table.outputs(cfg)
-        decided = set(outputs)
-        valid = decided.issubset(cfg)
-        if not valid or len(decided) > k:
-            failures.append((cfg, OutcomeReport(
-                outputs=outputs, valid=valid, agreeing=len(decided) <= k,
-                distinct_count=len(decided))))
-    return tuple(failures)
-
-
-def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
-                     budget: int, cap: int = EXHAUSTIVE_CONFIG_CAP) -> ExhaustiveReport:
-    """Run every input configuration and collect validity/agreement failures."""
-    total = (k + 1) ** spec.n
-    if total > cap:
-        raise CapExceeded(
-            f"exhaustive check needs {total} configurations, cap is {cap}")
-    failures = _sweep(ViewTable(spec, k, alg, budget),
-                      product(range(k + 1), repeat=spec.n))
-    return ExhaustiveReport(total_configs=total, failures=failures)
-
-
-def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
-                 samples: int = 1000, seed: int = 0) -> ExhaustiveReport:
-    """Seeded random configurations; same report shape as the exhaustive run."""
-    rng = random.Random(seed)
-    configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
-               for _ in range(samples))
-    failures = _sweep(ViewTable(spec, k, alg, budget), configs)
-    return ExhaustiveReport(total_configs=samples, failures=failures)
 
 
 def brute_domination(H: Digraph, cap: int = BRUTE_DOMINATION_CAP) -> int:

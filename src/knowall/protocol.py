@@ -20,16 +20,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from .dyngraph import (
-    DEFAULT_MAX_ROUNDS,
-    Digraph,
-    DynamicGraphSpec,
-    closure,
-    min_dominating_set,
-    min_rounds,
-)
+from .dyngraph import DynamicGraphSpec, _dominating, _reach_masks, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified
-from functools import lru_cache
 
 InputConfig = tuple[int, ...]
 
@@ -89,12 +81,10 @@ class OutcomeReport:
     distinct_count: int
 
 
-@lru_cache(maxsize=None)
-def _in_neighbor_lists(H: Digraph) -> tuple[tuple[int, ...], ...]:
-    ins: list[list[int]] = [[] for _ in range(H.n)]
-    for u, v in sorted(H.arcs):
-        ins[v - 1].append(u)
-    return tuple(tuple(lst) for lst in ins)
+def _senders_of(reach: tuple[int, ...], observer: int) -> list[int]:
+    """In-neighbours of `observer` in the closure whose reach masks are given."""
+    bit = 1 << (observer - 1)
+    return [u for u, mask in enumerate(reach, start=1) if mask & bit]
 
 
 def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
@@ -106,7 +96,7 @@ def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
     vals = tuple(int(x) for x in inputs)
     if len(vals) != spec.n:
         raise ValueError(f"expected {spec.n} inputs, got {len(vals)}")
-    senders = _in_neighbor_lists(closure(spec, budget))[observer - 1]
+    senders = _senders_of(_reach_masks(spec, budget), observer)
     return View(observer=observer, budget=budget,
                 heard={j: vals[j - 1] for j in senders})
 
@@ -150,10 +140,9 @@ class ViewTable:
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                  budget: int) -> None:
-        if budget < 0:
-            raise ValueError(f"budget must be >= 0, got {budget}")
+        reach = _reach_masks(spec, budget)
         self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
-        self._senders = _in_neighbor_lists(closure(spec, budget))
+        self._senders = [_senders_of(reach, node) for node in range(1, spec.n + 1)]
         # (node, heard-digit key of a configuration, memo) per node
         self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
                        for node, senders in enumerate(self._senders, start=1)]
@@ -194,8 +183,7 @@ class ViewTable:
 # ---------------------------------------------------------------------------
 
 
-def flood_dominator(r: int | None = None,
-                    max_rounds: int = DEFAULT_MAX_ROUNDS) -> AlgorithmSpec:
+def flood_dominator(r: int | None = None) -> AlgorithmSpec:
     """Optimal flooding: output the input of the smallest heard dominator.
 
     The dominating set is the exact minimum one of H_r, where r is the
@@ -206,12 +194,11 @@ def flood_dominator(r: int | None = None,
     """
 
     def decide(spec: DynamicGraphSpec, k: int, view: View) -> int:
-        rounds = r if r is not None else min_rounds(spec, k, max_rounds)
-        members = min_dominating_set(closure(spec, rounds)).members
-        for j in sorted(members):
-            if j in view.heard:
-                return view.heard[j]
-        return view.heard[view.observer]
+        heard = view.heard
+        for j in _dominating(spec, r if r is not None else min_rounds(spec, k)):
+            if j in heard:
+                return heard[j]
+        return heard[view.observer]
 
     name = "flood_dominator" if r is None else f"flood_dominator({r})"
     return AlgorithmSpec(name=name, decide=decide)
@@ -248,10 +235,9 @@ def algorithm_by_name(name: str) -> AlgorithmSpec:
     raise ValueError(f"unknown algorithm {name!r}; known: {known}")
 
 
-def flood_solve(spec: DynamicGraphSpec, k: int, inputs,
-                max_rounds: int = DEFAULT_MAX_ROUNDS) -> OutcomeReport:
+def flood_solve(spec: DynamicGraphSpec, k: int, inputs) -> OutcomeReport:
     """Solve k-set agreement in exactly the optimal number of rounds."""
-    r = min_rounds(spec, k, max_rounds)
+    r = min_rounds(spec, k)
     vals = validate_inputs(inputs, spec.n, k)
     report = run(spec, k, flood_dominator(r), vals, budget=r)
     if not (report.valid and report.agreeing):

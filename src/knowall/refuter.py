@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dyngraph import DEFAULT_MAX_ROUNDS, DynamicGraphSpec, min_rounds
+from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
+from .dyngraph import DynamicGraphSpec, min_rounds
 from .errors import BudgetNotBelowBound, LemmaFalsified
 from .kuhn import (
     PrimitiveSimplex,
@@ -23,7 +24,6 @@ from .kuhn import (
     find_panchromatic,
     inp,
 )
-from .oracle import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
 from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, format_inputs, run
 
 
@@ -60,8 +60,7 @@ class Witness:
         }
 
 
-def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
-           max_rounds: int = DEFAULT_MAX_ROUNDS) -> Witness:
+def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> Witness:
     """Build and verify a counterexample against `alg` run at `budget`.
 
     The budget must be strictly below the tight bound for the spec and
@@ -74,7 +73,7 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    bound = min_rounds(spec, k, max_rounds)
+    bound = min_rounds(spec, k)
     if budget >= bound:
         raise BudgetNotBelowBound(
             f"budget {budget} is not below the tight bound {bound}")
@@ -140,7 +139,6 @@ class OutcomeSummary:
 
 
 def certify(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
-            max_rounds: int = DEFAULT_MAX_ROUNDS,
             config_cap: int = EXHAUSTIVE_CONFIG_CAP,
             samples: int = 1000, seed: int = 0) -> OutcomeSummary:
     """Check correctness when the budget suffices, else refute.
@@ -150,9 +148,8 @@ def certify(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
     sample otherwise.  Below the bound, delegates to refute and wraps
     the witness.
     """
-    bound = min_rounds(spec, k, max_rounds)
-    if budget < bound:
-        witness = refute(spec, k, alg, budget, max_rounds)
+    if budget < min_rounds(spec, k):
+        witness = refute(spec, k, alg, budget)
         return OutcomeSummary(mode="refuted", checked=0, failure_count=1,
                               first_failure=None, witness=witness, passed=False)
     if (k + 1) ** spec.n <= config_cap:

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from knowall import (
-    DominatingSetResult,
     DynamicGraphSpec,
     Extension,
     complete_graph,
@@ -32,6 +31,31 @@ def test_bound_k1(capsys, c5_file):
     assert code == 0
     assert json.loads(out) == {
         "r": 4, "dominating_set": [1], "gamma_by_round": [3, 2, 2, 1]}
+
+
+def test_bound_reversed_relay_beyond_64_rounds(capsys, tmp_path):
+    # arc (j, j+1) comes one round before arc (j-1, j) in each period of 9,
+    # so a token needs a whole period less one round per hop
+    spec = DynamicGraphSpec(10, tuple(frozenset({(j, j + 1)}) for j in range(9, 0, -1)),
+                            Extension.CYCLE)
+    path = tmp_path / "relay10.json"
+    save_graph_file(spec, str(path))
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["r"] == 73 and payload["dominating_set"] == [1]
+    assert len(payload["gamma_by_round"]) == 73 and payload["gamma_by_round"][-2:] == [2, 1]
+    code, out, _ = run_cli(capsys, "bound", "--graph", str(path), "--k", "2")
+    assert code == 0 and json.loads(out)["r"] == 33
+
+
+def test_bound_never_dominated_exits_2(capsys, tmp_path):
+    path = tmp_path / "islands.json"
+    save_graph_file(DynamicGraphSpec(2, (frozenset(),)), str(path))
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert code == 2 and out == ""
+    assert err == ("error: no round suffices: H_r is fixed from round 0 on "
+                   "and its domination number is 2 > k = 1\n")
 
 
 def test_solve(capsys, c5_file):
@@ -117,8 +141,7 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # a domination search claiming H_2 of the 5-cycle needs three nodes
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
-    monkeypatch.setattr(kuhn, "min_dominating_set",
-                        lambda H: DominatingSetResult(3, frozenset({1, 2, 3}), True))
+    monkeypatch.setattr(kuhn, "_dominating", lambda spec, r: (1, 2, 3))
     code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
                              "--graph", c5_file, "--budget", "2")
     assert code == 2 and out == ""
@@ -127,9 +150,6 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
 
 def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(dyngraph, "_exists_cover", lambda *args: False)
-    # fresh results, so the cached ones of other tests cannot hide the failure
-    dyngraph.min_dominating_set.cache_clear()
-    dyngraph.min_rounds.cache_clear()
     spec = DynamicGraphSpec(n=6, rounds=(frozenset({(1, 2), (3, 4), (5, 6)}),
                                          frozenset({(2, 3), (6, 1)})),
                             extension=Extension.CYCLE)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from knowall import (
     DynamicGraphSpec,
     Extension,
     GraphFormatError,
-    NotDominatedWithinCap,
+    NeverDominated,
     closure,
     complete_graph,
     directed_cycle,
@@ -27,6 +30,8 @@ from knowall import (
     spec_to_dict,
     staggered_relay,
 )
+
+from conftest import random_spec
 
 
 def arcs_of(spec, t):
@@ -212,8 +217,49 @@ def test_min_rounds_family(c5, p4, relay):
 
 def test_min_rounds_unsolvable():
     two_islands = DynamicGraphSpec(2, (frozenset(),))
-    with pytest.raises(NotDominatedWithinCap):
-        min_rounds(two_islands, 1, max_rounds=8)
+    with pytest.raises(NeverDominated):
+        min_rounds(two_islands, 1)
+
+
+def _naive_bound(spec, k):
+    # reach sets grown one round graph at a time for n^2 * m rounds, and
+    # domination tried on every set of at most k nodes
+    n = spec.n
+    everyone = set(range(1, n + 1))
+    reach = [{u} for u in everyone]
+    for r in range(1, n * n * len(spec.rounds) + 1):
+        arcs = graph_at(spec, r).arcs
+        reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
+        for size in range(1, k + 1):
+            for combo in combinations(range(n), size):
+                if set().union(*(reach[d] for d in combo)) == everyone:
+                    return r
+    return None
+
+
+def test_min_rounds_matches_naive_loop_on_random_specs():
+    rng = random.Random(1618)
+    outcomes = set()
+    for _ in range(80):
+        spec = random_spec(rng, max_n=6)
+        k = rng.randint(1, spec.n - 1)
+        expected = _naive_bound(spec, k)
+        if expected is None:
+            with pytest.raises(NeverDominated):
+                min_rounds(spec, k)
+        else:
+            assert min_rounds(spec, k) == expected, (spec, k)
+        outcomes.add((spec.extension, expected is None))
+    # both extension rules, each with bounds found and bounds that never exist
+    assert len(outcomes) == 4
+
+
+def test_never_dominated_names_the_fixed_round():
+    # 1 -> 2 -> 3 is complete after round 2; nobody ever hears node 4
+    spec = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset({(2, 3)})))
+    assert min_rounds(spec, 2) == 2
+    with pytest.raises(NeverDominated, match="fixed from round 2 on .* is 2 > k = 1"):
+        min_rounds(spec, 1)
 
 
 def test_min_rounds_validates():
@@ -255,6 +301,14 @@ def test_graph_format_errors(tmp_path):
 def test_dot_export():
     H = Digraph(3, frozenset({(1, 2), (2, 3), (1, 1)}))
     assert H.to_dot() == "digraph {\n  1 -> 1;\n  1 -> 2;\n  2 -> 3;\n}\n"
+
+
+def test_memo_is_not_part_of_the_spec(relay):
+    twin = staggered_relay()
+    assert min_rounds(relay, 1) == 5 and closure(relay, 7).n == 4
+    assert relay == twin and hash(relay) == hash(twin) and repr(relay) == repr(twin)
+    assert [f.name for f in dataclasses.fields(relay)] == ["n", "rounds", "extension"]
+    assert "_memo" not in repr(relay)
 
 
 def test_spec_accepts_plain_containers():

@@ -11,9 +11,10 @@ from knowall import (
     MIN_HEARD,
     AssignmentImpossible,
     Extension,
+    NeverDominated,
     NoPanchromaticCell,
-    NotDominatedWithinCap,
     PrimitiveSimplex,
+    SpernerReport,
     algorithm_coloring,
     assign_node,
     brute_panchromatic,
@@ -250,7 +251,7 @@ def test_assign_node_matches_arc_scan_on_random_specs():
         k = rng.randint(1, min(3, spec.n - 1))
         try:
             bound = min_rounds(spec, k)
-        except NotDominatedWithinCap:
+        except NeverDominated:
             continue
         extensions.add(spec.extension)
         for budget in range(bound):
@@ -285,6 +286,17 @@ def test_check_sperner_flags_corner():
     report = check_sperner(3, 2, coloring)
     assert not report.is_sperner
     assert report.violations == (((0, 0), 2, frozenset({0})),)
+
+
+def test_check_sperner_matches_carrier_membership():
+    # every color in and around the palette, at every vertex
+    for n in range(1, 6):
+        for k in range(1, 4):
+            for c in range(-1, k + 2):
+                expected = tuple((v, c, carrier(v, n)) for v in vertices(n, k)
+                                 if c not in carrier(v, n))
+                report = check_sperner(n, k, lambda v: c)
+                assert report == SpernerReport(not expected, expected), (n, k, c)
 
 
 def test_find_panchromatic_k1_threshold():

@@ -15,7 +15,9 @@ from knowall import (
     assign_node,
     builtin_algorithms,
     certify,
+    closure,
     directed_cycle,
+    exhaustive_check,
     flood_dominator,
     format_inputs,
     inp,
@@ -151,6 +153,25 @@ def test_refute_releases_its_coloring(c5, monkeypatch):
         gc.enable()
     assert witness.kind is WitnessKind.AGREEMENT_VIOLATION
     assert alive == [False, False]
+
+
+def test_derived_data_is_freed_with_the_spec():
+    # the reach masks, dominating sets and bounds live on the spec, so
+    # nothing in the package keeps a spec alive once its callers let go
+    spec = directed_cycle(5)
+    ref = weakref.ref(spec)
+    gc.disable()
+    try:
+        assert min_rounds(spec, 2) == 2 and closure(spec, 3).n == 5
+        assert run(spec, 2, flood_dominator(), (0, 1, 2, 0, 1), 2).agreeing
+        assert exhaustive_check(spec, 2, flood_dominator(), 2).passed
+        for alg in builtin_algorithms():
+            assert refute(spec, 2, alg, 1).verified
+        del spec
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 def test_certify_exhaustive_pass(c5):
