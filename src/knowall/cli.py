@@ -13,7 +13,7 @@ import math
 import sys
 
 from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
-from .dyngraph import _dominating, closure, load_graph_file, min_rounds
+from .dyngraph import _dominating, _gamma, closure, load_graph_file, min_rounds
 from .errors import (
     AlgorithmRangeError,
     AssignmentImpossible,
@@ -55,7 +55,7 @@ def _nonnegative(text: str) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
     r = min_rounds(spec, args.k)
-    gammas = [len(_dominating(spec, i)) for i in range(1, r + 1)]
+    gammas = [_gamma(spec, i) for i in range(1, r + 1)]
     _emit({"r": r, "dominating_set": list(_dominating(spec, r)),
            "gamma_by_round": gammas}, args.pretty)
     return 0

@@ -16,8 +16,12 @@ number of rounds needed to solve k-set agreement on the sequence.
 
 Every answer is derived from the reach masks of H_r, which are its
 cover masks: entry u is the bitmask of nodes u's token can occupy after
-rounds 1..r.  Each spec keeps them, and the dominating sets and bounds
-derived from them, in a private memo that is freed with the spec.
+rounds 1..r.  Each spec keeps them, and the domination numbers,
+dominating sets and bounds derived from them, in a private memo that is
+freed with the spec.  Closures only grow, so the domination number never
+increases with r: each round whose closure changed searches down from
+the round before (or the greedy size, if smaller) with k-slot cover
+decisions, and only the round a caller asks for rebuilds its member list.
 """
 from __future__ import annotations
 
@@ -69,11 +73,12 @@ class Digraph:
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("out", "reach", "dominating", "bounds")
+    __slots__ = ("out", "reach", "gammas", "dominating", "bounds")
 
     def __init__(self, n: int, out: tuple[tuple[int, ...], ...]) -> None:
         self.out = out  # out masks of each stored round graph
         self.reach: list[tuple[int, ...]] = [tuple(1 << i for i in range(n))]
+        self.gammas = [n]  # domination number of H_0, H_1, ...
         # r -> sorted members of the lex-smallest minimum dominating set of H_r
         self.dominating: dict[int, tuple[int, ...]] = {}
         self.bounds: dict[int, int] = {}  # k -> min_rounds(spec, k)
@@ -185,8 +190,11 @@ def _cover_masks(H: Digraph) -> tuple[int, ...]:
     return tuple(covers)
 
 
-def _dominator_masks(covers: tuple[int, ...]) -> tuple[int, ...]:
+def _dominator_masks(covers: tuple[int, ...], cap: int = EXACT_SEARCH_CAP) -> tuple[int, ...]:
+    # every exact search starts here, so this is where the cap is enforced
     n = len(covers)
+    if n > cap:
+        raise CapExceeded(f"exact dominating-set search capped at n <= {cap}, got n = {n}")
     dom = [0] * n
     for u in range(n):
         m = covers[u]
@@ -212,50 +220,15 @@ def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
     return members
 
 
-def _min_domination_size(covers: tuple[int, ...], dom: tuple[int, ...], full: int) -> int:
-    n = len(covers)
-    best = len(_greedy_members(covers, full))
-
-    def rec(uncovered: int, size: int) -> None:
-        nonlocal best
-        if uncovered == 0:
-            if size < best:
-                best = size
-            return
-        maxgain = 0
-        for u in range(n):
-            g = (covers[u] & uncovered).bit_count()
-            if g > maxgain:
-                maxgain = g
-        if size + -(-uncovered.bit_count() // maxgain) >= best:
-            return
-        # branch on the uncovered node with the fewest dominators
-        pick, pickdom, fewest = -1, 0, n + 1
-        m = uncovered
-        while m:
-            low = m & -m
-            x = low.bit_length() - 1
-            m ^= low
-            c = dom[x].bit_count()
-            if c < fewest:
-                fewest, pick, pickdom = c, x, dom[x]
-        while pickdom:
-            low = pickdom & -pickdom
-            u = low.bit_length() - 1
-            pickdom ^= low
-            rec(uncovered & ~covers[u], size + 1)
-
-    rec(full, 0)
-    return best
-
-
 def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
                   uncovered: int, avail: int, slots: int) -> bool:
     if uncovered == 0:
         return True
     if slots == 0:
         return False
+    # branch on the fewest-dominator node; disjointly dominated nodes each need a slot
     pickdom, fewest = 0, 1 << 30
+    packed = taken = 0
     m = uncovered
     while m:
         low = m & -m
@@ -267,6 +240,11 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
             return False
         if c < fewest:
             fewest, pickdom = c, dm
+        if not dm & taken:
+            taken |= dm
+            packed += 1
+    if packed > slots:
+        return False
     maxgain = 0
     a = avail
     while a:
@@ -287,19 +265,23 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
     return False
 
 
-def _exact_dominating(covers: tuple[int, ...], cap: int) -> tuple[int, ...]:
-    """Sorted members of the lex-smallest minimum dominating set.
+def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
+    """Domination number, searched down from min(upper, greedy size); upper must be attained."""
+    full = (1 << len(covers)) - 1
+    g = min(upper, len(_greedy_members(covers, full)))
+    while _exists_cover(covers, dom, full, full, g - 1):
+        g -= 1
+    return g
 
-    After the minimum size is known, each position of the sorted member
-    list takes the smallest node that still allows completion with larger
-    ids only.
+
+def _exact_dominating(covers: tuple[int, ...], dom: tuple[int, ...], size: int) -> tuple[int, ...]:
+    """Sorted members of the lex-smallest dominating set of the minimum size `size`.
+
+    Each position of the sorted member list takes the smallest node that
+    still allows completion with larger ids only.
     """
     n = len(covers)
-    if n > cap:
-        raise CapExceeded(f"exact dominating-set search capped at n <= {cap}, got n = {n}")
-    dom = _dominator_masks(covers)
     uncovered = full = (1 << n) - 1
-    size = _min_domination_size(covers, dom, full)
     members: list[int] = []
     floor = 0
     for remaining in range(size, 0, -1):
@@ -320,10 +302,15 @@ def min_dominating_set(H: Digraph, cap: int = EXACT_SEARCH_CAP) -> DominatingSet
     """Exact minimum dominating set; lexicographically smallest member list.
 
     Domination is directional: a member covers itself and its
-    out-neighbors.  Raises CapExceeded when n exceeds the exact-search
-    cap; greedy_dominating_set has no cap and can serve as a fallback.
+    out-neighbors.  The size is searched down from the greedy size by
+    deciding whether one fewer node suffices; a decision fails early when
+    more uncovered nodes have pairwise disjoint dominators than slots
+    remain.  Raises CapExceeded when n exceeds the exact-search cap;
+    greedy_dominating_set has no cap and can serve as a fallback.
     """
-    members = _exact_dominating(_cover_masks(H), cap)
+    covers = _cover_masks(H)
+    dom = _dominator_masks(covers, cap)
+    members = _exact_dominating(covers, dom, _domination_number(covers, dom, H.n))
     return DominatingSetResult(size=len(members), members=frozenset(members), exact=True)
 
 
@@ -334,15 +321,28 @@ def greedy_dominating_set(H: Digraph) -> DominatingSetResult:
     return DominatingSetResult(size=len(members), members=frozenset(members), exact=False)
 
 
+def _gamma(spec: DynamicGraphSpec, r: int) -> int:
+    """Domination number of H_r, memoized on the spec round by round.
+
+    Closures only grow, so gamma never increases with r: a changed round
+    searches down from the round before, an unchanged one copies it.
+    """
+    memo = spec._memo
+    while len(memo.gammas) <= r:
+        reach = _reach_masks(spec, len(memo.gammas))
+        g = memo.gammas[-1]
+        if reach != memo.reach[len(memo.gammas) - 1]:
+            g = _domination_number(reach, _dominator_masks(reach), g)
+        memo.gammas.append(g)
+    return memo.gammas[r]
+
+
 def _dominating(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """Sorted members of min_dominating_set(closure(spec, r)), memoized on the spec."""
     found = spec._memo.dominating
     if r not in found:
-        reach = _reach_masks(spec, r)
-        # the reach masks of H_r are its cover masks; an unchanged closure
-        # keeps the set of the round before
-        same = r - 1 in found and spec._memo.reach[r - 1] == reach
-        found[r] = found[r - 1] if same else _exact_dominating(reach, EXACT_SEARCH_CAP)
+        reach = _reach_masks(spec, r)  # the reach masks of H_r are its cover masks
+        found[r] = _exact_dominating(reach, _dominator_masks(reach), _gamma(spec, r))
     return found[r]
 
 
@@ -365,15 +365,15 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
     r = quiet = 0
     while True:
         r += 1
-        members = _dominating(spec, r)
-        if len(members) <= k:
+        g = _gamma(spec, r)
+        if g <= k:
             memo.bounds[k] = r
             return r
         quiet = quiet + 1 if memo.reach[r] == memo.reach[r - 1] else 0
         if quiet == m:
             raise NeverDominated(
                 f"no round suffices: H_r is fixed from round {r - m} on and its "
-                f"domination number is {len(members)} > k = {k}")
+                f"domination number is {g} > k = {k}")
 
 
 # ---------------------------------------------------------------------------

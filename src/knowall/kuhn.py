@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator, Mapping, Union
 
-from .dyngraph import DynamicGraphSpec, _dominating, _reach_masks
+from .dyngraph import DynamicGraphSpec, _gamma, _reach_masks
 from .errors import AssignmentImpossible, LemmaFalsified, NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
@@ -127,7 +127,7 @@ def carrier(v: Vertex, n: int) -> Carrier:
 
 def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
     """Reach masks of H_budget, after checking that k nodes cannot dominate it."""
-    if len(_dominating(spec, budget)) <= k:
+    if _gamma(spec, budget) <= k:
         raise AssignmentImpossible(
             f"H_{budget} is dominated by {k} or fewer nodes; the budget is not below the bound")
     return _reach_masks(spec, budget)

@@ -141,7 +141,7 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # a domination search claiming H_2 of the 5-cycle needs three nodes
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
-    monkeypatch.setattr(kuhn, "_dominating", lambda spec, r: (1, 2, 3))
+    monkeypatch.setattr(kuhn, "_gamma", lambda spec, r: 3)
     code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
                              "--graph", c5_file, "--budget", "2")
     assert code == 2 and out == ""
@@ -149,7 +149,14 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
 
 
 def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(dyngraph, "_exists_cover", lambda *args: False)
+    decide = dyngraph._exists_cover
+
+    def rebuild_fails(covers, dom, uncovered, avail, slots):
+        # the size decisions offer every node and answer truly, so the bound
+        # is found; only the lex-min rebuild, which offers fewer, fails
+        return avail == (1 << len(covers)) - 1 and decide(covers, dom, uncovered, avail, slots)
+
+    monkeypatch.setattr(dyngraph, "_exists_cover", rebuild_fails)
     spec = DynamicGraphSpec(n=6, rounds=(frozenset({(1, 2), (3, 4), (5, 6)}),
                                          frozenset({(2, 3), (6, 1)})),
                             extension=Extension.CYCLE)

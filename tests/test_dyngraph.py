@@ -30,6 +30,9 @@ from knowall import (
     spec_to_dict,
     staggered_relay,
 )
+from knowall.cli import main
+from knowall.dyngraph import _gamma
+from knowall.oracle import brute_domination
 
 from conftest import random_spec
 
@@ -259,6 +262,48 @@ def test_never_dominated_names_the_fixed_round():
     spec = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset({(2, 3)})))
     assert min_rounds(spec, 2) == 2
     with pytest.raises(NeverDominated, match="fixed from round 2 on .* is 2 > k = 1"):
+        min_rounds(spec, 1)
+
+
+def test_gamma_matches_brute_force_on_random_specs():
+    rng = random.Random(2718)
+    rules = set()
+    for _ in range(300):
+        spec = random_spec(rng, max_n=9)
+        for r in range(3 * spec.n + 1):
+            H = closure(spec, r)
+            expected = brute_domination(H)
+            assert _gamma(spec, r) == expected, (spec, r)
+            assert min_dominating_set(H).size == expected, (spec, r)
+        rules.add(spec.extension)
+    assert len(rules) == 2
+
+
+def test_gamma_by_round_matches_brute_force(capsys, tmp_path):
+    rng = random.Random(3141)
+    answered = 0
+    for i in range(60):
+        spec = random_spec(rng, max_n=8)
+        path = tmp_path / f"g{i}.json"
+        save_graph_file(spec, str(path))
+        if main(["bound", "--graph", str(path), "--k", str(rng.randint(1, 3))]) != 0:
+            capsys.readouterr()
+            continue
+        out = json.loads(capsys.readouterr().out)
+        assert out["gamma_by_round"] == [
+            brute_domination(closure(spec, r)) for r in range(1, out["r"] + 1)], spec
+        answered += 1
+    assert answered >= 30
+
+
+def test_never_dominated_32_node_relay():
+    # the closure of the reversed relay over nodes 1..31 last changes in
+    # round 871, and node 32 never hears anyone
+    spec = DynamicGraphSpec(32, tuple(frozenset({(j, j + 1)}) for j in range(30, 0, -1)),
+                            Extension.CYCLE)
+    with pytest.raises(NeverDominated, match=(
+            r"^no round suffices: H_r is fixed from round 871 on and its "
+            r"domination number is 2 > k = 1$")):
         min_rounds(spec, 1)
 
 
