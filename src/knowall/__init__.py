@@ -11,12 +11,10 @@ from .dyngraph import (
     EXACT_SEARCH_CAP,
     Arc,
     Digraph,
-    DominatingSetResult,
     DynamicGraphSpec,
     Extension,
     closure,
     graph_at,
-    greedy_dominating_set,
     load_graph_file,
     min_dominating_set,
     min_rounds,

@@ -13,7 +13,7 @@ import math
 import sys
 
 from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
-from .dyngraph import _dominating, _gamma, closure, load_graph_file, min_rounds
+from .dyngraph import _gamma, closure, load_graph_file, min_dominating_set, min_rounds
 from .errors import (
     AlgorithmRangeError,
     AssignmentImpossible,
@@ -56,7 +56,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
     r = min_rounds(spec, args.k)
     gammas = [_gamma(spec, i) for i in range(1, r + 1)]
-    _emit({"r": r, "dominating_set": list(_dominating(spec, r)),
+    _emit({"r": r, "dominating_set": list(min_dominating_set(spec, r)),
            "gamma_by_round": gammas}, args.pretty)
     return 0
 
@@ -69,7 +69,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _emit({
         "outputs": format_inputs(report.outputs),
         "r": r,
-        "dominating_set": list(_dominating(spec, r)),
+        "dominating_set": list(min_dominating_set(spec, r)),
         "valid": report.valid,
         "agreeing": report.agreeing,
     }, args.pretty)

@@ -21,14 +21,16 @@ dominating sets and bounds derived from them, in a private memo that is
 freed with the spec.  Closures only grow, so the domination number never
 increases with r: each round whose closure changed searches down from
 the round before (or the greedy size, if smaller) with k-slot cover
-decisions, and only the round a caller asks for rebuilds its member list.
+decisions, and only the round a caller asks for rebuilds its member list
+(min_dominating_set).  A decision branches on the uncovered node with the
+fewest dominators and fails early when more uncovered nodes have pairwise
+disjoint dominators than slots remain.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated
 
@@ -119,18 +121,6 @@ class DynamicGraphSpec:
         object.__setattr__(self, "_memo", _Memo(self.n, tuple(out)))
 
 
-@dataclass(frozen=True)
-class DominatingSetResult:
-    """Outcome of a dominating-set computation; `exact` is False for greedy."""
-
-    size: int
-    members: frozenset[int]
-    exact: bool
-
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-
 # ---------------------------------------------------------------------------
 # sequence access and closures
 # ---------------------------------------------------------------------------
@@ -182,19 +172,12 @@ def closure(spec: DynamicGraphSpec, r: int) -> Digraph:
 # ---------------------------------------------------------------------------
 
 
-def _cover_masks(H: Digraph) -> tuple[int, ...]:
-    # node u covers itself plus its out-neighbors
-    covers = [1 << i for i in range(H.n)]
-    for u, v in H.arcs:
-        covers[u - 1] |= 1 << (v - 1)
-    return tuple(covers)
-
-
-def _dominator_masks(covers: tuple[int, ...], cap: int = EXACT_SEARCH_CAP) -> tuple[int, ...]:
+def _dominator_masks(covers: tuple[int, ...]) -> tuple[int, ...]:
     # every exact search starts here, so this is where the cap is enforced
     n = len(covers)
-    if n > cap:
-        raise CapExceeded(f"exact dominating-set search capped at n <= {cap}, got n = {n}")
+    if n > EXACT_SEARCH_CAP:
+        raise CapExceeded(
+            f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {n}")
     dom = [0] * n
     for u in range(n):
         m = covers[u]
@@ -245,17 +228,6 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
             packed += 1
     if packed > slots:
         return False
-    maxgain = 0
-    a = avail
-    while a:
-        low = a & -a
-        u = low.bit_length() - 1
-        a ^= low
-        g = (covers[u] & uncovered).bit_count()
-        if g > maxgain:
-            maxgain = g
-    if maxgain * slots < uncovered.bit_count():
-        return False
     while pickdom:
         low = pickdom & -pickdom
         u = low.bit_length() - 1
@@ -274,53 +246,6 @@ def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int
     return g
 
 
-def _exact_dominating(covers: tuple[int, ...], dom: tuple[int, ...], size: int) -> tuple[int, ...]:
-    """Sorted members of the lex-smallest dominating set of the minimum size `size`.
-
-    Each position of the sorted member list takes the smallest node that
-    still allows completion with larger ids only.
-    """
-    n = len(covers)
-    uncovered = full = (1 << n) - 1
-    members: list[int] = []
-    floor = 0
-    for remaining in range(size, 0, -1):
-        for u in range(floor, n):
-            after = full & ~((1 << (u + 1)) - 1)
-            if _exists_cover(covers, dom, uncovered & ~covers[u], after, remaining - 1):
-                members.append(u + 1)
-                uncovered &= ~covers[u]
-                floor = u + 1
-                break
-        else:
-            raise LemmaFalsified(
-                f"a dominating set of size {size} exists but none was rebuilt")
-    return tuple(members)
-
-
-def min_dominating_set(H: Digraph, cap: int = EXACT_SEARCH_CAP) -> DominatingSetResult:
-    """Exact minimum dominating set; lexicographically smallest member list.
-
-    Domination is directional: a member covers itself and its
-    out-neighbors.  The size is searched down from the greedy size by
-    deciding whether one fewer node suffices; a decision fails early when
-    more uncovered nodes have pairwise disjoint dominators than slots
-    remain.  Raises CapExceeded when n exceeds the exact-search cap;
-    greedy_dominating_set has no cap and can serve as a fallback.
-    """
-    covers = _cover_masks(H)
-    dom = _dominator_masks(covers, cap)
-    members = _exact_dominating(covers, dom, _domination_number(covers, dom, H.n))
-    return DominatingSetResult(size=len(members), members=frozenset(members), exact=True)
-
-
-def greedy_dominating_set(H: Digraph) -> DominatingSetResult:
-    """Max-coverage greedy upper bound; ties go to the smallest node id."""
-    covers = _cover_masks(H)
-    members = _greedy_members(covers, (1 << H.n) - 1)
-    return DominatingSetResult(size=len(members), members=frozenset(members), exact=False)
-
-
 def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     """Domination number of H_r, memoized on the spec round by round.
 
@@ -337,12 +262,38 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     return memo.gammas[r]
 
 
-def _dominating(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    """Sorted members of min_dominating_set(closure(spec, r)), memoized on the spec."""
+def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
+    """Sorted members of the lex-smallest minimum dominating set of H_r.
+
+    Domination is directional: a member covers itself and its
+    out-neighbours in H_r, so the reach masks of H_r are its cover masks.
+    The size is _gamma(spec, r); each position of the sorted member list
+    then takes the smallest node that still allows completion with larger
+    ids only, a cover decision that fails early when more uncovered nodes
+    have pairwise disjoint dominators than slots remain.  The answer is
+    memoized on the spec.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    """
     found = spec._memo.dominating
-    if r not in found:
-        reach = _reach_masks(spec, r)  # the reach masks of H_r are its cover masks
-        found[r] = _exact_dominating(reach, _dominator_masks(reach), _gamma(spec, r))
+    if r in found:
+        return found[r]
+    covers = _reach_masks(spec, r)
+    dom = _dominator_masks(covers)
+    size = _gamma(spec, r)
+    uncovered = full = (1 << spec.n) - 1
+    members: list[int] = []
+    floor = 0
+    for remaining in range(size, 0, -1):
+        for u in range(floor, spec.n):
+            after = full & ~((1 << (u + 1)) - 1)
+            if _exists_cover(covers, dom, uncovered & ~covers[u], after, remaining - 1):
+                members.append(u + 1)
+                uncovered &= ~covers[u]
+                floor = u + 1
+                break
+        else:
+            raise LemmaFalsified(
+                f"a dominating set of size {size} exists but none was rebuilt")
+    found[r] = tuple(members)
     return found[r]
 
 
@@ -382,26 +333,29 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
 
 
 def spec_from_dict(obj: object) -> DynamicGraphSpec:
-    """Build a spec from the JSON shape {"n", "rounds", "extension"}."""
+    """Build a spec from the JSON shape {"n", "rounds", "extension"}.
+
+    n and every arc endpoint must be JSON integers: a bool, float or
+    string is rejected, never truncated or parsed.
+    """
     if not isinstance(obj, dict):
         raise GraphFormatError(f"graph document must be an object, got {type(obj).__name__}")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
         rounds_raw = obj["rounds"]
     except KeyError as exc:
         raise GraphFormatError(f"graph document missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise GraphFormatError(f"bad n field: {exc}") from None
     extension = obj.get("extension", Extension.REPEAT_LAST.value)
     if not isinstance(rounds_raw, list) or not all(isinstance(r, list) for r in rounds_raw):
         raise GraphFormatError("rounds must be a list of arc lists")
     try:
-        rounds: list[Iterable[Arc]] = []
-        for rnd in rounds_raw:
-            rounds.append([(int(u), int(v)) for u, v in rnd])
+        rounds = [[(u, v) for u, v in rnd] for rnd in rounds_raw]
         ext = Extension(extension)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph document: {exc}") from None
+    for x in (n, *(x for rnd in rounds for arc in rnd for x in arc)):
+        if type(x) is not int:  # bool is a subclass of int, so test the exact type
+            raise GraphFormatError(f"n and arc endpoints must be integers, got {x!r}")
     try:
         return DynamicGraphSpec(n=n, rounds=tuple(frozenset(r) for r in rounds), extension=ext)
     except ValueError as exc:

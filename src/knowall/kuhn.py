@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterator
 
 from .dyngraph import DynamicGraphSpec, _gamma, _reach_masks
 from .errors import AssignmentImpossible, LemmaFalsified, NoPanchromaticCell
@@ -35,7 +35,7 @@ from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
 Carrier = frozenset[int]
-Coloring = Union[Callable[[Vertex], int], Mapping[Vertex, int]]
+Coloring = Callable[[Vertex], int]
 
 
 def is_vertex(v: Vertex, n: int) -> bool:
@@ -159,27 +159,21 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
     return _unheard_node(_reach_below_bound(spec, k, budget), v)
 
 
-def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec,
-          v: Vertex, table: ViewTable | None = None) -> int:
-    """Output of the algorithm at v's assigned node on v's configuration.
-
-    `table`, a ViewTable for the same (spec, k, alg, budget), carries the
-    views already decided across calls; without one a fresh table is used.
-    """
-    node = assign_node(spec, k, budget, v)
-    if table is None:
-        table = ViewTable(spec, k, alg, budget)
-    return table.output(node, inp(v, spec.n))
+def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Vertex) -> int:
+    """Output of the algorithm at v's assigned node on v's configuration."""
+    if len(v) != k or not is_vertex(v, spec.n):
+        raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
+    return algorithm_coloring(spec, k, budget, alg)(v)
 
 
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
-                       alg: AlgorithmSpec) -> Callable[[Vertex], int]:
+                       alg: AlgorithmSpec) -> Coloring:
     """Vertex-coloring view of an algorithm, memoized per vertex.
 
-    The coloring agrees with `color` on every vertex.  The domination
-    precondition of assign_node is checked once, here, and a vertex
-    passed in is trusted to be one of the (spec.n, k) triangulation.
-    Vertices share one ViewTable, so `decide` runs once per distinct view.
+    The domination precondition of assign_node is checked once, here, and
+    a vertex passed in is trusted to be one of the (spec.n, k)
+    triangulation.  Vertices share one ViewTable, so `decide` runs once
+    per distinct view.
     """
     table = ViewTable(spec, k, alg, budget)
     reach = _reach_below_bound(spec, k, budget)
@@ -195,10 +189,6 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
     return coloring
 
 
-def _lookup(coloring: Coloring) -> Callable[[Vertex], int]:
-    return coloring if callable(coloring) else coloring.__getitem__
-
-
 @dataclass(frozen=True)
 class SpernerReport:
     """Violations are (vertex, color, carrier) in vertex enumeration order."""
@@ -209,10 +199,9 @@ class SpernerReport:
 
 def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
     """Verify every vertex's color lies in its carrier."""
-    fn = _lookup(coloring)
     violations = []
     for v in vertices(n, k):
-        c = fn(v)
+        c = coloring(v)
         # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
         if not (0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
             violations.append((v, c, carrier(v, n)))
@@ -223,14 +212,13 @@ def find_panchromatic(n: int, k: int, coloring: Coloring) -> PrimitiveSimplex:
     """First cell (in enumeration order) whose corners take all k+1 colors.
 
     For a Sperner coloring one always exists; NoPanchromaticCell can
-    only surface when the precondition was violated.  A callable coloring
-    is called as given, once per corner visited, so a costly one should
-    memoize itself as algorithm_coloring's does.
+    only surface when the precondition was violated.  The coloring is
+    called once per corner visited, so a costly one should memoize itself
+    as algorithm_coloring's does.
     """
-    fn = _lookup(coloring)
     palette = frozenset(range(k + 1))
     for base in vertices(n, k):
-        color0 = fn(base)
+        color0 = coloring(base)
         if color0 not in palette:
             continue
         # depth-first over permutation prefixes; a stack entry is
@@ -250,7 +238,7 @@ def find_panchromatic(n: int, k: int, coloring: Coloring) -> PrimitiveSimplex:
                 if x > (n if j == 1 else corner[j - 2]):
                     continue
                 nxt = corner[:j - 1] + (x,) + corner[j:]
-                c = fn(nxt)
+                c = coloring(nxt)
                 if c in palette and c not in colors:
                     stack.append((nxt, colors + (c,), perm + (j,)))
     raise NoPanchromaticCell(

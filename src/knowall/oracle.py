@@ -45,7 +45,6 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
     """
     if n ** k > cap:
         raise CapExceeded(f"brute panchromatic scan capped at {cap} cells")
-    fn = coloring if callable(coloring) else coloring.__getitem__
     target = set(range(k + 1))
     found = []
     for base in product(range(n + 1), repeat=k):
@@ -60,6 +59,6 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
             good = all(
                 p[0] <= n and p[-1] >= 0 and all(a >= b for a, b in zip(p, p[1:]))
                 for p in pts)
-            if good and {fn(p) for p in pts} == target:
+            if good and {coloring(p) for p in pts} == target:
                 found.append(PrimitiveSimplex(base=base, perm=perm))
     return found

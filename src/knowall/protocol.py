@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from .dyngraph import DynamicGraphSpec, _dominating, _reach_masks, min_rounds
+from .dyngraph import DynamicGraphSpec, _reach_masks, min_dominating_set, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified
 
 InputConfig = tuple[int, ...]
@@ -195,7 +195,7 @@ def flood_dominator(r: int | None = None) -> AlgorithmSpec:
 
     def decide(spec: DynamicGraphSpec, k: int, view: View) -> int:
         heard = view.heard
-        for j in _dominating(spec, r if r is not None else min_rounds(spec, k)):
+        for j in min_dominating_set(spec, r if r is not None else min_rounds(spec, k)):
             if j in heard:
                 return heard[j]
         return heard[view.observer]

@@ -8,6 +8,7 @@ from knowall import (
     DynamicGraphSpec,
     Extension,
     complete_graph,
+    directed_cycle,
     save_graph_file,
 )
 from knowall import dyngraph, kuhn
@@ -167,6 +168,14 @@ def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, mo
     assert err.startswith("internal error: LemmaFalsified: a dominating set of size")
 
 
+def test_bound_beyond_the_exact_search_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "c33.json"
+    save_graph_file(directed_cycle(33), str(path))
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: exact dominating-set search capped at n <= 32, got n = 33\n"
+
+
 def test_check_exhaustive_pass(capsys, c5_file):
     code, out, _ = run_cli(capsys, "check", "--graph", c5_file, "--k", "2",
                            "--alg", "flood_dominator", "--budget", "2",
@@ -224,6 +233,10 @@ def test_malformed_graph_file(capsys, tmp_path):
     path.write_text('{"n": 3}')
     code, _, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
     assert code == 2 and "error:" in err
+    # a non-integer n or endpoint is refused, not truncated to n=5, arc (1, 2)
+    path.write_text('{"n": 5.9, "rounds": [[[1, 2.7]]]}')
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert (code, out) == (2, "") and err.startswith("error: n and arc endpoints must be integers")
 
 
 def test_usage_errors_exit_2():

@@ -21,7 +21,6 @@ from knowall import (
     directed_cycle,
     directed_path,
     graph_at,
-    greedy_dominating_set,
     load_graph_file,
     min_dominating_set,
     min_rounds,
@@ -31,7 +30,7 @@ from knowall import (
     staggered_relay,
 )
 from knowall.cli import main
-from knowall.dyngraph import _gamma
+from knowall.dyngraph import _gamma, _greedy_members, _reach_masks
 from knowall.oracle import brute_domination
 
 from conftest import random_spec
@@ -141,66 +140,46 @@ def test_closure_static_matches_bfs(spec, r):
 
 
 def test_min_dominating_c5_closures(c5):
-    d1 = min_dominating_set(closure(c5, 1))
-    assert (d1.size, d1.sorted_members(), d1.exact) == (3, [1, 2, 4], True)
-    d2 = min_dominating_set(closure(c5, 2))
-    assert (d2.size, d2.sorted_members()) == (2, [1, 3])
-    d4 = min_dominating_set(closure(c5, 4))
-    assert (d4.size, d4.sorted_members()) == (1, [1])
+    assert min_dominating_set(c5, 1) == (1, 2, 4)
+    assert min_dominating_set(c5, 2) == (1, 3)
+    assert min_dominating_set(c5, 4) == (1,)
+    for r in (1, 2, 4):
+        assert len(min_dominating_set(c5, r)) == brute_domination(closure(c5, r))
 
 
-def test_min_dominating_complete_and_identity():
-    k4 = complete_graph(4)
-    assert min_dominating_set(closure(k4, 1)).sorted_members() == [1]
-    ident = closure(k4, 0)
-    d = min_dominating_set(ident)
-    assert (d.size, d.sorted_members()) == (4, [1, 2, 3, 4])
+def test_min_dominating_complete_and_identity(k4):
+    assert min_dominating_set(k4, 1) == (1,)
+    assert min_dominating_set(k4, 0) == (1, 2, 3, 4)
 
 
 def test_lex_smallest_among_optima():
     # out-stars from 2 and from 4 both dominate alone; 2 < 4 must win
     arcs = frozenset({(2, 1), (2, 3), (2, 4), (4, 1), (4, 2), (4, 3)})
-    H = Digraph(4, arcs | frozenset((i, i) for i in range(1, 5)))
-    assert min_dominating_set(H).sorted_members() == [2]
+    assert min_dominating_set(DynamicGraphSpec(4, (arcs,)), 1) == (2,)
 
 
 def test_domination_is_directional():
     # only in-arcs from members count: sinks must join the set themselves
-    H = Digraph(3, frozenset({(1, 1), (2, 2), (3, 3), (2, 1), (3, 1)}))
-    d = min_dominating_set(H)
-    assert d.sorted_members() == [2, 3]
+    spec = DynamicGraphSpec(3, (frozenset({(2, 1), (3, 1)}),))
+    assert min_dominating_set(spec, 1) == (2, 3)
 
 
 def test_dominating_set_covers_everyone(c5, p4, relay):
     for spec in (c5, p4, relay, complete_graph(5)):
         for r in range(4):
-            H = closure(spec, r)
-            members = min_dominating_set(H).members
-            covered = set(members)
-            for u, v in H.arcs:
-                if u in members:
-                    covered.add(v)
+            members = set(min_dominating_set(spec, r))
+            covered = members | {v for u, v in closure(spec, r).arcs if u in members}
             assert covered == set(range(1, spec.n + 1))
 
 
 def test_exact_cap():
-    big = Digraph(33, frozenset((i, i) for i in range(1, 34)))
-    with pytest.raises(CapExceeded):
-        min_dominating_set(big)
-    assert min_dominating_set(big, cap=33).size == 33
+    with pytest.raises(CapExceeded, match=r"capped at n <= 32, got n = 33$"):
+        min_dominating_set(directed_cycle(33), 1)
 
 
-def test_greedy_examples(c5):
-    g = greedy_dominating_set(closure(c5, 1))
-    assert (g.size, g.sorted_members(), g.exact) == (3, [1, 3, 4], False)
-    assert greedy_dominating_set(closure(complete_graph(4), 1)).sorted_members() == [1]
-
-
-@settings(max_examples=40, deadline=None)
-@given(specs(), st.integers(0, 3))
-def test_greedy_never_beats_exact(spec, r):
-    H = closure(spec, r)
-    assert greedy_dominating_set(H).size >= min_dominating_set(H).size
+def test_greedy_examples(c5, k4):
+    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1) == [1, 3, 4]
+    assert _greedy_members(_reach_masks(k4, 1), (1 << 4) - 1) == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +253,7 @@ def test_gamma_matches_brute_force_on_random_specs():
             H = closure(spec, r)
             expected = brute_domination(H)
             assert _gamma(spec, r) == expected, (spec, r)
-            assert min_dominating_set(H).size == expected, (spec, r)
+            assert len(min_dominating_set(spec, r)) == expected, (spec, r)
         rules.add(spec.extension)
     assert len(rules) == 2
 
@@ -337,6 +316,15 @@ def test_graph_format_errors(tmp_path):
         spec_from_dict({"n": 3, "rounds": [[[1, 1]]]})
     with pytest.raises(GraphFormatError):
         spec_from_dict({"n": 3, "rounds": [[[1, 2]]], "extension": "bogus"})
+    # n and arc endpoints must be JSON integers, not truncated or parsed
+    for doc in ({"n": 5.9, "rounds": [[[1, 2]]]},
+                {"n": 5, "rounds": [[[1, 2.7]]]},
+                {"n": True, "rounds": [[[1, 2]]]},
+                {"n": "5", "rounds": [[[1, 2]]]},
+                {"n": 3, "rounds": [[[True, 2]]]},
+                {"n": 3, "rounds": [[["1", 2]]]}):
+        with pytest.raises(GraphFormatError, match="must be integers"):
+            spec_from_dict(doc)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(GraphFormatError):

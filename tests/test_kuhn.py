@@ -30,6 +30,7 @@ from knowall import (
     is_vertex,
     min_rounds,
     primitive_simplices,
+    run,
     standard_family,
     vertices,
 )
@@ -244,6 +245,8 @@ def _arc_scan_assign_node(spec, k, budget, v):
 
 
 def test_assign_node_matches_arc_scan_on_random_specs():
+    # the coloring is checked against a plain run of the algorithm on the
+    # vertex's configuration, read at the vertex's node
     rng = random.Random(2718)
     extensions, budgets = set(), 0
     for _ in range(30):
@@ -258,10 +261,11 @@ def test_assign_node_matches_arc_scan_on_random_specs():
             colorings = [(alg, algorithm_coloring(spec, k, budget, alg))
                          for alg in builtin_algorithms()]
             for v in vertices(spec.n, k):
-                assert assign_node(spec, k, budget, v) == \
-                    _arc_scan_assign_node(spec, k, budget, v), (spec, k, budget, v)
+                node = assign_node(spec, k, budget, v)
+                assert node == _arc_scan_assign_node(spec, k, budget, v), (spec, k, budget, v)
                 for alg, coloring in colorings:
-                    assert coloring(v) == color(spec, k, budget, alg, v), alg.name
+                    expected = run(spec, k, alg, inp(v, spec.n), budget).outputs[node - 1]
+                    assert coloring(v) == expected, (spec, k, budget, v, alg.name)
             budgets += 1
     assert extensions == set(Extension) and budgets >= 30
 
@@ -283,7 +287,7 @@ def test_check_sperner_accepts_min_value_coloring():
 def test_check_sperner_flags_corner():
     coloring = {v: min(carrier(v, 3)) for v in vertices(3, 2)}
     coloring[(0, 0)] = 2
-    report = check_sperner(3, 2, coloring)
+    report = check_sperner(3, 2, coloring.__getitem__)
     assert not report.is_sperner
     assert report.violations == (((0, 0), 2, frozenset({0})),)
 
@@ -301,7 +305,7 @@ def test_check_sperner_matches_carrier_membership():
 
 def test_find_panchromatic_k1_threshold():
     coloring = {(x,): 0 if x < 2 else 1 for x in range(5)}
-    cell = find_panchromatic(4, 1, coloring)
+    cell = find_panchromatic(4, 1, coloring.__getitem__)
     assert cell == PrimitiveSimplex((1,), (1,))
 
 
@@ -311,11 +315,11 @@ def test_find_panchromatic_raises_without_sperner():
 
 
 def test_drawn_coloring_is_sperner_with_known_cells():
-    assert check_sperner(5, 2, DRAWN_COLORING).is_sperner
-    cells = brute_panchromatic(5, 2, DRAWN_COLORING)
+    assert check_sperner(5, 2, DRAWN_COLORING.__getitem__).is_sperner
+    cells = brute_panchromatic(5, 2, DRAWN_COLORING.__getitem__)
     assert [(s.base, s.perm) for s in cells] == [
         ((2, 0), (1, 2)), ((2, 0), (2, 1)), ((3, 1), (1, 2))]
-    assert find_panchromatic(5, 2, DRAWN_COLORING) == cells[0]
+    assert find_panchromatic(5, 2, DRAWN_COLORING.__getitem__) == cells[0]
     bold = PrimitiveSimplex((3, 1), (1, 2))
     assert bold in cells
     assert bold.vertices() == ((3, 1), (4, 1), (4, 2))
@@ -327,7 +331,7 @@ def test_drawn_coloring_is_sperner_with_known_cells():
 def test_random_sperner_colorings_have_panchromatic_cell(seed, n, k):
     rng = random.Random(seed)
     coloring = {v: rng.choice(sorted(carrier(v, n))) for v in vertices(n, k)}
-    assert check_sperner(n, k, coloring).is_sperner
-    cell = find_panchromatic(n, k, coloring)
+    assert check_sperner(n, k, coloring.__getitem__).is_sperner
+    cell = find_panchromatic(n, k, coloring.__getitem__)
     assert {coloring[v] for v in cell.vertices()} == set(range(k + 1))
-    assert cell == brute_panchromatic(n, k, coloring)[0]
+    assert cell == brute_panchromatic(n, k, coloring.__getitem__)[0]

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -148,11 +148,18 @@ def test_brute_domination_cap():
 
 
 def test_exact_search_matches_brute_on_random_closures():
+    # the lex-smallest minimum set is the first dominating combination of
+    # the brute-force size, since combinations come in lexicographic order
     rng = random.Random(20260817)
     for _ in range(60):
         spec = random_spec(rng, max_n=9)
-        H = closure(spec, rng.randint(0, 3))
-        assert min_dominating_set(H).size == brute_domination(H)
+        r = rng.randint(0, 3)
+        H = closure(spec, r)
+        size = brute_domination(H)
+        first = next(combo for combo in combinations(range(1, spec.n + 1), size)
+                     if set(combo) | {v for u, v in H.arcs if u in combo}
+                     == set(range(1, spec.n + 1)))
+        assert min_dominating_set(spec, r) == first, (spec, r)
 
 
 def _random_coloring(rng, n, k, kind):
@@ -166,23 +173,22 @@ def _random_coloring(rng, n, k, kind):
 
 def test_brute_panchromatic_matches_streaming_search():
     # the pruned search returns brute force's first cell, or raises exactly
-    # when there is none, for mapping and callable colorings alike
+    # when there is none
     rng = random.Random(99)
     outcomes = set()
     for k in range(1, 5):
         for n in range(1, 7):
             for kind in ("sperner", "palette", "wild"):
                 for _ in range(2 if k == 4 else 4):
-                    coloring = _random_coloring(rng, n, k, kind)
+                    coloring = _random_coloring(rng, n, k, kind).__getitem__
                     cells = brute_panchromatic(n, k, coloring)
                     assert cells or kind != "sperner", \
                         "Sperner colorings always have a panchromatic cell"
-                    for form in (coloring, lambda v: coloring[v]):
-                        if cells:
-                            assert find_panchromatic(n, k, form) == cells[0], (n, k, kind)
-                        else:
-                            with pytest.raises(NoPanchromaticCell):
-                                find_panchromatic(n, k, form)
+                    if cells:
+                        assert find_panchromatic(n, k, coloring) == cells[0], (n, k, kind)
+                    else:
+                        with pytest.raises(NoPanchromaticCell):
+                            find_panchromatic(n, k, coloring)
                     outcomes.add((kind, bool(cells)))
     assert outcomes == {("sperner", True), ("palette", True), ("palette", False),
                         ("wild", True), ("wild", False)}
