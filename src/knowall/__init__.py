@@ -10,7 +10,6 @@ from .check import EXHAUSTIVE_CONFIG_CAP, ExhaustiveReport, exhaustive_check, sa
 from .dyngraph import (
     EXACT_SEARCH_CAP,
     Arc,
-    Digraph,
     DynamicGraphSpec,
     Extension,
     closure,

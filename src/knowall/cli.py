@@ -86,12 +86,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
-    H = closure(spec, args.r)
+    arcs = sorted(closure(spec, args.r))
     if args.dot:
-        sys.stdout.write(H.to_dot())
+        sys.stdout.write("digraph {\n" + "".join(f"  {u} -> {v};\n" for u, v in arcs) + "}\n")
     else:
-        _emit({"n": H.n, "r": args.r,
-               "arcs": [list(a) for a in sorted(H.arcs)]}, args.pretty)
+        _emit({"n": spec.n, "r": args.r, "arcs": [list(a) for a in arcs]}, args.pretty)
     return 0
 
 

@@ -51,27 +51,6 @@ class Extension(str, Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Digraph:
-    """Arc set over nodes 1..n.  Self-arcs are allowed; closures have them all."""
-
-    n: int
-    arcs: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"digraph needs at least one node, got n={self.n}")
-        object.__setattr__(self, "arcs", frozenset((int(u), int(v)) for u, v in self.arcs))
-        for u, v in self.arcs:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"arc ({u}, {v}) outside node range 1..{self.n}")
-
-    def to_dot(self) -> str:
-        """DOT text with one line per arc, `u -> v;`."""
-        lines = [f"  {u} -> {v};" for u, v in sorted(self.arcs)]
-        return "digraph {\n" + "\n".join(lines) + ("\n" if lines else "") + "}\n"
-
-
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
@@ -92,6 +71,8 @@ class DynamicGraphSpec:
 
     Round graphs hold communication arcs only, so self-loops are rejected
     here; staying put is always possible and is modelled by the closure.
+    n and every arc endpoint must be exactly int, never truncated; values
+    are checked in the order given, all types before any range.
     The derived data lives in `_memo`, which is not a field: equality,
     hashing and repr see only n, rounds and extension.
     """
@@ -101,9 +82,12 @@ class DynamicGraphSpec:
     extension: Extension = Extension.REPEAT_LAST
 
     def __post_init__(self) -> None:
+        rounds = tuple([(u, v) for u, v in rnd] for rnd in self.rounds)
+        for x in (self.n, *(x for rnd in rounds for arc in rnd for x in arc)):
+            if type(x) is not int:  # bool is a subclass of int, so test the exact type
+                raise ValueError(f"n and arc endpoints must be integers, got {x!r}")
         if self.n < 2:
             raise ValueError(f"need at least two nodes, got n={self.n}")
-        rounds = tuple(frozenset((int(u), int(v)) for u, v in rnd) for rnd in self.rounds)
         if not rounds:
             raise ValueError("need at least one round graph")
         out = []
@@ -116,7 +100,7 @@ class DynamicGraphSpec:
                     raise ValueError(f"round {t}: self-loop ({u}, {v}) not allowed")
                 masks[u - 1] |= 1 << (v - 1)
             out.append(tuple(masks))
-        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "rounds", tuple(frozenset(rnd) for rnd in rounds))
         object.__setattr__(self, "extension", Extension(self.extension))
         object.__setattr__(self, "_memo", _Memo(self.n, tuple(out)))
 
@@ -136,9 +120,9 @@ def _round_index(spec: DynamicGraphSpec, t: int) -> int:
     return (t - 1) % m
 
 
-def graph_at(spec: DynamicGraphSpec, t: int) -> Digraph:
-    """Round graph G_t for t >= 1, applying the extension rule past the prefix."""
-    return Digraph(spec.n, spec.rounds[_round_index(spec, t)])
+def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
+    """Arc set of the round graph G_t for t >= 1, applying the extension rule past the prefix."""
+    return spec.rounds[_round_index(spec, t)]
 
 
 def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
@@ -160,11 +144,14 @@ def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     return seq[r]
 
 
-def closure(spec: DynamicGraphSpec, r: int) -> Digraph:
-    """Information-flow closure H_r; H_0 is the identity relation."""
-    return Digraph(spec.n, frozenset(
+def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
+    """Arc set of the information-flow closure H_r, read from its reach masks.
+
+    H_0 is the identity relation, and every closure has all n self-arcs.
+    """
+    return frozenset(
         (u, v) for u, mask in enumerate(_reach_masks(spec, r), start=1)
-        for v in range(1, spec.n + 1) if mask >> (v - 1) & 1))
+        for v in range(1, spec.n + 1) if mask >> (v - 1) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +322,8 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
 def spec_from_dict(obj: object) -> DynamicGraphSpec:
     """Build a spec from the JSON shape {"n", "rounds", "extension"}.
 
-    n and every arc endpoint must be JSON integers: a bool, float or
-    string is rejected, never truncated or parsed.
+    The loader checks the shape; the spec rejects a bool, float or string
+    n or arc endpoint, and its ValueError becomes a GraphFormatError.
     """
     if not isinstance(obj, dict):
         raise GraphFormatError(f"graph document must be an object, got {type(obj).__name__}")
@@ -353,11 +340,8 @@ def spec_from_dict(obj: object) -> DynamicGraphSpec:
         ext = Extension(extension)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph document: {exc}") from None
-    for x in (n, *(x for rnd in rounds for arc in rnd for x in arc)):
-        if type(x) is not int:  # bool is a subclass of int, so test the exact type
-            raise GraphFormatError(f"n and arc endpoints must be integers, got {x!r}")
     try:
-        return DynamicGraphSpec(n=n, rounds=tuple(frozenset(r) for r in rounds), extension=ext)
+        return DynamicGraphSpec(n=n, rounds=rounds, extension=ext)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
 

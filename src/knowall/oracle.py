@@ -7,8 +7,9 @@ cross-examine them.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from typing import Iterable
 
-from .dyngraph import Digraph
+from .dyngraph import Arc
 from .errors import CapExceeded
 from .kuhn import Coloring, PrimitiveSimplex
 
@@ -16,16 +17,16 @@ BRUTE_DOMINATION_CAP = 20
 BRUTE_SIMPLEX_CAP = 10 ** 6
 
 
-def brute_domination(H: Digraph, cap: int = BRUTE_DOMINATION_CAP) -> int:
-    """Domination number by subset enumeration in increasing size."""
-    if H.n > cap:
-        raise CapExceeded(f"brute domination capped at n <= {cap}, got n = {H.n}")
-    covers = {u: {u} for u in range(1, H.n + 1)}
-    for u, v in H.arcs:
+def brute_domination(n: int, arcs: Iterable[Arc], cap: int = BRUTE_DOMINATION_CAP) -> int:
+    """Domination number of the digraph on 1..n with these arcs, by subset enumeration."""
+    if n > cap:
+        raise CapExceeded(f"brute domination capped at n <= {cap}, got n = {n}")
+    covers = {u: {u} for u in range(1, n + 1)}
+    for u, v in arcs:
         covers[u].add(v)
-    everyone = set(range(1, H.n + 1))
-    for size in range(1, H.n + 1):
-        for combo in combinations(range(1, H.n + 1), size):
+    everyone = set(range(1, n + 1))
+    for size in range(1, n + 1):
+        for combo in combinations(range(1, n + 1), size):
             seen = set()
             for u in combo:
                 seen |= covers[u]

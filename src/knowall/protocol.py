@@ -31,18 +31,21 @@ VIEW_MEMO_CAP = 4096
 
 
 def validate_inputs(values, n: int, k: int) -> InputConfig:
-    vals = tuple(int(x) for x in values)
+    """The n inputs as a tuple, each exactly an int in 0..k: never truncated or parsed."""
+    vals = tuple(values)
     if len(vals) != n:
         raise ValueError(f"expected {n} inputs, got {len(vals)}")
     for i, v in enumerate(vals, start=1):
+        if type(v) is not int:  # bool is a subclass of int, so test the exact type
+            raise ValueError(f"input of node {i} is {v!r}, not an integer")
         if not 0 <= v <= k:
             raise ValueError(f"input of node {i} is {v}, outside 0..{k}")
     return vals
 
 
 def parse_inputs(text: str, n: int, k: int) -> InputConfig:
-    """Digit-string form, node 1 first; rejects digits above k."""
-    if len(text) != n or not text.isdigit():
+    """Digit-string form, node 1 first; ASCII digits only, none above k."""
+    if len(text) != n or not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected {n} digits, got {text!r}")
     return validate_inputs((int(ch) for ch in text), n, k)
 
@@ -93,9 +96,9 @@ def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
         raise ValueError(f"observer {observer} outside 1..{spec.n}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    vals = tuple(int(x) for x in inputs)
-    if len(vals) != spec.n:
-        raise ValueError(f"expected {spec.n} inputs, got {len(vals)}")
+    vals = tuple(inputs)
+    if len(vals) != spec.n or not all(type(x) is int for x in vals):
+        raise ValueError(f"expected {spec.n} integer inputs, got {vals!r}")
     senders = _senders_of(_reach_masks(spec, budget), observer)
     return View(observer=observer, budget=budget,
                 heard={j: vals[j - 1] for j in senders})

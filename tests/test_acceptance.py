@@ -162,7 +162,7 @@ def test_criterion_6_oracle_equivalence():
     for _ in range(200):
         spec = random_spec(rng, max_n=10)
         r = rng.randint(0, 3)
-        assert len(min_dominating_set(spec, r)) == brute_domination(closure(spec, r))
+        assert len(min_dominating_set(spec, r)) == brute_domination(spec.n, closure(spec, r))
 
     rng = random.Random(53)
     for _ in range(50):

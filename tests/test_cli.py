@@ -100,7 +100,10 @@ def test_closure_dot(capsys, c5_file):
     code, out, _ = run_cli(capsys, "closure", "--graph", c5_file,
                            "--r", "1", "--dot")
     assert code == 0
-    assert out.startswith("digraph {\n") and "  1 -> 2;\n" in out
+    assert out == ("digraph {\n"
+                   "  1 -> 1;\n  1 -> 2;\n  2 -> 2;\n  2 -> 3;\n  3 -> 3;\n"
+                   "  3 -> 4;\n  4 -> 4;\n  4 -> 5;\n  5 -> 1;\n  5 -> 5;\n"
+                   "}\n")
 
 
 def test_triangulate_json_counts(capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from knowall import (
     CapExceeded,
-    Digraph,
     DynamicGraphSpec,
     Extension,
     GraphFormatError,
@@ -37,7 +36,7 @@ from conftest import random_spec
 
 
 def arcs_of(spec, t):
-    return sorted(graph_at(spec, t).arcs)
+    return sorted(graph_at(spec, t))
 
 
 @st.composite
@@ -84,6 +83,15 @@ def test_spec_validation():
         DynamicGraphSpec(3, (frozenset({(1, 4)}),))
     with pytest.raises(ValueError):
         DynamicGraphSpec(3, (frozenset({(2, 2)}),))
+    # n and arc endpoints must be exactly int: never truncated or parsed
+    for bad in (3.0, 3.5, True, "3"):
+        with pytest.raises(ValueError, match="must be integers"):
+            DynamicGraphSpec(bad, (frozenset({(1, 2)}),))
+        with pytest.raises(ValueError, match="must be integers"):
+            DynamicGraphSpec(3, (frozenset({(1, bad)}),))
+    # the type check runs before the range checks, in the order given
+    with pytest.raises(ValueError, match=r"must be integers, got 2\.5$"):
+        DynamicGraphSpec(1, ([(1, 2), (1, 2.5), (1, "x")],))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +100,7 @@ def test_spec_validation():
 
 
 def test_closure_r0_is_identity(c5):
-    assert closure(c5, 0).arcs == frozenset((i, i) for i in range(1, 6))
+    assert closure(c5, 0) == frozenset((i, i) for i in range(1, 6))
 
 
 def test_closure_c5_is_cyclic_distance(c5):
@@ -100,15 +108,15 @@ def test_closure_c5_is_cyclic_distance(c5):
     for r in range(5):
         expected = frozenset(
             (u, (u - 1 + d) % 5 + 1) for u in range(1, 6) for d in range(min(r, 4) + 1))
-        assert closure(c5, r).arcs == expected
-    assert len(closure(c5, 1).arcs) == 10
-    assert len(closure(c5, 2).arcs) == 15
+        assert closure(c5, r) == expected
+    assert len(closure(c5, 1)) == 10
+    assert len(closure(c5, 2)) == 15
 
 
 def test_closure_uses_each_round_graph(relay):
     # staggered relays: node 1's token needs rounds 1, 3, and 5 (wrapping
     # the 3-round cycle) to reach node 4
-    reach1 = [sorted(v for (u, v) in closure(relay, r).arcs if u == 1) for r in range(6)]
+    reach1 = [sorted(v for (u, v) in closure(relay, r) if u == 1) for r in range(6)]
     assert reach1 == [[1], [1, 2], [1, 2], [1, 2, 3], [1, 2, 3], [1, 2, 3, 4]]
 
 
@@ -117,8 +125,8 @@ def test_closure_uses_each_round_graph(relay):
 def test_closure_reflexive_and_monotone(spec, r):
     lo, hi = closure(spec, r), closure(spec, r + 1)
     for i in range(1, spec.n + 1):
-        assert (i, i) in lo.arcs
-    assert lo.arcs <= hi.arcs
+        assert (i, i) in lo
+    assert lo <= hi
 
 
 @settings(max_examples=30, deadline=None)
@@ -131,7 +139,7 @@ def test_closure_static_matches_bfs(spec, r):
         for _ in range(r):
             frontier = {v for (u, v) in arcs if u in frontier and v not in seen}
             seen |= frontier
-        assert {v for (u, v) in closure(spec, r).arcs if u == src} == seen
+        assert {v for (u, v) in closure(spec, r) if u == src} == seen
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +152,7 @@ def test_min_dominating_c5_closures(c5):
     assert min_dominating_set(c5, 2) == (1, 3)
     assert min_dominating_set(c5, 4) == (1,)
     for r in (1, 2, 4):
-        assert len(min_dominating_set(c5, r)) == brute_domination(closure(c5, r))
+        assert len(min_dominating_set(c5, r)) == brute_domination(5, closure(c5, r))
 
 
 def test_min_dominating_complete_and_identity(k4):
@@ -168,7 +176,7 @@ def test_dominating_set_covers_everyone(c5, p4, relay):
     for spec in (c5, p4, relay, complete_graph(5)):
         for r in range(4):
             members = set(min_dominating_set(spec, r))
-            covered = members | {v for u, v in closure(spec, r).arcs if u in members}
+            covered = members | {v for u, v in closure(spec, r) if u in members}
             assert covered == set(range(1, spec.n + 1))
 
 
@@ -210,7 +218,7 @@ def _naive_bound(spec, k):
     everyone = set(range(1, n + 1))
     reach = [{u} for u in everyone]
     for r in range(1, n * n * len(spec.rounds) + 1):
-        arcs = graph_at(spec, r).arcs
+        arcs = graph_at(spec, r)
         reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
         for size in range(1, k + 1):
             for combo in combinations(range(n), size):
@@ -250,8 +258,7 @@ def test_gamma_matches_brute_force_on_random_specs():
     for _ in range(300):
         spec = random_spec(rng, max_n=9)
         for r in range(3 * spec.n + 1):
-            H = closure(spec, r)
-            expected = brute_domination(H)
+            expected = brute_domination(spec.n, closure(spec, r))
             assert _gamma(spec, r) == expected, (spec, r)
             assert len(min_dominating_set(spec, r)) == expected, (spec, r)
         rules.add(spec.extension)
@@ -270,7 +277,7 @@ def test_gamma_by_round_matches_brute_force(capsys, tmp_path):
             continue
         out = json.loads(capsys.readouterr().out)
         assert out["gamma_by_round"] == [
-            brute_domination(closure(spec, r)) for r in range(1, out["r"] + 1)], spec
+            brute_domination(spec.n, closure(spec, r)) for r in range(1, out["r"] + 1)], spec
         answered += 1
     assert answered >= 30
 
@@ -331,14 +338,9 @@ def test_graph_format_errors(tmp_path):
         load_graph_file(str(bad))
 
 
-def test_dot_export():
-    H = Digraph(3, frozenset({(1, 2), (2, 3), (1, 1)}))
-    assert H.to_dot() == "digraph {\n  1 -> 1;\n  1 -> 2;\n  2 -> 3;\n}\n"
-
-
 def test_memo_is_not_part_of_the_spec(relay):
     twin = staggered_relay()
-    assert min_rounds(relay, 1) == 5 and closure(relay, 7).n == 4
+    assert min_rounds(relay, 1) == 5 and len(closure(relay, 7)) == 10
     assert relay == twin and hash(relay) == hash(twin) and repr(relay) == repr(twin)
     assert [f.name for f in dataclasses.fields(relay)] == ["n", "rounds", "extension"]
     assert "_memo" not in repr(relay)

@@ -233,14 +233,14 @@ def test_assigned_node_hears_no_positive_coordinate():
             w = assign_node(spec, k, budget, v)
             senders = {x for x in v if x != 0}
             assert w not in senders
-            assert all((p, w) not in H.arcs for p in senders), (name, v, w)
+            assert all((p, w) not in H for p in senders), (name, v, w)
 
 
 def _arc_scan_assign_node(spec, k, budget, v):
     # reference: scan every arc of H_budget for the nodes v's senders reach
     H = closure(spec, budget)
     senders = {x for x in v if x != 0}
-    blocked = senders | {w for u, w in H.arcs if u in senders}
+    blocked = senders | {w for u, w in H if u in senders}
     return min(w for w in range(1, spec.n + 1) if w not in blocked)
 
 

@@ -10,7 +10,6 @@ from knowall import (
     MAX_HEARD,
     AlgorithmSpec,
     CapExceeded,
-    Digraph,
     ExhaustiveReport,
     KnowAllError,
     NoPanchromaticCell,
@@ -136,15 +135,14 @@ def test_sweeps_and_coloring_decide_each_view_once():
 
 
 def test_brute_domination_values(c5):
-    assert [brute_domination(closure(c5, r)) for r in (1, 2, 3, 4)] == [3, 2, 2, 1]
-    assert brute_domination(closure(complete_graph(4), 1)) == 1
-    assert brute_domination(closure(complete_graph(4), 0)) == 4
+    assert [brute_domination(5, closure(c5, r)) for r in (1, 2, 3, 4)] == [3, 2, 2, 1]
+    assert brute_domination(4, closure(complete_graph(4), 1)) == 1
+    assert brute_domination(4, closure(complete_graph(4), 0)) == 4
 
 
 def test_brute_domination_cap():
-    big = Digraph(21, frozenset((i, i) for i in range(1, 22)))
     with pytest.raises(CapExceeded):
-        brute_domination(big)
+        brute_domination(21, frozenset((i, i) for i in range(1, 22)))
 
 
 def test_exact_search_matches_brute_on_random_closures():
@@ -155,9 +153,9 @@ def test_exact_search_matches_brute_on_random_closures():
         spec = random_spec(rng, max_n=9)
         r = rng.randint(0, 3)
         H = closure(spec, r)
-        size = brute_domination(H)
+        size = brute_domination(spec.n, H)
         first = next(combo for combo in combinations(range(1, spec.n + 1), size)
-                     if set(combo) | {v for u, v in H.arcs if u in combo}
+                     if set(combo) | {v for u, v in H if u in combo}
                      == set(range(1, spec.n + 1)))
         assert min_dominating_set(spec, r) == first, (spec, r)
 

@@ -43,8 +43,18 @@ def test_parse_and_format_inputs():
         parse_inputs("01301", 5, 2)  # digit above k
     with pytest.raises(ValueError):
         parse_inputs("0120a", 5, 2)
+    # ASCII digits only: other Unicode digits are refused with the same message
+    for text in ("\u0660\u0661\u0662\u0660\u0661", "0\u00b2201"):
+        with pytest.raises(ValueError, match=r"^expected 5 digits, got "):
+            parse_inputs(text, 5, 2)
     with pytest.raises(ValueError):
         validate_inputs((0, -1, 0), 3, 1)
+    # inputs must be exactly int: never truncated or parsed
+    for bad in (0.9, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=r"^input of node 2 is .*, not an integer$"):
+            validate_inputs((0, bad, 1), 3, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        run(directed_cycle(5), 2, MIN_HEARD, (0.9, 1, 2, True, "1"), 1)
 
 
 def test_view_examples(c5):
@@ -62,6 +72,9 @@ def test_view_validates(c5):
         view_of(c5, cfg, 1, -1)
     with pytest.raises(ValueError):
         view_of(c5, (0,) * 4, 1, 1)
+    for bad in (0.9, True, "1"):
+        with pytest.raises(ValueError, match="integer inputs"):
+            view_of(c5, (0, 0, bad, 0, 0), 1, 1)
 
 
 @settings(max_examples=40, deadline=None)
