@@ -20,6 +20,7 @@ from .dyngraph import (
     save_graph_file,
     spec_from_dict,
     spec_to_dict,
+    to_dot,
 )
 from .errors import (
     AlgorithmRangeError,

@@ -13,7 +13,8 @@ import math
 import sys
 
 from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
-from .dyngraph import _gamma, closure, load_graph_file, min_dominating_set, min_rounds
+from .dyngraph import (
+    _gamma, closure, load_graph_file, min_dominating_set, min_rounds, to_dot)
 from .errors import (
     AlgorithmRangeError,
     AssignmentImpossible,
@@ -86,11 +87,11 @@ def cmd_refute(args: argparse.Namespace) -> int:
 
 def cmd_closure(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
-    arcs = sorted(closure(spec, args.r))
+    arcs = closure(spec, args.r)
     if args.dot:
-        sys.stdout.write("digraph {\n" + "".join(f"  {u} -> {v};\n" for u, v in arcs) + "}\n")
+        sys.stdout.write(to_dot(arcs))
     else:
-        _emit({"n": spec.n, "r": args.r, "arcs": [list(a) for a in arcs]}, args.pretty)
+        _emit({"n": spec.n, "r": args.r, "arcs": [list(a) for a in sorted(arcs)]}, args.pretty)
     return 0
 
 

@@ -154,6 +154,11 @@ def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
         for v in range(1, spec.n + 1) if mask >> (v - 1) & 1)
 
 
+def to_dot(arcs: frozenset[Arc]) -> str:
+    """Graphviz DOT text of an arc set, one line per arc in sorted order."""
+    return "digraph {\n" + "".join(f"  {u} -> {v};\n" for u, v in sorted(arcs)) + "}\n"
+
+
 # ---------------------------------------------------------------------------
 # dominating sets
 # ---------------------------------------------------------------------------

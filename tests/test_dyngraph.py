@@ -27,6 +27,7 @@ from knowall import (
     spec_from_dict,
     spec_to_dict,
     staggered_relay,
+    to_dot,
 )
 from knowall.cli import main
 from knowall.dyngraph import _gamma, _greedy_members, _reach_masks
@@ -336,6 +337,11 @@ def test_graph_format_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(GraphFormatError):
         load_graph_file(str(bad))
+
+
+def test_dot_export():
+    arcs = frozenset({(1, 2), (2, 3), (1, 1)})
+    assert to_dot(arcs) == "digraph {\n  1 -> 1;\n  1 -> 2;\n  2 -> 3;\n}\n"
 
 
 def test_memo_is_not_part_of_the_spec(relay):
