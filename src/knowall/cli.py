@@ -39,15 +39,22 @@ def _emit(payload, pretty: bool) -> None:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
+def _integer(text: str) -> int:
+    # int() would also take other scripts' digits, underscores and spaces
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
@@ -225,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=_nonnegative, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help=f"all (k+1)^n configurations (cap {EXHAUSTIVE_CONFIG_CAP})")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_integer, default=0,
                    help="seed for the sampled mode")
     p.set_defaults(func=cmd_check)
     return parser

@@ -16,12 +16,13 @@ whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
 
 algorithm_coloring checks the domination precondition once and colors
-each vertex from the reach masks and a shared ViewTable.  The
-panchromatic search visits cells in (base, permutation) lexicographic
-order, but walks each base's permutations as a prefix tree and drops a
-prefix as soon as its corners leave the triangulation, repeat a color or
-take one outside 0..k; no cell below such a prefix can be panchromatic,
-so the first cell reached is the first in enumeration order.
+each vertex from the reach masks and a shared ViewTable, when asked.
+find_panchromatic is one pass over the bases in enumeration order: it
+tests each base's color against its carrier, then walks the base's
+permutations as a prefix tree, dropping a prefix as soon as its corners
+leave the triangulation, repeat a color or take one outside 0..k; no
+cell below such a prefix can be panchromatic, so the first cell reached
+is the first in enumeration order, and no later base is visited.
 """
 from __future__ import annotations
 
@@ -197,30 +198,39 @@ class SpernerReport:
     violations: tuple[tuple[Vertex, int, Carrier], ...]
 
 
+def _in_carrier(v: Vertex, c: int, n: int) -> bool:
+    # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
+    k = len(v)
+    return 0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)
+
+
 def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
-    """Verify every vertex's color lies in its carrier."""
+    """Verify every vertex's color lies in its carrier, coloring them all."""
     violations = []
     for v in vertices(n, k):
         c = coloring(v)
-        # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
-        if not (0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
+        if not _in_carrier(v, c, n):
             violations.append((v, c, carrier(v, n)))
     return SpernerReport(is_sperner=not violations, violations=tuple(violations))
 
 
-def find_panchromatic(n: int, k: int, coloring: Coloring) -> PrimitiveSimplex:
-    """First cell (in enumeration order) whose corners take all k+1 colors.
+def find_panchromatic(n: int, k: int,
+                      coloring: Coloring) -> PrimitiveSimplex | tuple[Vertex, int]:
+    """First Sperner witness: a vertex colored outside its carrier, or a cell.
 
-    For a Sperner coloring one always exists; NoPanchromaticCell can
-    only surface when the precondition was violated.  The coloring is
-    called once per corner visited, so a costly one should memoize itself
-    as algorithm_coloring's does.
+    Bases are taken in vertices(n, k) order.  A base colored outside its
+    carrier ends the pass as (vertex, color); otherwise the base's first
+    panchromatic cell, if any, ends it.  A cell's other corners follow its
+    base, so either witness is the first of its kind in enumeration order
+    and a tie goes to the violation.  Sperner's lemma leaves only an
+    inconsistent coloring to reach NoPanchromaticCell.  The coloring is
+    called once per corner visited, so a costly one should memoize itself.
     """
     palette = frozenset(range(k + 1))
     for base in vertices(n, k):
         color0 = coloring(base)
-        if color0 not in palette:
-            continue
+        if not _in_carrier(base, color0, n):
+            return base, color0
         # depth-first over permutation prefixes; a stack entry is
         # (last corner, corner colors, prefix), and children are pushed in
         # decreasing coordinate order so that prefixes pop in lex order
@@ -242,4 +252,5 @@ def find_panchromatic(n: int, k: int, coloring: Coloring) -> PrimitiveSimplex:
                 if c in palette and c not in colors:
                     stack.append((nxt, colors + (c,), perm + (j,)))
     raise NoPanchromaticCell(
-        f"no panchromatic cell in the n={n}, k={k} triangulation; coloring was not Sperner")
+        f"no panchromatic cell in the n={n}, k={k} triangulation although every "
+        "vertex was colored inside its carrier; the coloring is inconsistent")

@@ -3,9 +3,10 @@
 refute() takes any candidate algorithm claimed to work in fewer rounds
 than the tight bound and produces a concrete, re-simulated
 counterexample: either a configuration where some node outputs a value
-nobody holds, or one where k+1 nodes output k+1 distinct values.
-Verification deliberately goes back through the protocol module only,
-so a bug in the triangulation machinery cannot certify itself.
+nobody holds, or one where k+1 nodes output k+1 distinct values,
+whichever kuhn.find_panchromatic meets first.  Verification deliberately
+goes back through the protocol module only, so a bug in the
+triangulation machinery cannot certify itself.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .kuhn import (
     PrimitiveSimplex,
     algorithm_coloring,
     assign_node,
-    check_sperner,
     find_panchromatic,
     inp,
 )
@@ -64,12 +64,13 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     """Build and verify a counterexample against `alg` run at `budget`.
 
     The budget must be strictly below the tight bound for the spec and
-    k.  The coloring is evaluated lazily and memoized; the Sperner check
-    short-circuits into a validity witness, otherwise the first
-    panchromatic cell (in enumeration order) decodes into an agreement
-    witness.  LemmaFalsified is a tripwire: it fires only if direct
-    re-simulation disagrees with the combinatorial argument, which means
-    a bug in this package, not in the algorithm under test.
+    k.  One ordered pass over the lazily colored bases ends at the first
+    witness: a base colored outside its carrier gives a validity witness,
+    a panchromatic cell an agreement witness, so validity broken only past
+    the first cell's base is refuted by that cell.  LemmaFalsified is a
+    tripwire: it fires only if direct re-simulation disagrees with the
+    combinatorial argument, which means a bug in this package, not in the
+    algorithm under test.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -79,11 +80,10 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
             f"budget {budget} is not below the tight bound {bound}")
 
     n = spec.n
-    coloring = algorithm_coloring(spec, k, budget, alg)
-    sperner = check_sperner(n, k, coloring)
+    found = find_panchromatic(n, k, algorithm_coloring(spec, k, budget, alg))
 
-    if not sperner.is_sperner:
-        v, col, _car = sperner.violations[0]
+    if not isinstance(found, PrimitiveSimplex):
+        v, col = found
         config = inp(v, n)
         node = assign_node(spec, k, budget, v)
         report = run(spec, k, alg, config, budget)
@@ -101,7 +101,7 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
             verified=True,
         )
 
-    simplex = find_panchromatic(n, k, coloring)
+    simplex = found
     corners = simplex.vertices()
     config = inp(corners[0], n)
     nodes = tuple(assign_node(spec, k, budget, v) for v in corners)

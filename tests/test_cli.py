@@ -242,13 +242,32 @@ def test_malformed_graph_file(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith("error: n and arc endpoints must be integers")
 
 
-def test_usage_errors_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--graph", "x.json", "--k", "0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["bound", "--graph", "x.json", "--k", "1", "--threads", "0"])
-    assert exc.value.code == 2
+def test_usage_errors_exit_2(capsys):
+    check = ["check", "--graph", "x.json", "--k", "2", "--alg", "min_heard", "--budget", "1"]
+    for argv in ([],
+                 ["bound", "--graph", "x.json", "--k", "0"],
+                 ["bound", "--graph", "x.json", "--k", "1", "--threads", "0"],
+                 # integers are ASCII digits only: no other script's digits,
+                 # underscores or surrounding spaces, all of which int() takes
+                 ["bound", "--graph", "x.json", "--k", "\u0662"],
+                 ["bound", "--graph", "x.json", "--k", "1_0"],
+                 ["bound", "--graph", "x.json", "--k", " 2"],
+                 ["bound", "--graph", "x.json", "--k", "2 "],
+                 ["refute", "--graph", "x.json", "--k", "2", "--alg", "min_heard",
+                  "--budget", "\u0661"],
+                 check[:-1] + ["-1"],
+                 check + ["--seed", "\u0663"],
+                 check + ["--seed", "1_0"],
+                 check + ["--seed", " 3"],
+                 check + ["--seed", "+3"],
+                 check + ["--seed", "-"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
+
+
+def test_negative_seed_is_accepted(capsys, c5_file):
+    code, out, _ = run_cli(capsys, "check", "--graph", c5_file, "--k", "2",
+                           "--alg", "min_heard", "--budget", "1", "--seed", "-3")
+    assert code == 1 and json.loads(out)["mode"] == "sampled"

@@ -309,9 +309,22 @@ def test_find_panchromatic_k1_threshold():
     assert cell == PrimitiveSimplex((1,), (1,))
 
 
-def test_find_panchromatic_raises_without_sperner():
+def test_find_panchromatic_returns_violation_without_sperner():
+    # (2,) has carrier {1}; the pass reaches it before any cell
+    assert find_panchromatic(2, 1, lambda v: 0) == ((2,), 0)
+
+
+def test_find_panchromatic_raises_only_for_inconsistent_coloring():
+    # (1,) answers 0 as a corner of base (0,), so no cell, and 1 as a
+    # base, inside its carrier: no witness of either kind is left
+    calls = []
+
+    def coloring(v):
+        calls.append(v)
+        return 0 if calls.count(v) == 1 else v[0]
+
     with pytest.raises(NoPanchromaticCell):
-        find_panchromatic(2, 1, lambda v: 0)
+        find_panchromatic(1, 1, coloring)
 
 
 def test_drawn_coloring_is_sperner_with_known_cells():

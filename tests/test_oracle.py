@@ -12,7 +12,6 @@ from knowall import (
     CapExceeded,
     ExhaustiveReport,
     KnowAllError,
-    NoPanchromaticCell,
     brute_domination,
     brute_panchromatic,
     carrier,
@@ -170,26 +169,33 @@ def _random_coloring(rng, n, k, kind):
 
 
 def test_brute_panchromatic_matches_streaming_search():
-    # the pruned search returns brute force's first cell, or raises exactly
-    # when there is none
+    # the one pass returns the earlier, in base order, of check_sperner's
+    # first violation and brute force's first cell, the violation winning
+    # a tie since a base's carrier is tested before its cells
     rng = random.Random(99)
     outcomes = set()
+    ties = 0
     for k in range(1, 5):
         for n in range(1, 7):
+            rank = {v: i for i, v in enumerate(vertices(n, k))}
             for kind in ("sperner", "palette", "wild"):
                 for _ in range(2 if k == 4 else 4):
                     coloring = _random_coloring(rng, n, k, kind).__getitem__
                     cells = brute_panchromatic(n, k, coloring)
-                    assert cells or kind != "sperner", \
+                    violations = check_sperner(n, k, coloring).violations
+                    assert cells or violations, \
                         "Sperner colorings always have a panchromatic cell"
-                    if cells:
-                        assert find_panchromatic(n, k, coloring) == cells[0], (n, k, kind)
-                    else:
-                        with pytest.raises(NoPanchromaticCell):
-                            find_panchromatic(n, k, coloring)
-                    outcomes.add((kind, bool(cells)))
-    assert outcomes == {("sperner", True), ("palette", True), ("palette", False),
-                        ("wild", True), ("wild", False)}
+                    first_is_violation = bool(violations) and (
+                        not cells or rank[violations[0][0]] <= rank[cells[0].base])
+                    expected = violations[0][:2] if first_is_violation else cells[0]
+                    assert find_panchromatic(n, k, coloring) == expected, (n, k, kind)
+                    outcomes.add((kind, bool(cells), first_is_violation))
+                    ties += bool(cells and violations) and violations[0][0] == cells[0].base
+    assert outcomes == {
+        ("sperner", True, False),
+        ("palette", True, False), ("palette", True, True), ("palette", False, True),
+        ("wild", True, False), ("wild", True, True), ("wild", False, True)}
+    assert ties > 0
 
 
 def test_brute_panchromatic_cap():

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import weakref
 
 import pytest
 
 from knowall import (
+    MIN_HEARD,
     AlgorithmSpec,
     BudgetNotBelowBound,
     LemmaFalsified,
@@ -25,10 +27,10 @@ from knowall import (
     refute,
     run,
     standard_family,
-    vertices,
     view_of,
 )
 from knowall import kuhn, refuter
+from knowall.kuhn import algorithm_coloring, check_sperner
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
@@ -50,6 +52,60 @@ def test_refute_validity_violator(c5):
     assert format_inputs(w.config) == "11111"
     assert w.nodes == (2,) and w.outputs == (0,)
     assert w.simplex is None and w.verified
+
+
+def _breaks_validity_at(spec, k, budget, alg, v):
+    """alg, except that v's assigned node outputs a value it did not hear in inp(v)."""
+    node = assign_node(spec, k, budget, v)
+    heard = view_of(spec, inp(v, spec.n), node, budget).heard
+    bad = min(set(range(k + 1)) - set(heard.values()))
+
+    def decide(s, kk, view):
+        if view.observer == node and view.heard == heard:
+            return bad
+        return alg.decide(s, kk, view)
+
+    return AlgorithmSpec(f"{alg.name}_broken_at_{v}", decide)
+
+
+def test_first_witness_in_base_order_wins(c5):
+    # the first panchromatic cell of flood_dominator has base (3, 1); a
+    # validity break at a vertex past that base is not reached, one before
+    # it is
+    honest = refute(c5, 2, flood_dominator(2), 1)
+    assert honest.simplex.base == (3, 1)
+    for v, expected_kind in (((5, 0), WitnessKind.AGREEMENT_VIOLATION),
+                             ((0, 0), WitnessKind.VALIDITY_VIOLATION)):
+        alg = _breaks_validity_at(c5, 2, 1, flood_dominator(2), v)
+        violations = check_sperner(5, 2, algorithm_coloring(c5, 2, 1, alg)).violations
+        assert [u for u, _, _ in violations] == [v]
+        assert not run(c5, 2, alg, inp(v, 5), 1).valid
+        w = refute(c5, 2, alg, 1)
+        assert w.kind is expected_kind and w.verified
+        report = run(c5, 2, alg, w.config, 1)
+        assert tuple(report.outputs[i - 1] for i in w.nodes) == w.outputs
+        if expected_kind is WitnessKind.AGREEMENT_VIOLATION:
+            assert (w.config, w.nodes, w.outputs, w.simplex) == \
+                (honest.config, honest.nodes, honest.outputs, honest.simplex)
+            assert not report.agreeing
+        else:
+            assert w.config == inp(v, 5) and not report.valid
+            assert w.nodes == (assign_node(c5, 2, 1, v),) and w.outputs[0] not in w.config
+
+
+def test_refute_colors_only_part_of_the_triangulation(monkeypatch):
+    name, spec, k = next(m for m in standard_family() if m[0] == "complete5/k=2")
+    colored = set()
+
+    def recording(*args):
+        coloring = algorithm_coloring(*args)
+        return lambda v: colored.add(v) or coloring(v)
+
+    monkeypatch.setattr(refuter, "algorithm_coloring", recording)
+    for alg in builtin_algorithms():
+        colored.clear()
+        assert refute(spec, k, alg, min_rounds(spec, k) - 1).verified
+        assert 0 < len(colored) < math.comb(spec.n + k, k), (name, alg.name)
 
 
 def test_witness_reruns_through_protocol(c5):
@@ -101,12 +157,16 @@ def test_witness_to_dict(c5):
 
 def test_lemma_falsified_tripwire(c5):
     # a stateful (hence illegal) algorithm: behaves like min_heard while the
-    # coloring phase decides each distinct view of the C(7,2) vertices once,
-    # then goes constant, so the re-simulation cannot reproduce the
-    # panchromatic cell
+    # pass decides each distinct view of the vertices it colors once, then
+    # goes constant, so the re-simulation cannot reproduce the panchromatic
+    # cell
+    colored = set()
+    coloring = algorithm_coloring(c5, 2, 1, MIN_HEARD)
+    kuhn.find_panchromatic(5, 2, lambda v: colored.add(v) or coloring(v))
+    assert len(colored) < math.comb(5 + 2, 2)
     flips_after = len({
         (node, tuple(view_of(c5, inp(v, 5), node, 1).heard.items()))
-        for v in vertices(5, 2)
+        for v in colored
         for node in [assign_node(c5, 2, 1, v)]})
     calls = {"n": 0}
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import knowall
@@ -18,3 +19,22 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime depends on the standard library alone; relative imports
+    # stay inside the package
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert modules
+    foreign = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
