@@ -24,7 +24,6 @@ from .dyngraph import (
 )
 from .errors import (
     AlgorithmRangeError,
-    AssignmentImpossible,
     BudgetNotBelowBound,
     CapExceeded,
     GraphFormatError,

@@ -17,7 +17,6 @@ from .dyngraph import (
     _gamma, closure, load_graph_file, min_dominating_set, min_rounds, to_dot)
 from .errors import (
     AlgorithmRangeError,
-    AssignmentImpossible,
     BudgetNotBelowBound,
     CapExceeded,
     GraphFormatError,
@@ -242,9 +241,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, CapExceeded, NeverDominated,
-            BudgetNotBelowBound, AssignmentImpossible, AlgorithmRangeError,
-            ValueError, OSError) as exc:
+    except (GraphFormatError, CapExceeded, NeverDominated, BudgetNotBelowBound,
+            AlgorithmRangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KnowAllError as exc:

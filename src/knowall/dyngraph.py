@@ -245,8 +245,9 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     searches down from the round before, an unchanged one copies it.
     """
     memo = spec._memo
+    _reach_masks(spec, r)  # grows the closures through H_r and rejects r < 0
     while len(memo.gammas) <= r:
-        reach = _reach_masks(spec, len(memo.gammas))
+        reach = memo.reach[len(memo.gammas)]
         g = memo.gammas[-1]
         if reach != memo.reach[len(memo.gammas) - 1]:
             g = _domination_number(reach, _dominator_masks(reach), g)
@@ -290,7 +291,10 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 
 
 def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
-    """Smallest r >= 1 with a dominating set of H_r no larger than k.
+    """Smallest r >= 0 with a dominating set of H_r no larger than k.
+
+    r is 0 exactly when n <= k.  Gamma never increases with r, so a budget
+    b is below this bound exactly when no k nodes dominate H_b.
 
     Closures only grow, and any m = len(spec.rounds) consecutive rounds use
     every round graph that occurs later.  So once m consecutive rounds
@@ -306,17 +310,15 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
         return bound
     m = len(spec.rounds)
     r = quiet = 0
-    while True:
+    while (g := _gamma(spec, r)) > k:
         r += 1
-        g = _gamma(spec, r)
-        if g <= k:
-            memo.bounds[k] = r
-            return r
-        quiet = quiet + 1 if memo.reach[r] == memo.reach[r - 1] else 0
+        quiet = quiet + 1 if _reach_masks(spec, r) == memo.reach[r - 1] else 0
         if quiet == m:
             raise NeverDominated(
                 f"no round suffices: H_r is fixed from round {r - m} on and its "
                 f"domination number is {g} > k = {k}")
+    memo.bounds[k] = r
+    return r
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,8 @@ class AlgorithmRangeError(KnowAllError):
     """A candidate algorithm returned a value outside {0, ..., k}."""
 
 
-class AssignmentImpossible(KnowAllError):
-    """No node qualifies for a triangulation vertex; the budget already suffices."""
-
-
 class BudgetNotBelowBound(KnowAllError):
-    """Refutation was requested at a budget that is not below the tight bound."""
+    """A budget is not below the tight bound: k nodes dominate H_budget."""
 
 
 class LemmaFalsified(KnowAllError):
@@ -34,4 +30,4 @@ class LemmaFalsified(KnowAllError):
 
 
 class NoPanchromaticCell(KnowAllError):
-    """The panchromatic scan exhausted the triangulation; coloring was not Sperner."""
+    """The panchromatic scan found no cell in a coloring that answered inconsistently."""

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
-from .dyngraph import DynamicGraphSpec, _gamma, _reach_masks
-from .errors import AssignmentImpossible, LemmaFalsified, NoPanchromaticCell
+from .dyngraph import DynamicGraphSpec, _gamma, _reach_masks, min_rounds
+from .errors import BudgetNotBelowBound, LemmaFalsified, NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
@@ -127,10 +127,15 @@ def carrier(v: Vertex, n: int) -> Carrier:
 
 
 def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
-    """Reach masks of H_budget, after checking that k nodes cannot dominate it."""
+    """Reach masks of H_budget, after checking that no k nodes dominate it.
+
+    The package's one refutability check: gamma never increases, so it
+    holds exactly below min_rounds(spec, k), or always if no bound exists.
+    When it fails min_rounds <= budget, so the message cannot raise.
+    """
     if _gamma(spec, budget) <= k:
-        raise AssignmentImpossible(
-            f"H_{budget} is dominated by {k} or fewer nodes; the budget is not below the bound")
+        raise BudgetNotBelowBound(
+            f"budget {budget} is not below the tight bound {min_rounds(spec, k)}")
     return _reach_masks(spec, budget)
 
 
@@ -151,9 +156,10 @@ def _unheard_node(reach: tuple[int, ...], v: Vertex) -> int:
 def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
     """Smallest node hearing none of v's positive coordinates within budget.
 
-    Requires the domination number of H_budget to exceed k (true at any
-    budget below the tight bound), which guarantees such a node exists
-    for every vertex: at most k coordinates cannot reach every node.
+    Requires the domination number of H_budget to exceed k, which
+    guarantees such a node exists for every vertex: at most k coordinates
+    cannot reach every node.  Otherwise the budget is at or above the
+    tight bound and BudgetNotBelowBound is raised.
     """
     if len(v) != k or not is_vertex(v, spec.n):
         raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
-from .dyngraph import DynamicGraphSpec, min_rounds
+from .dyngraph import DynamicGraphSpec
 from .errors import BudgetNotBelowBound, LemmaFalsified
 from .kuhn import (
     PrimitiveSimplex,
@@ -63,22 +63,17 @@ class Witness:
 def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> Witness:
     """Build and verify a counterexample against `alg` run at `budget`.
 
-    The budget must be strictly below the tight bound for the spec and
-    k.  One ordered pass over the lazily colored bases ends at the first
-    witness: a base colored outside its carrier gives a validity witness,
-    a panchromatic cell an agreement witness, so validity broken only past
-    the first cell's base is refuted by that cell.  LemmaFalsified is a
-    tripwire: it fires only if direct re-simulation disagrees with the
-    combinatorial argument, which means a bug in this package, not in the
-    algorithm under test.
+    The budget is refutable exactly when no k nodes dominate H_budget, so
+    below the tight bound and on sequences with no bound; otherwise
+    algorithm_coloring raises BudgetNotBelowBound (ValueError when
+    negative).  One ordered pass over the lazily colored bases ends at the
+    first witness: a base colored outside its carrier gives a validity
+    witness, a panchromatic cell an agreement witness, so validity broken
+    only past the first cell's base is refuted by that cell.
+    LemmaFalsified is a tripwire: it fires only if direct re-simulation
+    disagrees with the combinatorial argument, which means a bug in this
+    package, not in the algorithm under test.
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    bound = min_rounds(spec, k)
-    if budget >= bound:
-        raise BudgetNotBelowBound(
-            f"budget {budget} is not below the tight bound {bound}")
-
     n = spec.n
     found = find_panchromatic(n, k, algorithm_coloring(spec, k, budget, alg))
 
@@ -141,15 +136,18 @@ class OutcomeSummary:
 def certify(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
             config_cap: int = EXHAUSTIVE_CONFIG_CAP,
             samples: int = 1000, seed: int = 0) -> OutcomeSummary:
-    """Check correctness when the budget suffices, else refute.
+    """Refute when the budget is refutable, else check correctness.
 
-    With budget at or above the tight bound, runs the exhaustive
-    configuration sweep when it fits under the cap and a seeded random
-    sample otherwise.  Below the bound, delegates to refute and wraps
-    the witness.
+    Asks refute first and wraps its witness, so sequences with no bound
+    are refuted too.  When refute raises BudgetNotBelowBound, runs the
+    exhaustive configuration sweep when it fits under the cap and a seeded
+    random sample otherwise.
     """
-    if budget < min_rounds(spec, k):
+    try:
         witness = refute(spec, k, alg, budget)
+    except BudgetNotBelowBound:
+        pass
+    else:
         return OutcomeSummary(mode="refuted", checked=0, failure_count=1,
                               first_failure=None, witness=witness, passed=False)
     if (k + 1) ** spec.n <= config_cap:

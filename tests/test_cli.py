@@ -7,8 +7,12 @@ import pytest
 from knowall import (
     DynamicGraphSpec,
     Extension,
+    algorithm_by_name,
+    builtin_algorithms,
     complete_graph,
     directed_cycle,
+    parse_inputs,
+    run,
     save_graph_file,
 )
 from knowall import dyngraph, kuhn
@@ -80,7 +84,49 @@ def test_refute_emits_witness_and_exit_1(capsys, c5_file):
 def test_refute_budget_at_bound_is_an_error(capsys, c5_file):
     code, out, err = run_cli(capsys, "refute", "--graph", c5_file, "--k", "2",
                              "--alg", "flood_dominator", "--budget", "2")
-    assert code == 2 and out == "" and err.startswith("error:")
+    assert (code, out, err) == (2, "", "error: budget 2 is not below the tight bound 2\n")
+
+
+def test_k_at_least_n_needs_no_round(capsys, tmp_path):
+    path = tmp_path / "c3.json"
+    save_graph_file(directed_cycle(3), str(path))
+    graph = ("--graph", str(path), "--k", "3")
+    assert run_cli(capsys, "bound", *graph) == (
+        0, '{"dominating_set":[1,2,3],"gamma_by_round":[],"r":0}\n', "")
+    code, out, err = run_cli(capsys, "solve", *graph, "--inputs", "302")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"outputs": "302", "r": 0, "dominating_set": [1, 2, 3],
+                               "valid": True, "agreeing": True}
+    for alg in [a.name for a in builtin_algorithms()]:
+        code, out, err = run_cli(capsys, "check", *graph, "--alg", alg,
+                                 "--budget", "0", "--exhaustive")
+        assert (code, err) == (0, ""), alg
+        assert json.loads(out) == {"mode": "exhaustive", "configs_checked": 64,
+                                   "failure_count": 0, "first_failure": None,
+                                   "passed": True}, alg
+        assert run_cli(capsys, "refute", *graph, "--alg", alg, "--budget", "0") == (
+            2, "", "error: budget 0 is not below the tight bound 0\n"), alg
+
+
+def test_refute_sequence_with_no_bound(capsys, tmp_path):
+    spec = DynamicGraphSpec(4, (frozenset({(1, 2), (3, 4)}),))
+    path = tmp_path / "islands.json"
+    save_graph_file(spec, str(path))
+    graph = ("--graph", str(path), "--k", "1")
+    for alg in ("min_heard", "max_heard", "majority_heard"):
+        for budget in range(4):
+            code, out, err = run_cli(capsys, "refute", *graph, "--alg", alg,
+                                     "--budget", str(budget))
+            assert (code, err) == (1, ""), (alg, budget)
+            witness = json.loads(out)
+            assert witness["kind"] == "AgreementViolation" and witness["verified"]
+            report = run(spec, 1, algorithm_by_name(alg), parse_inputs(witness["config"], 4, 1),
+                         budget)
+            assert [report.outputs[i - 1] for i in witness["nodes"]] == witness["outputs"]
+            assert not report.agreeing
+    code, out, err = run_cli(capsys, "refute", *graph, "--alg", "flood_dominator",
+                             "--budget", "1")
+    assert (code, out) == (2, "") and err.startswith("error: no round suffices")
 
 
 def test_unknown_algorithm(capsys, c5_file):
@@ -133,6 +179,12 @@ def test_triangulate_node_and_color_columns(capsys, c5_file):
                            "--alg", "flood_dominator", "--pretty")
     assert code == 0
     assert "3,1\t21100\t5\t0\n" in out
+
+
+def test_triangulate_budget_at_the_bound_exits_2(capsys, c5_file):
+    code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
+                             "--graph", c5_file, "--budget", "2")
+    assert (code, out, err) == (2, "", "error: budget 2 is not below the tight bound 2\n")
 
 
 def test_triangulate_budget_requires_graph(capsys):

@@ -213,14 +213,15 @@ def test_min_rounds_unsolvable():
 
 
 def _naive_bound(spec, k):
-    # reach sets grown one round graph at a time for n^2 * m rounds, and
-    # domination tried on every set of at most k nodes
+    # reach sets grown one round graph at a time for n^2 * m rounds from
+    # H_0, and domination tried on every set of at most k nodes
     n = spec.n
     everyone = set(range(1, n + 1))
     reach = [{u} for u in everyone]
-    for r in range(1, n * n * len(spec.rounds) + 1):
-        arcs = graph_at(spec, r)
-        reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
+    for r in range(n * n * len(spec.rounds) + 1):
+        if r:
+            arcs = graph_at(spec, r)
+            reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
         for size in range(1, k + 1):
             for combo in combinations(range(n), size):
                 if set().union(*(reach[d] for d in combo)) == everyone:
@@ -231,9 +232,10 @@ def _naive_bound(spec, k):
 def test_min_rounds_matches_naive_loop_on_random_specs():
     rng = random.Random(1618)
     outcomes = set()
+    zero = False
     for _ in range(80):
         spec = random_spec(rng, max_n=6)
-        k = rng.randint(1, spec.n - 1)
+        k = rng.randint(1, spec.n + 1)
         expected = _naive_bound(spec, k)
         if expected is None:
             with pytest.raises(NeverDominated):
@@ -241,8 +243,10 @@ def test_min_rounds_matches_naive_loop_on_random_specs():
         else:
             assert min_rounds(spec, k) == expected, (spec, k)
         outcomes.add((spec.extension, expected is None))
-    # both extension rules, each with bounds found and bounds that never exist
-    assert len(outcomes) == 4
+        zero |= expected == 0
+    # both extension rules, each with bounds found and bounds that never
+    # exist, and k >= n, where no round is needed
+    assert len(outcomes) == 4 and zero
 
 
 def test_never_dominated_names_the_fixed_round():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from knowall import (
     MIN_HEARD,
-    AssignmentImpossible,
+    BudgetNotBelowBound,
     Extension,
     NeverDominated,
     NoPanchromaticCell,
@@ -24,6 +24,7 @@ from knowall import (
     closure,
     color,
     complete_graph,
+    directed_cycle,
     find_panchromatic,
     format_inputs,
     inp,
@@ -34,6 +35,7 @@ from knowall import (
     standard_family,
     vertices,
 )
+from knowall.dyngraph import _gamma
 
 from conftest import random_spec
 
@@ -217,12 +219,27 @@ def test_assign_node_examples(c5):
 
 
 def test_assign_node_requires_budget_below_bound(c5):
-    with pytest.raises(AssignmentImpossible):
+    with pytest.raises(BudgetNotBelowBound, match="^budget 2 is not below the tight bound 2$"):
         assign_node(c5, 2, 2, (3, 1))
-    with pytest.raises(AssignmentImpossible):
+    with pytest.raises(BudgetNotBelowBound, match="^budget 1 is not below the tight bound 1$"):
         assign_node(complete_graph(3), 2, 1, (1, 1))
-    with pytest.raises(AssignmentImpossible):
-        algorithm_coloring(c5, 2, 2, MIN_HEARD)
+    with pytest.raises(BudgetNotBelowBound, match="^budget 3 is not below the tight bound 2$"):
+        algorithm_coloring(c5, 2, 3, MIN_HEARD)
+    with pytest.raises(BudgetNotBelowBound, match="^budget 0 is not below the tight bound 0$"):
+        assign_node(directed_cycle(3), 3, 0, (0, 0, 0))
+
+
+def test_negative_budget_is_rejected_whatever_was_asked_before():
+    # the memo of domination numbers grows with the questions asked; a
+    # negative round must not index it from the end
+    spec = directed_cycle(5)
+    with pytest.raises(ValueError, match="^closure needs r >= 0, got -1$"):
+        assign_node(spec, 2, -1, (0, 0))
+    assert min_rounds(spec, 2) == 2
+    with pytest.raises(ValueError, match="^closure needs r >= 0, got -1$"):
+        assign_node(spec, 2, -1, (0, 0))
+    with pytest.raises(ValueError, match="^closure needs r >= 0, got -7$"):
+        _gamma(spec, -7)
 
 
 def test_assigned_node_hears_no_positive_coordinate():

@@ -8,10 +8,14 @@ import weakref
 import pytest
 
 from knowall import (
+    MAJORITY_HEARD,
+    MAX_HEARD,
     MIN_HEARD,
     AlgorithmSpec,
     BudgetNotBelowBound,
+    DynamicGraphSpec,
     LemmaFalsified,
+    NeverDominated,
     PrimitiveSimplex,
     WitnessKind,
     assign_node,
@@ -121,6 +125,30 @@ def test_refute_rejects_budget_at_or_above_bound(c5):
             refute(c5, 2, flood_dominator(2), budget)
     with pytest.raises(ValueError):
         refute(c5, 2, flood_dominator(2), -1)
+    # with k >= n no round is needed, so not even budget 0 is refutable
+    with pytest.raises(BudgetNotBelowBound, match="^budget 0 is not below the tight bound 0$"):
+        refute(directed_cycle(3), 3, MIN_HEARD, 0)
+
+
+def two_islands() -> DynamicGraphSpec:
+    # 1 -> 2 and 3 -> 4: no single node is ever heard by everyone
+    return DynamicGraphSpec(4, (frozenset({(1, 2), (3, 4)}),))
+
+
+def test_refute_sequence_with_no_bound():
+    spec = two_islands()
+    with pytest.raises(NeverDominated):
+        min_rounds(spec, 1)
+    for alg in (MIN_HEARD, MAX_HEARD, MAJORITY_HEARD):
+        for budget in range(4):
+            w = refute(spec, 1, alg, budget)
+            assert w.kind is WitnessKind.AGREEMENT_VIOLATION and w.verified
+            report = run(spec, 1, alg, w.config, budget)
+            assert tuple(report.outputs[i - 1] for i in w.nodes) == w.outputs
+            assert len(set(w.outputs)) == 2 and not report.agreeing
+    # flooding's decide reads the bound, which does not exist
+    with pytest.raises(NeverDominated, match="^no round suffices"):
+        refute(spec, 1, flood_dominator(), 1)
 
 
 def test_refute_is_deterministic(c5):
@@ -260,6 +288,12 @@ def test_certify_delegates_to_refute(c5):
     assert summary.mode == "refuted" and not summary.passed
     assert summary.witness is not None
     assert summary.witness.kind is WitnessKind.AGREEMENT_VIOLATION
+
+
+def test_certify_refutes_sequence_with_no_bound():
+    summary = certify(two_islands(), 1, MIN_HEARD, budget=5)
+    assert summary.mode == "refuted" and not summary.passed
+    assert summary.witness.kind is WitnessKind.AGREEMENT_VIOLATION and summary.witness.verified
 
 
 def test_certify_consensus_complete_graph():

@@ -38,3 +38,20 @@ def test_package_imports_only_the_standard_library():
             foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_every_error_class_is_raised():
+    # an exception type nothing raises is an except clause that catches
+    # nothing and an export that promises what never happens
+    declared = {node.name
+                for node in ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8")).body
+                if isinstance(node, ast.ClassDef)} - {"KnowAllError"}
+    assert declared
+    raised = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(declared - raised) == []
