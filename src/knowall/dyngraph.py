@@ -14,17 +14,24 @@ of at least one member of any dominating set of H_r.  The smallest r
 whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
 
-Every answer is derived from the reach masks of H_r, which are its
-cover masks: entry u is the bitmask of nodes u's token can occupy after
-rounds 1..r.  Each spec keeps them, and the domination numbers,
-dominating sets and bounds derived from them, in a private memo that is
-freed with the spec.  Closures only grow, so the domination number never
-increases with r: each round whose closure changed searches down from
-the round before (or the greedy size, if smaller) with k-slot cover
-decisions, and only the round a caller asks for rebuilds its member list
-(min_dominating_set).  A decision branches on the uncovered node with the
-fewest dominators and fails early when more uncovered nodes have pairwise
-disjoint dominators than slots remain.
+Every answer is derived from two sets of masks of H_r.  Its reach masks
+are its cover masks: entry u is the bitmask of nodes u's token can occupy
+after rounds 1..r.  Its in-masks are its dominator masks: entry v is the
+bitmask of nodes v has heard from, the nodes that dominate v.  The
+in-masks grow round by round with one OR per arc of G_t, and the reach
+masks take the bits the in-masks gained, so each closure arc is set
+once and no mask set is ever transposed.  Each spec keeps them, and the domination numbers, dominating sets
+and bounds derived from them, in a private memo that is freed with the
+spec.  Building a spec builds no n-bit mask, and every exact search
+checks EXACT_SEARCH_CAP before it grows any.  Closures only grow, so the
+domination number never increases with r: each round whose closure
+changed searches down from the round before (or the greedy size, if
+smaller) with k-slot cover decisions, and only the round a caller asks
+for rebuilds its member list (min_dominating_set).  A decision sorts the
+uncovered nodes once, fewest dominators first, branches on the first one
+still uncovered and fails early when more uncovered nodes have pairwise
+disjoint dominators than slots remain.  Whether a budget is refutable
+(kuhn) is a single k-slot decision.
 """
 from __future__ import annotations
 
@@ -54,11 +61,13 @@ class Extension(str, Enum):
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("out", "reach", "gammas", "dominating", "bounds")
+    __slots__ = ("graphs", "reach", "into", "gammas", "dominating", "bounds")
 
-    def __init__(self, n: int, out: tuple[tuple[int, ...], ...]) -> None:
-        self.out = out  # out masks of each stored round graph
-        self.reach: list[tuple[int, ...]] = [tuple(1 << i for i in range(n))]
+    def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
+        self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
+        # reach masks and in-masks of H_0, H_1, ..., from the first closure asked for
+        self.reach: list[tuple[int, ...]] = []
+        self.into: list[tuple[int, ...]] = []
         self.gammas = [n]  # domination number of H_0, H_1, ...
         # r -> sorted members of the lex-smallest minimum dominating set of H_r
         self.dominating: dict[int, tuple[int, ...]] = {}
@@ -90,19 +99,19 @@ class DynamicGraphSpec:
             raise ValueError(f"need at least two nodes, got n={self.n}")
         if not rounds:
             raise ValueError("need at least one round graph")
-        out = []
+        graphs = []
         for t, rnd in enumerate(rounds, start=1):
-            masks = [0] * self.n
+            senders: dict[int, list[int]] = {}
             for u, v in rnd:
                 if not (1 <= u <= self.n and 1 <= v <= self.n):
                     raise ValueError(f"round {t}: arc ({u}, {v}) outside 1..{self.n}")
                 if u == v:
                     raise ValueError(f"round {t}: self-loop ({u}, {v}) not allowed")
-                masks[u - 1] |= 1 << (v - 1)
-            out.append(tuple(masks))
+                senders.setdefault(v - 1, []).append(u - 1)
+            graphs.append(tuple(senders.items()))
         object.__setattr__(self, "rounds", tuple(frozenset(rnd) for rnd in rounds))
         object.__setattr__(self, "extension", Extension(self.extension))
-        object.__setattr__(self, "_memo", _Memo(self.n, tuple(out)))
+        object.__setattr__(self, "_memo", _Memo(self.n, tuple(graphs)))
 
 
 # ---------------------------------------------------------------------------
@@ -125,23 +134,57 @@ def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
     return spec.rounds[_round_index(spec, t)]
 
 
-def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    """Reach masks of H_r, one per source node, grown round by round on the spec."""
+def _grow(spec: DynamicGraphSpec, r: int) -> _Memo:
+    """The spec's memo, with the reach masks and in-masks grown through H_r.
+
+    H_t is H_{t-1} followed by one round of G_t, so v hears what it heard
+    in H_{t-1} and what its in-neighbours in G_t heard: one OR per arc.
+    The senders v newly hears are exactly the nodes whose token newly
+    reaches v, so each closure arc is added to the reach masks once, and
+    the reach masks are never transposed.  A round that adds nothing
+    shares the masks of the round before.
+    """
     if r < 0:
         raise ValueError(f"closure needs r >= 0, got {r}")
-    seq = spec._memo.reach
-    while len(seq) <= r:
-        out = spec._memo.out[_round_index(spec, len(seq))]
-        nxt = []
-        for m in seq[-1]:
-            acc = rest = m
-            while rest:
-                low = rest & -rest
-                acc |= out[low.bit_length() - 1]
-                rest ^= low
-            nxt.append(acc)
-        seq.append(tuple(nxt))
-    return seq[r]
+    memo = spec._memo
+    reach, into = memo.reach, memo.into
+    if not reach:
+        reach.append(tuple(1 << i for i in range(spec.n)))
+        into.append(reach[0])
+    while len(reach) <= r:
+        heard = into[-1]
+        into_t = reach_t = None
+        for v, senders in memo.graphs[_round_index(spec, len(reach))]:
+            m = heard[v]
+            for w in senders:
+                m |= heard[w]
+            new = m & ~heard[v]
+            if new:
+                if into_t is None:
+                    into_t, reach_t = list(heard), list(reach[-1])
+                into_t[v] = m
+                bit = 1 << v
+                while new:
+                    low = new & -new
+                    reach_t[low.bit_length() - 1] |= bit
+                    new ^= low
+        if into_t is None:
+            reach.append(reach[-1])
+            into.append(heard)
+        else:
+            reach.append(tuple(reach_t))
+            into.append(tuple(into_t))
+    return memo
+
+
+def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
+    """Reach masks of H_r: bit v of entry u is set when u's token can occupy v."""
+    return _grow(spec, r).reach[r]
+
+
+def _in_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
+    """In-masks of H_r: bit u of entry v is set when v hears u, i.e. u dominates v."""
+    return _grow(spec, r).into[r]
 
 
 def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
@@ -164,20 +207,15 @@ def to_dot(arcs: frozenset[Arc]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _dominator_masks(covers: tuple[int, ...]) -> tuple[int, ...]:
-    # every exact search starts here, so this is where the cap is enforced
-    n = len(covers)
-    if n > EXACT_SEARCH_CAP:
+def _search_masks(spec: DynamicGraphSpec, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cover and dominator masks of H_r: its reach masks and its in-masks."""
+    # every exact search starts here, so this is where the cap is enforced,
+    # before any mask is grown
+    if spec.n > EXACT_SEARCH_CAP:
         raise CapExceeded(
-            f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {n}")
-    dom = [0] * n
-    for u in range(n):
-        m = covers[u]
-        while m:
-            low = m & -m
-            dom[low.bit_length() - 1] |= 1 << u
-            m ^= low
-    return tuple(dom)
+            f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {spec.n}")
+    memo = _grow(spec, r)
+    return memo.reach[r], memo.into[r]
 
 
 def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
@@ -197,34 +235,50 @@ def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
 
 def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
                   uncovered: int, avail: int, slots: int) -> bool:
+    """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
+
+    avail never changes inside the search, so the uncovered nodes are
+    sorted once, by their dominator count within avail and then by id, and
+    a node no available node dominates fails the search here.
+    """
+    order = []
+    m = uncovered
+    while m:
+        low = m & -m
+        m ^= low
+        dm = dom[low.bit_length() - 1] & avail
+        if not dm:
+            return False
+        order.append((dm.bit_count(), low, dm))
+    order.sort()
+    return _cover(covers, order, uncovered, slots)
+
+
+def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
+           uncovered: int, slots: int) -> bool:
     if uncovered == 0:
         return True
     if slots == 0:
         return False
-    # branch on the fewest-dominator node; disjointly dominated nodes each need a slot
-    pickdom, fewest = 0, 1 << 30
-    packed = taken = 0
-    m = uncovered
-    while m:
-        low = m & -m
-        x = low.bit_length() - 1
-        m ^= low
-        dm = dom[x] & avail
-        c = dm.bit_count()
-        if c == 0:
-            return False
-        if c < fewest:
-            fewest, pickdom = c, dm
-        if not dm & taken:
-            taken |= dm
-            packed += 1
-    if packed > slots:
-        return False
-    while pickdom:
-        low = pickdom & -pickdom
-        u = low.bit_length() - 1
-        pickdom ^= low
-        if _exists_cover(covers, dom, uncovered & ~covers[u], avail, slots - 1):
+    # branch on the first uncovered node in order, the one with the fewest
+    # dominators; disjointly dominated nodes each need a slot, and a last
+    # slot needs no recursion
+    pick = taken = 0
+    packed = slots
+    for _, bit, dm in order:
+        if uncovered & bit:
+            if not pick:
+                pick = dm
+            if not dm & taken:
+                taken |= dm
+                packed -= 1
+                if packed < 0:
+                    return False
+    while pick:
+        low = pick & -pick
+        pick ^= low
+        rest = uncovered & ~covers[low.bit_length() - 1]
+        if not rest or slots > 1 and _cover(covers, order, rest, slots - 1):
             return True
     return False
 
@@ -244,13 +298,12 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     Closures only grow, so gamma never increases with r: a changed round
     searches down from the round before, an unchanged one copies it.
     """
+    _search_masks(spec, r)  # checks the cap, rejects r < 0, grows the closures through H_r
     memo = spec._memo
-    _reach_masks(spec, r)  # grows the closures through H_r and rejects r < 0
-    while len(memo.gammas) <= r:
-        reach = memo.reach[len(memo.gammas)]
+    while (t := len(memo.gammas)) <= r:
         g = memo.gammas[-1]
-        if reach != memo.reach[len(memo.gammas) - 1]:
-            g = _domination_number(reach, _dominator_masks(reach), g)
+        if memo.reach[t] != memo.reach[t - 1]:
+            g = _domination_number(memo.reach[t], memo.into[t], g)
         memo.gammas.append(g)
     return memo.gammas[r]
 
@@ -269,8 +322,7 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     found = spec._memo.dominating
     if r in found:
         return found[r]
-    covers = _reach_masks(spec, r)
-    dom = _dominator_masks(covers)
+    covers, dom = _search_masks(spec, r)
     size = _gamma(spec, r)
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []

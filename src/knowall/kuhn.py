@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterator
 
-from .dyngraph import DynamicGraphSpec, _gamma, _reach_masks, min_rounds
+from .dyngraph import DynamicGraphSpec, _exists_cover, _search_masks, min_rounds
 from .errors import BudgetNotBelowBound, LemmaFalsified, NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
@@ -129,14 +129,17 @@ def carrier(v: Vertex, n: int) -> Carrier:
 def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
     """Reach masks of H_budget, after checking that no k nodes dominate it.
 
-    The package's one refutability check: gamma never increases, so it
-    holds exactly below min_rounds(spec, k), or always if no bound exists.
-    When it fails min_rounds <= budget, so the message cannot raise.
+    The package's one refutability check, a single k-slot cover decision:
+    gamma never increases, so it holds exactly below min_rounds(spec, k),
+    or always if no bound exists.  When it fails min_rounds <= budget, so
+    the message cannot raise.
     """
-    if _gamma(spec, budget) <= k:
+    covers, dom = _search_masks(spec, budget)
+    full = (1 << spec.n) - 1
+    if _exists_cover(covers, dom, full, full, k):
         raise BudgetNotBelowBound(
             f"budget {budget} is not below the tight bound {min_rounds(spec, k)}")
-    return _reach_masks(spec, budget)
+    return covers
 
 
 def _unheard_node(reach: tuple[int, ...], v: Vertex) -> int:
@@ -177,13 +180,13 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
                        alg: AlgorithmSpec) -> Coloring:
     """Vertex-coloring view of an algorithm, memoized per vertex.
 
-    The domination precondition of assign_node is checked once, here, and
-    a vertex passed in is trusted to be one of the (spec.n, k)
-    triangulation.  Vertices share one ViewTable, so `decide` runs once
-    per distinct view.
+    The domination precondition of assign_node is checked once, here,
+    before the ViewTable is built, and a vertex passed in is trusted to be
+    one of the (spec.n, k) triangulation.  Vertices share one ViewTable,
+    so `decide` runs once per distinct view.
     """
-    table = ViewTable(spec, k, alg, budget)
     reach = _reach_below_bound(spec, k, budget)
+    table = ViewTable(spec, k, alg, budget)
     n = spec.n
     cache: dict[Vertex, int] = {}
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from .dyngraph import DynamicGraphSpec, _reach_masks, min_dominating_set, min_rounds
+from .dyngraph import DynamicGraphSpec, _in_masks, min_dominating_set, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified
 
 InputConfig = tuple[int, ...]
@@ -84,10 +84,14 @@ class OutcomeReport:
     distinct_count: int
 
 
-def _senders_of(reach: tuple[int, ...], observer: int) -> list[int]:
-    """In-neighbours of `observer` in the closure whose reach masks are given."""
-    bit = 1 << (observer - 1)
-    return [u for u, mask in enumerate(reach, start=1) if mask & bit]
+def _senders_of(heard: int) -> list[int]:
+    """Nodes of an in-mask of the closure, in increasing order."""
+    senders = []
+    while heard:
+        low = heard & -heard
+        senders.append(low.bit_length())
+        heard ^= low
+    return senders
 
 
 def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
@@ -99,7 +103,7 @@ def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
     vals = tuple(inputs)
     if len(vals) != spec.n or not all(type(x) is int for x in vals):
         raise ValueError(f"expected {spec.n} integer inputs, got {vals!r}")
-    senders = _senders_of(_reach_masks(spec, budget), observer)
+    senders = _senders_of(_in_masks(spec, budget)[observer - 1])
     return View(observer=observer, budget=budget,
                 heard={j: vals[j - 1] for j in senders})
 
@@ -143,9 +147,8 @@ class ViewTable:
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                  budget: int) -> None:
-        reach = _reach_masks(spec, budget)
         self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
-        self._senders = [_senders_of(reach, node) for node in range(1, spec.n + 1)]
+        self._senders = [_senders_of(heard) for heard in _in_masks(spec, budget)]
         # (node, heard-digit key of a configuration, memo) per node
         self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
                        for node, senders in enumerate(self._senders, start=1)]

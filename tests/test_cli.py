@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -194,10 +195,10 @@ def test_triangulate_budget_requires_graph(capsys):
 
 
 def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
-    # a domination search claiming H_2 of the 5-cycle needs three nodes
+    # a cover decision claiming no two nodes dominate H_2 of the 5-cycle
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
-    monkeypatch.setattr(kuhn, "_gamma", lambda spec, r: 3)
+    monkeypatch.setattr(kuhn, "_exists_cover", lambda covers, dom, uncovered, avail, slots: False)
     code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
                              "--graph", c5_file, "--budget", "2")
     assert code == 2 and out == ""
@@ -229,6 +230,28 @@ def test_bound_beyond_the_exact_search_cap_exits_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
     assert (code, out) == (2, "")
     assert err == "error: exact dominating-set search capped at n <= 32, got n = 33\n"
+
+
+def test_huge_n_is_refused_before_any_mask_is_built(capsys, tmp_path):
+    # the masks of H_0 alone would take about 100 MiB at n = 40000, and a
+    # view table would scan n^2 bits
+    n = 40000
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": n, "rounds": [[[1, 2]]]}))
+    refusal = f"error: exact dominating-set search capped at n <= 32, got n = {n}\n"
+    tracemalloc.start()
+    try:
+        dyngraph.load_graph_file(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 4 * 2 ** 20
+        for argv in (("bound", "--k", "1"),
+                     ("solve", "--k", "1", "--inputs", "0" * n),
+                     ("refute", "--k", "1", "--alg", "min_heard", "--budget", "0"),
+                     ("triangulate", "--n", str(n), "--k", "1", "--budget", "0",
+                      "--alg", "min_heard")):
+            assert run_cli(capsys, *argv, "--graph", str(path)) == (2, "", refusal), argv
+            assert tracemalloc.get_traced_memory()[1] < 4 * 2 ** 20, argv
+    finally:
+        tracemalloc.stop()
 
 
 def test_check_exhaustive_pass(capsys, c5_file):

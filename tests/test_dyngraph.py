@@ -30,8 +30,10 @@ from knowall import (
     to_dot,
 )
 from knowall.cli import main
-from knowall.dyngraph import _gamma, _greedy_members, _reach_masks
+from knowall.dyngraph import (
+    _exists_cover, _gamma, _greedy_members, _in_masks, _reach_masks, _search_masks)
 from knowall.oracle import brute_domination
+from knowall.protocol import _senders_of
 
 from conftest import random_spec
 
@@ -181,6 +183,59 @@ def test_dominating_set_covers_everyone(c5, p4, relay):
             assert covered == set(range(1, spec.n + 1))
 
 
+def test_grown_masks_match_naive_reach_sets_and_their_transpose():
+    # reach sets grown one round graph at a time, as sets; the in-masks are
+    # grown separately and must be exactly the transpose of the reach masks
+    rng = random.Random(4669)
+    rules = set()
+    for _ in range(150):
+        spec = random_spec(rng, max_n=9)
+        n = spec.n
+        reach = [{u} for u in range(1, n + 1)]
+        for r in range(3 * n + 1):
+            if r:
+                arcs = graph_at(spec, r)
+                reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
+            masks, into = _reach_masks(spec, r), _in_masks(spec, r)
+            assert [{v for v in range(1, n + 1) if m >> (v - 1) & 1} for m in masks] == reach
+            assert into == tuple(sum(1 << u for u in range(n) if masks[u] >> v & 1)
+                                 for v in range(n)), (spec, r)
+            for v in range(1, n + 1):
+                assert _senders_of(into[v - 1]) == [u for u in range(1, n + 1)
+                                                    if v in reach[u - 1]]
+        rules.add(spec.extension)
+    assert len(rules) == 2
+
+
+def test_exists_cover_matches_subset_enumeration():
+    rng = random.Random(1729)
+    answers = set()
+    for _ in range(150):
+        spec = random_spec(rng, max_n=10)
+        n = spec.n
+        r = rng.randint(0, 3)
+        covers, dom = _search_masks(spec, r)
+        for _ in range(8):
+            avail = rng.getrandbits(n)
+            offered = [x for x in range(n) if avail >> x & 1]
+            uncovered = rng.choice((rng.getrandbits(n), (1 << n) - 1))
+            for slots in range(4):
+                expected = any(
+                    not uncovered & ~_union(covers, combo)
+                    for size in range(slots + 1) for combo in combinations(offered, size))
+                assert _exists_cover(covers, dom, uncovered, avail, slots) == expected, (
+                    spec, r, avail, uncovered, slots)
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+def _union(covers, combo):
+    acc = 0
+    for x in combo:
+        acc |= covers[x]
+    return acc
+
+
 def test_exact_cap():
     with pytest.raises(CapExceeded, match=r"capped at n <= 32, got n = 33$"):
         min_dominating_set(directed_cycle(33), 1)
@@ -260,14 +315,18 @@ def test_never_dominated_names_the_fixed_round():
 def test_gamma_matches_brute_force_on_random_specs():
     rng = random.Random(2718)
     rules = set()
+    deep = 0
     for _ in range(300):
-        spec = random_spec(rng, max_n=9)
+        spec = random_spec(rng, max_n=14)
         for r in range(3 * spec.n + 1):
             expected = brute_domination(spec.n, closure(spec, r))
             assert _gamma(spec, r) == expected, (spec, r)
             assert len(min_dominating_set(spec, r)) == expected, (spec, r)
+            if r == 1 and spec.n >= 12 and expected >= 6:
+                deep += 1
         rules.add(spec.extension)
-    assert len(rules) == 2
+    # the cover order matters only in deep searches: many nodes, many slots
+    assert len(rules) == 2 and deep >= 10
 
 
 def test_gamma_by_round_matches_brute_force(capsys, tmp_path):
