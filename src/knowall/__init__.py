@@ -37,17 +37,14 @@ from .families import (
     directed_cycle,
     directed_path,
     staggered_relay,
-    standard_family,
 )
 from .kuhn import (
     Carrier,
     PrimitiveSimplex,
-    SpernerReport,
     Vertex,
     algorithm_coloring,
     assign_node,
     carrier,
-    check_sperner,
     color,
     find_panchromatic,
     inp,
@@ -55,7 +52,6 @@ from .kuhn import (
     primitive_simplices,
     vertices,
 )
-from .oracle import BRUTE_DOMINATION_CAP, brute_domination, brute_panchromatic
 from .protocol import (
     MAJORITY_HEARD,
     MAX_HEARD,
@@ -75,6 +71,6 @@ from .protocol import (
     validate_inputs,
     view_of,
 )
-from .refuter import OutcomeSummary, Witness, WitnessKind, certify, refute
+from .refuter import Witness, WitnessKind, refute
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Configuration sweeps behind `check` and `certify`.
+"""The exhaustive and sampled configuration sweeps behind `check`.
 
 Both score configurations as `run` would, through one ViewTable, so
 `decide` runs once per distinct view.

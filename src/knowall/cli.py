@@ -23,7 +23,9 @@ from .errors import (
     KnowAllError,
     NeverDominated,
 )
-from .kuhn import algorithm_coloring, assign_node, inp, primitive_simplices, vertices
+from .kuhn import (
+    _config, _reach_below_bound, _unheard_node, algorithm_coloring, primitive_simplices,
+    vertices)
 from .protocol import algorithm_by_name, flood_solve, format_inputs, parse_inputs
 from .refuter import refute
 
@@ -117,21 +119,18 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         if spec.n != n:
             raise ValueError(f"--n {n} does not match the graph's n={spec.n}")
 
-    coloring = None
+    coloring = reach = None
     if args.alg is not None:
         coloring = algorithm_coloring(spec, k, args.budget, algorithm_by_name(args.alg))
+    if args.budget is not None:
+        reach = _reach_below_bound(spec, k, args.budget)
 
     verts = list(vertices(n, k))
     index = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for v in verts:
-        node = color_value = None
-        if spec is not None and args.budget is not None:
-            node = assign_node(spec, k, args.budget, v)
-        if coloring is not None:
-            color_value = coloring(v)
-        rows.append({"coords": list(v), "inp": format_inputs(inp(v, n)),
-                     "node": node, "color": color_value})
+    rows = [{"coords": list(v), "inp": format_inputs(_config(v, n)),
+             "node": None if reach is None else _unheard_node(reach, v),
+             "color": None if coloring is None else coloring(v)}
+            for v in verts]
     cells = [{"base": list(s.base), "perm": list(s.perm),
               "vertex_ids": [index[v] for v in s.vertices()]}
              for s in primitive_simplices(n, k)]

@@ -22,7 +22,9 @@ tests each base's color against its carrier, then walks the base's
 permutations as a prefix tree, dropping a prefix as soon as its corners
 leave the triangulation, repeat a color or take one outside 0..k; no
 cell below such a prefix can be panchromatic, so the first cell reached
-is the first in enumeration order, and no later base is visited.
+is the first in enumeration order, and no later base is visited.  The
+check that colors every vertex, a baseline for the tests, is
+oracle.check_sperner.
 """
 from __future__ import annotations
 
@@ -199,28 +201,10 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
     return coloring
 
 
-@dataclass(frozen=True)
-class SpernerReport:
-    """Violations are (vertex, color, carrier) in vertex enumeration order."""
-
-    is_sperner: bool
-    violations: tuple[tuple[Vertex, int, Carrier], ...]
-
-
 def _in_carrier(v: Vertex, c: int, n: int) -> bool:
     # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
     k = len(v)
     return 0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)
-
-
-def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
-    """Verify every vertex's color lies in its carrier, coloring them all."""
-    violations = []
-    for v in vertices(n, k):
-        c = coloring(v)
-        if not _in_carrier(v, c, n):
-            violations.append((v, c, carrier(v, n)))
-    return SpernerReport(is_sperner=not violations, violations=tuple(violations))
 
 
 def find_panchromatic(n: int, k: int,

@@ -1,17 +1,19 @@
 """Brute-force baselines for the test suite.
 
 `brute_domination` and `brute_panchromatic` are deliberately independent
-re-implementations of the production searches, used only by tests to
-cross-examine them.
+re-implementations of the production searches, and `check_sperner` colors
+every vertex where the refuter stops at the first witness; only tests use
+them, to cross-examine the fast paths.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from typing import Iterable
 
 from .dyngraph import Arc
 from .errors import CapExceeded
-from .kuhn import Coloring, PrimitiveSimplex
+from .kuhn import Carrier, Coloring, PrimitiveSimplex, Vertex, _in_carrier, carrier, vertices
 
 BRUTE_DOMINATION_CAP = 20
 BRUTE_SIMPLEX_CAP = 10 ** 6
@@ -63,3 +65,21 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
             if good and {coloring(p) for p in pts} == target:
                 found.append(PrimitiveSimplex(base=base, perm=perm))
     return found
+
+
+@dataclass(frozen=True)
+class SpernerReport:
+    """Violations are (vertex, color, carrier) in vertex enumeration order."""
+
+    is_sperner: bool
+    violations: tuple[tuple[Vertex, int, Carrier], ...]
+
+
+def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
+    """Verify every vertex's color lies in its carrier, coloring them all."""
+    violations = []
+    for v in vertices(n, k):
+        c = coloring(v)
+        if not _in_carrier(v, c, n):
+            violations.append((v, c, carrier(v, n)))
+    return SpernerReport(is_sperner=not violations, violations=tuple(violations))

@@ -1,4 +1,4 @@
-"""End-to-end refutation pipeline and the positive-direction certifier.
+"""End-to-end refutation pipeline.
 
 refute() takes any candidate algorithm claimed to work in fewer rounds
 than the tight bound and produces a concrete, re-simulated
@@ -6,7 +6,7 @@ counterexample: either a configuration where some node outputs a value
 nobody holds, or one where k+1 nodes output k+1 distinct values,
 whichever kuhn.find_panchromatic meets first.  Verification deliberately
 goes back through the protocol module only, so a bug in the
-triangulation machinery cannot certify itself.
+triangulation machinery cannot vouch for itself.
 """
 from __future__ import annotations
 
@@ -14,17 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
 from .dyngraph import DynamicGraphSpec
-from .errors import BudgetNotBelowBound, LemmaFalsified
+from .errors import LemmaFalsified
 from .kuhn import (
-    PrimitiveSimplex,
-    algorithm_coloring,
-    assign_node,
-    find_panchromatic,
-    inp,
-)
-from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, format_inputs, run
+    PrimitiveSimplex, _reach_below_bound, _unheard_node, algorithm_coloring,
+    find_panchromatic, inp)
+from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
 
 
 class WitnessKind(Enum):
@@ -69,18 +64,20 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     negative).  One ordered pass over the lazily colored bases ends at the
     first witness: a base colored outside its carrier gives a validity
     witness, a panchromatic cell an agreement witness, so validity broken
-    only past the first cell's base is refuted by that cell.
+    only past the first cell's base is refuted by that cell.  Witness
+    nodes are decoded from H_budget's reach masks, as in the coloring.
     LemmaFalsified is a tripwire: it fires only if direct re-simulation
     disagrees with the combinatorial argument, which means a bug in this
     package, not in the algorithm under test.
     """
     n = spec.n
     found = find_panchromatic(n, k, algorithm_coloring(spec, k, budget, alg))
+    reach = _reach_below_bound(spec, k, budget)
 
     if not isinstance(found, PrimitiveSimplex):
         v, col = found
         config = inp(v, n)
-        node = assign_node(spec, k, budget, v)
+        node = _unheard_node(reach, v)
         report = run(spec, k, alg, config, budget)
         if report.outputs[node - 1] != col or col in set(config) or report.valid:
             raise LemmaFalsified(
@@ -99,7 +96,7 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     simplex = found
     corners = simplex.vertices()
     config = inp(corners[0], n)
-    nodes = tuple(assign_node(spec, k, budget, v) for v in corners)
+    nodes = tuple(_unheard_node(reach, v) for v in corners)
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
     if len(set(outputs)) != k + 1:
@@ -119,45 +116,3 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
         simplex=simplex,
         verified=True,
     )
-
-
-@dataclass(frozen=True)
-class OutcomeSummary:
-    """Either a correctness check (exhaustive/sampled) or a refutation."""
-
-    mode: str
-    checked: int
-    failure_count: int
-    first_failure: Optional[tuple[InputConfig, OutcomeReport]]
-    witness: Optional[Witness]
-    passed: bool
-
-
-def certify(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
-            config_cap: int = EXHAUSTIVE_CONFIG_CAP,
-            samples: int = 1000, seed: int = 0) -> OutcomeSummary:
-    """Refute when the budget is refutable, else check correctness.
-
-    Asks refute first and wraps its witness, so sequences with no bound
-    are refuted too.  When refute raises BudgetNotBelowBound, runs the
-    exhaustive configuration sweep when it fits under the cap and a seeded
-    random sample otherwise.
-    """
-    try:
-        witness = refute(spec, k, alg, budget)
-    except BudgetNotBelowBound:
-        pass
-    else:
-        return OutcomeSummary(mode="refuted", checked=0, failure_count=1,
-                              first_failure=None, witness=witness, passed=False)
-    if (k + 1) ** spec.n <= config_cap:
-        report = exhaustive_check(spec, k, alg, budget, cap=config_cap)
-        mode = "exhaustive"
-    else:
-        report = sample_check(spec, k, alg, budget, samples=samples, seed=seed)
-        mode = "sampled"
-    first = report.failures[0] if report.failures else None
-    return OutcomeSummary(mode=mode, checked=report.total_configs,
-                          failure_count=len(report.failures),
-                          first_failure=first, witness=None,
-                          passed=report.passed)

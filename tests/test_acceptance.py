@@ -14,8 +14,6 @@ import time
 from knowall import (
     WitnessKind,
     assign_node,
-    brute_domination,
-    brute_panchromatic,
     builtin_algorithms,
     carrier,
     closure,
@@ -29,12 +27,13 @@ from knowall import (
     primitive_simplices,
     refute,
     save_graph_file,
-    standard_family,
     vertices,
     view_of,
 )
 from knowall.cli import main
-from knowall.kuhn import algorithm_coloring, check_sperner
+from knowall.families import standard_family
+from knowall.kuhn import algorithm_coloring
+from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 
 from conftest import random_spec
 

@@ -6,13 +6,16 @@ import tracemalloc
 import pytest
 
 from knowall import (
+    AlgorithmSpec,
     DynamicGraphSpec,
     Extension,
+    WitnessKind,
     algorithm_by_name,
     builtin_algorithms,
     complete_graph,
     directed_cycle,
     parse_inputs,
+    refute,
     run,
     save_graph_file,
 )
@@ -203,6 +206,37 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
                              "--graph", c5_file, "--budget", "2")
     assert code == 2 and out == ""
     assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
+
+
+def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch):
+    # refute and triangulate --budget read the reach masks of H_budget once,
+    # not once per witness corner or per vertex; only kuhn's reference to
+    # the cover decision is counted, so flood_dominator's searches do not show
+    decide = kuhn._exists_cover
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return decide(*args)
+
+    monkeypatch.setattr(kuhn, "_exists_cover", counting)
+    const_zero = AlgorithmSpec("const0", lambda spec, k, view: 0)
+    for alg, kind in ((algorithm_by_name("min_heard"), WitnessKind.AGREEMENT_VIOLATION),
+                      (const_zero, WitnessKind.VALIDITY_VIOLATION)):
+        calls.clear()
+        assert refute(directed_cycle(5), 2, alg, 1).kind is kind
+        assert 1 <= len(calls) <= 2, alg.name
+    for n in (5, 8):
+        path = tmp_path / f"c{n}.json"
+        save_graph_file(directed_cycle(n), str(path))
+        args = ("triangulate", "--n", str(n), "--k", "2", "--graph", str(path),
+                "--budget", "1")
+        calls.clear()
+        assert run_cli(capsys, *args)[0] == 0
+        assert len(calls) == 1, n
+        calls.clear()
+        assert run_cli(capsys, *args, "--alg", "min_heard")[0] == 0
+        assert 1 <= len(calls) <= 2, n
 
 
 def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):

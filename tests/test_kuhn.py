@@ -14,13 +14,10 @@ from knowall import (
     NeverDominated,
     NoPanchromaticCell,
     PrimitiveSimplex,
-    SpernerReport,
     algorithm_coloring,
     assign_node,
-    brute_panchromatic,
     builtin_algorithms,
     carrier,
-    check_sperner,
     closure,
     color,
     complete_graph,
@@ -32,10 +29,11 @@ from knowall import (
     min_rounds,
     primitive_simplices,
     run,
-    standard_family,
     vertices,
 )
 from knowall.dyngraph import _gamma
+from knowall.families import standard_family
+from knowall.oracle import SpernerReport, brute_panchromatic, check_sperner
 
 from conftest import random_spec
 

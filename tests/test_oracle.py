@@ -12,8 +12,6 @@ from knowall import (
     CapExceeded,
     ExhaustiveReport,
     KnowAllError,
-    brute_domination,
-    brute_panchromatic,
     carrier,
     closure,
     complete_graph,
@@ -27,7 +25,8 @@ from knowall import (
     vertices,
 )
 from knowall import protocol
-from knowall.kuhn import algorithm_coloring, check_sperner
+from knowall.kuhn import algorithm_coloring
+from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 from knowall.protocol import MIN_HEARD
 
 from conftest import random_spec
@@ -42,6 +41,16 @@ def test_exhaustive_check_counts(c5):
     assert len(report.failures) == 45
     cfg, outcome = report.failures[0]
     assert not (outcome.valid and outcome.agreeing)
+
+    # min_heard converges too slowly: at the tight budget it still breaks
+    report = exhaustive_check(c5, 2, MIN_HEARD, 2)
+    assert not report.passed
+    cfg, outcome = report.failures[0]
+    assert not (outcome.valid and outcome.agreeing)
+
+    # consensus on K4 in one round
+    report = exhaustive_check(complete_graph(4), 1, flood_dominator(1), 1)
+    assert report.total_configs == 16 and report.passed
 
 
 def test_exhaustive_check_cap():

@@ -55,3 +55,32 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(declared - raised) == []
+
+
+def test_package_neither_imports_nor_exports_the_oracle():
+    # oracle holds the test suite's baselines: no production module may
+    # lean on them, and the package exports none of their names
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, ("knowall" if node.level else None, node.module)))
+                targets = {base} | {f"{base}.{alias.name}" for alias in node.names}
+            else:
+                continue
+            if "knowall.oracle" in targets:
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
+    defined = set()
+    for node in ast.parse((PACKAGE / "oracle.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    assert defined
+    assert sorted(defined & set(vars(knowall))) == []
