@@ -1,13 +1,20 @@
 """The exhaustive and sampled configuration sweeps behind `check`.
 
-Both score configurations as `run` would, through one ViewTable, so
-`decide` runs once per distinct view.
+Both read outputs through one ViewTable, so `decide` runs once per
+distinct view, and both score a failing configuration with `_score`, as
+`run` would.  The sampled sweep reads all n outputs of each
+configuration.  The exhaustive sweep walks the (k+1)^n configurations
+depth first over the input digits, in `product` order: a node's output
+is fixed once the digit of the highest node it hears is set, so setting
+a digit re-reads only the nodes due there.  Each depth carries the
+bitmasks of the outputs read and the inputs set above it, which decide
+validity and k-agreement at a leaf without building any set; a report
+is built only for a failing configuration.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable
 
 from .dyngraph import DynamicGraphSpec
@@ -16,31 +23,100 @@ from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
 
 EXHAUSTIVE_CONFIG_CAP = 10 ** 6
 
+Failures = tuple[tuple[InputConfig, OutcomeReport], ...]
+
 
 @dataclass(frozen=True)
 class ExhaustiveReport:
     total_configs: int
-    failures: tuple[tuple[InputConfig, OutcomeReport], ...]
+    failures: Failures
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
 
-def _sweep(table: ViewTable, configs: Iterable[InputConfig]
-           ) -> tuple[tuple[InputConfig, OutcomeReport], ...]:
+def _score(cfg: InputConfig, outputs: tuple[int, ...], k: int) -> OutcomeReport:
+    """Validity and k-agreement of one configuration's outputs, as `run` scores them."""
+    decided = set(outputs)
+    distinct = len(decided)
+    return OutcomeReport(outputs, decided.issubset(cfg), distinct <= k, distinct)
+
+
+def _sweep(table: ViewTable, configs: Iterable[InputConfig]) -> Failures:
     """Score each configuration as `run` would; keep the failing ones in order."""
     k = table.k
     failures = []
     for cfg in configs:
-        outputs = table.outputs(cfg)
-        decided = set(outputs)
-        valid = decided.issubset(cfg)
-        if not valid or len(decided) > k:
-            failures.append((cfg, OutcomeReport(
-                outputs=outputs, valid=valid, agreeing=len(decided) <= k,
-                distinct_count=len(decided))))
+        report = _score(cfg, table.outputs(cfg), k)
+        if not (report.valid and report.agreeing):
+            failures.append((cfg, report))
     return tuple(failures)
+
+
+def _depth_first(table: ViewTable, n: int) -> Failures:
+    """All (k+1)^n configurations in `product` order; the failing ones in order.
+
+    An explicit stack: digit p is node p+1's input, and out_mask[p] and
+    held[p] are the bitmasks of the outputs read and the inputs set at
+    digits 0..p-1.  Going down from p reads the nodes due at p; the last
+    digit is a loop of its own.  A view whose decision raises, whatever
+    the error, is first met at the current prefix followed by zeros, so
+    that configuration is replayed in node order, where the error raised
+    is the one `run` raises first.
+    """
+    k = table.k
+    decide = table.decide
+    due = [[(node - 1, key_of, memo, node) for node, key_of, memo in nodes]
+           for nodes in table.due_nodes()]
+    last = n - 1
+    leaf = due[last]
+    value_bits = [(value, 1 << value) for value in range(k + 1)]
+    cfg = [0] * n
+    outs = [0] * n
+    out_mask = [0] * n
+    held = [0] * n
+    failures = []
+    p = 0
+    try:
+        while True:
+            while p < last:
+                mask = out_mask[p]
+                for slot, key_of, memo, node in due[p]:
+                    key = key_of(cfg)
+                    out = memo.get(key)
+                    if out is None:
+                        out = decide(node, cfg, memo, key)
+                    outs[slot] = out
+                    mask |= 1 << out
+                out_mask[p + 1] = mask
+                held[p + 1] = held[p] | 1 << cfg[p]
+                p += 1
+                cfg[p] = 0
+            above, held_above = out_mask[last], held[last]
+            for value, bit in value_bits:
+                cfg[last] = value
+                mask = above
+                for slot, key_of, memo, node in leaf:
+                    key = key_of(cfg)
+                    out = memo.get(key)
+                    if out is None:
+                        out = decide(node, cfg, memo, key)
+                    outs[slot] = out
+                    mask |= 1 << out
+                if mask & ~(held_above | bit) or mask.bit_count() > k:
+                    failed = tuple(cfg)
+                    failures.append((failed, _score(failed, tuple(outs), k)))
+            p = last - 1
+            while p >= 0 and cfg[p] == k:
+                p -= 1
+            if p < 0:
+                return tuple(failures)
+            cfg[p] += 1
+    except Exception:
+        cfg[p + 1:] = [0] * (last - p)
+        table.outputs(tuple(cfg))
+        raise
 
 
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -50,8 +126,7 @@ def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
     if total > cap:
         raise CapExceeded(
             f"exhaustive check needs {total} configurations, cap is {cap}")
-    failures = _sweep(ViewTable(spec, k, alg, budget),
-                      product(range(k + 1), repeat=spec.n))
+    failures = _depth_first(ViewTable(spec, k, alg, budget), spec.n)
     return ExhaustiveReport(total_configs=total, failures=failures)
 
 

@@ -122,7 +122,8 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
     coloring = reach = None
     if args.alg is not None:
         coloring = algorithm_coloring(spec, k, args.budget, algorithm_by_name(args.alg))
-    if args.budget is not None:
+        reach = coloring.reach
+    elif args.budget is not None:
         reach = _reach_below_bound(spec, k, args.budget)
 
     verts = list(vertices(n, k))

@@ -185,7 +185,9 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
     The domination precondition of assign_node is checked once, here,
     before the ViewTable is built, and a vertex passed in is trusted to be
     one of the (spec.n, k) triangulation.  Vertices share one ViewTable,
-    so `decide` runs once per distinct view.
+    so `decide` runs once per distinct view.  The returned function's
+    `reach` attribute holds the reach masks the vertices are decoded
+    with, so that a caller decoding witness nodes decides nothing again.
     """
     reach = _reach_below_bound(spec, k, budget)
     table = ViewTable(spec, k, alg, budget)
@@ -198,6 +200,7 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
             out = cache[v] = table.output(_unheard_node(reach, v), _config(v, n))
         return out
 
+    coloring.reach = reach
     return coloring
 
 

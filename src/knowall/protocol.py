@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .dyngraph import DynamicGraphSpec, _in_masks, min_dominating_set, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified
@@ -139,10 +139,10 @@ class ViewTable:
 
     A node's view is fixed by the inputs of its in-neighborhood in
     H_budget, so each node keeps a memo from those heard digits to its
-    output; `decide` is called only on a memo miss, with the same View
-    and the same range check as `run`.  Configurations passed in must
-    already be valid (see validate_inputs).  Each memo holds at most
-    VIEW_MEMO_CAP views.
+    output; the algorithm's `decide` is called only on a memo miss, through
+    ViewTable.decide, with the same View and the same range check as
+    `run`.  Configurations passed in must already be valid (see
+    validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -153,10 +153,22 @@ class ViewTable:
         self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
                        for node, senders in enumerate(self._senders, start=1)]
 
-    def _decide(self, node: int, cfg: InputConfig, memo: dict, key) -> int:
+    def due_nodes(self) -> list[list[tuple[int, Callable, dict]]]:
+        """The nodes grouped by the highest node they hear, as (node, key, memo).
+
+        Entry p lists the nodes whose highest heard node is p+1: their
+        outputs are fixed once digits 0..p of a configuration are, and read
+        as memo.get(key(cfg)), or as decide(node, cfg, memo, key) on a miss.
+        """
+        due: list[list[tuple[int, Callable, dict]]] = [[] for _ in self._nodes]
+        for entry, senders in zip(self._nodes, self._senders):
+            due[senders[-1] - 1].append(entry)
+        return due
+
+    def decide(self, node: int, cfg: Sequence[int], memo: dict, key) -> int:
+        """Decide `node`'s view of `cfg` and remember it in `memo` under `key`."""
         heard = {j: cfg[j - 1] for j in self._senders[node - 1]}
-        out = self.alg.decide(self.spec, self.k,
-                              View(observer=node, budget=self.budget, heard=heard))
+        out = self.alg.decide(self.spec, self.k, View(node, self.budget, heard))
         if not isinstance(out, int) or not 0 <= out <= self.k:
             raise AlgorithmRangeError(
                 f"{self.alg.name} returned {out!r} at node {node}, outside 0..{self.k}")
@@ -172,7 +184,7 @@ class ViewTable:
         _node, key_of, memo = self._nodes[node - 1]
         key = key_of(cfg)
         out = memo.get(key)
-        return self._decide(node, cfg, memo, key) if out is None else out
+        return self.decide(node, cfg, memo, key) if out is None else out
 
     def outputs(self, cfg: InputConfig) -> tuple[int, ...]:
         """Outputs of nodes 1..n on `cfg`, decided in node order."""
@@ -180,7 +192,7 @@ class ViewTable:
         for node, key_of, memo in self._nodes:
             key = key_of(cfg)
             out = memo.get(key)
-            outs.append(self._decide(node, cfg, memo, key) if out is None else out)
+            outs.append(self.decide(node, cfg, memo, key) if out is None else out)
         return tuple(outs)
 
 

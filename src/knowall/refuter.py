@@ -16,9 +16,7 @@ from typing import Optional
 
 from .dyngraph import DynamicGraphSpec
 from .errors import LemmaFalsified
-from .kuhn import (
-    PrimitiveSimplex, _reach_below_bound, _unheard_node, algorithm_coloring,
-    find_panchromatic, inp)
+from .kuhn import PrimitiveSimplex, _unheard_node, algorithm_coloring, find_panchromatic, inp
 from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
 
 
@@ -65,14 +63,16 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     first witness: a base colored outside its carrier gives a validity
     witness, a panchromatic cell an agreement witness, so validity broken
     only past the first cell's base is refuted by that cell.  Witness
-    nodes are decoded from H_budget's reach masks, as in the coloring.
+    nodes are decoded from the coloring's own reach masks of H_budget, so
+    refutability is decided once.
     LemmaFalsified is a tripwire: it fires only if direct re-simulation
     disagrees with the combinatorial argument, which means a bug in this
     package, not in the algorithm under test.
     """
     n = spec.n
-    found = find_panchromatic(n, k, algorithm_coloring(spec, k, budget, alg))
-    reach = _reach_below_bound(spec, k, budget)
+    coloring = algorithm_coloring(spec, k, budget, alg)
+    found = find_panchromatic(n, k, coloring)
+    reach = coloring.reach
 
     if not isinstance(found, PrimitiveSimplex):
         v, col = found

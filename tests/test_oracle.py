@@ -10,7 +10,9 @@ from knowall import (
     MAX_HEARD,
     AlgorithmSpec,
     CapExceeded,
+    DynamicGraphSpec,
     ExhaustiveReport,
+    Extension,
     KnowAllError,
     carrier,
     closure,
@@ -118,6 +120,57 @@ def test_sweeps_equal_naive_run_loop(memo_cap, monkeypatch):
     assert len(extensions) == 2
 
 
+def _backward_spec(n: int, arcs, extension=Extension.REPEAT_LAST) -> DynamicGraphSpec:
+    return DynamicGraphSpec(n=n, rounds=(frozenset(arcs),), extension=extension)
+
+
+def _backward_cases(rng: random.Random) -> list[tuple[DynamicGraphSpec, int, int]]:
+    """(spec, k, budget) where nodes hear higher nodes: due out of node order, or gapped."""
+    cases = [
+        (_backward_spec(6, {(6, 1)}), 3, 1),                  # node 1 hears only 1 and 6
+        (_backward_spec(5, {(5, 1), (4, 2)}), 3, 1),          # node 3 is due before 1 and 2
+        (_backward_spec(6, {(v + 1, v) for v in range(1, 6)}, Extension.CYCLE), 2, 2),
+        (_backward_spec(4, {(4, 1), (3, 1), (2, 4)}), 3, 2),
+    ]
+    while len(cases) < 8:
+        n = rng.randint(3, 6)
+        arcs = {(u, v) for u in range(2, n + 1) for v in range(1, u)
+                if rng.random() < 0.25}
+        if arcs:
+            spec = _backward_spec(n, arcs, rng.choice(list(Extension)))
+            k = rng.choice([k for k in (1, 2, 3) if (k + 1) ** n <= 4096])
+            cases.append((spec, k, rng.randint(1, 2)))
+    return cases
+
+
+@pytest.mark.parametrize("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
+def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, monkeypatch):
+    # the exhaustive sweep reads a node once the highest node it hears is
+    # set; here that order differs from node order
+    monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
+    for spec, k, budget in _backward_cases(random.Random(20261018)):
+        for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, SUM_HEARD, FLIP_OWN):
+            total = (k + 1) ** spec.n
+            expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+                spec, k, alg, budget, product(range(k + 1), repeat=spec.n))))
+            assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
+
+
+@pytest.mark.parametrize("trigger", [0, 1])
+def test_range_error_parity_when_a_higher_node_is_due_first(trigger):
+    # node 1 hears {1, 4} and is due at the last digit, node 3 hears {1, 3}
+    # and is due one digit earlier; both leave 0..k first on the
+    # configuration (trigger, 0, 0, 0), where `run` meets node 1 first
+    spec = _backward_spec(4, {(4, 1), (1, 3)})
+    alg = AlgorithmSpec("off_range", lambda spec, k, view: k + 1 if view.observer in (1, 3)
+                        and view.heard[1] == trigger and view.heard.get(4, 0) == 0 else 0)
+    expected = ("AlgorithmRangeError", "off_range returned 3 at node 1, outside 0..2")
+    assert _outcome(lambda: run(spec, 2, alg, (trigger, 0, 0, 0), 1)) == expected
+    assert _outcome(lambda: _naive_sweep(
+        spec, 2, alg, 1, product(range(3), repeat=4))) == expected
+    assert _outcome(lambda: exhaustive_check(spec, 2, alg, 1)) == expected
+
+
 def _counting(decided):
     def decide(spec, k, view):
         decided.append((view.observer, tuple(view.heard.items())))
@@ -136,6 +189,11 @@ def test_sweeps_and_coloring_decide_each_view_once():
         decided = []
         sample_check(spec, 2, _counting(decided), budget, samples=300, seed=1)
         assert len(decided) == len(set(decided))
+
+    # nodes 1 and 2 hear {1, 5} and {2, 4}, so node 3 is due before them
+    decided = []
+    exhaustive_check(_backward_spec(5, {(5, 1), (4, 2)}), 2, _counting(decided), 1)
+    assert len(decided) == len(set(decided)) == 2 * 3 ** 2 + 3 * 3
 
     decided = []
     check_sperner(5, 2, algorithm_coloring(spec, 2, 1, _counting(decided)))

@@ -103,7 +103,14 @@ def test_refute_colors_only_part_of_the_triangulation(monkeypatch):
 
     def recording(*args):
         coloring = algorithm_coloring(*args)
-        return lambda v: colored.add(v) or coloring(v)
+
+        def recorded(v):
+            colored.add(v)
+            return coloring(v)
+
+        # refute decodes its witness nodes from the coloring's reach masks
+        recorded.reach = coloring.reach
+        return recorded
 
     monkeypatch.setattr(refuter, "algorithm_coloring", recording)
     for alg in builtin_algorithms():
