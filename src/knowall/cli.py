@@ -4,10 +4,16 @@ JSON goes to stdout (byte-identical across identical invocations),
 diagnostics to stderr.  Exit codes: 0 clean, 1 mathematical finding
 (witness produced or check failed), 2 operational error (bad usage,
 unreadable graph, cap exceeded, budget not below the bound).
+
+`main(argv)` returns the exit code instead of exiting (usage errors and
+`--help` still raise SystemExit), so it can be called repeatedly in one
+process.  Those calls share one parser, built on the first call and never
+at import; `build_parser()` returns a fresh one to any other caller.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -237,8 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one tree serves every call
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphFormatError, CapExceeded, NeverDominated, BudgetNotBelowBound,

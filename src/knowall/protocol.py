@@ -108,22 +108,26 @@ def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
                 heard={j: vals[j - 1] for j in senders})
 
 
+def _checked_output(alg: AlgorithmSpec, k: int, node: int, out) -> int:
+    """`out` if it is exactly an int in 0..k, as inputs are; AlgorithmRangeError if not."""
+    if type(out) is not int or not 0 <= out <= k:  # bool is an int subclass: refuse it too
+        raise AlgorithmRangeError(f"{alg.name} returned {out!r} at node {node}, outside 0..{k}")
+    return out
+
+
 def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
         budget: int) -> OutcomeReport:
     """Execute one configuration and score validity and k-agreement.
 
     Valid means every output equals some node's input; agreeing means at
     most k distinct outputs.  Raises AlgorithmRangeError if the
-    algorithm leaves {0..k} at any node.
+    algorithm returns anything but an int in 0..k at any node.
     """
     vals = validate_inputs(inputs, spec.n, k)
     outputs = []
     for node in range(1, spec.n + 1):
-        out = alg.decide(spec, k, view_of(spec, vals, node, budget))
-        if not isinstance(out, int) or not 0 <= out <= k:
-            raise AlgorithmRangeError(
-                f"{alg.name} returned {out!r} at node {node}, outside 0..{k}")
-        outputs.append(out)
+        outputs.append(_checked_output(
+            alg, k, node, alg.decide(spec, k, view_of(spec, vals, node, budget))))
     distinct = len(set(outputs))
     held = set(vals)
     return OutcomeReport(
@@ -168,10 +172,8 @@ class ViewTable:
     def decide(self, node: int, cfg: Sequence[int], memo: dict, key) -> int:
         """Decide `node`'s view of `cfg` and remember it in `memo` under `key`."""
         heard = {j: cfg[j - 1] for j in self._senders[node - 1]}
-        out = self.alg.decide(self.spec, self.k, View(node, self.budget, heard))
-        if not isinstance(out, int) or not 0 <= out <= self.k:
-            raise AlgorithmRangeError(
-                f"{self.alg.name} returned {out!r} at node {node}, outside 0..{self.k}")
+        out = _checked_output(self.alg, self.k, node,
+                              self.alg.decide(self.spec, self.k, View(node, self.budget, heard)))
         if len(memo) >= VIEW_MEMO_CAP:
             memo.clear()
         memo[key] = out

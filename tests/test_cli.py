@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +26,7 @@ from knowall import (
     save_graph_file,
 )
 from knowall import dyngraph, kuhn
-from knowall.cli import main
+from knowall.cli import build_parser, main
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -333,6 +339,64 @@ def test_repeated_invocations_are_byte_identical(capsys, c5_file):
     args = ("refute", "--graph", c5_file, "--k", "2",
             "--alg", "max_heard", "--budget", "1")
     assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+
+def test_calls_share_one_parser_and_leak_nothing(capsys, c5_file, monkeypatch):
+    bound = ("bound", "--graph", c5_file, "--k", "2")
+    expected = run_cli(capsys, *bound)  # builds the shared parser unless an earlier call did
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+
+    # a usage error leaves nothing behind for the next call
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--graph", c5_file, "--k", "0"])
+    assert exc.value.code == 2 and "usage:" in capsys.readouterr().err
+    assert run_cli(capsys, *bound) == expected
+
+    # nor does an option given once: --seed falls back to its default 0
+    check = ("check", "--graph", c5_file, "--k", "2", "--alg", "min_heard", "--budget", "1")
+    seeded = run_cli(capsys, *check, "--seed", "3")
+    assert run_cli(capsys, *check) == run_cli(capsys, *check, "--seed", "0") != seeded
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert built == []
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert "knowall" in built  # build_parser still builds a fresh tree
+
+
+def test_import_builds_no_parser_and_the_script_entry_runs(c5_file):
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    probe = textwrap.dedent("""
+        import argparse
+        built = []
+        init = argparse.ArgumentParser.__init__
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting_init
+        import knowall.cli
+        print(len(built))
+    """)
+    probed = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (probed.returncode, probed.stdout, probed.stderr) == (0, "0\n", "")
+
+    command = "knowall bound --graph c5.json --k 2"
+    readme = (root / "README.md").read_text().splitlines()
+    expected = readme[readme.index(f"$ {command}") + 1] + "\n"
+    ran = subprocess.run([sys.executable, "-S", "-m", "knowall.cli", *command.split()[1:]],
+                         cwd=Path(c5_file).parent, env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (ran.returncode, ran.stdout, ran.stderr) == (0, expected, "")
 
 
 def test_missing_graph_file(capsys):

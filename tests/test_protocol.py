@@ -19,11 +19,14 @@ from knowall import (
     builtin_algorithms,
     complete_graph,
     directed_cycle,
+    exhaustive_check,
     flood_dominator,
     flood_solve,
     format_inputs,
     parse_inputs,
+    refute,
     run,
+    sample_check,
     validate_inputs,
     view_of,
 )
@@ -132,6 +135,18 @@ def test_run_rejects_out_of_range(c5):
     returns_none = AlgorithmSpec("none", lambda s, k, v: None)
     with pytest.raises(AlgorithmRangeError):
         run(c5, 2, returns_none, (0,) * 5, 1)
+
+
+def test_bool_outputs_are_out_of_range(c5):
+    # True == 1 and False == 0, but an output, like an input, must be exactly an int
+    heard_one = AlgorithmSpec("heard_one", lambda s, k, v: v.heard[v.observer] == 1)
+    message = r"^heard_one returned (False|True) at node [1-5], outside 0\.\.2$"
+    for call in (lambda: run(c5, 2, heard_one, (0,) * 5, 1),
+                 lambda: exhaustive_check(c5, 2, heard_one, 1),
+                 lambda: sample_check(c5, 2, heard_one, 1, samples=10, seed=0),
+                 lambda: refute(c5, 2, heard_one, 1)):
+        with pytest.raises(AlgorithmRangeError, match=message):
+            call()
 
 
 def test_flood_solve_worked_example(c5):

@@ -1,4 +1,4 @@
-"""The README's CLI walkthrough, replayed: every output it prints must match."""
+"""The README's CLI walkthrough, replayed twice: every output it prints must match."""
 from __future__ import annotations
 
 import re
@@ -27,6 +27,8 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     examples = readme_examples(text)
     assert [cmd.split()[1] for cmd, _ in examples] == [
         "bound", "bound", "solve", "refute", "check", "check"]
-    for cmd, expected in examples:
+    # a second pass in reverse order, in the same process, reuses the parser
+    # of the first and must print the same bytes
+    for cmd, expected in examples + examples[::-1]:
         main(shlex.split(cmd)[1:])
         assert capsys.readouterr().out == expected + "\n", cmd
