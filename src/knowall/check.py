@@ -13,15 +13,12 @@ is built only for a failing configuration.
 """
 from __future__ import annotations
 
-import random
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
-from .dyngraph import DynamicGraphSpec
+from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec
 from .errors import CapExceeded
 from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
-
-EXHAUSTIVE_CONFIG_CAP = 10 ** 6
 
 Failures = tuple[tuple[InputConfig, OutcomeReport], ...]
 
@@ -133,6 +130,8 @@ def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
 def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
                  samples: int = 1000, seed: int = 0) -> ExhaustiveReport:
     """Seeded random configurations; same report shape as the exhaustive run."""
+    import random  # only the sampled mode draws, so only it loads the module
+
     rng = random.Random(seed)
     configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
                for _ in range(samples))

@@ -9,6 +9,11 @@ unreadable graph, cap exceeded, budget not below the bound).
 `--help` still raise SystemExit), so it can be called repeatedly in one
 process.  Those calls share one parser, built on the first call and never
 at import; `build_parser()` returns a fresh one to any other caller.
+
+Importing this module loads only the graph and error modules of the
+package, which `bound` and `closure` need.  Each other command imports
+the sweeps, the protocol, the triangulation or the refuter when it runs,
+so a process pays only for what its command uses.
 """
 from __future__ import annotations
 
@@ -18,9 +23,9 @@ import json
 import math
 import sys
 
-from .check import EXHAUSTIVE_CONFIG_CAP, exhaustive_check, sample_check
 from .dyngraph import (
-    _gamma, closure, load_graph_file, min_dominating_set, min_rounds, to_dot)
+    EXHAUSTIVE_CONFIG_CAP, _gamma, closure, load_graph_file, min_dominating_set, min_rounds,
+    to_dot)
 from .errors import (
     AlgorithmRangeError,
     BudgetNotBelowBound,
@@ -29,11 +34,6 @@ from .errors import (
     KnowAllError,
     NeverDominated,
 )
-from .kuhn import (
-    _config, _reach_below_bound, _unheard_node, algorithm_coloring, primitive_simplices,
-    vertices)
-from .protocol import algorithm_by_name, flood_solve, format_inputs, parse_inputs
-from .refuter import refute
 
 TRIANGULATION_CAP = 10 ** 6
 SAMPLE_COUNT = 1000
@@ -77,6 +77,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .protocol import flood_solve, format_inputs, parse_inputs
+
     spec = load_graph_file(args.graph)
     inputs = parse_inputs(args.inputs, spec.n, args.k)
     report = flood_solve(spec, args.k, inputs)
@@ -92,6 +94,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_refute(args: argparse.Namespace) -> int:
+    from .protocol import algorithm_by_name
+    from .refuter import refute
+
     spec = load_graph_file(args.graph)
     alg = algorithm_by_name(args.alg)
     witness = refute(spec, args.k, alg, args.budget)
@@ -110,6 +115,11 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_triangulate(args: argparse.Namespace) -> int:
+    from .kuhn import (
+        _config, _reach_below_bound, _unheard_node, algorithm_coloring, primitive_simplices,
+        vertices)
+    from .protocol import algorithm_by_name, format_inputs
+
     n, k = args.n, args.k
     if math.comb(n + k, k) > TRIANGULATION_CAP or n ** k > TRIANGULATION_CAP:
         raise CapExceeded(
@@ -160,6 +170,9 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .check import exhaustive_check, sample_check
+    from .protocol import algorithm_by_name, format_inputs
+
     spec = load_graph_file(args.graph)
     alg = algorithm_by_name(args.alg)
     if args.exhaustive:

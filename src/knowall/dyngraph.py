@@ -15,15 +15,17 @@ whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
 
 Every answer is derived from two sets of masks of H_r.  Its reach masks
-are its cover masks: entry u is the bitmask of nodes u's token can occupy
-after rounds 1..r.  Its in-masks are its dominator masks: entry v is the
-bitmask of nodes v has heard from, the nodes that dominate v.  The
-in-masks grow round by round with one OR per arc of G_t, and the reach
-masks take the bits the in-masks gained, so each closure arc is set
-once and no mask set is ever transposed.  Each spec keeps them, and the domination numbers, dominating sets
-and bounds derived from them, in a private memo that is freed with the
-spec.  Building a spec builds no n-bit mask, and every exact search
-checks EXACT_SEARCH_CAP before it grows any.  Closures only grow, so the
+are its cover masks: entry u is the bitmask of nodes u's token can
+occupy after rounds 1..r.  Its in-masks are its dominator masks: entry v
+is the bitmask of nodes v has heard from, the nodes that dominate v.
+The in-masks grow round by round with one OR per arc of G_t, and the
+reach masks take the bits the in-masks gained, so each closure arc is
+set once and no mask set is ever transposed.  Each spec keeps them, and
+the domination numbers, dominating sets and bounds derived from them, in
+a private memo that is freed with the spec; the memo stores no round
+after the closures are fixed, so any r costs the same once they are.
+Building a spec builds no n-bit mask, and every exact search checks
+EXACT_SEARCH_CAP before it grows any.  Closures only grow, so the
 domination number never increases with r: each round whose closure
 changed searches down from the round before (or the greedy size, if
 smaller) with k-slot cover decisions, and only the round a caller asks
@@ -36,7 +38,6 @@ disjoint dominators than slots remain.  Whether a budget is refutable
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated
@@ -44,6 +45,9 @@ from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NeverDominate
 Arc = tuple[int, int]
 
 EXACT_SEARCH_CAP = 32
+# configurations an exhaustive check may sweep; kept here so that the CLI
+# can print it without importing the sweeps
+EXHAUSTIVE_CONFIG_CAP = 10 ** 6
 
 
 class Extension(str, Enum):
@@ -61,20 +65,21 @@ class Extension(str, Enum):
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("graphs", "reach", "into", "gammas", "dominating", "bounds")
+    __slots__ = ("graphs", "reach", "into", "quiet", "gammas", "dominating", "bounds")
 
     def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
-        # reach masks and in-masks of H_0, H_1, ..., from the first closure asked for
+        # reach masks and in-masks of H_0, H_1, ..., from the first closure
+        # asked for until the closures are fixed (see _grow)
         self.reach: list[tuple[int, ...]] = []
         self.into: list[tuple[int, ...]] = []
+        self.quiet = 0  # trailing stored rounds that added nothing
         self.gammas = [n]  # domination number of H_0, H_1, ...
         # r -> sorted members of the lex-smallest minimum dominating set of H_r
         self.dominating: dict[int, tuple[int, ...]] = {}
         self.bounds: dict[int, int] = {}  # k -> min_rounds(spec, k)
 
 
-@dataclass(frozen=True)
 class DynamicGraphSpec:
     """Known communication sequence: a finite prefix plus an extension rule.
 
@@ -82,36 +87,67 @@ class DynamicGraphSpec:
     here; staying put is always possible and is modelled by the closure.
     n and every arc endpoint must be exactly int, never truncated; values
     are checked in the order given, all types before any range.
-    The derived data lives in `_memo`, which is not a field: equality,
-    hashing and repr see only n, rounds and extension.
+    A spec is immutable: assigning or deleting an attribute raises
+    AttributeError.  The derived data lives in `_memo`, which equality,
+    hashing, repr, pickling and copying leave out: they see only n,
+    rounds and extension.
     """
+
+    __slots__ = ("n", "rounds", "extension", "_memo", "__weakref__")
 
     n: int
     rounds: tuple[frozenset[Arc], ...]
-    extension: Extension = Extension.REPEAT_LAST
+    extension: Extension
 
-    def __post_init__(self) -> None:
-        rounds = tuple([(u, v) for u, v in rnd] for rnd in self.rounds)
-        for x in (self.n, *(x for rnd in rounds for arc in rnd for x in arc)):
+    def __init__(self, n: int, rounds, extension: Extension = Extension.REPEAT_LAST) -> None:
+        rounds = tuple([(u, v) for u, v in rnd] for rnd in rounds)
+        for x in (n, *(x for rnd in rounds for arc in rnd for x in arc)):
             if type(x) is not int:  # bool is a subclass of int, so test the exact type
                 raise ValueError(f"n and arc endpoints must be integers, got {x!r}")
-        if self.n < 2:
-            raise ValueError(f"need at least two nodes, got n={self.n}")
+        if n < 2:
+            raise ValueError(f"need at least two nodes, got n={n}")
         if not rounds:
             raise ValueError("need at least one round graph")
         graphs = []
         for t, rnd in enumerate(rounds, start=1):
             senders: dict[int, list[int]] = {}
             for u, v in rnd:
-                if not (1 <= u <= self.n and 1 <= v <= self.n):
-                    raise ValueError(f"round {t}: arc ({u}, {v}) outside 1..{self.n}")
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise ValueError(f"round {t}: arc ({u}, {v}) outside 1..{n}")
                 if u == v:
                     raise ValueError(f"round {t}: self-loop ({u}, {v}) not allowed")
                 senders.setdefault(v - 1, []).append(u - 1)
             graphs.append(tuple(senders.items()))
-        object.__setattr__(self, "rounds", tuple(frozenset(rnd) for rnd in rounds))
-        object.__setattr__(self, "extension", Extension(self.extension))
-        object.__setattr__(self, "_memo", _Memo(self.n, tuple(graphs)))
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "rounds", tuple(frozenset(rnd) for rnd in rounds))
+        init(self, "extension", Extension(extension))
+        init(self, "_memo", _Memo(n, tuple(graphs)))
+
+    def _key(self) -> tuple:
+        return self.n, self.rounds, self.extension
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(n={self.n!r}, rounds={self.rounds!r}, "
+                f"extension={self.extension!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, so a copy starts with an empty memo
+        return self.__class__, self._key()
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +170,8 @@ def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
     return spec.rounds[_round_index(spec, t)]
 
 
-def _grow(spec: DynamicGraphSpec, r: int) -> _Memo:
-    """The spec's memo, with the reach masks and in-masks grown through H_r.
+def _grow(spec: DynamicGraphSpec, r: int) -> int:
+    """The stored round whose masks are H_r's, once the memo's masks reach it.
 
     H_t is H_{t-1} followed by one round of G_t, so v hears what it heard
     in H_{t-1} and what its in-neighbours in G_t heard: one OR per arc.
@@ -143,6 +179,13 @@ def _grow(spec: DynamicGraphSpec, r: int) -> _Memo:
     reaches v, so each closure arc is added to the reach masks once, and
     the reach masks are never transposed.  A round that adds nothing
     shares the masks of the round before.
+
+    Any m = len(spec.rounds) consecutive rounds use every round graph that
+    occurs later, and H_t depends only on H_{t-1} and G_t.  So once m
+    consecutive rounds add nothing, the closures are fixed for good: no
+    round is stored after them, and every later H_r is the last stored
+    one.  Each window that adds something adds an arc, so at most about
+    n^2 * m rounds are ever stored, whatever r is asked for.
     """
     if r < 0:
         raise ValueError(f"closure needs r >= 0, got {r}")
@@ -151,7 +194,8 @@ def _grow(spec: DynamicGraphSpec, r: int) -> _Memo:
     if not reach:
         reach.append(tuple(1 << i for i in range(spec.n)))
         into.append(reach[0])
-    while len(reach) <= r:
+    period = len(spec.rounds)
+    while len(reach) <= r and memo.quiet < period:
         heard = into[-1]
         into_t = reach_t = None
         for v, senders in memo.graphs[_round_index(spec, len(reach))]:
@@ -171,20 +215,23 @@ def _grow(spec: DynamicGraphSpec, r: int) -> _Memo:
         if into_t is None:
             reach.append(reach[-1])
             into.append(heard)
+            memo.quiet += 1
         else:
             reach.append(tuple(reach_t))
             into.append(tuple(into_t))
-    return memo
+            memo.quiet = 0
+    last = len(reach) - 1
+    return r if r < last else last
 
 
 def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """Reach masks of H_r: bit v of entry u is set when u's token can occupy v."""
-    return _grow(spec, r).reach[r]
+    return spec._memo.reach[_grow(spec, r)]
 
 
 def _in_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """In-masks of H_r: bit u of entry v is set when v hears u, i.e. u dominates v."""
-    return _grow(spec, r).into[r]
+    return spec._memo.into[_grow(spec, r)]
 
 
 def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
@@ -207,15 +254,21 @@ def to_dot(arcs: frozenset[Arc]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _search_masks(spec: DynamicGraphSpec, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cover and dominator masks of H_r: its reach masks and its in-masks."""
+def _search_round(spec: DynamicGraphSpec, r: int) -> int:
+    """The stored round whose masks are H_r's, grown for an exact search."""
     # every exact search starts here, so this is where the cap is enforced,
     # before any mask is grown
     if spec.n > EXACT_SEARCH_CAP:
         raise CapExceeded(
             f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {spec.n}")
-    memo = _grow(spec, r)
-    return memo.reach[r], memo.into[r]
+    return _grow(spec, r)
+
+
+def _search_masks(spec: DynamicGraphSpec, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Cover and dominator masks of H_r: its reach masks and its in-masks."""
+    t = _search_round(spec, r)
+    memo = spec._memo
+    return memo.reach[t], memo.into[t]
 
 
 def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
@@ -298,14 +351,14 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     Closures only grow, so gamma never increases with r: a changed round
     searches down from the round before, an unchanged one copies it.
     """
-    _search_masks(spec, r)  # checks the cap, rejects r < 0, grows the closures through H_r
+    last = _search_round(spec, r)  # checks the cap, rejects r < 0, grows the closures
     memo = spec._memo
-    while (t := len(memo.gammas)) <= r:
+    while (t := len(memo.gammas)) <= last:
         g = memo.gammas[-1]
         if memo.reach[t] != memo.reach[t - 1]:
             g = _domination_number(memo.reach[t], memo.into[t], g)
         memo.gammas.append(g)
-    return memo.gammas[r]
+    return memo.gammas[last]
 
 
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
@@ -348,28 +401,25 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
     r is 0 exactly when n <= k.  Gamma never increases with r, so a budget
     b is below this bound exactly when no k nodes dominate H_b.
 
-    Closures only grow, and any m = len(spec.rounds) consecutive rounds use
-    every round graph that occurs later.  So once m consecutive rounds
-    change no reach mask, H_r is fixed for good: NeverDominated if it needs
-    more than k dominators.  Each window that changes something adds an
-    arc, so the search ends within about n^2 * m rounds.
+    Closures only grow, and once m = len(spec.rounds) consecutive rounds
+    change no reach mask, H_r is fixed for good (see _grow):
+    NeverDominated if it needs more than k dominators.  So the search ends
+    within about n^2 * m rounds.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    memo = spec._memo
-    bound = memo.bounds.get(k)
+    bounds = spec._memo.bounds
+    bound = bounds.get(k)
     if bound is not None:
         return bound
-    m = len(spec.rounds)
-    r = quiet = 0
+    r = 0
     while (g := _gamma(spec, r)) > k:
-        r += 1
-        quiet = quiet + 1 if _reach_masks(spec, r) == memo.reach[r - 1] else 0
-        if quiet == m:
+        if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
             raise NeverDominated(
-                f"no round suffices: H_r is fixed from round {r - m} on and its "
-                f"domination number is {g} > k = {k}")
-    memo.bounds[k] = r
+                f"no round suffices: H_r is fixed from round {r - len(spec.rounds)} on "
+                f"and its domination number is {g} > k = {k}")
+        r += 1
+    bounds[k] = r
     return r
 
 

@@ -28,9 +28,9 @@ oracle.check_sperner.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Iterator
 
 from .dyngraph import DynamicGraphSpec, _exists_cover, _search_masks, min_rounds
 from .errors import BudgetNotBelowBound, LemmaFalsified, NoPanchromaticCell

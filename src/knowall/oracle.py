@@ -7,9 +7,9 @@ them, to cross-examine the fast paths.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable
 
 from .dyngraph import Arc
 from .errors import CapExceeded

@@ -16,9 +16,9 @@ output afterwards.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
 
 from .dyngraph import DynamicGraphSpec, _in_masks, min_dominating_set, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified

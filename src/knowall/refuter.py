@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .dyngraph import DynamicGraphSpec
 from .errors import LemmaFalsified
@@ -35,7 +34,7 @@ class Witness:
     budget: int
     nodes: tuple[int, ...]
     outputs: tuple[int, ...]
-    simplex: Optional[PrimitiveSimplex]
+    simplex: PrimitiveSimplex | None
     verified: bool
 
     def to_dict(self) -> dict:

@@ -399,6 +399,48 @@ def test_import_builds_no_parser_and_the_script_entry_runs(c5_file):
     assert (ran.returncode, ran.stdout, ran.stderr) == (0, expected, "")
 
 
+def test_each_command_imports_only_what_it_runs(c5_file):
+    # a cold process: importing the CLI loads four package modules and none
+    # of the heavier standard modules; bound loads nothing more, and check
+    # and refute load their own modules when they run
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    readme = (root / "README.md").read_text().splitlines()
+    commands = [
+        "knowall bound --graph c5.json --k 2",
+        "knowall check --graph c5.json --k 2 --alg min_heard --budget 1 --exhaustive",
+        "knowall refute --graph c5.json --k 2 --alg flood_dominator --budget 1",
+    ]
+    probe = textwrap.dedent("""
+        import json
+        import sys
+
+        def loaded():
+            watched = ("knowall", "dataclasses", "inspect", "typing", "random")
+            return sorted(m for m in sys.modules if m.partition(".")[0] in watched)
+
+        seen = [loaded()]
+        import knowall.cli
+        seen.append(loaded())
+        for argv in json.loads(sys.argv[1]):
+            seen.append([knowall.cli.main(argv), loaded()])
+        print(json.dumps(seen), file=sys.stderr)
+    """)
+    ran = subprocess.run(
+        [sys.executable, "-S", "-c", probe, json.dumps([c.split()[1:] for c in commands])],
+        cwd=Path(c5_file).parent, env=env, capture_output=True, text=True, timeout=60)
+    assert ran.returncode == 0, ran.stderr
+    assert ran.stdout == "".join(readme[readme.index(f"$ {c}") + 1] + "\n" for c in commands)
+    cli = ["knowall", "knowall.cli", "knowall.dyngraph", "knowall.errors"]
+    before, imported, bound, check, refuted = json.loads(ran.stderr)
+    assert before == [] and imported == cli and bound == [0, cli]
+    assert check[0] == 1 and "random" not in check[1]
+    assert [m for m in check[1] if m.startswith("knowall")] == sorted(
+        [*cli, "knowall.check", "knowall.protocol"])
+    assert refuted[0] == 1 and [m for m in refuted[1] if m.startswith("knowall")] == sorted(
+        [*cli, "knowall.check", "knowall.kuhn", "knowall.protocol", "knowall.refuter"])
+
+
 def test_missing_graph_file(capsys):
     code, _, err = run_cli(capsys, "bound", "--graph", "/no/such/file.json",
                            "--k", "1")

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
-import dataclasses
+import copy
+import inspect
 import json
+import pickle
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -411,8 +414,49 @@ def test_memo_is_not_part_of_the_spec(relay):
     twin = staggered_relay()
     assert min_rounds(relay, 1) == 5 and len(closure(relay, 7)) == 10
     assert relay == twin and hash(relay) == hash(twin) and repr(relay) == repr(twin)
-    assert [f.name for f in dataclasses.fields(relay)] == ["n", "rounds", "extension"]
     assert "_memo" not in repr(relay)
+    # the constructor takes exactly (n, rounds, extension=REPEAT_LAST)
+    params = inspect.signature(DynamicGraphSpec).parameters
+    assert [(p.name, p.kind, p.default) for p in params.values()] == [
+        ("n", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("rounds", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+        ("extension", inspect.Parameter.POSITIONAL_OR_KEYWORD, Extension.REPEAT_LAST)]
+    assert DynamicGraphSpec(relay.n, relay.rounds, relay.extension) == relay
+    assert DynamicGraphSpec(extension=relay.extension, rounds=relay.rounds, n=relay.n) == relay
+    # no attribute can be assigned or deleted, a field or not
+    for name in ("n", "rounds", "extension", "_memo", "other"):
+        with pytest.raises(AttributeError):
+            setattr(relay, name, None)
+        with pytest.raises(AttributeError):
+            delattr(relay, name)
+    assert relay == twin and relay.n == 4
+    # copies are equal specs with memos of their own
+    for made in (pickle.loads(pickle.dumps(relay)), copy.copy(relay), copy.deepcopy(relay)):
+        assert type(made) is DynamicGraphSpec and made == relay and hash(made) == hash(relay)
+        assert made._memo is not relay._memo and made._memo.reach == []
+        assert min_rounds(made, 1) == 5
+    assert weakref.ref(relay)() is relay
+
+
+def test_closures_stop_growing_once_they_are_fixed():
+    # H_4 of the 5-cycle is complete, so H_5 is the first of m = 1 rounds
+    # that add nothing and no round is stored after it
+    spec = directed_cycle(5)
+    arcs = closure(spec, 10 ** 6)
+    assert arcs == closure(spec, 25) == closure(directed_cycle(5), 25)
+    assert len(arcs) == 25
+    memo = spec._memo
+    assert len(memo.reach) == len(memo.into) == 6
+    assert _in_masks(spec, 10 ** 9) == _in_masks(spec, 4)
+    assert _gamma(spec, 10 ** 9) == 1 and len(memo.gammas) == 6
+    assert min_dominating_set(spec, 10 ** 9) == (1,) and len(memo.reach) == 6
+    # a sequence that is never dominated stores at most about n^2 * m rounds
+    relay = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset(), frozenset({(3, 4)})),
+                             Extension.CYCLE)
+    assert len(closure(relay, 10 ** 6)) == 6
+    assert len(relay._memo.reach) <= 4 * 4 * 3 + 3 + 1
+    with pytest.raises(NeverDominated, match="fixed from round 3 on"):
+        min_rounds(relay, 1)
 
 
 def test_spec_accepts_plain_containers():

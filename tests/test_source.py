@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import knowall
 
@@ -83,4 +86,45 @@ def test_package_neither_imports_nor_exports_the_oracle():
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined |= {t.id for t in targets if isinstance(t, ast.Name)}
     assert defined
-    assert sorted(defined & set(vars(knowall))) == []
+    # dir(), not vars(): the package binds a name only once it is first used
+    assert sorted(defined & set(dir(knowall))) == []
+
+
+# every public name of the package and the module that defines it
+PUBLIC = {
+    "check": ["ExhaustiveReport", "exhaustive_check", "sample_check"],
+    "dyngraph": ["EXACT_SEARCH_CAP", "EXHAUSTIVE_CONFIG_CAP", "Arc", "DynamicGraphSpec",
+                 "Extension", "closure", "graph_at", "load_graph_file", "min_dominating_set",
+                 "min_rounds", "save_graph_file", "spec_from_dict", "spec_to_dict", "to_dot"],
+    "errors": ["AlgorithmRangeError", "BudgetNotBelowBound", "CapExceeded", "GraphFormatError",
+               "KnowAllError", "LemmaFalsified", "NeverDominated", "NoPanchromaticCell"],
+    "families": ["complete_graph", "directed_cycle", "directed_path", "staggered_relay"],
+    "kuhn": ["Carrier", "PrimitiveSimplex", "Vertex", "algorithm_coloring", "assign_node",
+             "carrier", "color", "find_panchromatic", "inp", "is_vertex",
+             "primitive_simplices", "vertices"],
+    "protocol": ["MAJORITY_HEARD", "MAX_HEARD", "MIN_HEARD", "AlgorithmSpec", "InputConfig",
+                 "OutcomeReport", "View", "ViewTable", "algorithm_by_name",
+                 "builtin_algorithms", "flood_dominator", "flood_solve", "format_inputs",
+                 "parse_inputs", "run", "validate_inputs", "view_of"],
+    "refuter": ["Witness", "WitnessKind", "refute"],
+}
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    names = [name for names in PUBLIC.values() for name in names]
+    assert len(names) == len(set(names)) == 61
+    assert sorted(knowall.__all__) == sorted(names)
+    assert set(names) <= set(dir(knowall))
+    defined = {name: getattr(importlib.import_module(f"knowall.{home}"), name)
+               for home, homed in PUBLIC.items() for name in homed}
+    for name, obj in defined.items():
+        # the first use resolves and keeps the name, later ones read it
+        assert getattr(knowall, name) is obj and getattr(knowall, name) is obj, name
+    star: dict = {}
+    exec("from knowall import *", star)
+    del star["__builtins__"]
+    assert star.keys() == defined.keys()
+    assert all(star[name] is obj for name, obj in defined.items())
+    with pytest.raises(AttributeError, match="no_such_name"):
+        knowall.no_such_name  # noqa: B018
+    assert not hasattr(knowall, "brute_domination")
