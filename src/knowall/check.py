@@ -1,15 +1,17 @@
 """The exhaustive and sampled configuration sweeps behind `check`.
 
-Both read outputs through one ViewTable, so `decide` runs once per
-distinct view, and both score a failing configuration with `_score`, as
-`run` would.  The sampled sweep reads all n outputs of each
-configuration.  The exhaustive sweep walks the (k+1)^n configurations
-depth first over the input digits, in `product` order: a node's output
-is fixed once the digit of the highest node it hears is set, so setting
-a digit re-reads only the nodes due there.  Each depth carries the
-bitmasks of the outputs read and the inputs set above it, which decide
-validity and k-agreement at a leaf without building any set; a report
-is built only for a failing configuration.
+Both find the failing configurations, in sweep order: those where some
+output is a value no node holds, or where more than k distinct values are
+output.  They read outputs through one ViewTable, so `decide` runs once
+per distinct view, and report configurations only; `run` gives the
+outcome of any of them, and `check` re-simulates the first failure
+through it.  The sampled sweep reads all n outputs of each configuration.
+The exhaustive sweep walks the (k+1)^n configurations depth first over
+the input digits, in `product` order: a node's output is fixed once the
+digit of the highest node it hears is set, so setting a digit re-reads
+only the nodes due there.  Each depth carries the bitmasks of the outputs
+read and the inputs set above it, which decide validity and k-agreement
+at a leaf without building any set.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec
 from .errors import CapExceeded
-from .protocol import AlgorithmSpec, InputConfig, OutcomeReport, ViewTable
+from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
-Failures = tuple[tuple[InputConfig, OutcomeReport], ...]
+Failures = tuple[InputConfig, ...]
 
 
 @dataclass(frozen=True)
@@ -33,21 +35,14 @@ class ExhaustiveReport:
         return not self.failures
 
 
-def _score(cfg: InputConfig, outputs: tuple[int, ...], k: int) -> OutcomeReport:
-    """Validity and k-agreement of one configuration's outputs, as `run` scores them."""
-    decided = set(outputs)
-    distinct = len(decided)
-    return OutcomeReport(outputs, decided.issubset(cfg), distinct <= k, distinct)
-
-
 def _sweep(table: ViewTable, configs: Iterable[InputConfig]) -> Failures:
-    """Score each configuration as `run` would; keep the failing ones in order."""
+    """The configurations whose outputs are not valid and k-agreeing, in order."""
     k = table.k
     failures = []
     for cfg in configs:
-        report = _score(cfg, table.outputs(cfg), k)
-        if not (report.valid and report.agreeing):
-            failures.append((cfg, report))
+        decided = set(table.outputs(cfg))
+        if len(decided) > k or not decided.issubset(cfg):
+            failures.append(cfg)
     return tuple(failures)
 
 
@@ -64,13 +59,11 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     """
     k = table.k
     decide = table.decide
-    due = [[(node - 1, key_of, memo, node) for node, key_of, memo in nodes]
-           for nodes in table.due_nodes()]
+    due = table.due_nodes()
     last = n - 1
     leaf = due[last]
     value_bits = [(value, 1 << value) for value in range(k + 1)]
     cfg = [0] * n
-    outs = [0] * n
     out_mask = [0] * n
     held = [0] * n
     failures = []
@@ -79,12 +72,11 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
         while True:
             while p < last:
                 mask = out_mask[p]
-                for slot, key_of, memo, node in due[p]:
+                for node, key_of, memo in due[p]:
                     key = key_of(cfg)
                     out = memo.get(key)
                     if out is None:
                         out = decide(node, cfg, memo, key)
-                    outs[slot] = out
                     mask |= 1 << out
                 out_mask[p + 1] = mask
                 held[p + 1] = held[p] | 1 << cfg[p]
@@ -94,16 +86,14 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
             for value, bit in value_bits:
                 cfg[last] = value
                 mask = above
-                for slot, key_of, memo, node in leaf:
+                for node, key_of, memo in leaf:
                     key = key_of(cfg)
                     out = memo.get(key)
                     if out is None:
                         out = decide(node, cfg, memo, key)
-                    outs[slot] = out
                     mask |= 1 << out
                 if mask & ~(held_above | bit) or mask.bit_count() > k:
-                    failed = tuple(cfg)
-                    failures.append((failed, _score(failed, tuple(outs), k)))
+                    failures.append(tuple(cfg))
             p = last - 1
             while p >= 0 and cfg[p] == k:
                 p -= 1
@@ -118,7 +108,7 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
 
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                      budget: int, cap: int = EXHAUSTIVE_CONFIG_CAP) -> ExhaustiveReport:
-    """Run every input configuration and collect validity/agreement failures."""
+    """Run every input configuration and list those failing validity or agreement."""
     total = (k + 1) ** spec.n
     if total > cap:
         raise CapExceeded(
@@ -132,6 +122,8 @@ def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int
     """Seeded random configurations; same report shape as the exhaustive run."""
     import random  # only the sampled mode draws, so only it loads the module
 
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
                for _ in range(samples))

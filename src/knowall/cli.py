@@ -32,6 +32,7 @@ from .errors import (
     CapExceeded,
     GraphFormatError,
     KnowAllError,
+    LemmaFalsified,
     NeverDominated,
 )
 
@@ -171,7 +172,7 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from .check import exhaustive_check, sample_check
-    from .protocol import algorithm_by_name, format_inputs
+    from .protocol import algorithm_by_name, format_inputs, run
 
     spec = load_graph_file(args.graph)
     alg = algorithm_by_name(args.alg)
@@ -184,7 +185,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         mode = "sampled"
     first = None
     if report.failures:
-        cfg, outcome = report.failures[0]
+        # the sweeps list configurations; `run` alone scores the one printed
+        cfg = report.failures[0]
+        outcome = run(spec, args.k, alg, cfg, args.budget)
+        if outcome.valid and outcome.agreeing:
+            raise LemmaFalsified(
+                f"the sweep failed {format_inputs(cfg)}, but run scored its outputs "
+                f"{outcome.outputs} valid and agreeing")
         first = {"config": format_inputs(cfg),
                  "outputs": list(outcome.outputs),
                  "valid": outcome.valid,

@@ -467,7 +467,7 @@ def load_graph_file(path: str) -> DynamicGraphSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
     return spec_from_dict(obj)
 

@@ -26,7 +26,7 @@ class BudgetNotBelowBound(KnowAllError):
 
 
 class LemmaFalsified(KnowAllError):
-    """Re-simulation contradicted the panchromatic cell; signals an internal bug."""
+    """Re-simulation contradicted a witness or a sweep; signals an internal bug."""
 
 
 class NoPanchromaticCell(KnowAllError):

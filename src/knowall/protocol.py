@@ -32,6 +32,8 @@ VIEW_MEMO_CAP = 4096
 
 def validate_inputs(values, n: int, k: int) -> InputConfig:
     """The n inputs as a tuple, each exactly an int in 0..k: never truncated or parsed."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
     vals = tuple(values)
     if len(vals) != n:
         raise ValueError(f"expected {n} inputs, got {len(vals)}")
@@ -151,6 +153,8 @@ class ViewTable:
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                  budget: int) -> None:
+        if k < 1:
+            raise ValueError(f"k must be positive, got {k}")
         self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
         self._senders = [_senders_of(heard) for heard in _in_masks(spec, budget)]
         # (node, heard-digit key of a configuration, memo) per node

@@ -4,9 +4,11 @@ refute() takes any candidate algorithm claimed to work in fewer rounds
 than the tight bound and produces a concrete, re-simulated
 counterexample: either a configuration where some node outputs a value
 nobody holds, or one where k+1 nodes output k+1 distinct values,
-whichever kuhn.find_panchromatic meets first.  Verification deliberately
-goes back through the protocol module only, so a bug in the
-triangulation machinery cannot vouch for itself.
+whichever kuhn.find_panchromatic meets first.  Both kinds are verified
+the same way, by one `protocol.run` of the witness configuration: the
+outputs at the decoded nodes must be the colors the triangulation gave
+them.  Verification deliberately goes back through the protocol module
+only, so a bug in the triangulation machinery cannot vouch for itself.
 """
 from __future__ import annotations
 
@@ -63,55 +65,38 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     witness, a panchromatic cell an agreement witness, so validity broken
     only past the first cell's base is refuted by that cell.  Witness
     nodes are decoded from the coloring's own reach masks of H_budget, so
-    refutability is decided once.
-    LemmaFalsified is a tripwire: it fires only if direct re-simulation
-    disagrees with the combinatorial argument, which means a bug in this
-    package, not in the algorithm under test.
+    refutability is decided once.  Both kinds are one run of the first
+    corner's configuration, which must give each corner's color at its
+    node.  LemmaFalsified is a tripwire: it fires only if direct
+    re-simulation disagrees with the combinatorial argument, which means a
+    bug in this package, not in the algorithm under test.
     """
     n = spec.n
     coloring = algorithm_coloring(spec, k, budget, alg)
     found = find_panchromatic(n, k, coloring)
-    reach = coloring.reach
-
-    if not isinstance(found, PrimitiveSimplex):
-        v, col = found
-        config = inp(v, n)
-        node = _unheard_node(reach, v)
-        report = run(spec, k, alg, config, budget)
-        if report.outputs[node - 1] != col or col in set(config) or report.valid:
-            raise LemmaFalsified(
-                f"validity witness at vertex {v} did not re-simulate: "
-                f"color {col}, node {node}, outputs {report.outputs}")
-        return Witness(
-            kind=WitnessKind.VALIDITY_VIOLATION,
-            config=config,
-            budget=budget,
-            nodes=(node,),
-            outputs=(col,),
-            simplex=None,
-            verified=True,
-        )
-
-    simplex = found
-    corners = simplex.vertices()
+    simplex = found if isinstance(found, PrimitiveSimplex) else None
+    corners = (found[0],) if simplex is None else simplex.vertices()
     config = inp(corners[0], n)
-    nodes = tuple(_unheard_node(reach, v) for v in corners)
+    nodes = tuple(_unheard_node(coloring.reach, v) for v in corners)
+    colors = tuple(coloring(v) for v in corners)
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
-    if len(set(outputs)) != k + 1:
-        raise LemmaFalsified(
-            f"panchromatic cell {simplex} decoded to outputs {outputs} "
-            f"in configuration {format_inputs(config)}; expected k+1 distinct")
-    if report.agreeing:
-        raise LemmaFalsified(
-            f"re-simulation of {format_inputs(config)} reported agreement "
-            f"although nodes {nodes} output {outputs}")
-    return Witness(
-        kind=WitnessKind.AGREEMENT_VIOLATION,
-        config=config,
-        budget=budget,
-        nodes=nodes,
-        outputs=outputs,
-        simplex=simplex,
-        verified=True,
-    )
+    shown = format_inputs(config)
+    if outputs != colors:
+        raise LemmaFalsified(f"witness corners {corners} colored {colors} re-simulated to "
+                             f"outputs {outputs} at nodes {nodes} in configuration {shown}")
+    if simplex is None:
+        kind = WitnessKind.VALIDITY_VIOLATION
+        if outputs[0] in config or report.valid:
+            raise LemmaFalsified(f"validity witness at vertex {corners[0]} did not "
+                                 f"re-simulate: node {nodes[0]} output {outputs[0]} on {shown}")
+    else:
+        kind = WitnessKind.AGREEMENT_VIOLATION
+        if len(set(outputs)) != k + 1:
+            raise LemmaFalsified(f"panchromatic cell {simplex} decoded to outputs {outputs} "
+                                 f"in configuration {shown}; expected k+1 distinct")
+        if report.agreeing:
+            raise LemmaFalsified(f"re-simulation of {shown} reported agreement "
+                                 f"although nodes {nodes} output {outputs}")
+    return Witness(kind=kind, config=config, budget=budget, nodes=nodes,
+                   outputs=outputs, simplex=simplex, verified=True)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,7 @@ from knowall import (
     run,
     save_graph_file,
 )
-from knowall import dyngraph, kuhn
+from knowall import dyngraph, kuhn, protocol
 from knowall.cli import build_parser, main
 
 
@@ -316,6 +317,22 @@ def test_check_exhaustive_fail(capsys, c5_file):
                                         "valid": True, "agreeing": False}
 
 
+def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, monkeypatch):
+    # the first failure is re-simulated through protocol.run; a sweep that
+    # fails a configuration run scores as a pass is a bug in the package
+    real_run = protocol.run
+
+    def passing_run(*args):
+        return dataclasses.replace(real_run(*args), valid=True, agreeing=True)
+
+    monkeypatch.setattr(protocol, "run", passing_run)
+    for mode in ((), ("--exhaustive",)):
+        code, out, err = run_cli(capsys, "check", "--graph", c5_file, "--k", "2",
+                                 "--alg", "min_heard", "--budget", "1", *mode)
+        assert (code, out) == (2, "")
+        assert err.startswith("internal error: LemmaFalsified: the sweep failed ")
+
+
 def test_check_sampled_is_seed_deterministic(capsys, c5_file):
     args = ("check", "--graph", c5_file, "--k", "2",
             "--alg", "min_heard", "--budget", "1", "--seed", "3")
@@ -456,6 +473,14 @@ def test_malformed_graph_file(capsys, tmp_path):
     path.write_text('{"n": 5.9, "rounds": [[[1, 2.7]]]}')
     code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
     assert (code, out) == (2, "") and err.startswith("error: n and arc endpoints must be integers")
+    # nesting deeper than the parser's recursion limit, and bytes that are
+    # not UTF-8, are format errors naming the file, not tracebacks
+    path.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: maximum recursion depth")
+    path.write_bytes(b'{"n": 3, "rounds": [[[1, 2]]], "extension": "\xff"}')
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: 'utf-8' codec")
 
 
 def test_usage_errors_exit_2(capsys):

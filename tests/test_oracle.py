@@ -14,6 +14,7 @@ from knowall import (
     ExhaustiveReport,
     Extension,
     KnowAllError,
+    ViewTable,
     carrier,
     closure,
     complete_graph,
@@ -38,17 +39,17 @@ def test_exhaustive_check_counts(c5):
     report = exhaustive_check(c5, 2, flood_dominator(2), 2)
     assert report.total_configs == 243 and report.passed
 
+    # failures are configurations in sweep order, the ones run scores as failing
+    configs = list(product(range(3), repeat=5))
     report = exhaustive_check(c5, 2, MIN_HEARD, 1)
-    assert report.total_configs == 243
-    assert len(report.failures) == 45
-    cfg, outcome = report.failures[0]
-    assert not (outcome.valid and outcome.agreeing)
+    assert report.total_configs == 243 and len(report.failures) == 45
+    assert report.failures == _naive_sweep(c5, 2, MIN_HEARD, 1, configs)
+    assert report.failures[0] == (0, 0, 1, 2, 2)
 
     # min_heard converges too slowly: at the tight budget it still breaks
     report = exhaustive_check(c5, 2, MIN_HEARD, 2)
     assert not report.passed
-    cfg, outcome = report.failures[0]
-    assert not (outcome.valid and outcome.agreeing)
+    assert report.failures == _naive_sweep(c5, 2, MIN_HEARD, 2, configs)
 
     # consensus on K4 in one round
     report = exhaustive_check(complete_graph(4), 1, flood_dominator(1), 1)
@@ -67,12 +68,30 @@ def test_sample_check_seeded(c5):
     assert sample_check(c5, 2, flood_dominator(2), 2, samples=200, seed=5).passed
 
 
+def test_sweeps_refuse_k_below_1_and_negative_samples(c5):
+    for call in (lambda: exhaustive_check(c5, 0, MIN_HEARD, 1),
+                 lambda: sample_check(c5, 0, MIN_HEARD, 1, samples=10)):
+        with pytest.raises(ValueError, match="^k must be positive, got 0$"):
+            call()
+    with pytest.raises(ValueError, match="^samples must be >= 0, got -3$"):
+        sample_check(c5, 2, MIN_HEARD, 1, samples=-3)
+    assert sample_check(c5, 2, MIN_HEARD, 1, samples=0) == ExhaustiveReport(0, ())
+
+
 def _naive_sweep(spec, k, alg, budget, configs):
+    """The configurations `run` scores as failing, in order.
+
+    Each configuration's outputs are also read through one ViewTable,
+    which must give `run`'s outputs, so the sweeps' outputs stay covered
+    although their reports list only configurations.
+    """
+    table = ViewTable(spec, k, alg, budget)
     failures = []
     for cfg in configs:
         report = run(spec, k, alg, cfg, budget)
+        assert table.outputs(cfg) == report.outputs, (alg.name, cfg)
         if not (report.valid and report.agreeing):
-            failures.append((cfg, report))
+            failures.append(cfg)
     return tuple(failures)
 
 

@@ -60,6 +60,16 @@ def test_parse_and_format_inputs():
         run(directed_cycle(5), 2, MIN_HEARD, (0.9, 1, 2, True, "1"), 1)
 
 
+def test_k_must_be_positive(c5):
+    # with k = 0 no output is legal, so nothing may be run or swept
+    for call in (lambda: validate_inputs((0,) * 5, 5, 0),
+                 lambda: run(c5, 0, MIN_HEARD, (0,) * 5, 1),
+                 lambda: ViewTable(c5, 0, MIN_HEARD, 1),
+                 lambda: ViewTable(c5, -1, MIN_HEARD, 1)):
+        with pytest.raises(ValueError, match=r"^k must be positive, got -?\d+$"):
+            call()
+
+
 def test_view_examples(c5):
     cfg = parse_inputs("21100", 5, 2)
     assert view_of(c5, cfg, 3, 0).heard == {3: 1}

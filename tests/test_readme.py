@@ -1,13 +1,17 @@
-"""The README's CLI walkthrough, replayed twice: every output it prints must match."""
+"""The README's CLI walkthrough, replayed twice, and its library example, run as documented."""
 from __future__ import annotations
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from knowall.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_examples(text: str) -> list[tuple[str, str]]:
@@ -32,3 +36,14 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     for cmd, expected in examples + examples[::-1]:
         main(shlex.split(cmd)[1:])
         assert capsys.readouterr().out == expected + "\n", cmd
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the "Library use" block, in a fresh interpreter that sees only the
+    # standard library and the package source
+    section = README.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "21100\n", "")

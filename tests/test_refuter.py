@@ -226,6 +226,26 @@ def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
         refute(c5, 2, flood_dominator(2), budget=1)
 
 
+def test_lemma_falsified_when_resimulated_outputs_differ_from_the_coloring(c5, monkeypatch):
+    # reversed outputs still put k+1 distinct values at the witness nodes
+    # (5, 3, 1), but not the colors of the cell's corners
+    real_run = refuter.run
+
+    def reversed_run(*args):
+        report = real_run(*args)
+        return dataclasses.replace(report, outputs=report.outputs[::-1])
+
+    monkeypatch.setattr(refuter, "run", reversed_run)
+    with pytest.raises(LemmaFalsified, match=r"colored \(0, 1, 2\) re-simulated to outputs \(2, 1, 0\)"):
+        refute(c5, 2, flood_dominator(2), budget=1)
+    # a validity witness is held to the same check: the vertex (5, 0) is
+    # colored 0, but here node 2 re-simulates to its own input 1
+    monkeypatch.setattr(refuter, "run", lambda spec, k, alg, config, budget: dataclasses.replace(
+        real_run(spec, k, alg, config, budget), outputs=config))
+    with pytest.raises(LemmaFalsified, match=r"colored \(0,\) re-simulated to outputs \(1,\)"):
+        refute(c5, 2, CONST_ZERO, budget=1)
+
+
 def test_refute_releases_its_coloring(c5, monkeypatch):
     # the per-vertex memo and its ViewTable die with the call, not at the
     # next cycle collection: no reference cycle may hold them
