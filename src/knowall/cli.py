@@ -136,19 +136,19 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         if spec.n != n:
             raise ValueError(f"--n {n} does not match the graph's n={spec.n}")
 
-    coloring = reach = None
+    verts = list(vertices(n, k))
+    nodes = colors = [None] * len(verts)
     if args.alg is not None:
         coloring = algorithm_coloring(spec, k, args.budget, algorithm_by_name(args.alg))
-        reach = coloring.reach
+        colors = list(coloring)
+        nodes = list(map(coloring.node, verts))
     elif args.budget is not None:
         reach = _reach_below_bound(spec, k, args.budget)
+        nodes = [_unheard_node(reach, v) for v in verts]
 
-    verts = list(vertices(n, k))
     index = {v: i for i, v in enumerate(verts)}
-    rows = [{"coords": list(v), "inp": format_inputs(_config(v, n)),
-             "node": None if reach is None else _unheard_node(reach, v),
-             "color": None if coloring is None else coloring(v)}
-            for v in verts]
+    rows = [{"coords": list(v), "inp": format_inputs(_config(v, n)), "node": w, "color": c}
+            for v, w, c in zip(verts, nodes, colors)]
     cells = [{"base": list(s.base), "perm": list(s.perm),
               "vertex_ids": [index[v] for v in s.vertices()]}
              for s in primitive_simplices(n, k)]

@@ -15,20 +15,22 @@ vertex's configuration), and otherwise a panchromatic cell must exist,
 whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
 
-algorithm_coloring checks the domination precondition once and colors
-each vertex from the reach masks and a shared ViewTable, when asked.
-find_panchromatic is one pass over the bases in enumeration order: it
-tests each base's color against its carrier, then walks the base's
-permutations as a prefix tree, dropping a prefix as soon as its corners
-leave the triangulation, repeat a color or take one outside 0..k; no
-cell below such a prefix can be panchromatic, so the first cell reached
-is the first in enumeration order, and no later base is visited.  The
-check that colors every vertex, a baseline for the tests, is
+algorithm_coloring checks the domination precondition once and returns
+the coloring as an object: iterating it streams the colors in vertex
+order, keeping each vertex's configuration and reach-mask union up to
+date from the previous one, and every color is read through one shared
+ViewTable.  find_panchromatic is one pass over that stream, reading each
+color once.  It tests the cells of a base when it reaches their shared
+top corner, base+(1,...,1), walking the base's permutations as a prefix
+tree, and holds the first vertex colored outside its carrier until every
+earlier base is tested; so it returns the first witness in (base,
+permutation) order and reads nothing past that witness's top corner.
+The check that colors every vertex, a baseline for the tests, is
 oracle.check_sperner.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -178,75 +180,171 @@ def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Ve
     return algorithm_coloring(spec, k, budget, alg)(v)
 
 
+class AlgorithmColoring:
+    """The vertex coloring an algorithm induces at a budget below the bound.
+
+    Iterating yields the color of every vertex in vertices(n, k) order.
+    The stream keeps the input configuration and the OR of the reach
+    masks of the positive coordinates up to date across odometer steps;
+    most steps bump only the last coordinate, which changes one node's
+    input and one mask.  Calling the object colors one vertex, and node(v)
+    is its assigned node, decoded from the same reach masks.  Every color
+    is read through one ViewTable, so `decide` runs once per distinct view
+    however the vertices are asked for.
+    """
+
+    def __init__(self, spec: DynamicGraphSpec, k: int, budget: int,
+                 alg: AlgorithmSpec) -> None:
+        self.n, self.k = spec.n, k
+        self._reach = _reach_below_bound(spec, k, budget)
+        self._table = ViewTable(spec, k, alg, budget)
+
+    def node(self, v: Vertex) -> int:
+        """Assigned node of the vertex v, trusted to be one of the triangulation."""
+        return _unheard_node(self._reach, v)
+
+    def __call__(self, v: Vertex) -> int:
+        return self._table.output(self.node(v), _config(v, self.n))
+
+    def __iter__(self) -> Iterator[int]:
+        n, k, reach, table = self.n, self.k, self._reach, self._table
+        entries = [table.entry(node) for node in range(1, n + 1)]
+        full, last = (1 << n) - 1, k - 1
+        v, cfg = [0] * k, [0] * n
+        # heard[j]: OR of the reach masks of the positive coordinates among v[:j]
+        heard = [0] * (k + 1)
+        while True:
+            free = full & ~heard[k]
+            node, key_of, memo = entries[
+                ((free & -free).bit_length() if free else _unheard_node(reach, tuple(v))) - 1]
+            key = key_of(cfg)
+            out = memo.get(key)
+            yield table.decide(node, cfg, memo, key) if out is None else out
+            # the odometer of vertices(n, k); the coordinates after j all
+            # equal v[j] = a, so nodes 1..a+1 now each hold the input j+1
+            j = last
+            while j >= 0 and v[j] == (v[j - 1] if j else n):
+                j -= 1
+            if j < 0:
+                return
+            a = v[j]
+            v[j] = a + 1
+            if j == last:
+                cfg[a] = k
+                heard[k] = heard[last] | reach[a]
+            else:
+                v[j + 1:] = [0] * (last - j)
+                cfg[:a + 1] = [j + 1] * (a + 1)
+                heard[j + 1:] = [heard[j] | reach[a]] * (k - j)
+
+
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
-                       alg: AlgorithmSpec) -> Coloring:
-    """Vertex-coloring view of an algorithm, memoized per vertex.
+                       alg: AlgorithmSpec) -> AlgorithmColoring:
+    """The coloring `alg` induces on the (spec.n, k) triangulation at `budget`.
 
     The domination precondition of assign_node is checked once, here,
-    before the ViewTable is built, and a vertex passed in is trusted to be
-    one of the (spec.n, k) triangulation.  Vertices share one ViewTable,
-    so `decide` runs once per distinct view.  The returned function's
-    `reach` attribute holds the reach masks the vertices are decoded
-    with, so that a caller decoding witness nodes decides nothing again.
+    before the ViewTable is built, so that every node the coloring decodes,
+    including a caller's witness nodes, comes from that one decision.
     """
-    reach = _reach_below_bound(spec, k, budget)
-    table = ViewTable(spec, k, alg, budget)
-    n = spec.n
-    cache: dict[Vertex, int] = {}
-
-    def coloring(v: Vertex) -> int:
-        out = cache.get(v)
-        if out is None:
-            out = cache[v] = table.output(_unheard_node(reach, v), _config(v, n))
-        return out
-
-    coloring.reach = reach
-    return coloring
+    return AlgorithmColoring(spec, k, budget, alg)
 
 
-def _in_carrier(v: Vertex, c: int, n: int) -> bool:
-    # c is in carrier(v, n) iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
-    k = len(v)
-    return 0 <= c <= k and (v[c - 1] if c else n) > (v[c] if c < k else 0)
+def _prefix_tree(k: int, place: list[int], prefix: tuple[int, ...] = (),
+                 offset: int = 0) -> tuple:
+    """The inner corners of a base's cells as a tree of permutation prefixes.
+
+    A node is (code offset of the corner from the base, permutation,
+    children), children in increasing coordinate order; the leaves are
+    the prefixes of length k-1 and carry the whole permutation, whose last
+    step reaches the top corner.
+    """
+    rest = [j for j in range(1, k + 1) if j not in prefix]
+    if len(rest) < 2:
+        return ()  # k = 1: the base and the top are the only corners
+    nodes = []
+    for j in rest:
+        perm, off = prefix + (j,), offset + place[j - 1]
+        if len(rest) == 2:
+            nodes.append((off, perm + tuple(x for x in rest if x != j), ()))
+        else:
+            nodes.append((off, perm, _prefix_tree(k, place, perm, off)))
+    return tuple(nodes)
+
+
+def _first_perm(nodes: tuple, base: int, need: int,
+                bits: dict[int, int]) -> tuple[int, ...] | None:
+    # first permutation whose inner corners take each color of `need` once
+    for off, perm, children in nodes:
+        bit = bits.get(base + off, 0) & need
+        if bit:
+            if not children:
+                return perm
+            found = _first_perm(children, base, need ^ bit, bits)
+            if found is not None:
+                return found
+    return None
 
 
 def find_panchromatic(n: int, k: int,
-                      coloring: Coloring) -> PrimitiveSimplex | tuple[Vertex, int]:
+                      colors: Iterable[int]) -> PrimitiveSimplex | tuple[Vertex, int]:
     """First Sperner witness: a vertex colored outside its carrier, or a cell.
 
-    Bases are taken in vertices(n, k) order.  A base colored outside its
-    carrier ends the pass as (vertex, color); otherwise the base's first
-    panchromatic cell, if any, ends it.  A cell's other corners follow its
-    base, so either witness is the first of its kind in enumeration order
-    and a tie goes to the violation.  Sperner's lemma leaves only an
-    inconsistent coloring to reach NoPanchromaticCell.  The coloring is
-    called once per corner visited, so a costly one should memoize itself.
+    `colors` holds the colors of vertices(n, k) in that order, and each is
+    read once, as the pass reaches its vertex.  The cells of base b are
+    tested when the pass reaches their shared top corner b+(1,...,1):
+    every corner lies componentwise between b and the top, so it is
+    already colored, and tops arrive in base order.  A base whose top has
+    the base's color, or whose base or top is colored outside 0..k, has no
+    panchromatic cell.  Otherwise the base's permutations are walked as a
+    prefix tree, dropping a prefix whose corner leaves the triangulation,
+    repeats a color or takes one outside 0..k.  The first vertex colored
+    outside its carrier, p, is returned as (p, color) when the pass
+    reaches a top whose base is p or later, or at the end of the pass.
+    So the witness is the first in (base, permutation) order, a tie at p
+    going to the violation, and nothing past its top corner is read.
+    A stream shorter than the triangulation raises ValueError; after a
+    full pass, NoPanchromaticCell is a tripwire that Sperner's lemma
+    leaves no coloring to reach.
     """
-    palette = frozenset(range(k + 1))
-    for base in vertices(n, k):
-        color0 = coloring(base)
-        if not _in_carrier(base, color0, n):
-            return base, color0
-        # depth-first over permutation prefixes; a stack entry is
-        # (last corner, corner colors, prefix), and children are pushed in
-        # decreasing coordinate order so that prefixes pop in lex order
-        stack = [(base, (color0,), ())]
-        while stack:
-            corner, colors, perm = stack.pop()
-            if len(perm) == k:
-                # k+1 distinct colors, all in 0..k: exactly the palette
-                return PrimitiveSimplex(base=base, perm=perm)
-            for j in range(k, 0, -1):
-                if j in perm:
-                    continue
-                x = corner[j - 1] + 1
-                # only the bound on the bumped coordinate can break
-                if x > (n if j == 1 else corner[j - 2]):
-                    continue
-                nxt = corner[:j - 1] + (x,) + corner[j:]
-                c = coloring(nxt)
-                if c in palette and c not in colors:
-                    stack.append((nxt, colors + (c,), perm + (j,)))
-    raise NoPanchromaticCell(
-        f"no panchromatic cell in the n={n}, k={k} triangulation although every "
-        "vertex was colored inside its carrier; the coloring is inconsistent")
+    if n < 1 or k < 1:
+        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
+    # a vertex's code is its coordinates read as digits in base n+1, which
+    # orders codes as vertices and reaches every corner by one addition
+    place = [(n + 1) ** (k - 1 - i) for i in range(k)]
+    tails = [sum(place[i + 1:]) for i in range(k)]
+    ones, tree = sum(place), _prefix_tree(k, place)
+    palette, last = (1 << k + 1) - 1, k - 1
+    bits: dict[int, int] = {}  # code -> 1 << color, or 0 outside the palette
+    held = held_code = None
+    v, code = [0] * k, 0
+    for c in colors:
+        bit = 1 << c if 0 <= c <= k else 0
+        # c is in v's carrier iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
+        if held is None and not (bit and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
+            held, held_code = (tuple(v), c), code
+        bits[code] = bit
+        if v[last]:
+            base = code - ones
+            if held_code is not None and base >= held_code:
+                return held
+            low = bits[base]
+            if low and bit and low != bit:
+                perm = _first_perm(tree, base, palette ^ low ^ bit, bits) if tree else (1,)
+                if perm is not None:
+                    return PrimitiveSimplex(base=tuple(x - 1 for x in v), perm=perm)
+        # the odometer of vertices(n, k), with the code kept alongside
+        j = last
+        while j >= 0 and v[j] == (v[j - 1] if j else n):
+            j -= 1
+        if j < 0:
+            if held is not None:
+                return held
+            raise NoPanchromaticCell(
+                f"no panchromatic cell in the n={n}, k={k} triangulation although every "
+                "vertex was colored inside its carrier, which Sperner's lemma rules out")
+        a = v[j]
+        v[j] = a + 1
+        code += place[j] - a * tails[j]
+        if j < last:
+            v[j + 1:] = [0] * (last - j)
+    raise ValueError(f"the colors end before the last vertex of the n={n}, k={k} triangulation")

@@ -13,7 +13,7 @@ from itertools import combinations, permutations, product
 
 from .dyngraph import Arc
 from .errors import CapExceeded
-from .kuhn import Carrier, Coloring, PrimitiveSimplex, Vertex, _in_carrier, carrier, vertices
+from .kuhn import Carrier, Coloring, PrimitiveSimplex, Vertex, carrier, vertices
 
 BRUTE_DOMINATION_CAP = 20
 BRUTE_SIMPLEX_CAP = 10 ** 6
@@ -79,7 +79,7 @@ def check_sperner(n: int, k: int, coloring: Coloring) -> SpernerReport:
     """Verify every vertex's color lies in its carrier, coloring them all."""
     violations = []
     for v in vertices(n, k):
-        c = coloring(v)
-        if not _in_carrier(v, c, n):
-            violations.append((v, c, carrier(v, n)))
+        c, held = coloring(v), carrier(v, n)
+        if c not in held:
+            violations.append((v, c, held))
     return SpernerReport(is_sperner=not violations, violations=tuple(violations))

@@ -183,11 +183,15 @@ class ViewTable:
         memo[key] = out
         return out
 
-    def output(self, node: int, cfg: InputConfig) -> int:
-        """Output of `node` on configuration `cfg`."""
+    def entry(self, node: int) -> tuple[int, Callable, dict]:
+        """`node` as (node, key, memo), read as the entries of due_nodes are."""
         if not 1 <= node <= len(self._nodes):
             raise ValueError(f"node {node} outside 1..{len(self._nodes)}")
-        _node, key_of, memo = self._nodes[node - 1]
+        return self._nodes[node - 1]
+
+    def output(self, node: int, cfg: InputConfig) -> int:
+        """Output of `node` on configuration `cfg`."""
+        _node, key_of, memo = self.entry(node)
         key = key_of(cfg)
         out = memo.get(key)
         return self.decide(node, cfg, memo, key) if out is None else out

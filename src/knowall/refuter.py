@@ -17,7 +17,7 @@ from enum import Enum
 
 from .dyngraph import DynamicGraphSpec
 from .errors import LemmaFalsified
-from .kuhn import PrimitiveSimplex, _unheard_node, algorithm_coloring, find_panchromatic, inp
+from .kuhn import PrimitiveSimplex, algorithm_coloring, find_panchromatic, inp
 from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
 
 
@@ -60,16 +60,17 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     The budget is refutable exactly when no k nodes dominate H_budget, so
     below the tight bound and on sequences with no bound; otherwise
     algorithm_coloring raises BudgetNotBelowBound (ValueError when
-    negative).  One ordered pass over the lazily colored bases ends at the
-    first witness: a base colored outside its carrier gives a validity
-    witness, a panchromatic cell an agreement witness, so validity broken
-    only past the first cell's base is refuted by that cell.  Witness
-    nodes are decoded from the coloring's own reach masks of H_budget, so
-    refutability is decided once.  Both kinds are one run of the first
-    corner's configuration, which must give each corner's color at its
-    node.  LemmaFalsified is a tripwire: it fires only if direct
-    re-simulation disagrees with the combinatorial argument, which means a
-    bug in this package, not in the algorithm under test.
+    negative).  One pass over the coloring's stream, in vertex order, ends
+    at the first witness in base order: a vertex colored outside its
+    carrier gives a validity witness, a panchromatic cell an agreement
+    witness, so validity broken only past the first cell's base is refuted
+    by that cell.  Witness nodes are decoded from the coloring's own reach
+    masks of H_budget, so refutability is decided once.  Both kinds are
+    one run of the first corner's configuration, which must give each
+    corner's color at its node.  LemmaFalsified is a tripwire: it fires
+    only if direct re-simulation disagrees with the combinatorial
+    argument, which means a bug in this package, not in the algorithm
+    under test.
     """
     n = spec.n
     coloring = algorithm_coloring(spec, k, budget, alg)
@@ -77,8 +78,8 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     simplex = found if isinstance(found, PrimitiveSimplex) else None
     corners = (found[0],) if simplex is None else simplex.vertices()
     config = inp(corners[0], n)
-    nodes = tuple(_unheard_node(coloring.reach, v) for v in corners)
-    colors = tuple(coloring(v) for v in corners)
+    nodes = tuple(map(coloring.node, corners))
+    colors = tuple(map(coloring, corners))
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
     shown = format_inputs(config)

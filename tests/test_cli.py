@@ -209,10 +209,12 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
     monkeypatch.setattr(kuhn, "_exists_cover", lambda covers, dom, uncovered, avail, slots: False)
-    code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
-                             "--graph", c5_file, "--budget", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
+    args = ("triangulate", "--n", "5", "--k", "2", "--graph", c5_file, "--budget", "2")
+    # the color stream of --alg meets the vertex in the same way
+    for extra in ((), ("--alg", "min_heard")):
+        code, out, err = run_cli(capsys, *args, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
 
 
 def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch):

@@ -31,6 +31,7 @@ from knowall import (
     run,
     vertices,
 )
+from knowall import kuhn
 from knowall.dyngraph import _gamma
 from knowall.families import standard_family
 from knowall.oracle import SpernerReport, brute_panchromatic, check_sperner
@@ -318,28 +319,102 @@ def test_check_sperner_matches_carrier_membership():
                 assert report == SpernerReport(not expected, expected), (n, k, c)
 
 
+def _colors(coloring, n, k):
+    """The stream find_panchromatic reads: each vertex's color in enumeration order."""
+    return map(coloring, vertices(n, k))
+
+
 def test_find_panchromatic_k1_threshold():
     coloring = {(x,): 0 if x < 2 else 1 for x in range(5)}
-    cell = find_panchromatic(4, 1, coloring.__getitem__)
+    cell = find_panchromatic(4, 1, _colors(coloring.__getitem__, 4, 1))
     assert cell == PrimitiveSimplex((1,), (1,))
 
 
 def test_find_panchromatic_returns_violation_without_sperner():
-    # (2,) has carrier {1}; the pass reaches it before any cell
-    assert find_panchromatic(2, 1, lambda v: 0) == ((2,), 0)
+    # (2,) has carrier {1}; no cell precedes it, and the pass ends there
+    assert find_panchromatic(2, 1, [0, 0, 0]) == ((2,), 0)
 
 
-def test_find_panchromatic_raises_only_for_inconsistent_coloring():
-    # (1,) answers 0 as a corner of base (0,), so no cell, and 1 as a
-    # base, inside its carrier: no witness of either kind is left
-    calls = []
+def _top(witness, n):
+    # a cell's top corner; for a violation at p, p+(1,...,1) when that is a
+    # vertex, and otherwise the last vertex, since every later top has a
+    # base below p
+    if isinstance(witness, PrimitiveSimplex):
+        return witness.vertices()[-1]
+    top = tuple(x + 1 for x in witness[0])
+    return top if is_vertex(top, n) else (n,) * len(top)
 
-    def coloring(v):
-        calls.append(v)
-        return 0 if calls.count(v) == 1 else v[0]
 
-    with pytest.raises(NoPanchromaticCell):
-        find_panchromatic(1, 1, coloring)
+def test_find_panchromatic_reads_each_color_once_up_to_the_witness_top():
+    rng = random.Random(1960)
+    kinds = set()
+    for k in range(1, 4):
+        for n in range(1, 7):
+            for kind in ("sperner", "palette"):
+                for _ in range(6):
+                    verts = list(vertices(n, k))
+                    if kind == "sperner":
+                        coloring = {v: rng.choice(sorted(carrier(v, n))) for v in verts}
+                    else:
+                        coloring = {v: rng.randrange(k + 1) for v in verts}
+                    read = []
+
+                    def stream():
+                        for v in verts:
+                            read.append(v)
+                            yield coloring[v]
+
+                    found = find_panchromatic(n, k, stream())
+                    top = _top(found, n)
+                    # vertices come in lexicographic order, so the prefix up to
+                    # the top is every vertex that compares at most equal to it
+                    assert read == [v for v in verts if v <= top], (n, k, found)
+                    kinds.add((kind, type(found).__name__))
+                    if read != verts:
+                        # a stream that stops short of the witness's top is refused
+                        with pytest.raises(ValueError, match="^the colors end before the last"):
+                            find_panchromatic(n, k, [coloring[v] for v in read[:-1]])
+    assert kinds == {("sperner", "PrimitiveSimplex"), ("palette", "PrimitiveSimplex"),
+                     ("palette", "tuple")}
+    with pytest.raises(ValueError, match="^the colors end before the last vertex of the "
+                       "n=3, k=2 triangulation$"):
+        find_panchromatic(3, 2, [])
+
+
+def test_no_panchromatic_cell_is_a_tripwire_after_a_full_pass(monkeypatch):
+    # Sperner's lemma leaves no coloring that reaches it: only a cell search
+    # that misses every cell makes the pass end without a witness
+    coloring = _colors(DRAWN_COLORING.__getitem__, 5, 2)
+    monkeypatch.setattr(kuhn, "_first_perm", lambda nodes, base, need, bits: None)
+    with pytest.raises(NoPanchromaticCell, match="^no panchromatic cell in the n=5, k=2 "):
+        find_panchromatic(5, 2, coloring)
+
+
+# colors of vertices(3, 2) in order:
+# (0,0) (1,0) (1,1) (2,0) (2,1) (2,2) (3,0) (3,1) (3,2) (3,3)
+INSIDE_SPAN = [0, 1, 0, 2, 0, 0, 1, 1, 1, 2]   # (2,0) colored 2
+AT_BASE = [0, 1, 1, 1, 0, 2, 1, 2, 1, 2]       # (1,1) colored 1
+AT_TOP = [0, 0, 0, 0, 2, 1, 1, 2, 1, 2]        # (2,2) colored 1
+
+
+@pytest.mark.parametrize("colors, violation, cell, expected", [
+    # the violation lies strictly between the first cell's base and top: the
+    # cell's base comes first, so the cell wins
+    (INSIDE_SPAN, ((2, 0), 2), PrimitiveSimplex((1, 0), (1, 2)), "cell"),
+    # the violation is the first cell's base: a tie, which the violation wins
+    (AT_BASE, ((1, 1), 1), PrimitiveSimplex((1, 1), (1, 2)), "violation"),
+    # the violation is the first cell's top, with a color in 0..k: the
+    # vertex is still tested as a top, so the cell wins
+    (AT_TOP, ((2, 2), 1), PrimitiveSimplex((1, 1), (1, 2)), "cell"),
+])
+def test_held_violation_is_ordered_by_base(colors, violation, cell, expected):
+    coloring = dict(zip(vertices(3, 2), colors)).__getitem__
+    vertex, c = violation
+    assert [u[:2] for u in check_sperner(3, 2, coloring).violations] == [violation]
+    assert c in range(3) and c not in carrier(vertex, 3)
+    assert brute_panchromatic(3, 2, coloring)[0] == cell
+    assert cell.base <= vertex <= cell.vertices()[-1]
+    assert find_panchromatic(3, 2, iter(colors)) == (cell if expected == "cell" else violation)
 
 
 def test_drawn_coloring_is_sperner_with_known_cells():
@@ -347,7 +422,7 @@ def test_drawn_coloring_is_sperner_with_known_cells():
     cells = brute_panchromatic(5, 2, DRAWN_COLORING.__getitem__)
     assert [(s.base, s.perm) for s in cells] == [
         ((2, 0), (1, 2)), ((2, 0), (2, 1)), ((3, 1), (1, 2))]
-    assert find_panchromatic(5, 2, DRAWN_COLORING.__getitem__) == cells[0]
+    assert find_panchromatic(5, 2, _colors(DRAWN_COLORING.__getitem__, 5, 2)) == cells[0]
     bold = PrimitiveSimplex((3, 1), (1, 2))
     assert bold in cells
     assert bold.vertices() == ((3, 1), (4, 1), (4, 2))
@@ -360,6 +435,6 @@ def test_random_sperner_colorings_have_panchromatic_cell(seed, n, k):
     rng = random.Random(seed)
     coloring = {v: rng.choice(sorted(carrier(v, n))) for v in vertices(n, k)}
     assert check_sperner(n, k, coloring.__getitem__).is_sperner
-    cell = find_panchromatic(n, k, coloring.__getitem__)
+    cell = find_panchromatic(n, k, _colors(coloring.__getitem__, n, k))
     assert {coloring[v] for v in cell.vertices()} == set(range(k + 1))
     assert cell == brute_panchromatic(n, k, coloring.__getitem__)[0]

@@ -23,9 +23,11 @@ from knowall import (
     find_panchromatic,
     flood_dominator,
     min_dominating_set,
+    refute,
     run,
     sample_check,
     vertices,
+    view_of,
 )
 from knowall import protocol
 from knowall.kuhn import algorithm_coloring
@@ -218,6 +220,15 @@ def test_sweeps_and_coloring_decide_each_view_once():
     check_sperner(5, 2, algorithm_coloring(spec, 2, 1, _counting(decided)))
     assert len(decided) == len(set(decided)) == 10
 
+    # refute's pass decides each view once; only the re-simulation of the
+    # witness, one decision per node, comes after it
+    decided = []
+    witness = refute(spec, 2, _counting(decided), 1)
+    swept, rerun = decided[:-5], decided[-5:]
+    assert swept and len(swept) == len(set(swept))
+    assert rerun == [(node, tuple(view_of(spec, witness.config, node, 1).heard.items()))
+                     for node in range(1, 6)]
+
 
 def test_brute_domination_values(c5):
     assert [brute_domination(5, closure(c5, r)) for r in (1, 2, 3, 4)] == [3, 2, 2, 1]
@@ -257,7 +268,8 @@ def _random_coloring(rng, n, k, kind):
 def test_brute_panchromatic_matches_streaming_search():
     # the one pass returns the earlier, in base order, of check_sperner's
     # first violation and brute force's first cell, the violation winning
-    # a tie since a base's carrier is tested before its cells
+    # a tie at the cell's base; a violation inside the cell's span, after
+    # the base and up to its top corner, loses to the cell
     rng = random.Random(99)
     outcomes = set()
     ties = 0
@@ -274,13 +286,18 @@ def test_brute_panchromatic_matches_streaming_search():
                     first_is_violation = bool(violations) and (
                         not cells or rank[violations[0][0]] <= rank[cells[0].base])
                     expected = violations[0][:2] if first_is_violation else cells[0]
-                    assert find_panchromatic(n, k, coloring) == expected, (n, k, kind)
-                    outcomes.add((kind, bool(cells), first_is_violation))
+                    found = find_panchromatic(n, k, map(coloring, vertices(n, k)))
+                    assert found == expected, (n, k, kind)
+                    inside = bool(cells and violations) and (
+                        rank[cells[0].base] < rank[violations[0][0]]
+                        <= rank[cells[0].vertices()[-1]])
+                    outcomes.add((kind, bool(cells), first_is_violation, inside))
                     ties += bool(cells and violations) and violations[0][0] == cells[0].base
     assert outcomes == {
-        ("sperner", True, False),
-        ("palette", True, False), ("palette", True, True), ("palette", False, True),
-        ("wild", True, False), ("wild", True, True), ("wild", False, True)}
+        ("sperner", True, False, False),
+        ("palette", True, False, False), ("palette", True, False, True),
+        ("palette", True, True, False), ("palette", False, True, False),
+        ("wild", True, False, False), ("wild", True, True, False), ("wild", False, True, False)}
     assert ties > 0
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import random
 import weakref
 
 import pytest
@@ -29,12 +30,15 @@ from knowall import (
     min_rounds,
     refute,
     run,
+    vertices,
     view_of,
 )
 from knowall import kuhn, refuter
 from knowall.families import standard_family
 from knowall.kuhn import algorithm_coloring
-from knowall.oracle import check_sperner
+from knowall.oracle import brute_panchromatic, check_sperner
+
+from conftest import random_spec
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
@@ -97,26 +101,68 @@ def test_first_witness_in_base_order_wins(c5):
             assert w.nodes == (assign_node(c5, 2, 1, v),) and w.outputs[0] not in w.config
 
 
+def _recording(find, read):
+    # find_panchromatic, except that every color it reads is appended to `read`
+    def recorded(n, k, colors):
+        return find(n, k, (read.append(c) or c for c in colors))
+    return recorded
+
+
 def test_refute_colors_only_part_of_the_triangulation(monkeypatch):
     name, spec, k = next(m for m in standard_family() if m[0] == "complete5/k=2")
-    colored = set()
-
-    def recording(*args):
-        coloring = algorithm_coloring(*args)
-
-        def recorded(v):
-            colored.add(v)
-            return coloring(v)
-
-        # refute decodes its witness nodes from the coloring's reach masks
-        recorded.reach = coloring.reach
-        return recorded
-
-    monkeypatch.setattr(refuter, "algorithm_coloring", recording)
+    read = []
+    monkeypatch.setattr(refuter, "find_panchromatic",
+                        _recording(refuter.find_panchromatic, read))
     for alg in builtin_algorithms():
-        colored.clear()
+        read.clear()
         assert refute(spec, k, alg, min_rounds(spec, k) - 1).verified
-        assert 0 < len(colored) < math.comb(spec.n + k, k), (name, alg.name)
+        assert 0 < len(read) < math.comb(spec.n + k, k), (name, alg.name)
+
+
+def _hashed(seed):
+    # a seeded random view table: a pure decide that need not respect
+    # validity, since tuples of ints hash the same in every process
+    def decide(spec, k, view):
+        return hash((seed, view.observer, tuple(sorted(view.heard.items())))) % (k + 1)
+    return AlgorithmSpec(f"hashed{seed}", decide)
+
+
+def test_color_stream_matches_per_vertex_coloring_and_brute_witness():
+    # the stream's colors are the per-vertex colors, and refute's witness is
+    # the first that check_sperner and brute_panchromatic give on them
+    rng = random.Random(1968)
+    kinds = set()
+    runs = 0
+    while runs < 60:
+        spec = random_spec(rng, max_n=8)
+        k = rng.randint(1, min(3, spec.n - 1))
+        try:
+            budgets = range(min_rounds(spec, k))
+            algs = [*builtin_algorithms(), _hashed(rng.randrange(10 ** 6))]
+        except NeverDominated:
+            budgets = range(3)
+            algs = [MIN_HEARD, MAX_HEARD, MAJORITY_HEARD, _hashed(rng.randrange(10 ** 6))]
+        n = spec.n
+        for budget in budgets:
+            for alg in algs:
+                coloring = algorithm_coloring(spec, k, budget, alg)
+                colors = list(coloring)
+                assert colors == [coloring(v) for v in vertices(n, k)], (spec, k, budget, alg.name)
+                by_vertex = dict(zip(vertices(n, k), colors)).__getitem__
+                cells = brute_panchromatic(n, k, by_vertex)
+                violations = check_sperner(n, k, by_vertex).violations
+                witness = refute(spec, k, alg, budget)
+                if violations and (not cells or violations[0][0] <= cells[0].base):
+                    vertex, c, _carrier = violations[0]
+                    assert witness.kind is WitnessKind.VALIDITY_VIOLATION
+                    assert (witness.config, witness.nodes, witness.outputs) == \
+                        (inp(vertex, n), (coloring.node(vertex),), (c,))
+                else:
+                    assert witness.simplex == cells[0], (spec, k, budget, alg.name)
+                    assert witness.nodes == tuple(map(coloring.node, cells[0].vertices()))
+                kinds.add(witness.kind)
+                runs += 1
+    assert kinds == set(WitnessKind)
 
 
 def test_witness_reruns_through_protocol(c5):
@@ -195,9 +241,9 @@ def test_lemma_falsified_tripwire(c5):
     # pass decides each distinct view of the vertices it colors once, then
     # goes constant, so the re-simulation cannot reproduce the panchromatic
     # cell
-    colored = set()
-    coloring = algorithm_coloring(c5, 2, 1, MIN_HEARD)
-    kuhn.find_panchromatic(5, 2, lambda v: colored.add(v) or coloring(v))
+    read = []
+    _recording(kuhn.find_panchromatic, read)(5, 2, algorithm_coloring(c5, 2, 1, MIN_HEARD))
+    colored = list(vertices(5, 2))[:len(read)]
     assert len(colored) < math.comb(5 + 2, 2)
     flips_after = len({
         (node, tuple(view_of(c5, inp(v, 5), node, 1).heard.items()))
@@ -247,8 +293,8 @@ def test_lemma_falsified_when_resimulated_outputs_differ_from_the_coloring(c5, m
 
 
 def test_refute_releases_its_coloring(c5, monkeypatch):
-    # the per-vertex memo and its ViewTable die with the call, not at the
-    # next cycle collection: no reference cycle may hold them
+    # the coloring and its ViewTable die with the call, not at the next
+    # cycle collection: no reference cycle may hold them
     refs = []
 
     def recorded(make):
