@@ -23,6 +23,7 @@ _EXPORTS = {
         "DynamicGraphSpec",
         "Extension",
         "closure",
+        "domination_numbers",
         "graph_at",
         "load_graph_file",
         "min_dominating_set",

@@ -24,8 +24,8 @@ import math
 import sys
 
 from .dyngraph import (
-    EXHAUSTIVE_CONFIG_CAP, _gamma, closure, load_graph_file, min_dominating_set, min_rounds,
-    to_dot)
+    EXHAUSTIVE_CONFIG_CAP, closure, domination_numbers, load_graph_file, min_dominating_set,
+    min_rounds, to_dot)
 from .errors import (
     AlgorithmRangeError,
     BudgetNotBelowBound,
@@ -71,9 +71,8 @@ def _nonnegative(text: str) -> int:
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = load_graph_file(args.graph)
     r = min_rounds(spec, args.k)
-    gammas = [_gamma(spec, i) for i in range(1, r + 1)]
     _emit({"r": r, "dominating_set": list(min_dominating_set(spec, r)),
-           "gamma_by_round": gammas}, args.pretty)
+           "gamma_by_round": list(domination_numbers(spec, r))}, args.pretty)
     return 0
 
 

@@ -26,14 +26,22 @@ a private memo that is freed with the spec; the memo stores no round
 after the closures are fixed, so any r costs the same once they are.
 Building a spec builds no n-bit mask, and every exact search checks
 EXACT_SEARCH_CAP before it grows any.  Closures only grow, so the
-domination number never increases with r: each round whose closure
-changed searches down from the round before (or the greedy size, if
-smaller) with k-slot cover decisions, and only the round a caller asks
-for rebuilds its member list (min_dominating_set).  A decision sorts the
-uncovered nodes once, fewest dominators first, branches on the first one
-still uncovered and fails early when more uncovered nodes have pairwise
-disjoint dominators than slots remain.  Whether a budget is refutable
-(kuhn) is a single k-slot decision.
+domination number never increases with r, and each round whose closure
+changed proves a lower bound before it searches.  It sorts the nodes
+once, fewest dominators first.  Nodes with pairwise disjoint dominators,
+taken in that order, each need a member of their own, and no member
+covers more than the widest cover, so the larger of the two counts
+bounds the answer from below.  When it reaches the previous round's
+number, that number is copied.  Otherwise the greedy size, cut off at
+the previous number, is the start, and the size steps down with cover
+decisions while it is above the lower bound.  Only the round a caller
+asks for rebuilds its member list (min_dominating_set).  A decision
+branches on the first node in that order still uncovered, and fails
+early when more uncovered nodes have pairwise disjoint dominators than
+slots remain, when slots times the widest cover fall short of the
+uncovered nodes, or when the same uncovered nodes already failed with as
+many slots while this round was searched.  Whether a budget is
+refutable (kuhn) is a single k-slot decision.
 """
 from __future__ import annotations
 
@@ -271,11 +279,16 @@ def _search_masks(spec: DynamicGraphSpec, r: int) -> tuple[tuple[int, ...], tupl
     return memo.reach[t], memo.into[t]
 
 
-def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
+def _greedy_members(covers: tuple[int, ...], full: int, limit: int) -> list[int]:
+    """Greedy cover of `full` in pick order, cut off after `limit` members.
+
+    Each pick takes the node that covers the most nodes still uncovered,
+    ties going to the smallest id.
+    """
     n = len(covers)
     members = []
     uncovered = full
-    while uncovered:
+    while uncovered and len(members) < limit:
         gain, pick = 0, -1
         for u in range(n):
             g = (covers[u] & uncovered).bit_count()
@@ -286,13 +299,11 @@ def _greedy_members(covers: tuple[int, ...], full: int) -> list[int]:
     return members
 
 
-def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
-                  uncovered: int, avail: int, slots: int) -> bool:
-    """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
+def _order(dom: tuple[int, ...], uncovered: int, avail: int) -> list[tuple[int, int, int]] | None:
+    """(dominator count, bit, dominators) of each node of `uncovered`, fewest first.
 
-    avail never changes inside the search, so the uncovered nodes are
-    sorted once, by their dominator count within avail and then by id, and
-    a node no available node dominates fails the search here.
+    Dominators are taken within `avail` and ties go to the smaller id; the
+    order is None when some node has no dominator in avail.
     """
     order = []
     m = uncovered
@@ -301,21 +312,60 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
         m ^= low
         dm = dom[low.bit_length() - 1] & avail
         if not dm:
-            return False
+            return None
         order.append((dm.bit_count(), low, dm))
     order.sort()
-    return _cover(covers, order, uncovered, slots)
+    return order
+
+
+def _packing(order: list[tuple[int, int, int]]) -> int:
+    """Nodes with pairwise disjoint dominators, taken greedily in order.
+
+    No member dominates two of them, so every cover has at least this many
+    members.
+    """
+    taken = count = 0
+    for _, _, dm in order:
+        if not dm & taken:
+            taken |= dm
+            count += 1
+    return count
+
+
+def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
+                  uncovered: int, avail: int, slots: int) -> bool:
+    """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
+
+    avail never changes inside the search, so the uncovered nodes are
+    sorted once (_order), and a node no available node dominates fails the
+    search here.  The failure memo lives as long as this call.
+    """
+    order = _order(dom, uncovered, avail)
+    if order is None:
+        return False
+    widest = max(map(int.bit_count, covers))
+    return _cover(covers, order, uncovered, slots, widest, {})
 
 
 def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
-           uncovered: int, slots: int) -> bool:
+           uncovered: int, slots: int, widest: int, failed: dict[int, int]) -> bool:
+    """Whether `slots` of the dominators listed in `order` cover `uncovered`.
+
+    Three tests fail a search before it branches: more nodes to cover than
+    slots * widest, where no node covers more than `widest`; a mask that
+    `failed` maps to at least `slots`; and more uncovered nodes with
+    pairwise disjoint dominators than slots.  Otherwise the search branches
+    on the dominators of the first uncovered node in order, the one with
+    the fewest, and a mask it fails on goes into `failed` with its slots.
+    Those entries hold only for these covers and this order, so `failed`
+    lives for one round's searches or one _exists_cover call.
+    """
     if uncovered == 0:
         return True
-    if slots == 0:
+    if uncovered.bit_count() > slots * widest or failed.get(uncovered, -1) >= slots:
         return False
-    # branch on the first uncovered node in order, the one with the fewest
-    # dominators; disjointly dominated nodes each need a slot, and a last
-    # slot needs no recursion
+    # disjointly dominated nodes each need a slot, and a last slot needs no
+    # recursion
     pick = taken = 0
     packed = slots
     for _, bit, dm in order:
@@ -331,16 +381,33 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
         low = pick & -pick
         pick ^= low
         rest = uncovered & ~covers[low.bit_length() - 1]
-        if not rest or slots > 1 and _cover(covers, order, rest, slots - 1):
+        if not rest or slots > 1 and _cover(covers, order, rest, slots - 1, widest, failed):
             return True
+    failed[uncovered] = slots
     return False
 
 
 def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
-    """Domination number, searched down from min(upper, greedy size); upper must be attained."""
-    full = (1 << len(covers)) - 1
-    g = min(upper, len(_greedy_members(covers, full)))
-    while _exists_cover(covers, dom, full, full, g - 1):
+    """Domination number, at most `upper`, which must be attained.
+
+    A lower bound comes first, from one fewest-dominators-first order: the
+    larger of the packing count (_packing) and ceil(n / widest cover).  If
+    it reaches upper, upper is the answer, with no greedy pass and no
+    search.  Otherwise the greedy cover, cut off at upper, is the start,
+    and the size steps down while it is above the lower bound and one
+    fewer node still covers everyone.  Every decision reuses the order and
+    one failure memo, which is dropped when the round's number is known.
+    """
+    n = len(covers)
+    full = (1 << n) - 1
+    order = _order(dom, full, full)  # every node dominates itself
+    widest = max(map(int.bit_count, covers))
+    lower = max(_packing(order), -(-n // widest))
+    if lower >= upper:
+        return upper
+    g = len(_greedy_members(covers, full, upper))
+    failed: dict[int, int] = {}
+    while g > lower and _cover(covers, order, full, g - 1, widest, failed):
         g -= 1
     return g
 
@@ -359,6 +426,19 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
             g = _domination_number(memo.reach[t], memo.into[t], g)
         memo.gammas.append(g)
     return memo.gammas[last]
+
+
+def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
+    """Domination numbers of H_1, ..., H_r, read from the spec's memo.
+
+    One _gamma call fills the memo up to H_r, or up to the round from
+    which the closures are fixed, whose number every later round shares.
+    Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    """
+    _gamma(spec, r)
+    gammas = spec._memo.gammas
+    head = gammas[1:r + 1]
+    return tuple(head) + (gammas[-1],) * (r - len(head))
 
 
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:

@@ -22,6 +22,7 @@ from knowall import (
     complete_graph,
     directed_cycle,
     directed_path,
+    domination_numbers,
     graph_at,
     load_graph_file,
     min_dominating_set,
@@ -32,9 +33,11 @@ from knowall import (
     staggered_relay,
     to_dot,
 )
+from knowall import dyngraph
 from knowall.cli import main
 from knowall.dyngraph import (
-    _exists_cover, _gamma, _greedy_members, _in_masks, _reach_masks, _search_masks)
+    _domination_number, _exists_cover, _gamma, _greedy_members, _in_masks, _order, _packing,
+    _reach_masks, _search_masks)
 from knowall.oracle import brute_domination
 from knowall.protocol import _senders_of
 
@@ -245,8 +248,78 @@ def test_exact_cap():
 
 
 def test_greedy_examples(c5, k4):
-    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1) == [1, 3, 4]
-    assert _greedy_members(_reach_masks(k4, 1), (1 << 4) - 1) == [1]
+    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1, 5) == [1, 3, 4]
+    assert _greedy_members(_reach_masks(k4, 1), (1 << 4) - 1, 4) == [1]
+    # cut off after `limit` members
+    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1, 2) == [1, 3]
+
+
+def _counting(monkeypatch, name, calls):
+    # record the arguments and the result of every call of a dyngraph
+    # function, recursive calls included
+    real = getattr(dyngraph, name)
+
+    def counted(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(dyngraph, name, counted)
+
+
+def test_cycles_are_settled_without_a_cover_search(monkeypatch):
+    # on a directed cycle each node of H_t covers t + 1 nodes, and greedy
+    # takes ceil(n / (t + 1)) of them, so the counting bound proves every
+    # domination number before any search
+    searched = []
+    _counting(monkeypatch, "_cover", searched)
+    for n in range(5, 33):
+        spec = directed_cycle(n)
+        for t in range(1, n):
+            assert _gamma(spec, t) == -(-n // (t + 1)), (n, t)
+    assert searched == []
+
+
+def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
+    greedy, searched = [], []
+    _counting(monkeypatch, "_greedy_members", greedy)
+    _counting(monkeypatch, "_cover", searched)
+    rng = random.Random(1414)
+    paths = set()
+    rules = set()
+    proven = 0
+    for _ in range(150):
+        spec = random_spec(rng, max_n=14)
+        n = spec.n
+        full = (1 << n) - 1
+        covers, dom = _search_masks(spec, rng.randint(0, 3))
+        arcs = {(u + 1, v + 1) for u in range(n) for v in range(n) if covers[u] >> v & 1}
+        gamma = brute_domination(n, arcs)
+        assert _packing(_order(dom, full, full)) <= gamma
+        assert -(-n // max(c.bit_count() for c in covers)) <= gamma
+        for upper in range(gamma, n + 1):
+            greedy.clear()
+            searched.clear()
+            assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
+            if not greedy:
+                paths.add("copied")
+            elif not searched:
+                paths.add("greedy")
+            elif gamma < len(greedy[0][1]):
+                paths.add("searched down")
+            # one failure memo per call, and each of its masks really fails
+            # with the slots it is kept with
+            memos = {id(args[5]): args[5] for args, _ in searched}
+            assert len(memos) <= 1
+            for failed in memos.values():
+                proven += len(failed)
+                for uncovered, slots in failed.items():
+                    assert all(uncovered & ~_union(covers, combo)
+                               for combo in combinations(range(n), slots)), (spec, upper)
+        rules.add(spec.extension)
+    assert len(rules) == 2
+    assert paths == {"copied", "greedy", "searched down"}
+    assert proven >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +522,8 @@ def test_closures_stop_growing_once_they_are_fixed():
     assert len(memo.reach) == len(memo.into) == 6
     assert _in_masks(spec, 10 ** 9) == _in_masks(spec, 4)
     assert _gamma(spec, 10 ** 9) == 1 and len(memo.gammas) == 6
+    assert domination_numbers(spec, 7) == (3, 2, 2, 1, 1, 1, 1)
+    assert domination_numbers(spec, 0) == ()
     assert min_dominating_set(spec, 10 ** 9) == (1,) and len(memo.reach) == 6
     # a sequence that is never dominated stores at most about n^2 * m rounds
     relay = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset(), frozenset({(3, 4)})),

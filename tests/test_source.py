@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import ast
 import importlib
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 import knowall
+from knowall import dyngraph
+
+from conftest import random_spec
 
 PACKAGE = Path(knowall.__file__).parent
 
@@ -94,8 +98,9 @@ def test_package_neither_imports_nor_exports_the_oracle():
 PUBLIC = {
     "check": ["ExhaustiveReport", "exhaustive_check", "sample_check"],
     "dyngraph": ["EXACT_SEARCH_CAP", "EXHAUSTIVE_CONFIG_CAP", "Arc", "DynamicGraphSpec",
-                 "Extension", "closure", "graph_at", "load_graph_file", "min_dominating_set",
-                 "min_rounds", "save_graph_file", "spec_from_dict", "spec_to_dict", "to_dot"],
+                 "Extension", "closure", "domination_numbers", "graph_at", "load_graph_file",
+                 "min_dominating_set", "min_rounds", "save_graph_file", "spec_from_dict",
+                 "spec_to_dict", "to_dot"],
     "errors": ["AlgorithmRangeError", "BudgetNotBelowBound", "CapExceeded", "GraphFormatError",
                "KnowAllError", "LemmaFalsified", "NeverDominated", "NoPanchromaticCell"],
     "families": ["complete_graph", "directed_cycle", "directed_path", "staggered_relay"],
@@ -112,7 +117,7 @@ PUBLIC = {
 
 def test_public_names_resolve_to_their_defining_modules():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 61
+    assert len(names) == len(set(names)) == 62
     assert sorted(knowall.__all__) == sorted(names)
     assert set(names) <= set(dir(knowall))
     defined = {name: getattr(importlib.import_module(f"knowall.{home}"), name)
@@ -128,3 +133,24 @@ def test_public_names_resolve_to_their_defining_modules():
     with pytest.raises(AttributeError, match="no_such_name"):
         knowall.no_such_name  # noqa: B018
     assert not hasattr(knowall, "brute_domination")
+
+
+def test_searches_keep_no_module_state():
+    # everything a search derives lives in the spec's memo, freed with the
+    # spec; a module-level container that grows would be a cache shared by
+    # every caller in the process
+    def containers():
+        return {name: len(value) for name, value in vars(dyngraph).items()
+                if isinstance(value, (dict, list, set))}
+
+    names = set(vars(dyngraph))
+    before = containers()
+    assert before
+    rng = random.Random(4669)
+    for _ in range(50):
+        spec = random_spec(rng, max_n=14)
+        r = rng.randint(0, 4)
+        dyngraph._gamma(spec, r)
+        dyngraph.min_dominating_set(spec, r)
+    assert set(vars(dyngraph)) == names
+    assert containers() == before
