@@ -322,7 +322,8 @@ def _packing(order: list[tuple[int, int, int]]) -> int:
     """Nodes with pairwise disjoint dominators, taken greedily in order.
 
     No member dominates two of them, so every cover has at least this many
-    members.
+    members.  _cover repeats this scan inline over its uncovered nodes,
+    where the same pass also finds the node to branch on.
     """
     taken = count = 0
     for _, _, dm in order:
@@ -354,11 +355,12 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
     Three tests fail a search before it branches: more nodes to cover than
     slots * widest, where no node covers more than `widest`; a mask that
     `failed` maps to at least `slots`; and more uncovered nodes with
-    pairwise disjoint dominators than slots.  Otherwise the search branches
-    on the dominators of the first uncovered node in order, the one with
-    the fewest, and a mask it fails on goes into `failed` with its slots.
-    Those entries hold only for these covers and this order, so `failed`
-    lives for one round's searches or one _exists_cover call.
+    pairwise disjoint dominators than slots (the count of _packing, kept
+    inline here).  Otherwise the search branches on the dominators of the
+    first uncovered node in order, the one with the fewest, and a mask it
+    fails on goes into `failed` with its slots.  Those entries hold only
+    for these covers and the dominators the order offers, so `failed`
+    lives for one round's searches or one decision.
     """
     if uncovered == 0:
         return True
@@ -448,22 +450,24 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     out-neighbours in H_r, so the reach masks of H_r are its cover masks.
     The size is _gamma(spec, r); each position of the sorted member list
     then takes the smallest node that still allows completion with larger
-    ids only, a cover decision that fails early when more uncovered nodes
-    have pairwise disjoint dominators than slots remain.  The answer is
-    memoized on the spec.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    ids only, a cover decision (_order, then _cover) that counts the widest
+    cover once for all of them.  The answer is memoized on the spec.
+    Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     found = spec._memo.dominating
     if r in found:
         return found[r]
     covers, dom = _search_masks(spec, r)
     size = _gamma(spec, r)
+    widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
     floor = 0
     for remaining in range(size, 0, -1):
         for u in range(floor, spec.n):
-            after = full & ~((1 << (u + 1)) - 1)
-            if _exists_cover(covers, dom, uncovered & ~covers[u], after, remaining - 1):
+            rest = uncovered & ~covers[u]
+            order = _order(dom, rest, full & ~((1 << (u + 1)) - 1))
+            if order is not None and _cover(covers, order, rest, remaining - 1, widest, {}):
                 members.append(u + 1)
                 uncovered &= ~covers[u]
                 floor = u + 1

@@ -250,14 +250,14 @@ def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch)
 
 
 def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):
-    decide = dyngraph._exists_cover
+    order = dyngraph._order
 
-    def rebuild_fails(covers, dom, uncovered, avail, slots):
+    def rebuild_fails(dom, uncovered, avail):
         # the size decisions offer every node and answer truly, so the bound
         # is found; only the lex-min rebuild, which offers fewer, fails
-        return avail == (1 << len(covers)) - 1 and decide(covers, dom, uncovered, avail, slots)
+        return order(dom, uncovered, avail) if avail == (1 << len(dom)) - 1 else None
 
-    monkeypatch.setattr(dyngraph, "_exists_cover", rebuild_fails)
+    monkeypatch.setattr(dyngraph, "_order", rebuild_fails)
     spec = DynamicGraphSpec(n=6, rounds=(frozenset({(1, 2), (3, 4), (5, 6)}),
                                          frozenset({(2, 3), (6, 1)})),
                             extension=Extension.CYCLE)
