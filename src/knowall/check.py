@@ -6,23 +6,36 @@ output.  They read outputs through one ViewTable, so `decide` runs once
 per distinct view, and report configurations only; `run` gives the
 outcome of any of them, and `check` re-simulates the first failure
 through it.  The sampled sweep reads all n outputs of each configuration.
-The exhaustive sweep walks the (k+1)^n configurations depth first over
-the input digits, in `product` order: a node's output is fixed once the
-digit of the highest node it hears is set, so setting a digit re-reads
-only the nodes due there.  Each depth carries the bitmasks of the outputs
-read and the inputs set above it, which decide validity and k-agreement
-at a leaf without building any set.
+The exhaustive sweep goes through the (k+1)^n configurations in
+`product` order, bit-parallel over the last input digits: the
+configurations those digits span form a block, kept as one int per
+output value with a bit per configuration, and it walks the digits above
+the block depth first.  A node's output is fixed once the digit of the
+highest node it hears is set, so a node due above the block is read once
+per walk prefix, and a node due inside it once per prefix and view, which
+ORs the block configurations with that view into the int of its output.
+Validity and k-agreement then take a few int operations per block.  Up
+to BLOCK_BITS configurations (n <= 7 at k=2) make one block and no walk.
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, product
+from operator import and_, or_
 
 from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec
 from .errors import CapExceeded
-from .protocol import AlgorithmSpec, InputConfig, ViewTable
+from .protocol import AlgorithmSpec, InputConfig, ViewTable, view_of
 
 Failures = tuple[InputConfig, ...]
+
+# configurations settled at once by the exhaustive sweep: one bit each in
+# an int per output value, so this bounds the width of those ints
+BLOCK_BITS = 4096
+# bytes.translate table from the digits of bin() to false and true bytes
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -46,31 +59,69 @@ def _sweep(table: ViewTable, configs: Iterable[InputConfig]) -> Failures:
     return tuple(failures)
 
 
+def _digit_masks(base: int, width: int) -> list[list[int]]:
+    """masks[t][v] has bit i set when digit t of block configuration i is v.
+
+    A block numbers its configurations in `product` order over `width`
+    digits of `base` values, so digit t takes each value for runs of
+    base^(width-1-t) configurations in turn.
+    """
+    size = base ** width
+    masks = []
+    for t in range(width):
+        run = base ** (width - 1 - t)
+        # one bit at the start of every period of base runs
+        starts = ((1 << size) - 1) // ((1 << run * base) - 1)
+        masks.append([((1 << run) - 1 << value * run) * starts for value in range(base)])
+    return masks
+
+
 def _depth_first(table: ViewTable, n: int) -> Failures:
     """All (k+1)^n configurations in `product` order; the failing ones in order.
 
-    An explicit stack: digit p is node p+1's input, and out_mask[p] and
-    held[p] are the bitmasks of the outputs read and the inputs set at
-    digits 0..p-1.  Going down from p reads the nodes due at p; the last
-    digit is a loop of its own.  A view whose decision raises, whatever
-    the error, is first met at the current prefix followed by zeros, so
-    that configuration is replayed in node order, where the error raised
-    is the one `run` raises first.
+    The last `width` digits form a block of base^width configurations,
+    base = k+1, with width the most digits whose block fits in BLOCK_BITS
+    (one at least).  The digits above the block are walked depth first
+    with an explicit stack: digit p is node p+1's input, and out_mask[p]
+    and held[p] are the bitmasks of the outputs read and the inputs set at
+    digits 0..p-1; going down from p reads the nodes due at p.  Each prefix
+    the walk reaches is one block, settled a bit per configuration:
+    outs[v] holds the configurations in which some node outputs v.  A
+    node due inside the block has one view per value of its heard block
+    digits, met on the AND of those digits' masks, and ORs it into
+    outs[output].  A configuration fails where a node outputs a v that no
+    node holds, or where all k+1 values are output, as more than k
+    distinct outputs must be.
+
+    A view whose decision raises, whatever the error, is first met in the
+    current block (the digits below a walk depth are 0 on the way down),
+    so the block is replayed in `product` and node order until a
+    configuration raises the error `run` raises first.
     """
     k = table.k
+    base = k + 1
+    width = 1
+    while width < n and base ** (width + 1) <= BLOCK_BITS:
+        width += 1
+    top = n - width
+    ones = (1 << base ** width) - 1
+    masks = _digit_masks(base, width)
+    # the block configurations in which no block digit holds v
+    unheld = [ones & ~reduce(or_, (digit[value] for digit in masks)) for value in range(base)]
     decide = table.decide
     due = table.due_nodes()
-    last = n - 1
-    leaf = due[last]
-    value_bits = [(value, 1 << value) for value in range(k + 1)]
-    cfg = [0] * n
-    out_mask = [0] * n
-    held = [0] * n
+    # the nodes due inside the block, each with the block digits it hears
+    block = [(entry, [j - 1 for j in view_of(table.spec, (0,) * n, entry[0], table.budget).heard
+                      if j > top])
+             for entries in due[top:] for entry in entries]
+    cfg = [0] * n  # digits 0..top-1 of the walk; the block's stay 0
+    out_mask = [0] * (top + 1)
+    held = [0] * (top + 1)
     failures = []
     p = 0
     try:
         while True:
-            while p < last:
+            while p < top:
                 mask = out_mask[p]
                 for node, key_of, memo in due[p]:
                     key = key_of(cfg)
@@ -81,28 +132,41 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
                 out_mask[p + 1] = mask
                 held[p + 1] = held[p] | 1 << cfg[p]
                 p += 1
-                cfg[p] = 0
-            above, held_above = out_mask[last], held[last]
-            for value, bit in value_bits:
-                cfg[last] = value
-                mask = above
-                for node, key_of, memo in leaf:
-                    key = key_of(cfg)
-                    out = memo.get(key)
+            mask = out_mask[top]
+            outs = [ones if mask >> value & 1 else 0 for value in range(base)]
+            digits = [(value,) for value in cfg]
+            for (node, key_of, memo), low in block:
+                views = digits.copy()
+                cylinders = [ones]
+                for j in low:
+                    views[j] = range(base)
+                    cylinders = [c & m for c in cylinders for m in masks[j - top]]
+                get = memo.get
+                for view, cylinder in zip(product(*views), cylinders):
+                    key = key_of(view)
+                    out = get(key)
                     if out is None:
-                        out = decide(node, cfg, memo, key)
-                    mask |= 1 << out
-                if mask & ~(held_above | bit) or mask.bit_count() > k:
-                    failures.append(tuple(cfg))
-            p = last - 1
+                        out = decide(node, view, memo, key)
+                    outs[out] |= cylinder
+            failing = reduce(and_, outs)
+            for value in range(base):
+                if not held[top] >> value & 1:
+                    failing |= outs[value] & unheld[value]
+            if failing:
+                # bit i of failing selects the block's i-th configuration
+                selectors = bin(failing)[:1:-1].encode().translate(_BIT_BYTES)
+                failures.extend(compress(
+                    product(*digits[:top], *[range(base)] * width), selectors))
+            p = top - 1
             while p >= 0 and cfg[p] == k:
+                cfg[p] = 0
                 p -= 1
             if p < 0:
                 return tuple(failures)
             cfg[p] += 1
     except Exception:
-        cfg[p + 1:] = [0] * (last - p)
-        table.outputs(tuple(cfg))
+        for config in product(*([value] for value in cfg[:top]), *[range(base)] * width):
+            table.outputs(config)
         raise
 
 

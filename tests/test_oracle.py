@@ -23,13 +23,15 @@ from knowall import (
     find_panchromatic,
     flood_dominator,
     min_dominating_set,
+    min_rounds,
     refute,
     run,
     sample_check,
     vertices,
     view_of,
 )
-from knowall import protocol
+from knowall import check, protocol
+from knowall.dyngraph import EXHAUSTIVE_CONFIG_CAP
 from knowall.kuhn import algorithm_coloring
 from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 from knowall.protocol import MIN_HEARD
@@ -105,6 +107,19 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+# BLOCK_BITS values that make the exhaustive sweep settle every case below
+# in one block, walk every digit but the last, or split the digits
+BLOCK_WIDTHS = {"whole": EXHAUSTIVE_CONFIG_CAP, "one_digit": 1, "split": 16}
+
+
+def _across_block_widths(name: str, values):
+    """Parametrize `name` over values and block_bits over BLOCK_WIDTHS; a
+    whole-space case keeps the bare value as its id."""
+    return pytest.mark.parametrize((name, "block_bits"), [
+        pytest.param(value, bits, id=str(value) if width == "whole" else f"{value}-{width}")
+        for value in values for width, bits in BLOCK_WIDTHS.items()])
+
+
 # leaves 0..k on views whose heard inputs sum past k, so sweeps must raise
 # at the same configuration and node as the naive loop
 SUM_HEARD = AlgorithmSpec("sum_heard", lambda spec, k, view: sum(view.heard.values()))
@@ -112,9 +127,10 @@ SUM_HEARD = AlgorithmSpec("sum_heard", lambda spec, k, view: sum(view.heard.valu
 FLIP_OWN = AlgorithmSpec("flip_own", lambda spec, k, view: k - view.heard[view.observer])
 
 
-@pytest.mark.parametrize("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
-def test_sweeps_equal_naive_run_loop(memo_cap, monkeypatch):
+@_across_block_widths("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
+def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     rng = random.Random(20261017)
     extensions = set()
     for _ in range(20):
@@ -164,11 +180,13 @@ def _backward_cases(rng: random.Random) -> list[tuple[DynamicGraphSpec, int, int
     return cases
 
 
-@pytest.mark.parametrize("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
-def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, monkeypatch):
+@_across_block_widths("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
+def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, block_bits,
+                                                                   monkeypatch):
     # the exhaustive sweep reads a node once the highest node it hears is
     # set; here that order differs from node order
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     for spec, k, budget in _backward_cases(random.Random(20261018)):
         for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, SUM_HEARD, FLIP_OWN):
             total = (k + 1) ** spec.n
@@ -177,8 +195,9 @@ def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, mon
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
 
-@pytest.mark.parametrize("trigger", [0, 1])
-def test_range_error_parity_when_a_higher_node_is_due_first(trigger):
+@_across_block_widths("trigger", [0, 1])
+def test_range_error_parity_when_a_higher_node_is_due_first(trigger, block_bits, monkeypatch):
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     # node 1 hears {1, 4} and is due at the last digit, node 3 hears {1, 3}
     # and is due one digit earlier; both leave 0..k first on the
     # configuration (trigger, 0, 0, 0), where `run` meets node 1 first
@@ -192,6 +211,34 @@ def test_range_error_parity_when_a_higher_node_is_due_first(trigger):
     assert _outcome(lambda: exhaustive_check(spec, 2, alg, 1)) == expected
 
 
+# node 1 hears {1, 3, 5} and is due at the last digit, inside every block;
+# node 2 hears {2, 3} and is due at digit 2, in the walk while the block is
+# at most two digits wide
+_TWO_DUE_SPEC = _backward_spec(5, {(3, 1), (5, 1), (3, 2)})
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+@pytest.mark.parametrize("node1_view, node2_view, first, node", [
+    ((0, 1, 2), (1, 0), (0, 0, 1, 0, 2), 1),  # node 1 first, past the start of its block
+    ((1, 0, 1), (2, 1), (0, 2, 1, 0, 0), 2),  # node 2 first
+    ((0, 1, 0), (0, 1), (0, 0, 1, 0, 0), 1),  # both at once, and `run` meets node 1 first
+], ids=["block_node_first", "walk_node_first", "same_configuration"])
+def test_error_parity_inside_a_later_block(width, node1_view, node2_view, first, node,
+                                           monkeypatch):
+    # each node leaves 0..k on one view only, first met past the all-zero
+    # configuration; at every block width the sweep raises what `run`
+    # raises on the first configuration in `product` order with such a view
+    monkeypatch.setattr(check, "BLOCK_BITS", 3 ** width)
+    bad = {1: node1_view, 2: node2_view}
+    alg = AlgorithmSpec("off_range", lambda spec, k, view: k + 1 if tuple(
+        view.heard.values()) == bad.get(view.observer) else 0)
+    expected = ("AlgorithmRangeError", f"off_range returned 3 at node {node}, outside 0..2")
+    assert _outcome(lambda: run(_TWO_DUE_SPEC, 2, alg, first, 1)) == expected
+    assert _outcome(lambda: _naive_sweep(
+        _TWO_DUE_SPEC, 2, alg, 1, product(range(3), repeat=5))) == expected
+    assert _outcome(lambda: exhaustive_check(_TWO_DUE_SPEC, 2, alg, 1)) == expected
+
+
 def _counting(decided):
     def decide(spec, k, view):
         decided.append((view.observer, tuple(view.heard.items())))
@@ -199,22 +246,26 @@ def _counting(decided):
     return AlgorithmSpec("counting_min", decide)
 
 
-def test_sweeps_and_coloring_decide_each_view_once():
+def test_sweeps_and_coloring_decide_each_view_once(monkeypatch):
     spec = directed_cycle(5)
     for budget in (0, 1, 2):
-        decided = []
-        exhaustive_check(spec, 2, _counting(decided), budget)
-        # node v hears budget+1 inputs, each one of k+1 = 3 values
-        assert len(decided) == len(set(decided)) == 5 * 3 ** (budget + 1)
+        for width, block_bits in BLOCK_WIDTHS.items():
+            monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+            decided = []
+            exhaustive_check(spec, 2, _counting(decided), budget)
+            # node v hears budget+1 inputs, each one of k+1 = 3 values
+            assert len(decided) == len(set(decided)) == 5 * 3 ** (budget + 1), width
 
         decided = []
         sample_check(spec, 2, _counting(decided), budget, samples=300, seed=1)
         assert len(decided) == len(set(decided))
 
     # nodes 1 and 2 hear {1, 5} and {2, 4}, so node 3 is due before them
-    decided = []
-    exhaustive_check(_backward_spec(5, {(5, 1), (4, 2)}), 2, _counting(decided), 1)
-    assert len(decided) == len(set(decided)) == 2 * 3 ** 2 + 3 * 3
+    for width, block_bits in BLOCK_WIDTHS.items():
+        monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+        decided = []
+        exhaustive_check(_backward_spec(5, {(5, 1), (4, 2)}), 2, _counting(decided), 1)
+        assert len(decided) == len(set(decided)) == 2 * 3 ** 2 + 3 * 3, width
 
     decided = []
     check_sperner(5, 2, algorithm_coloring(spec, 2, 1, _counting(decided)))
@@ -228,6 +279,55 @@ def test_sweeps_and_coloring_decide_each_view_once():
     assert swept and len(swept) == len(set(swept))
     assert rerun == [(node, tuple(view_of(spec, witness.config, node, 1).heard.items()))
                      for node in range(1, 6)]
+
+
+def test_one_block_sweep_decides_each_view_once_and_replays_nothing(monkeypatch):
+    # every configuration in one block and no memo emptied: node i's
+    # (k+1)^|H_i| views are each decided once, and no configuration is
+    # read through ViewTable.outputs
+    def outputs(self, cfg):
+        raise AssertionError(f"ViewTable.outputs({cfg}) called")
+
+    monkeypatch.setattr(ViewTable, "outputs", outputs)
+    rng = random.Random(20261019)
+    for _ in range(30):
+        spec = random_spec(rng, max_n=7)
+        k = rng.choice([k for k in (1, 2, 3) if (k + 1) ** spec.n <= check.BLOCK_BITS])
+        budget = rng.randint(0, 3)
+        heard = [len(view_of(spec, (0,) * spec.n, node, budget).heard)
+                 for node in range(1, spec.n + 1)]
+        assert (k + 1) ** max(heard) <= protocol.VIEW_MEMO_CAP
+        decided = []
+        exhaustive_check(spec, k, _counting(decided), budget)
+        assert len(decided) == len(set(decided)) == sum((k + 1) ** h for h in heard)
+
+
+def _cycling_spec(rng: random.Random, n: int, period: int, density: float) -> DynamicGraphSpec:
+    """A cycling sequence whose rounds hold a Hamiltonian cycle between them,
+    plus arcs drawn at `density` in every round."""
+    order = rng.sample(range(1, n + 1), n)
+    rounds = [set() for _ in range(period)]
+    for i in range(n):
+        rounds[rng.randrange(period)].add((order[i], order[(i + 1) % n]))
+    for arcs in rounds:
+        arcs |= {(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+                 if u != v and rng.random() < density}
+    return DynamicGraphSpec(n=n, rounds=tuple(map(frozenset, rounds)),
+                            extension=Extension.CYCLE)
+
+
+def test_exhaustive_check_equals_naive_run_loop_on_check_benchmark_shapes():
+    # the shapes of the check benchmark: n 6-7, k=2; flooding passes at its
+    # bound r, and min_heard or majority_heard fails one round short
+    rng = random.Random(20261020)
+    for i, (n, density) in enumerate(product((6, 7), (0.05, 0.12, 0.25))):
+        spec = _cycling_spec(rng, n, 1 + i % 3, density)
+        r = min_rounds(spec, 2)
+        for alg, budget in ((flood_dominator(), r), ((MIN_HEARD, MAJORITY_HEARD)[i % 2], r - 1)):
+            report = exhaustive_check(spec, 2, alg, budget)
+            assert report == ExhaustiveReport(3 ** n, _naive_sweep(
+                spec, 2, alg, budget, product(range(3), repeat=n)))
+            assert report.passed == (budget == r)
 
 
 def test_brute_domination_values(c5):
