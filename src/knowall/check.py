@@ -16,6 +16,10 @@ per walk prefix, and a node due inside it once per prefix and view, which
 ORs the block configurations with that view into the int of its output.
 Validity and k-agreement then take a few int operations per block.  Up
 to BLOCK_BITS configurations (n <= 7 at k=2) make one block and no walk.
+A node due at walk digit p that hears all of digits 0..p, and a node due
+inside the block that hears every walk digit, meet a new view on every
+read, so they skip the memo: `decide` is called with no key, lookup or
+store.  With no walk, that is every node.
 """
 from __future__ import annotations
 
@@ -109,11 +113,21 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     # the block configurations in which no block digit holds v
     unheld = [ones & ~reduce(or_, (digit[value] for digit in masks)) for value in range(base)]
     decide = table.decide
-    due = table.due_nodes()
-    # the nodes due inside the block, each with the block digits it hears
-    block = [(entry, [j - 1 for j in view_of(table.spec, (0,) * n, entry[0], table.budget).heard
-                      if j > top])
-             for entries in due[top:] for entry in entries]
+    # walk[p]: the nodes due at walk digit p, as (node, key, memo); block:
+    # the nodes due inside the block, each with the block digits it hears.
+    # A node that hears every walk digit up to the one it is due at meets a
+    # new view on every read, so its memo is None and it is decided directly.
+    walk = [[] for _ in range(top)]
+    block = []
+    for p, entries in enumerate(table.due_nodes()):
+        for node, key_of, memo in entries:
+            senders = list(view_of(table.spec, (0,) * n, node, table.budget).heard)
+            if sum(j <= top for j in senders) == min(p + 1, top):
+                memo = None
+            if p < top:
+                walk[p].append((node, key_of, memo))
+            else:
+                block.append((node, key_of, memo, [j - 1 for j in senders if j > top]))
     cfg = [0] * n  # digits 0..top-1 of the walk; the block's stay 0
     out_mask = [0] * (top + 1)
     held = [0] * (top + 1)
@@ -123,11 +137,14 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
         while True:
             while p < top:
                 mask = out_mask[p]
-                for node, key_of, memo in due[p]:
-                    key = key_of(cfg)
-                    out = memo.get(key)
-                    if out is None:
-                        out = decide(node, cfg, memo, key)
+                for node, key_of, memo in walk[p]:
+                    if memo is None:
+                        out = decide(node, cfg)
+                    else:
+                        key = key_of(cfg)
+                        out = memo.get(key)
+                        if out is None:
+                            out = decide(node, cfg, memo, key)
                     mask |= 1 << out
                 out_mask[p + 1] = mask
                 held[p + 1] = held[p] | 1 << cfg[p]
@@ -135,12 +152,16 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
             mask = out_mask[top]
             outs = [ones if mask >> value & 1 else 0 for value in range(base)]
             digits = [(value,) for value in cfg]
-            for (node, key_of, memo), low in block:
+            for node, key_of, memo, low in block:
                 views = digits.copy()
                 cylinders = [ones]
                 for j in low:
                     views[j] = range(base)
                     cylinders = [c & m for c in cylinders for m in masks[j - top]]
+                if memo is None:
+                    for view, cylinder in zip(product(*views), cylinders):
+                        outs[decide(node, view)] |= cylinder
+                    continue
                 get = memo.get
                 for view, cylinder in zip(product(*views), cylinders):
                     key = key_of(view)

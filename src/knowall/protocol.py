@@ -15,8 +15,8 @@ output afterwards.
 """
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Callable, Mapping, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -56,18 +56,15 @@ def format_inputs(values: InputConfig) -> str:
     return "".join(str(v) for v in values)
 
 
-@dataclass(frozen=True)
-class View:
-    """Everything a node knows after `budget` rounds: the inputs it heard.
+View = namedtuple("View", ("observer", "budget", "heard"))
+View.__doc__ = """Everything a node knows after `budget` rounds: the inputs it heard.
 
-    `heard` maps sender to input over the observer's in-neighborhood in
-    H_budget and always contains the observer itself.  Treat it as
-    read-only.
-    """
-
-    observer: int
-    budget: int
-    heard: Mapping[int, int]
+`heard` maps sender to input over the observer's in-neighborhood in
+H_budget and always contains the observer itself.  Treat it as
+read-only.  A View is an immutable named tuple (observer, budget,
+heard), so it compares equal to a plain 3-tuple of the same items, and
+dataclasses.fields and asdict do not apply to it.
+"""
 
 
 @dataclass(frozen=True)
@@ -96,18 +93,23 @@ def _senders_of(heard: int) -> list[int]:
     return senders
 
 
+def _heard_masks(spec: DynamicGraphSpec, budget: int) -> tuple[int, ...]:
+    """In-masks of H_budget, one per node; ValueError for a negative budget."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    return _in_masks(spec, budget)
+
+
 def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
     """Restriction of the input vector to what `observer` heard by `budget`."""
     if not 1 <= observer <= spec.n:
         raise ValueError(f"observer {observer} outside 1..{spec.n}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    heard = _heard_masks(spec, budget)[observer - 1]
     vals = tuple(inputs)
     if len(vals) != spec.n or not all(type(x) is int for x in vals):
         raise ValueError(f"expected {spec.n} integer inputs, got {vals!r}")
-    senders = _senders_of(_in_masks(spec, budget)[observer - 1])
     return View(observer=observer, budget=budget,
-                heard={j: vals[j - 1] for j in senders})
+                heard={j: vals[j - 1] for j in _senders_of(heard)})
 
 
 def _checked_output(alg: AlgorithmSpec, k: int, node: int, out) -> int:
@@ -127,9 +129,9 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
     """
     vals = validate_inputs(inputs, spec.n, k)
     outputs = []
-    for node in range(1, spec.n + 1):
-        outputs.append(_checked_output(
-            alg, k, node, alg.decide(spec, k, view_of(spec, vals, node, budget))))
+    for node, heard in enumerate(_heard_masks(spec, budget), start=1):
+        view = View(node, budget, {j: vals[j - 1] for j in _senders_of(heard)})
+        outputs.append(_checked_output(alg, k, node, alg.decide(spec, k, view)))
     distinct = len(set(outputs))
     held = set(vals)
     return OutcomeReport(
@@ -147,7 +149,8 @@ class ViewTable:
     H_budget, so each node keeps a memo from those heard digits to its
     output; the algorithm's `decide` is called only on a memo miss, through
     ViewTable.decide, with the same View and the same range check as
-    `run`.  Configurations passed in must already be valid (see
+    `run`.  A caller that reads each view of a node once may call decide
+    without a memo.  Configurations passed in must already be valid (see
     validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views.
     """
 
@@ -173,14 +176,17 @@ class ViewTable:
             due[senders[-1] - 1].append(entry)
         return due
 
-    def decide(self, node: int, cfg: Sequence[int], memo: dict, key) -> int:
-        """Decide `node`'s view of `cfg` and remember it in `memo` under `key`."""
-        heard = {j: cfg[j - 1] for j in self._senders[node - 1]}
-        out = _checked_output(self.alg, self.k, node,
-                              self.alg.decide(self.spec, self.k, View(node, self.budget, heard)))
-        if len(memo) >= VIEW_MEMO_CAP:
-            memo.clear()
-        memo[key] = out
+    def decide(self, node: int, cfg: Sequence[int], memo: dict | None = None,
+               key=None) -> int:
+        """Decide `node`'s view of `cfg`, and remember it in `memo` under `key`
+        when a memo is given."""
+        view = tuple.__new__(View, (node, self.budget,
+                                    {j: cfg[j - 1] for j in self._senders[node - 1]}))
+        out = _checked_output(self.alg, self.k, node, self.alg.decide(self.spec, self.k, view))
+        if memo is not None:
+            if len(memo) >= VIEW_MEMO_CAP:
+                memo.clear()
+            memo[key] = out
         return out
 
     def entry(self, node: int) -> tuple[int, Callable, dict]:

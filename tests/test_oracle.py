@@ -82,20 +82,50 @@ def test_sweeps_refuse_k_below_1_and_negative_samples(c5):
     assert sample_check(c5, 2, MIN_HEARD, 1, samples=0) == ExhaustiveReport(0, ())
 
 
-def _naive_sweep(spec, k, alg, budget, configs):
+# run's reports on each configuration, up to the error it raises, keyed by
+# (spec, k, algorithm name, budget, configurations); filled by _naive_sweep
+# when it is asked to cache, for tests whose algorithm names each name one
+# decision function
+_RUN_LOOPS: dict = {}
+
+
+def _run_loop(spec, k, alg, budget, configs):
+    """`run`'s report on each configuration in order, and the KnowAllError
+    it raises on the next one, or None."""
+    reports = []
+    try:
+        for cfg in configs:
+            reports.append(run(spec, k, alg, cfg, budget))
+    except KnowAllError as exc:
+        return reports, exc
+    return reports, None
+
+
+def _naive_sweep(spec, k, alg, budget, configs, cached=False):
     """The configurations `run` scores as failing, in order.
 
     Each configuration's outputs are also read through one ViewTable,
     which must give `run`'s outputs, so the sweeps' outputs stay covered
-    although their reports list only configurations.
+    although their reports list only configurations.  With `cached`, run's
+    reports are computed once per spec, k, algorithm name, budget and
+    configurations; they depend on neither VIEW_MEMO_CAP nor BLOCK_BITS.
     """
+    configs = tuple(configs)
+    if not cached:
+        reports, error = _run_loop(spec, k, alg, budget, configs)
+    else:
+        key = (spec, k, alg.name, budget, configs)
+        if key not in _RUN_LOOPS:
+            _RUN_LOOPS[key] = _run_loop(spec, k, alg, budget, configs)
+        reports, error = _RUN_LOOPS[key]
     table = ViewTable(spec, k, alg, budget)
     failures = []
-    for cfg in configs:
-        report = run(spec, k, alg, cfg, budget)
+    for cfg, report in zip(configs, reports):
         assert table.outputs(cfg) == report.outputs, (alg.name, cfg)
         if not (report.valid and report.agreeing):
             failures.append(cfg)
+    if error is not None:
+        raise error
     return tuple(failures)
 
 
@@ -143,7 +173,7 @@ def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
         for alg in algs:
             total = (k + 1) ** spec.n
             expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
-                spec, k, alg, budget, product(range(k + 1), repeat=spec.n))))
+                spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
             seed = rng.randrange(1000)
@@ -151,7 +181,7 @@ def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
             configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
                        for _ in range(60)]
             expected = _outcome(lambda: ExhaustiveReport(60, _naive_sweep(
-                spec, k, alg, budget, configs)))
+                spec, k, alg, budget, configs, cached=True)))
             assert _outcome(lambda: sample_check(
                 spec, k, alg, budget, samples=60, seed=seed)) == expected
     assert len(extensions) == 2
@@ -191,7 +221,7 @@ def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, blo
         for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, SUM_HEARD, FLIP_OWN):
             total = (k + 1) ** spec.n
             expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
-                spec, k, alg, budget, product(range(k + 1), repeat=spec.n))))
+                spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
 
@@ -300,6 +330,53 @@ def test_one_block_sweep_decides_each_view_once_and_replays_nothing(monkeypatch)
         decided = []
         exhaustive_check(spec, k, _counting(decided), budget)
         assert len(decided) == len(set(decided)) == sum((k + 1) ** h for h in heard)
+
+
+# a backward relay in which node v hears v and v+1, and node 5 also hears
+# 1, 2 and 3; with a block of w digits the walk sets digits 0..4-w
+_RELAY_SPEC = _backward_spec(5, {(2, 1), (3, 2), (4, 3), (5, 4), (1, 5), (2, 5), (3, 5)})
+# BLOCK_BITS, and the nodes that hear every walk digit up to the one they
+# are due at: node 1 always, node 5 once the walk is three digits or fewer
+_RELAY_WIDTHS = [pytest.param(3, {1}, id="one_digit"), pytest.param(9, {1, 5}, id="two_digits"),
+                 pytest.param(27, {1, 5}, id="three_digits"),
+                 pytest.param(243, {1, 2, 3, 4, 5}, id="whole")]
+
+
+@pytest.mark.parametrize("block_bits, memo_free", _RELAY_WIDTHS)
+def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monkeypatch):
+    # every read of such a node meets a view not met before, so it is
+    # decided without a memo; the others still decide each view once
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+    for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, FLIP_OWN):
+        assert exhaustive_check(_RELAY_SPEC, 2, alg, 1) == ExhaustiveReport(3 ** 5, _naive_sweep(
+            _RELAY_SPEC, 2, alg, 1, product(range(3), repeat=5)))
+    decided = []
+    table = ViewTable(_RELAY_SPEC, 2, _counting(decided), 1)
+    check._depth_first(table, 5)
+    heard = [len(view_of(_RELAY_SPEC, (0,) * 5, node, 1).heard) for node in range(1, 6)]
+    assert len(decided) == len(set(decided)) == sum(3 ** h for h in heard)
+    assert {node for node in range(1, 6) if not table.entry(node)[2]} == memo_free
+
+
+@pytest.mark.parametrize("block_bits", [3, 9, 27, 243],
+                         ids=["one_digit", "two_digits", "three_digits", "whole"])
+@pytest.mark.parametrize("bad, node", [
+    ({5: (0, 0, 1, 2), 2: (1, 0)}, 5),  # node 5 first, at (0, 0, 1, 0, 2)
+    ({1: (0, 1), 2: (1, 1)}, 1),        # node 1 first, at (0, 1, 0, 0, 0)
+    ({5: (0, 1, 0, 0), 1: (0, 1)}, 1),  # both at (0, 1, 0, 0, 0), and `run` meets node 1 first
+    ({5: (0, 1, 0, 0), 2: (1, 0)}, 2),  # likewise with node 2, memoized while there is a walk
+], ids=["block_node_first", "walk_node_first", "same_configuration",
+        "memo_node_same_configuration"])
+def test_error_parity_at_nodes_without_a_memo(bad, node, block_bits, monkeypatch):
+    # each node in `bad` leaves 0..k on one view only; the sweep raises what
+    # `run` raises on the first configuration in `product` order with one
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+    alg = AlgorithmSpec("off_range", lambda spec, k, view: k + 1 if tuple(
+        view.heard.values()) == bad.get(view.observer) else 0)
+    expected = ("AlgorithmRangeError", f"off_range returned 3 at node {node}, outside 0..2")
+    assert _outcome(lambda: _naive_sweep(
+        _RELAY_SPEC, 2, alg, 1, product(range(3), repeat=5))) == expected
+    assert _outcome(lambda: exhaustive_check(_RELAY_SPEC, 2, alg, 1)) == expected
 
 
 def _cycling_spec(rng: random.Random, n: int, period: int, density: float) -> DynamicGraphSpec:
