@@ -31,7 +31,7 @@ from operator import and_, or_
 
 from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec
 from .errors import CapExceeded
-from .protocol import AlgorithmSpec, InputConfig, ViewTable, view_of
+from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Failures = tuple[InputConfig, ...]
 
@@ -121,7 +121,7 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     block = []
     for p, entries in enumerate(table.due_nodes()):
         for node, key_of, memo in entries:
-            senders = list(view_of(table.spec, (0,) * n, node, table.budget).heard)
+            senders = table.senders[node - 1]
             if sum(j <= top for j in senders) == min(p + 1, top):
                 memo = None
             if p < top:

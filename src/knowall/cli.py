@@ -24,8 +24,8 @@ import math
 import sys
 
 from .dyngraph import (
-    EXHAUSTIVE_CONFIG_CAP, closure, domination_numbers, load_graph_file, min_dominating_set,
-    min_rounds, to_dot)
+    EXHAUSTIVE_CONFIG_CAP, closure, closure_below_bound, domination_numbers, load_graph_file,
+    min_dominating_set, min_rounds, to_dot)
 from .errors import (
     AlgorithmRangeError,
     BudgetNotBelowBound,
@@ -115,9 +115,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_triangulate(args: argparse.Namespace) -> int:
-    from .kuhn import (
-        _config, _reach_below_bound, _unheard_node, algorithm_coloring, primitive_simplices,
-        vertices)
+    from .kuhn import algorithm_coloring, inp, primitive_simplices, vertices
     from .protocol import algorithm_by_name, format_inputs
 
     n, k = args.n, args.k
@@ -142,11 +140,10 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         colors = list(coloring)
         nodes = list(map(coloring.node, verts))
     elif args.budget is not None:
-        reach = _reach_below_bound(spec, k, args.budget)
-        nodes = [_unheard_node(reach, v) for v in verts]
+        nodes = list(map(closure_below_bound(spec, k, args.budget).unheard, verts))
 
     index = {v: i for i, v in enumerate(verts)}
-    rows = [{"coords": list(v), "inp": format_inputs(_config(v, n)), "node": w, "color": c}
+    rows = [{"coords": list(v), "inp": format_inputs(inp(v, n)), "node": w, "color": c}
             for v, w, c in zip(verts, nodes, colors)]
     cells = [{"base": list(s.base), "perm": list(s.perm),
               "vertex_ids": [index[v] for v in s.vertices()]}

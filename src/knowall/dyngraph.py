@@ -14,41 +14,45 @@ of at least one member of any dominating set of H_r.  The smallest r
 whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
 
-Every answer is derived from two sets of masks of H_r.  Its reach masks
-are its cover masks: entry u is the bitmask of nodes u's token can
+Every answer is derived from one Closure object per H_r.  Its reach
+masks are its cover masks: entry u is the bitmask of nodes u's token can
 occupy after rounds 1..r.  Its in-masks are its dominator masks: entry v
 is the bitmask of nodes v has heard from, the nodes that dominate v.
 The in-masks grow round by round with one OR per arc of G_t, and the
 reach masks take the bits the in-masks gained, so each closure arc is
-set once and no mask set is ever transposed.  Each spec keeps them, and
-the domination numbers, dominating sets and bounds derived from them, in
-a private memo that is freed with the spec; the memo stores no round
-after the closures are fixed, so any r costs the same once they are.
-Building a spec builds no n-bit mask, and every exact search checks
-EXACT_SEARCH_CAP before it grows any.  Closures only grow, so the
-domination number never increases with r, and each round whose closure
-changed proves a lower bound before it searches.  It sorts the nodes
-once, fewest dominators first.  Nodes with pairwise disjoint dominators,
-taken in that order, each need a member of their own, and no member
-covers more than the widest cover, so the larger of the two counts
-bounds the answer from below.  When it reaches the previous round's
-number, that number is copied.  Otherwise the greedy size, cut off at
-the previous number, is the start, and the size steps down with cover
-decisions while it is above the lower bound.  Only the round a caller
-asks for rebuilds its member list (min_dominating_set).  A decision
-branches on the first node in that order still uncovered, and fails
-early when more uncovered nodes have pairwise disjoint dominators than
-slots remain, when slots times the widest cover fall short of the
-uncovered nodes, or when the same uncovered nodes already failed with as
-many slots while this round was searched.  Whether a budget is
-refutable (kuhn) is a single k-slot decision.
+set once and no mask set is ever transposed.  Each spec keeps its
+closures, and the domination numbers, dominating sets and bounds derived
+from them, in a private memo that is freed with the spec; rounds with
+the same closure share one object, and the memo stores no round after
+the closures are fixed, so any r costs the same once they are.  Other
+modules read H_r through closure_at, or through closure_below_bound,
+which first checks with one k-slot cover decision that no k nodes
+dominate it: the package's one refutability test.  Building a spec
+builds no n-bit mask, and every exact search checks EXACT_SEARCH_CAP
+before it grows any.  Closures only grow, so the domination number never
+increases with r, and each round whose closure changed proves a lower
+bound before it searches.  It sorts the nodes once, fewest dominators
+first.  Nodes with pairwise disjoint dominators, taken in that order,
+each need a member of their own, and no member covers more than the
+widest cover, so the larger of the two counts bounds the answer from
+below.  When it reaches the previous round's number, that number is
+copied.  Otherwise the greedy size, cut off at the previous number, is
+the start, and the size steps down with cover decisions while it is
+above the lower bound.  Only the round a caller asks for rebuilds its
+member list (min_dominating_set).  A decision branches on the first node
+in that order still uncovered, and fails early when more uncovered nodes
+have pairwise disjoint dominators than slots remain, when slots times
+the widest cover fall short of the uncovered nodes, or when the same
+uncovered nodes already failed with as many slots while this round was
+searched.
 """
 from __future__ import annotations
 
 import json
 from enum import Enum
 
-from .errors import CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated
+from .errors import (
+    BudgetNotBelowBound, CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated)
 
 Arc = tuple[int, int]
 
@@ -70,17 +74,56 @@ class Extension(str, Enum):
 # ---------------------------------------------------------------------------
 
 
+class Closure:
+    """H_r as its reach masks, its in-masks and, built on first use, its senders.
+
+    senders[v] lists the nodes of into[v] 1-based and increasing, so a
+    search that reads masks only builds none.  A closure never refers to
+    its spec.
+    """
+
+    __slots__ = ("reach", "into", "_senders")
+
+    def __init__(self, reach: tuple[int, ...], into: tuple[int, ...]) -> None:
+        self.reach, self.into, self._senders = reach, into, None
+
+    @property
+    def senders(self) -> tuple[tuple[int, ...], ...]:
+        if self._senders is None:
+            senders = []
+            for heard in self.into:
+                nodes = []
+                while heard:
+                    low = heard & -heard
+                    nodes.append(low.bit_length())
+                    heard ^= low
+                senders.append(tuple(nodes))
+            self._senders = tuple(senders)
+        return self._senders
+
+    def unheard(self, v: tuple[int, ...]) -> int:
+        """Lowest node outside the reach masks of the positive coordinates of v;
+        LemmaFalsified if none is, which needs len(v) nodes to dominate H_r."""
+        heard = 0
+        for x in v:
+            if x:
+                heard |= self.reach[x - 1]
+        free = ((1 << len(self.reach)) - 1) & ~heard
+        if not free:
+            raise LemmaFalsified(
+                f"the positive coordinates of {v} reach every node although the "
+                f"closure needs more than {len(v)} dominators")
+        return (free & -free).bit_length()
+
+
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("graphs", "reach", "into", "quiet", "gammas", "dominating", "bounds")
+    __slots__ = ("graphs", "closures", "quiet", "gammas", "dominating", "bounds")
 
     def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
-        # reach masks and in-masks of H_0, H_1, ..., from the first closure
-        # asked for until the closures are fixed (see _grow)
-        self.reach: list[tuple[int, ...]] = []
-        self.into: list[tuple[int, ...]] = []
+        self.closures: list[Closure] = []  # H_0, H_1, ... until they are fixed (see _grow)
         self.quiet = 0  # trailing stored rounds that added nothing
         self.gammas = [n]  # domination number of H_0, H_1, ...
         # r -> sorted members of the lex-smallest minimum dominating set of H_r
@@ -179,14 +222,14 @@ def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
 
 
 def _grow(spec: DynamicGraphSpec, r: int) -> int:
-    """The stored round whose masks are H_r's, once the memo's masks reach it.
+    """The stored round whose closure is H_r, once the memo's closures reach it.
 
     H_t is H_{t-1} followed by one round of G_t, so v hears what it heard
     in H_{t-1} and what its in-neighbours in G_t heard: one OR per arc.
     The senders v newly hears are exactly the nodes whose token newly
     reaches v, so each closure arc is added to the reach masks once, and
     the reach masks are never transposed.  A round that adds nothing
-    shares the masks of the round before.
+    shares the closure object of the round before.
 
     Any m = len(spec.rounds) consecutive rounds use every round graph that
     occurs later, and H_t depends only on H_{t-1} and G_t.  So once m
@@ -198,22 +241,23 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
     if r < 0:
         raise ValueError(f"closure needs r >= 0, got {r}")
     memo = spec._memo
-    reach, into = memo.reach, memo.into
-    if not reach:
-        reach.append(tuple(1 << i for i in range(spec.n)))
-        into.append(reach[0])
+    closures = memo.closures
+    if not closures:
+        identity = tuple(1 << i for i in range(spec.n))
+        closures.append(Closure(identity, identity))
     period = len(spec.rounds)
-    while len(reach) <= r and memo.quiet < period:
-        heard = into[-1]
+    while len(closures) <= r and memo.quiet < period:
+        prev = closures[-1]
+        heard = prev.into
         into_t = reach_t = None
-        for v, senders in memo.graphs[_round_index(spec, len(reach))]:
+        for v, senders in memo.graphs[_round_index(spec, len(closures))]:
             m = heard[v]
             for w in senders:
                 m |= heard[w]
             new = m & ~heard[v]
             if new:
                 if into_t is None:
-                    into_t, reach_t = list(heard), list(reach[-1])
+                    into_t, reach_t = list(heard), list(prev.reach)
                 into_t[v] = m
                 bit = 1 << v
                 while new:
@@ -221,25 +265,17 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
                     reach_t[low.bit_length() - 1] |= bit
                     new ^= low
         if into_t is None:
-            reach.append(reach[-1])
-            into.append(heard)
+            closures.append(prev)
             memo.quiet += 1
         else:
-            reach.append(tuple(reach_t))
-            into.append(tuple(into_t))
+            closures.append(Closure(tuple(reach_t), tuple(into_t)))
             memo.quiet = 0
-    last = len(reach) - 1
-    return r if r < last else last
+    return min(r, len(closures) - 1)
 
 
-def _reach_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    """Reach masks of H_r: bit v of entry u is set when u's token can occupy v."""
-    return spec._memo.reach[_grow(spec, r)]
-
-
-def _in_masks(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    """In-masks of H_r: bit u of entry v is set when v hears u, i.e. u dominates v."""
-    return spec._memo.into[_grow(spec, r)]
+def closure_at(spec: DynamicGraphSpec, r: int) -> Closure:
+    """The closure H_r, memoized on the spec; ValueError when r < 0."""
+    return spec._memo.closures[_grow(spec, r)]
 
 
 def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
@@ -248,7 +284,7 @@ def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
     H_0 is the identity relation, and every closure has all n self-arcs.
     """
     return frozenset(
-        (u, v) for u, mask in enumerate(_reach_masks(spec, r), start=1)
+        (u, v) for u, mask in enumerate(closure_at(spec, r).reach, start=1)
         for v in range(1, spec.n + 1) if mask >> (v - 1) & 1)
 
 
@@ -263,20 +299,13 @@ def to_dot(arcs: frozenset[Arc]) -> str:
 
 
 def _search_round(spec: DynamicGraphSpec, r: int) -> int:
-    """The stored round whose masks are H_r's, grown for an exact search."""
+    """The stored round whose closure is H_r, grown for an exact search."""
     # every exact search starts here, so this is where the cap is enforced,
     # before any mask is grown
     if spec.n > EXACT_SEARCH_CAP:
         raise CapExceeded(
             f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {spec.n}")
     return _grow(spec, r)
-
-
-def _search_masks(spec: DynamicGraphSpec, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Cover and dominator masks of H_r: its reach masks and its in-masks."""
-    t = _search_round(spec, r)
-    memo = spec._memo
-    return memo.reach[t], memo.into[t]
 
 
 def _greedy_members(covers: tuple[int, ...], full: int, limit: int) -> list[int]:
@@ -424,8 +453,9 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     memo = spec._memo
     while (t := len(memo.gammas)) <= last:
         g = memo.gammas[-1]
-        if memo.reach[t] != memo.reach[t - 1]:
-            g = _domination_number(memo.reach[t], memo.into[t], g)
+        h = memo.closures[t]
+        if h is not memo.closures[t - 1]:
+            g = _domination_number(h.reach, h.into, g)
         memo.gammas.append(g)
     return memo.gammas[last]
 
@@ -457,7 +487,8 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     found = spec._memo.dominating
     if r in found:
         return found[r]
-    covers, dom = _search_masks(spec, r)
+    h = spec._memo.closures[_search_round(spec, r)]
+    covers, dom = h.reach, h.into
     size = _gamma(spec, r)
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
@@ -505,6 +536,22 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
         r += 1
     bounds[k] = r
     return r
+
+
+def closure_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> Closure:
+    """H_budget, after checking that no k nodes dominate it.
+
+    Gamma never increases, so this holds exactly below min_rounds(spec, k),
+    or always if no bound exists; when it fails min_rounds <= budget, so
+    the BudgetNotBelowBound message cannot raise.  Raises CapExceeded when
+    n > EXACT_SEARCH_CAP.
+    """
+    h = spec._memo.closures[_search_round(spec, budget)]
+    full = (1 << spec.n) - 1
+    if _exists_cover(h.reach, h.into, full, full, k):
+        raise BudgetNotBelowBound(
+            f"budget {budget} is not below the tight bound {min_rounds(spec, k)}")
+    return h
 
 
 # ---------------------------------------------------------------------------

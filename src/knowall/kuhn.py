@@ -15,8 +15,9 @@ vertex's configuration), and otherwise a panchromatic cell must exist,
 whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
 
-algorithm_coloring checks the domination precondition once and returns
-the coloring as an object: iterating it streams the colors in vertex
+algorithm_coloring checks the domination precondition once, through
+dyngraph.closure_below_bound, and returns the coloring as an object that
+keeps the closure it got: iterating it streams the colors in vertex
 order, keeping each vertex's configuration and reach-mask union up to
 date from the previous one, and every color is read through one shared
 ViewTable.  find_panchromatic is one pass over that stream, reading each
@@ -34,8 +35,8 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import permutations
 
-from .dyngraph import DynamicGraphSpec, _exists_cover, _search_masks, min_rounds
-from .errors import BudgetNotBelowBound, LemmaFalsified, NoPanchromaticCell
+from .dyngraph import DynamicGraphSpec, closure_below_bound
+from .errors import NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
@@ -130,36 +131,6 @@ def carrier(v: Vertex, n: int) -> Carrier:
     return frozenset(j for j in range(len(v) + 1) if xs[j] > xs[j + 1])
 
 
-def _reach_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> tuple[int, ...]:
-    """Reach masks of H_budget, after checking that no k nodes dominate it.
-
-    The package's one refutability check, a single k-slot cover decision:
-    gamma never increases, so it holds exactly below min_rounds(spec, k),
-    or always if no bound exists.  When it fails min_rounds <= budget, so
-    the message cannot raise.
-    """
-    covers, dom = _search_masks(spec, budget)
-    full = (1 << spec.n) - 1
-    if _exists_cover(covers, dom, full, full, k):
-        raise BudgetNotBelowBound(
-            f"budget {budget} is not below the tight bound {min_rounds(spec, k)}")
-    return covers
-
-
-def _unheard_node(reach: tuple[int, ...], v: Vertex) -> int:
-    """Lowest node outside the reach masks of v's positive coordinates."""
-    heard = 0
-    for x in v:
-        if x:
-            heard |= reach[x - 1]
-    free = ((1 << len(reach)) - 1) & ~heard
-    if not free:
-        raise LemmaFalsified(
-            f"the positive coordinates of {v} reach every node although the "
-            f"closure needs more than {len(v)} dominators")
-    return (free & -free).bit_length()
-
-
 def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
     """Smallest node hearing none of v's positive coordinates within budget.
 
@@ -170,7 +141,7 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
     """
     if len(v) != k or not is_vertex(v, spec.n):
         raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
-    return _unheard_node(_reach_below_bound(spec, k, budget), v)
+    return closure_below_bound(spec, k, budget).unheard(v)
 
 
 def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Vertex) -> int:
@@ -188,7 +159,7 @@ class AlgorithmColoring:
     masks of the positive coordinates up to date across odometer steps;
     most steps bump only the last coordinate, which changes one node's
     input and one mask.  Calling the object colors one vertex, and node(v)
-    is its assigned node, decoded from the same reach masks.  Every color
+    is its assigned node, decoded by the same closure.  Every color
     is read through one ViewTable, so `decide` runs once per distinct view
     however the vertices are asked for.
     """
@@ -196,18 +167,18 @@ class AlgorithmColoring:
     def __init__(self, spec: DynamicGraphSpec, k: int, budget: int,
                  alg: AlgorithmSpec) -> None:
         self.n, self.k = spec.n, k
-        self._reach = _reach_below_bound(spec, k, budget)
+        self._closure = closure_below_bound(spec, k, budget)
         self._table = ViewTable(spec, k, alg, budget)
 
     def node(self, v: Vertex) -> int:
         """Assigned node of the vertex v, trusted to be one of the triangulation."""
-        return _unheard_node(self._reach, v)
+        return self._closure.unheard(v)
 
     def __call__(self, v: Vertex) -> int:
         return self._table.output(self.node(v), _config(v, self.n))
 
     def __iter__(self) -> Iterator[int]:
-        n, k, reach, table = self.n, self.k, self._reach, self._table
+        n, k, table, reach = self.n, self.k, self._table, self._closure.reach
         entries = [table.entry(node) for node in range(1, n + 1)]
         full, last = (1 << n) - 1, k - 1
         v, cfg = [0] * k, [0] * n
@@ -216,7 +187,7 @@ class AlgorithmColoring:
         while True:
             free = full & ~heard[k]
             node, key_of, memo = entries[
-                ((free & -free).bit_length() if free else _unheard_node(reach, tuple(v))) - 1]
+                ((free & -free).bit_length() if free else self.node(tuple(v))) - 1]
             key = key_of(cfg)
             out = memo.get(key)
             yield table.decide(node, cfg, memo, key) if out is None else out
@@ -242,9 +213,9 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
                        alg: AlgorithmSpec) -> AlgorithmColoring:
     """The coloring `alg` induces on the (spec.n, k) triangulation at `budget`.
 
-    The domination precondition of assign_node is checked once, here,
-    before the ViewTable is built, so that every node the coloring decodes,
-    including a caller's witness nodes, comes from that one decision.
+    The coloring checks the domination precondition of assign_node once,
+    before it builds its ViewTable, so every node it decodes, including a
+    caller's witness nodes, comes from that one decision.
     """
     return AlgorithmColoring(spec, k, budget, alg)
 

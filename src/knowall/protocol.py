@@ -20,7 +20,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .dyngraph import DynamicGraphSpec, _in_masks, min_dominating_set, min_rounds
+from .dyngraph import DynamicGraphSpec, closure_at, min_dominating_set, min_rounds
 from .errors import AlgorithmRangeError, LemmaFalsified
 
 InputConfig = tuple[int, ...]
@@ -83,33 +83,15 @@ class OutcomeReport:
     distinct_count: int
 
 
-def _senders_of(heard: int) -> list[int]:
-    """Nodes of an in-mask of the closure, in increasing order."""
-    senders = []
-    while heard:
-        low = heard & -heard
-        senders.append(low.bit_length())
-        heard ^= low
-    return senders
-
-
-def _heard_masks(spec: DynamicGraphSpec, budget: int) -> tuple[int, ...]:
-    """In-masks of H_budget, one per node; ValueError for a negative budget."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    return _in_masks(spec, budget)
-
-
 def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
     """Restriction of the input vector to what `observer` heard by `budget`."""
     if not 1 <= observer <= spec.n:
         raise ValueError(f"observer {observer} outside 1..{spec.n}")
-    heard = _heard_masks(spec, budget)[observer - 1]
+    senders = closure_at(spec, budget).senders[observer - 1]
     vals = tuple(inputs)
     if len(vals) != spec.n or not all(type(x) is int for x in vals):
         raise ValueError(f"expected {spec.n} integer inputs, got {vals!r}")
-    return View(observer=observer, budget=budget,
-                heard={j: vals[j - 1] for j in _senders_of(heard)})
+    return View(observer=observer, budget=budget, heard={j: vals[j - 1] for j in senders})
 
 
 def _checked_output(alg: AlgorithmSpec, k: int, node: int, out) -> int:
@@ -129,8 +111,8 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
     """
     vals = validate_inputs(inputs, spec.n, k)
     outputs = []
-    for node, heard in enumerate(_heard_masks(spec, budget), start=1):
-        view = View(node, budget, {j: vals[j - 1] for j in _senders_of(heard)})
+    for node, senders in enumerate(closure_at(spec, budget).senders, start=1):
+        view = View(node, budget, {j: vals[j - 1] for j in senders})
         outputs.append(_checked_output(alg, k, node, alg.decide(spec, k, view)))
     distinct = len(set(outputs))
     held = set(vals)
@@ -151,7 +133,8 @@ class ViewTable:
     ViewTable.decide, with the same View and the same range check as
     `run`.  A caller that reads each view of a node once may call decide
     without a memo.  Configurations passed in must already be valid (see
-    validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views.
+    validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
+    `senders` is H_budget's own, shared by every table at that budget.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -159,10 +142,10 @@ class ViewTable:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
-        self._senders = [_senders_of(heard) for heard in _in_masks(spec, budget)]
+        self.senders = closure_at(spec, budget).senders
         # (node, heard-digit key of a configuration, memo) per node
         self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
-                       for node, senders in enumerate(self._senders, start=1)]
+                       for node, senders in enumerate(self.senders, start=1)]
 
     def due_nodes(self) -> list[list[tuple[int, Callable, dict]]]:
         """The nodes grouped by the highest node they hear, as (node, key, memo).
@@ -172,7 +155,7 @@ class ViewTable:
         as memo.get(key(cfg)), or as decide(node, cfg, memo, key) on a miss.
         """
         due: list[list[tuple[int, Callable, dict]]] = [[] for _ in self._nodes]
-        for entry, senders in zip(self._nodes, self._senders):
+        for entry, senders in zip(self._nodes, self.senders):
             due[senders[-1] - 1].append(entry)
         return due
 
@@ -181,7 +164,7 @@ class ViewTable:
         """Decide `node`'s view of `cfg`, and remember it in `memo` under `key`
         when a memo is given."""
         view = tuple.__new__(View, (node, self.budget,
-                                    {j: cfg[j - 1] for j in self._senders[node - 1]}))
+                                    {j: cfg[j - 1] for j in self.senders[node - 1]}))
         out = _checked_output(self.alg, self.k, node, self.alg.decide(self.spec, self.k, view))
         if memo is not None:
             if len(memo) >= VIEW_MEMO_CAP:

@@ -6,9 +6,11 @@ counterexample: either a configuration where some node outputs a value
 nobody holds, or one where k+1 nodes output k+1 distinct values,
 whichever kuhn.find_panchromatic meets first.  Both kinds are verified
 the same way, by one `protocol.run` of the witness configuration: the
-outputs at the decoded nodes must be the colors the triangulation gave
-them.  Verification deliberately goes back through the protocol module
-only, so a bug in the triangulation machinery cannot vouch for itself.
+outputs at the nodes decoded by the coloring's closure H_budget must be
+the colors the triangulation gave them.  The closure comes from the
+coloring's one refutability decision, so the budget is tested once.
+Verification deliberately goes back through the protocol module only,
+so a bug in the triangulation machinery cannot vouch for itself.
 """
 from __future__ import annotations
 
@@ -64,13 +66,11 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     at the first witness in base order: a vertex colored outside its
     carrier gives a validity witness, a panchromatic cell an agreement
     witness, so validity broken only past the first cell's base is refuted
-    by that cell.  Witness nodes are decoded from the coloring's own reach
-    masks of H_budget, so refutability is decided once.  Both kinds are
-    one run of the first corner's configuration, which must give each
-    corner's color at its node.  LemmaFalsified is a tripwire: it fires
-    only if direct re-simulation disagrees with the combinatorial
-    argument, which means a bug in this package, not in the algorithm
-    under test.
+    by that cell.  Both kinds are one run of the first corner's
+    configuration, which must give each corner's color at its node.
+    LemmaFalsified is a tripwire: it fires only if direct re-simulation
+    disagrees with the combinatorial argument, which means a bug in this
+    package, not in the algorithm under test.
     """
     n = spec.n
     coloring = algorithm_coloring(spec, k, budget, alg)

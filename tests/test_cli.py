@@ -26,7 +26,7 @@ from knowall import (
     run,
     save_graph_file,
 )
-from knowall import dyngraph, kuhn, protocol
+from knowall import dyngraph, protocol
 from knowall.cli import build_parser, main
 
 
@@ -208,7 +208,8 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # a cover decision claiming no two nodes dominate H_2 of the 5-cycle
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
-    monkeypatch.setattr(kuhn, "_exists_cover", lambda covers, dom, uncovered, avail, slots: False)
+    monkeypatch.setattr(dyngraph, "_exists_cover",
+                        lambda covers, dom, uncovered, avail, slots: False)
     args = ("triangulate", "--n", "5", "--k", "2", "--graph", c5_file, "--budget", "2")
     # the color stream of --alg meets the vertex in the same way
     for extra in ((), ("--alg", "min_heard")):
@@ -219,17 +220,16 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
 
 def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch):
     # refute and triangulate --budget decide refutability once, and decode
-    # witness corners and vertices from the coloring's reach masks; only
-    # kuhn's reference to the cover decision is counted, so flood_dominator's
-    # searches do not show
-    decide = kuhn._exists_cover
+    # witness corners and vertices with the closure that decision returned;
+    # flood_dominator's searches call _cover directly, so they do not show
+    decide = dyngraph._exists_cover
     calls = []
 
     def counting(*args):
         calls.append(args)
         return decide(*args)
 
-    monkeypatch.setattr(kuhn, "_exists_cover", counting)
+    monkeypatch.setattr(dyngraph, "_exists_cover", counting)
     const_zero = AlgorithmSpec("const0", lambda spec, k, view: 0)
     for alg, kind in ((algorithm_by_name("min_heard"), WitnessKind.AGREEMENT_VIOLATION),
                       (const_zero, WitnessKind.VALIDITY_VIOLATION)):

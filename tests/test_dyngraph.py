@@ -13,11 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowall import (
+    MAX_HEARD,
+    MIN_HEARD,
     CapExceeded,
     DynamicGraphSpec,
     Extension,
     GraphFormatError,
     NeverDominated,
+    ViewTable,
     closure,
     complete_graph,
     directed_cycle,
@@ -36,10 +39,8 @@ from knowall import (
 from knowall import dyngraph
 from knowall.cli import main
 from knowall.dyngraph import (
-    _domination_number, _exists_cover, _gamma, _greedy_members, _in_masks, _order, _packing,
-    _reach_masks, _search_masks)
+    _domination_number, _exists_cover, _gamma, _greedy_members, _order, _packing, closure_at)
 from knowall.oracle import brute_domination
-from knowall.protocol import _senders_of
 
 from conftest import random_spec
 
@@ -202,13 +203,14 @@ def test_grown_masks_match_naive_reach_sets_and_their_transpose():
             if r:
                 arcs = graph_at(spec, r)
                 reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
-            masks, into = _reach_masks(spec, r), _in_masks(spec, r)
+            h = closure_at(spec, r)
+            masks, into = h.reach, h.into
             assert [{v for v in range(1, n + 1) if m >> (v - 1) & 1} for m in masks] == reach
             assert into == tuple(sum(1 << u for u in range(n) if masks[u] >> v & 1)
                                  for v in range(n)), (spec, r)
             for v in range(1, n + 1):
-                assert _senders_of(into[v - 1]) == [u for u in range(1, n + 1)
-                                                    if v in reach[u - 1]]
+                assert h.senders[v - 1] == tuple(u for u in range(1, n + 1)
+                                                 if v in reach[u - 1])
         rules.add(spec.extension)
     assert len(rules) == 2
 
@@ -220,7 +222,8 @@ def test_exists_cover_matches_subset_enumeration():
         spec = random_spec(rng, max_n=10)
         n = spec.n
         r = rng.randint(0, 3)
-        covers, dom = _search_masks(spec, r)
+        h = closure_at(spec, r)
+        covers, dom = h.reach, h.into
         for _ in range(8):
             avail = rng.getrandbits(n)
             offered = [x for x in range(n) if avail >> x & 1]
@@ -248,10 +251,10 @@ def test_exact_cap():
 
 
 def test_greedy_examples(c5, k4):
-    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1, 5) == [1, 3, 4]
-    assert _greedy_members(_reach_masks(k4, 1), (1 << 4) - 1, 4) == [1]
+    assert _greedy_members(closure_at(c5, 1).reach, (1 << 5) - 1, 5) == [1, 3, 4]
+    assert _greedy_members(closure_at(k4, 1).reach, (1 << 4) - 1, 4) == [1]
     # cut off after `limit` members
-    assert _greedy_members(_reach_masks(c5, 1), (1 << 5) - 1, 2) == [1, 3]
+    assert _greedy_members(closure_at(c5, 1).reach, (1 << 5) - 1, 2) == [1, 3]
 
 
 def _counting(monkeypatch, name, calls):
@@ -292,7 +295,8 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
         spec = random_spec(rng, max_n=14)
         n = spec.n
         full = (1 << n) - 1
-        covers, dom = _search_masks(spec, rng.randint(0, 3))
+        h = closure_at(spec, rng.randint(0, 3))
+        covers, dom = h.reach, h.into
         arcs = {(u + 1, v + 1) for u in range(n) for v in range(n) if covers[u] >> v & 1}
         gamma = brute_domination(n, arcs)
         assert _packing(_order(dom, full, full)) <= gamma
@@ -506,7 +510,7 @@ def test_memo_is_not_part_of_the_spec(relay):
     # copies are equal specs with memos of their own
     for made in (pickle.loads(pickle.dumps(relay)), copy.copy(relay), copy.deepcopy(relay)):
         assert type(made) is DynamicGraphSpec and made == relay and hash(made) == hash(relay)
-        assert made._memo is not relay._memo and made._memo.reach == []
+        assert made._memo is not relay._memo and made._memo.closures == []
         assert min_rounds(made, 1) == 5
     assert weakref.ref(relay)() is relay
 
@@ -519,19 +523,48 @@ def test_closures_stop_growing_once_they_are_fixed():
     assert arcs == closure(spec, 25) == closure(directed_cycle(5), 25)
     assert len(arcs) == 25
     memo = spec._memo
-    assert len(memo.reach) == len(memo.into) == 6
-    assert _in_masks(spec, 10 ** 9) == _in_masks(spec, 4)
+    assert len(memo.closures) == 6
+    assert closure_at(spec, 10 ** 9).into == closure_at(spec, 4).into
     assert _gamma(spec, 10 ** 9) == 1 and len(memo.gammas) == 6
     assert domination_numbers(spec, 7) == (3, 2, 2, 1, 1, 1, 1)
     assert domination_numbers(spec, 0) == ()
-    assert min_dominating_set(spec, 10 ** 9) == (1,) and len(memo.reach) == 6
+    assert min_dominating_set(spec, 10 ** 9) == (1,) and len(memo.closures) == 6
     # a sequence that is never dominated stores at most about n^2 * m rounds
     relay = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset(), frozenset({(3, 4)})),
                              Extension.CYCLE)
     assert len(closure(relay, 10 ** 6)) == 6
-    assert len(relay._memo.reach) <= 4 * 4 * 3 + 3 + 1
+    assert len(relay._memo.closures) <= 4 * 4 * 3 + 3 + 1
     with pytest.raises(NeverDominated, match="fixed from round 3 on"):
         min_rounds(relay, 1)
+
+
+def test_closures_are_shared_and_build_senders_on_first_use():
+    # the searches read masks only, so they build no sender list
+    rng = random.Random(2718)
+    for spec in [directed_cycle(5), *(random_spec(rng, max_n=12) for _ in range(30))]:
+        for k in (1, 2):
+            try:
+                r = min_rounds(spec, k)
+            except NeverDominated:
+                r = 3
+            domination_numbers(spec, r + 2)
+            min_dominating_set(spec, r)
+        assert spec._memo.closures
+        assert all(h._senders is None for h in spec._memo.closures), spec
+    # H_4 of the 5-cycle is complete: every later round shares its closure
+    spec = directed_cycle(5)
+    memo = spec._memo
+    assert closure_at(spec, 10 ** 9) is closure_at(spec, 5) is closure_at(spec, 4)
+    assert closure_at(spec, 3) is not closure_at(spec, 4)
+    # tables of two algorithms read one set of sender lists, built once
+    tables = [ViewTable(spec, 2, alg, 1) for alg in (MIN_HEARD, MAX_HEARD)]
+    assert tables[0].senders is tables[1].senders is closure_at(spec, 1).senders
+    assert [h._senders is None for h in memo.closures] == [True, False, True, True, True, True]
+    # a round that adds nothing shares its predecessor's closure
+    relay = DynamicGraphSpec(4, (frozenset({(1, 2)}), frozenset(), frozenset({(3, 4)})),
+                             Extension.CYCLE)
+    assert closure_at(relay, 2) is closure_at(relay, 1)
+    assert closure_at(relay, 3) is not closure_at(relay, 2)
 
 
 def test_spec_accepts_plain_containers():

@@ -18,6 +18,7 @@ from knowall import (
     LemmaFalsified,
     NeverDominated,
     PrimitiveSimplex,
+    ViewTable,
     WitnessKind,
     assign_node,
     builtin_algorithms,
@@ -30,6 +31,7 @@ from knowall import (
     min_rounds,
     refute,
     run,
+    sample_check,
     vertices,
     view_of,
 )
@@ -333,3 +335,20 @@ def test_derived_data_is_freed_with_the_spec():
     finally:
         gc.enable()
     assert not alive
+
+
+@pytest.mark.parametrize("call", [
+    lambda spec: view_of(spec, (0,) * 5, 1, -1),
+    lambda spec: run(spec, 2, MIN_HEARD, (0,) * 5, -1),
+    lambda spec: ViewTable(spec, 2, MIN_HEARD, -1),
+    lambda spec: exhaustive_check(spec, 2, MIN_HEARD, -1),
+    lambda spec: sample_check(spec, 2, MIN_HEARD, -1),
+    lambda spec: refute(spec, 2, MIN_HEARD, -1),
+    lambda spec: assign_node(spec, 2, -1, (0, 0)),
+    lambda spec: algorithm_coloring(spec, 2, -1, MIN_HEARD),
+], ids=["view_of", "run", "ViewTable", "exhaustive_check", "sample_check", "refute",
+        "assign_node", "algorithm_coloring"])
+def test_a_negative_budget_has_one_message(call):
+    # every path reads H_budget through the spec's memo, which refuses r < 0
+    with pytest.raises(ValueError, match=r"^closure needs r >= 0, got -1$"):
+        call(directed_cycle(5))

@@ -154,3 +154,14 @@ def test_searches_keep_no_module_state():
         dyngraph.min_dominating_set(spec, r)
     assert set(vars(dyngraph)) == names
     assert containers() == before
+
+
+def test_no_module_imports_another_modules_private_names():
+    # a module reaches another's data through its public names only, so a
+    # private name can change without a caller elsewhere in the package
+    found = [f"{path.name}:{node.lineno}: {alias.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom) and node.level
+             for alias in node.names if alias.name.startswith("_")]
+    assert found == []
