@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import permutations
+from operator import eq
 
 from .dyngraph import DynamicGraphSpec, closure_below_bound
 from .errors import NoPanchromaticCell
@@ -89,22 +89,46 @@ class PrimitiveSimplex:
         return tuple(pts)
 
 
+def _prefixes(n: int, base: Vertex) -> Iterator[tuple[int, ...]]:
+    """The permutation prefixes whose unit steps from `base` stay in the simplex.
+
+    Depth first with the steps in increasing coordinate order, so the
+    whole permutations among them come in lexicographic order; a step
+    that leaves the simplex drops its prefix and every extension of it.
+    """
+    stack = [(list(base), (), tuple(range(1, len(base) + 1)))]
+    while stack:
+        cur, prefix, rest = stack.pop()
+        yield prefix
+        for i in range(len(rest) - 1, -1, -1):  # pushed last to first, popped first
+            j = rest[i]
+            # only the bound on the bumped coordinate can break
+            if cur[j - 1] < (n if j == 1 else cur[j - 2]):
+                corner = cur.copy()
+                corner[j - 1] += 1
+                stack.append((corner, prefix + (j,), rest[:i] + rest[i + 1:]))
+
+
 def primitive_simplices(n: int, k: int) -> Iterator[PrimitiveSimplex]:
-    """Stream the n^k cells in (base, permutation) lexicographic order."""
-    perms = list(permutations(range(1, k + 1)))
+    """Stream the n^k cells in (base, permutation) lexicographic order.
+
+    A base with x1 = n has no cell, since coordinate 1 cannot step.  At
+    any other base, coordinate j can step unless it ties with coordinate
+    j-1 that has not stepped yet, so the cells' permutations depend only
+    on which consecutive coordinates tie, and each tie pattern is walked
+    once.  Such a walk never reaches a dead end (the lowest coordinate
+    left can always step), so it visits at most k+1 prefixes per cell.
+    """
+    perms_by_ties: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
     for base in vertices(n, k):
+        if base[0] == n:
+            continue
+        ties = tuple(map(eq, base, base[1:]))
+        perms = perms_by_ties.get(ties)
+        if perms is None:
+            perms = perms_by_ties[ties] = [p for p in _prefixes(n, base) if len(p) == k]
         for perm in perms:
-            cur = list(base)
-            ok = True
-            for j in perm:
-                cur[j - 1] += 1
-                # only the bound on the bumped coordinate can break
-                limit = n if j == 1 else cur[j - 2]
-                if cur[j - 1] > limit:
-                    ok = False
-                    break
-            if ok:
-                yield PrimitiveSimplex(base=base, perm=perm)
+            yield PrimitiveSimplex(base=base, perm=perm)
 
 
 def _config(v: Vertex, n: int) -> InputConfig:

@@ -6,18 +6,23 @@ usable knowledge is therefore the restriction of the input vector to its
 in-neighborhood in the closure H_budget.  That restriction is the View,
 and a candidate algorithm is any pure function of (sequence, k, view).
 
-Purity is a contract, not a convention: `decide` must return the same
-value whenever it is given the same (spec, k, view).  `run` calls it for
-every node of the one configuration it executes, but configuration
-sweeps and the triangulation coloring go through a ViewTable, which
-calls it once per distinct view it meets and replays the remembered
-output afterwards.
+An algorithm is reached through one entry point, AlgorithmSpec.bind(spec,
+k, budget), which fixes the instance and returns a function of the View
+alone; per-instance data such as flooding's dominating set is derived
+there, once.  `run` binds once per call and a ViewTable once when it is
+built, and nothing else calls an algorithm.  Purity is a contract, not a
+convention: the bound function must return the same value whenever it
+is given the same view.  `run` calls it for every node of the one
+configuration it executes, but configuration sweeps and the
+triangulation coloring go through a ViewTable, which calls it once per
+distinct view it meets and replays the remembered output afterwards.
 """
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 from .dyngraph import DynamicGraphSpec, closure_at, min_dominating_set, min_rounds
@@ -69,10 +74,18 @@ dataclasses.fields and asdict do not apply to it.
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """Named candidate algorithm: a pure decision function of the view."""
+    """Named candidate algorithm: a pure decision function of the view.
+
+    `decide(spec, k, view)` is the algorithm itself; the package calls it
+    only through bind, whose default closes over spec and k.
+    """
 
     name: str
     decide: Callable[[DynamicGraphSpec, int, View], int]
+
+    def bind(self, spec: DynamicGraphSpec, k: int, budget: int) -> Callable[[View], int]:
+        """The algorithm on this instance, as a function of the View alone."""
+        return partial(self.decide, spec, k)
 
 
 @dataclass(frozen=True)
@@ -110,10 +123,12 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
     algorithm returns anything but an int in 0..k at any node.
     """
     vals = validate_inputs(inputs, spec.n, k)
+    heard_by = closure_at(spec, budget).senders
+    decide = alg.bind(spec, k, budget)
     outputs = []
-    for node, senders in enumerate(closure_at(spec, budget).senders, start=1):
+    for node, senders in enumerate(heard_by, start=1):
         view = View(node, budget, {j: vals[j - 1] for j in senders})
-        outputs.append(_checked_output(alg, k, node, alg.decide(spec, k, view)))
+        outputs.append(_checked_output(alg, k, node, decide(view)))
     distinct = len(set(outputs))
     held = set(vals)
     return OutcomeReport(
@@ -129,9 +144,11 @@ class ViewTable:
 
     A node's view is fixed by the inputs of its in-neighborhood in
     H_budget, so each node keeps a memo from those heard digits to its
-    output; the algorithm's `decide` is called only on a memo miss, through
-    ViewTable.decide, with the same View and the same range check as
-    `run`.  A caller that reads each view of a node once may call decide
+    output.  The algorithm is bound once, when the table is built, so an
+    error of the binding (flooding's NeverDominated or CapExceeded) is
+    raised there; the bound function is called only on a memo miss,
+    through ViewTable.decide, with the same View and the same range check
+    as `run`.  A caller that reads each view of a node once may call decide
     without a memo.  Configurations passed in must already be valid (see
     validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
     `senders` is H_budget's own, shared by every table at that budget.
@@ -141,8 +158,9 @@ class ViewTable:
                  budget: int) -> None:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        self.spec, self.k, self.alg, self.budget = spec, k, alg, budget
+        self.k, self.alg, self.budget = k, alg, budget
         self.senders = closure_at(spec, budget).senders
+        self._decide = alg.bind(spec, k, budget)
         # (node, heard-digit key of a configuration, memo) per node
         self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
                        for node, senders in enumerate(self.senders, start=1)]
@@ -165,7 +183,9 @@ class ViewTable:
         when a memo is given."""
         view = tuple.__new__(View, (node, self.budget,
                                     {j: cfg[j - 1] for j in self.senders[node - 1]}))
-        out = _checked_output(self.alg, self.k, node, self.alg.decide(self.spec, self.k, view))
+        out = self._decide(view)
+        if type(out) is not int or not 0 <= out <= self.k:
+            _checked_output(self.alg, self.k, node, out)  # raises AlgorithmRangeError
         if memo is not None:
             if len(memo) >= VIEW_MEMO_CAP:
                 memo.clear()
@@ -200,6 +220,28 @@ class ViewTable:
 # ---------------------------------------------------------------------------
 
 
+def _dominators(spec: DynamicGraphSpec, k: int, r: int | None) -> tuple[int, ...]:
+    return min_dominating_set(spec, min_rounds(spec, k) if r is None else r)
+
+
+def _first_heard(members: tuple[int, ...], view: View) -> int:
+    heard = view.heard
+    for j in members:
+        if j in heard:
+            return heard[j]
+    return heard[view.observer]
+
+
+@dataclass(frozen=True)
+class _Flooding(AlgorithmSpec):
+    """flood_dominator's spec, whose bind looks up the dominators once."""
+
+    r: int | None
+
+    def bind(self, spec: DynamicGraphSpec, k: int, budget: int) -> Callable[[View], int]:
+        return partial(_first_heard, _dominators(spec, k, self.r))
+
+
 def flood_dominator(r: int | None = None) -> AlgorithmSpec:
     """Optimal flooding: output the input of the smallest heard dominator.
 
@@ -207,18 +249,16 @@ def flood_dominator(r: int | None = None) -> AlgorithmSpec:
     given intended budget or, when None, the tight bound for the spec at
     hand.  Run below that budget some nodes hear no dominator; they fall
     back to their own input, which keeps the algorithm
-    validity-respecting at every budget.
+    validity-respecting at every budget.  Binding derives the set, so a
+    spec with no bound raises NeverDominated there; `decide` derives it
+    again on every call.
     """
 
     def decide(spec: DynamicGraphSpec, k: int, view: View) -> int:
-        heard = view.heard
-        for j in min_dominating_set(spec, r if r is not None else min_rounds(spec, k)):
-            if j in heard:
-                return heard[j]
-        return heard[view.observer]
+        return _first_heard(_dominators(spec, k, r), view)
 
     name = "flood_dominator" if r is None else f"flood_dominator({r})"
-    return AlgorithmSpec(name=name, decide=decide)
+    return _Flooding(name=name, decide=decide, r=r)
 
 
 def _decide_min_heard(spec: DynamicGraphSpec, k: int, view: View) -> int:

@@ -335,6 +335,76 @@ def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, mon
         assert err.startswith("internal error: LemmaFalsified: the sweep failed ")
 
 
+def test_flooding_looks_up_its_dominators_once_per_bind(capsys, c5_file, monkeypatch):
+    calls = {"min_rounds": 0, "min_dominating_set": 0}
+
+    def counted(name):
+        fn = getattr(protocol, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counting
+
+    for name in calls:
+        monkeypatch.setattr(protocol, name, counted(name))
+
+    def counts_of(action):
+        calls.update(dict.fromkeys(calls, 0))
+        action()
+        return calls["min_rounds"], calls["min_dominating_set"]
+
+    c5 = directed_cycle(5)
+    flooding = algorithm_by_name("flood_dominator")
+    assert counts_of(lambda: run_cli(capsys, "check", "--graph", c5_file, "--k", "2", "--alg",
+                                     "flood_dominator", "--budget", "2", "--exhaustive")) == (1, 1)
+    assert counts_of(lambda: run(c5, 2, flooding, (0, 1, 2, 0, 1), 2)) == (1, 1)
+    # one bind colors the triangulation, and one re-simulates the witness
+    assert counts_of(lambda: refute(c5, 2, flooding, 1)) == (2, 2)
+
+
+def test_flooding_answers_without_its_decide(capsys, c5_file, monkeypatch):
+    # bind is the only path to an algorithm: flooding's binding never calls decide
+    def no_decide(spec, k, view):
+        raise AssertionError("decide called")
+
+    flooding = algorithm_by_name("flood_dominator")
+    bound_only = dataclasses.replace(flooding, decide=no_decide)
+    c5 = directed_cycle(5)
+    for budget in (1, 2):
+        for cfg in ((0, 1, 2, 0, 1), (2, 2, 1, 0, 0)):
+            assert run(c5, 2, bound_only, cfg, budget) == run(c5, 2, flooding, cfg, budget)
+    assert refute(c5, 2, bound_only, 1) == refute(c5, 2, flooding, 1)
+    commands = [("check", "--budget", "2", "--exhaustive"), ("check", "--budget", "1"),
+                ("check", "--budget", "1", "--exhaustive"), ("refute", "--budget", "1"),
+                ("triangulate", "--n", "5", "--budget", "1")]
+    expected = [run_cli(capsys, *argv, "--graph", c5_file, "--k", "2",
+                        "--alg", "flood_dominator") for argv in commands]
+    monkeypatch.setattr(protocol, "algorithm_by_name", lambda name: bound_only)
+    assert [run_cli(capsys, *argv, "--graph", c5_file, "--k", "2", "--alg", "flood_dominator")
+            for argv in commands] == expected
+    assert [code for code, _out, _err in expected] == [0, 1, 1, 1, 0]
+
+
+def test_flooding_refusals_keep_their_messages(capsys, tmp_path):
+    # flooding now derives its dominators when a table is bound, before any view
+    islands = tmp_path / "islands.json"
+    save_graph_file(DynamicGraphSpec(2, (frozenset(),)), str(islands))
+    c33 = tmp_path / "c33.json"
+    save_graph_file(directed_cycle(33), str(c33))
+    never = ("error: no round suffices: H_r is fixed from round 0 on "
+             "and its domination number is 2 > k = 1\n")
+    capped = "error: exact dominating-set search capped at n <= 32, got n = 33\n"
+    for path, mode, err in ((islands, ("--exhaustive",), never), (islands, (), never),
+                            (c33, (), capped)):
+        assert run_cli(capsys, "check", "--graph", str(path), "--k", "1", "--alg",
+                       "flood_dominator", "--budget", "0", *mode) == (2, "", err), (path, mode)
+    assert run_cli(capsys, "refute", "--graph", str(islands), "--k", "1", "--alg",
+                   "flood_dominator", "--budget", "0") == (2, "", never)
+    assert run_cli(capsys, "triangulate", "--n", "2", "--graph", str(islands), "--k", "1",
+                   "--alg", "flood_dominator", "--budget", "0") == (2, "", never)
+
+
 def test_check_sampled_is_seed_deterministic(capsys, c5_file):
     args = ("check", "--graph", c5_file, "--k", "2",
             "--alg", "min_heard", "--budget", "1", "--seed", "3")

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +107,49 @@ def test_simplices_stream_in_lex_order_with_valid_corners():
             keys.append((s.base, s.perm))
             assert all(is_vertex(v, n) for v in s.vertices())
         assert keys == sorted(keys)
+
+
+def _cells_by_every_permutation(n, k):
+    # the enumeration the prefix walk replaced: every permutation tested at every base
+    perms = list(permutations(range(1, k + 1)))
+    for base in vertices(n, k):
+        for perm in perms:
+            cur = list(base)
+            for j in perm:
+                cur[j - 1] += 1
+                if cur[j - 1] > (n if j == 1 else cur[j - 2]):
+                    break
+            else:
+                yield PrimitiveSimplex(base=base, perm=perm)
+
+
+def test_prefix_walk_matches_every_permutation_enumeration():
+    for n in range(1, 6):
+        for k in range(1, 6):
+            assert list(primitive_simplices(n, k)) == list(_cells_by_every_permutation(n, k))
+
+
+def test_cell_walk_visits_at_most_k_plus_1_prefixes_per_cell(monkeypatch):
+    # every permutation at every base would be 9! = 362880 tests per base
+    prefixes = kuhn._prefixes
+    steps = [0]
+
+    def counting(*args):
+        for prefix in prefixes(*args):
+            steps[0] += 1
+            yield prefix
+
+    monkeypatch.setattr(kuhn, "_prefixes", counting)
+    for n in (1, 2, 3):
+        steps[0] = 0
+        cells = list(primitive_simplices(n, 9))
+        assert len(cells) == n ** 9
+        assert 10 <= steps[0] <= 10 * len(cells), n
+
+
+def test_one_cell_deeper_than_the_recursion_limit():
+    k = sys.getrecursionlimit() + 1
+    assert list(primitive_simplices(1, k)) == [PrimitiveSimplex((0,) * k, tuple(range(1, k + 1)))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from knowall import (
     MIN_HEARD,
     AlgorithmRangeError,
     AlgorithmSpec,
+    DynamicGraphSpec,
     LemmaFalsified,
+    NeverDominated,
     View,
     ViewTable,
     algorithm_by_name,
@@ -23,6 +25,7 @@ from knowall import (
     flood_dominator,
     flood_solve,
     format_inputs,
+    min_rounds,
     parse_inputs,
     refute,
     run,
@@ -32,6 +35,8 @@ from knowall import (
 )
 
 from knowall import protocol
+from knowall.dyngraph import closure_at
+from knowall.families import standard_family
 
 from conftest import random_spec
 import random
@@ -234,3 +239,31 @@ def test_algorithm_registry():
     assert algorithm_by_name("min_heard") is MIN_HEARD
     with pytest.raises(ValueError):
         algorithm_by_name("nope")
+
+
+def test_bound_function_equals_decide_on_every_view():
+    # decide(spec, k, view) is the oracle for what bind(spec, k, budget) returns
+    reads_spec_and_k = AlgorithmSpec(
+        "reads_spec_and_k", lambda spec, k, view: (sum(view.heard.values()) + spec.n) % (k + 1))
+    for name, spec, k in standard_family():
+        for alg in (*builtin_algorithms(), reads_spec_and_k):
+            for budget in range(min_rounds(spec, k) + 1):
+                bound = alg.bind(spec, k, budget)
+                for node, senders in enumerate(closure_at(spec, budget).senders, start=1):
+                    for digits in product(range(k + 1), repeat=len(senders)):
+                        view = View(node, budget, dict(zip(senders, digits)))
+                        assert bound(view) == alg.decide(spec, k, view), (name, alg.name, view)
+
+
+def test_flooding_with_no_bound_raises_when_bound():
+    # flooding reads the dominating set of H_r when it is bound, not at a view,
+    # so a table that would decide nothing still raises
+    islands = DynamicGraphSpec(2, (frozenset(),))
+    for bind in (lambda: flood_dominator().bind(islands, 1, 0),
+                 lambda: ViewTable(islands, 1, flood_dominator(), 0),
+                 lambda: sample_check(islands, 1, flood_dominator(), 0, samples=0),
+                 lambda: run(islands, 1, flood_dominator(), (0, 1), 0)):
+        with pytest.raises(NeverDominated, match="^no round suffices"):
+            bind()
+    # a fixed round count needs no bound
+    assert flood_dominator(0).bind(islands, 1, 0)(View(1, 0, {1: 1})) == 1
