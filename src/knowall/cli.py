@@ -37,6 +37,7 @@ from .errors import (
 )
 
 TRIANGULATION_CAP = 10 ** 6
+TRIANGULATION_DIGIT_CAP = 10 ** 7
 SAMPLE_COUNT = 1000
 
 
@@ -133,14 +134,23 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         if spec.n != n:
             raise ValueError(f"--n {n} does not match the graph's n={spec.n}")
 
-    verts = list(vertices(n, k))
-    nodes = colors = [None] * len(verts)
+    coloring = decode = None
     if args.alg is not None:
         coloring = algorithm_coloring(spec, k, args.budget, algorithm_by_name(args.alg))
-        colors = list(coloring)
-        nodes = list(map(coloring.node, verts))
+        decode = coloring.node
     elif args.budget is not None:
-        nodes = list(map(closure_below_bound(spec, k, args.budget).unheard, verts))
+        decode = closure_below_bound(spec, k, args.budget).unheard
+    # every vertex row carries its n-digit configuration
+    if math.comb(n + k, k) * n > TRIANGULATION_DIGIT_CAP:
+        raise CapExceeded(f"triangulation for n={n}, k={k} exceeds the "
+                          f"{TRIANGULATION_DIGIT_CAP}-digit output cap")
+
+    verts = list(vertices(n, k))
+    nodes = colors = [None] * len(verts)
+    if coloring is not None:
+        colors = list(coloring)
+    if decode is not None:
+        nodes = list(map(decode, verts))
 
     index = {v: i for i, v in enumerate(verts)}
     rows = [{"coords": list(v), "inp": format_inputs(inp(v, n)), "node": w, "color": c}

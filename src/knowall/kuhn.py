@@ -17,21 +17,27 @@ a single configuration.
 
 algorithm_coloring checks the domination precondition once, through
 dyngraph.closure_below_bound, and returns the coloring as an object that
-keeps the closure it got: iterating it streams the colors in vertex
-order, keeping each vertex's configuration and reach-mask union up to
-date from the previous one, and every color is read through one shared
-ViewTable.  find_panchromatic is one pass over that stream, reading each
-color once.  It tests the cells of a base when it reaches their shared
-top corner, base+(1,...,1), walking the base's permutations as a prefix
-tree, and holds the first vertex colored outside its carrier until every
-earlier base is tested; so it returns the first witness in (base,
-permutation) order and reads nothing past that witness's top corner.
-The check that colors every vertex, a baseline for the tests, is
-oracle.check_sperner.
+keeps the closure it got, with every color read through one shared
+ViewTable.  sperner_walk, which refute uses, follows doors from the
+origin through the faces x_{d+1} = ... = x_k = 0 of increasing dimension
+(Kuhn 1968, Cohen 1967) and colors only the vertices on that path, each
+once, keeping each one's configuration up to date from the corner it
+steps from; its witness is the first vertex on the path colored outside
+its carrier, or the cell the path ends at.  Iterating the coloring
+streams the colors of every vertex in vertex order instead, keeping the
+configuration and reach-mask union up to date from the previous vertex;
+find_panchromatic, the reference scan the tests hold the walk to, is one
+pass over that stream.  It tests the cells of a base when it reaches
+their shared top corner, base+(1,...,1), walking the base's permutations
+as a prefix tree, and holds the first vertex colored outside its carrier
+until every earlier base is tested; so it returns the first witness in
+(base, permutation) order and reads nothing past that witness's top
+corner.  The check that colors every vertex, a baseline for the tests,
+is oracle.check_sperner.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import eq
 
@@ -183,8 +189,9 @@ class AlgorithmColoring:
     masks of the positive coordinates up to date across odometer steps;
     most steps bump only the last coordinate, which changes one node's
     input and one mask.  Calling the object colors one vertex, and node(v)
-    is its assigned node, decoded by the same closure.  Every color
-    is read through one ViewTable, so `decide` runs once per distinct view
+    is its assigned node, decoded by the same closure; sperner_walk colors
+    the same way, from configurations it keeps itself.  Every color is
+    read through one ViewTable, so `decide` runs once per distinct view
     however the vertices are asked for.
     """
 
@@ -199,11 +206,27 @@ class AlgorithmColoring:
         return self._closure.unheard(v)
 
     def __call__(self, v: Vertex) -> int:
-        return self._table.output(self.node(v), _config(v, self.n))
+        return self._color(v, _config(v, self.n))
+
+    def _color(self, v: Vertex, cfg: Sequence[int]) -> int:
+        # the color of v given its configuration cfg; sperner_walk derives cfg
+        # from a neighbouring corner's, so a color costs at most k mask ORs
+        # and a memo lookup
+        heard, reach = 0, self._closure.reach
+        for x in v:
+            if not x:
+                break  # v is monotone: the rest are 0 too
+            heard |= reach[x - 1]
+        free = ((1 << self.n) - 1) & ~heard
+        node, key_of, memo = self._table.entries[
+            ((free & -free).bit_length() if free else self.node(v)) - 1]
+        key = key_of(cfg)
+        out = memo.get(key)
+        return self._table.decide(node, cfg, memo, key) if out is None else out
 
     def __iter__(self) -> Iterator[int]:
         n, k, table, reach = self.n, self.k, self._table, self._closure.reach
-        entries = [table.entry(node) for node in range(1, n + 1)]
+        entries = table.entries
         full, last = (1 << n) - 1, k - 1
         v, cfg = [0] * k, [0] * n
         # heard[j]: OR of the reach masks of the positive coordinates among v[:j]
@@ -242,6 +265,127 @@ def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
     caller's witness nodes, comes from that one decision.
     """
     return AlgorithmColoring(spec, k, budget, alg)
+
+
+def sperner_walk(coloring: AlgorithmColoring) -> tuple[PrimitiveSimplex | Vertex, tuple[int, ...]]:
+    """Follow doors from the origin to a panchromatic cell, coloring only the path.
+
+    F_d is the face x_{d+1} = ... = x_k = 0, triangulated by the cells
+    (base, perm) with perm a permutation of 1..d, and a door of such a
+    cell is a facet colored exactly 0..d-1.  The walk starts at the
+    origin, the 0-cell of F_0, and moves to the next cell through a door;
+    a cell colored 0..d goes up into F_{d+1} by appending step d+1, and a
+    door lying in F_{d-1} (the cell's last step is d and its base has
+    x_d = 0) goes down to that face, leaving the cell there through the
+    facet opposite its corner colored d-1.  Inside F_d a move is a
+    Freudenthal pivot: dropping corner 0 bumps the base by e_{perm[0]} and
+    rotates perm left, dropping corner d lowers it by e_{perm[-1]} and
+    rotates perm right, dropping an inner corner i swaps perm[i-1] and
+    perm[i].  A cell on the path has at most two doors, and the origin and
+    a cell colored 0..k are the only ends, so the walk ends at such a cell
+    (Cohen's proof of Sperner's lemma).
+
+    Each vertex is colored at most once, when the walk first reaches it,
+    and tested against its carrier; the first color outside it ends the
+    walk as (vertex, (color,)).  Otherwise the result is the cell and the
+    colors of its k+1 corners.  Since every colored vertex respects its
+    carrier, a door lies on the boundary of F_d only in F_{d-1}, so a
+    pivot that leaves the simplex, a return to the origin or more moves
+    than there are cells raises NoPanchromaticCell as a tripwire.
+    """
+    n, k = coloring.n, coloring.k
+    color = coloring._color
+    origin, cfg = (0,) * k, [0] * n
+    c = color(origin, cfg)
+    if c:  # the origin's carrier is {0}
+        return origin, (c,)
+    seen = {origin: 0}
+    # the current cell of F_d: its corners, their configurations and colors
+    pts, cfgs, cols, perm = [origin], [cfg], [0], []
+    d = new = 0  # corner `new` was colored last
+    moves = sum(n ** e for e in range(1, k + 1))  # the cells of F_1, ..., F_k
+    while True:
+        c = cols[new]
+        if c == d:  # the cell is colored 0..d
+            if d == k:
+                return PrimitiveSimplex(base=pts[0], perm=tuple(perm)), tuple(cols)
+            # up into F_{d+1}: coordinate d+1 of the top corner steps from 0 to 1
+            p, cfg = pts[d], cfgs[d].copy()
+            v = p[:d] + (1,) + p[d + 1:]
+            d += 1
+            cfg[0] = d
+            perm.append(d)
+            pts.append(v)
+            cfgs.append(cfg)
+            cols.append(0)
+            new = d
+        else:
+            # the door just crossed has each of 0..d-1 once, so c is on one other corner
+            j = cols.index(c)
+            if j == new:
+                j = cols.index(c, j + 1)
+            while j == d:  # dropping the top corner lowers the base
+                m = perm[-1]
+                p = pts[0]
+                a = p[m - 1]
+                if a > (p[m] if m < k else 0):
+                    break
+                if m != d or d == 1:
+                    raise NoPanchromaticCell(
+                        f"the Sperner walk on the n={n}, k={k} triangulation left the "
+                        f"simplex below {p} by a door colored {cols[:-1]}")
+                # the door is a cell of F_{d-1} colored 0..d-1: go down to it
+                del pts[-1], cfgs[-1], cols[-1], perm[-1]
+                d -= 1
+                j = cols.index(d)
+            if j == d:
+                # a lowered coordinate m from a to a-1 leaves node a with m-1 inputs >= a
+                v = p[:m - 1] + (a - 1,) + p[m:]
+                cfg = cfgs[0].copy()
+                cfg[a - 1] = m - 1
+                del pts[-1], cfgs[-1], cols[-1]
+                pts.insert(0, v)
+                cfgs.insert(0, cfg)
+                cols.insert(0, 0)
+                perm.insert(0, perm.pop())
+                new = 0
+            else:
+                # dropping corner 0 steps the top by perm[0], an inner corner j
+                # steps corner j-1 by perm[j]
+                src, m = (j - 1, perm[j]) if j else (d, perm[0])
+                p = pts[src]
+                a = p[m - 1]
+                if a >= (p[m - 2] if m > 1 else n):
+                    raise NoPanchromaticCell(
+                        f"the Sperner walk on the n={n}, k={k} triangulation left the "
+                        f"simplex above {p} by a door colored {cols[:j] + cols[j + 1:]}")
+                # a coordinate m bumped from a to a+1 gives node a+1 m inputs >= a+1
+                v = p[:m - 1] + (a + 1,) + p[m:]
+                cfg = cfgs[src].copy()
+                cfg[a] = m
+                if j:
+                    pts[j], cfgs[j] = v, cfg
+                    perm[j - 1], perm[j] = m, perm[j - 1]
+                    new = j
+                else:
+                    del pts[0], cfgs[0], cols[0]
+                    pts.append(v)
+                    cfgs.append(cfg)
+                    cols.append(0)
+                    perm.append(perm.pop(0))
+                    new = d
+        moves -= 1
+        if moves < 0:
+            raise NoPanchromaticCell(
+                f"the Sperner walk on the n={n}, k={k} triangulation made more moves "
+                "than there are cells")
+        c = seen.get(v)
+        if c is None:
+            c = seen[v] = color(v, cfg)
+            # c is in v's carrier iff x_c > x_{c+1}, reading x_0 = n and x_{k+1} = 0
+            if (v[c - 1] if c else n) <= (v[c] if c < k else 0):
+                return v, (c,)
+        cols[new] = c
 
 
 def _prefix_tree(k: int, place: list[int], prefix: tuple[int, ...] = (),

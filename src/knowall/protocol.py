@@ -152,6 +152,8 @@ class ViewTable:
     without a memo.  Configurations passed in must already be valid (see
     validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
     `senders` is H_budget's own, shared by every table at that budget.
+    `entries` lists the nodes in order as (node, key, memo), the form
+    that due_nodes and entry give them in.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -162,8 +164,8 @@ class ViewTable:
         self.senders = closure_at(spec, budget).senders
         self._decide = alg.bind(spec, k, budget)
         # (node, heard-digit key of a configuration, memo) per node
-        self._nodes = [(node, itemgetter(*(j - 1 for j in senders)), {})
-                       for node, senders in enumerate(self.senders, start=1)]
+        self.entries = [(node, itemgetter(*(j - 1 for j in senders)), {})
+                        for node, senders in enumerate(self.senders, start=1)]
 
     def due_nodes(self) -> list[list[tuple[int, Callable, dict]]]:
         """The nodes grouped by the highest node they hear, as (node, key, memo).
@@ -172,8 +174,8 @@ class ViewTable:
         outputs are fixed once digits 0..p of a configuration are, and read
         as memo.get(key(cfg)), or as decide(node, cfg, memo, key) on a miss.
         """
-        due: list[list[tuple[int, Callable, dict]]] = [[] for _ in self._nodes]
-        for entry, senders in zip(self._nodes, self.senders):
+        due: list[list[tuple[int, Callable, dict]]] = [[] for _ in self.entries]
+        for entry, senders in zip(self.entries, self.senders):
             due[senders[-1] - 1].append(entry)
         return due
 
@@ -194,9 +196,9 @@ class ViewTable:
 
     def entry(self, node: int) -> tuple[int, Callable, dict]:
         """`node` as (node, key, memo), read as the entries of due_nodes are."""
-        if not 1 <= node <= len(self._nodes):
-            raise ValueError(f"node {node} outside 1..{len(self._nodes)}")
-        return self._nodes[node - 1]
+        if not 1 <= node <= len(self.entries):
+            raise ValueError(f"node {node} outside 1..{len(self.entries)}")
+        return self.entries[node - 1]
 
     def output(self, node: int, cfg: InputConfig) -> int:
         """Output of `node` on configuration `cfg`."""
@@ -208,7 +210,7 @@ class ViewTable:
     def outputs(self, cfg: InputConfig) -> tuple[int, ...]:
         """Outputs of nodes 1..n on `cfg`, decided in node order."""
         outs = []
-        for node, key_of, memo in self._nodes:
+        for node, key_of, memo in self.entries:
             key = key_of(cfg)
             out = memo.get(key)
             outs.append(self.decide(node, cfg, memo, key) if out is None else out)

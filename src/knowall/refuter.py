@@ -4,13 +4,14 @@ refute() takes any candidate algorithm claimed to work in fewer rounds
 than the tight bound and produces a concrete, re-simulated
 counterexample: either a configuration where some node outputs a value
 nobody holds, or one where k+1 nodes output k+1 distinct values,
-whichever kuhn.find_panchromatic meets first.  Both kinds are verified
-the same way, by one `protocol.run` of the witness configuration: the
-outputs at the nodes decoded by the coloring's closure H_budget must be
-the colors the triangulation gave them.  The closure comes from the
-coloring's one refutability decision, so the budget is tested once.
-Verification deliberately goes back through the protocol module only,
-so a bug in the triangulation machinery cannot vouch for itself.
+whichever kuhn.sperner_walk meets first on its door-to-door path from
+the origin.  Both kinds are verified the same way, by one `protocol.run`
+of the witness configuration: the outputs at the nodes decoded by the
+coloring's closure H_budget must be the colors the walk gave them.  The
+closure comes from the coloring's one refutability decision, so the
+budget is tested once.  Verification deliberately goes back through the
+protocol module only, so a bug in the triangulation machinery cannot
+vouch for itself.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from enum import Enum
 
 from .dyngraph import DynamicGraphSpec
 from .errors import LemmaFalsified
-from .kuhn import PrimitiveSimplex, algorithm_coloring, find_panchromatic, inp
+from .kuhn import PrimitiveSimplex, algorithm_coloring, inp, sperner_walk
 from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
 
 
@@ -62,24 +63,24 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     The budget is refutable exactly when no k nodes dominate H_budget, so
     below the tight bound and on sequences with no bound; otherwise
     algorithm_coloring raises BudgetNotBelowBound (ValueError when
-    negative).  One pass over the coloring's stream, in vertex order, ends
-    at the first witness in base order: a vertex colored outside its
-    carrier gives a validity witness, a panchromatic cell an agreement
-    witness, so validity broken only past the first cell's base is refuted
-    by that cell.  Both kinds are one run of the first corner's
-    configuration, which must give each corner's color at its node.
+    negative).  The Sperner walk colors only the vertices on its path from
+    the origin, each once, and stops at the first witness on it: a vertex
+    colored outside its carrier gives a validity witness, the panchromatic
+    cell the path ends at an agreement witness, so validity broken only off
+    the path is refuted by that cell.  Both kinds are one run of the first
+    corner's configuration, which must give each corner's color at its
+    node.
     LemmaFalsified is a tripwire: it fires only if direct re-simulation
     disagrees with the combinatorial argument, which means a bug in this
     package, not in the algorithm under test.
     """
     n = spec.n
     coloring = algorithm_coloring(spec, k, budget, alg)
-    found = find_panchromatic(n, k, coloring)
+    found, colors = sperner_walk(coloring)
     simplex = found if isinstance(found, PrimitiveSimplex) else None
-    corners = (found[0],) if simplex is None else simplex.vertices()
+    corners = (found,) if simplex is None else simplex.vertices()
     config = inp(corners[0], n)
     nodes = tuple(map(coloring.node, corners))
-    colors = tuple(map(coloring, corners))
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
     shown = format_inputs(config)

@@ -26,7 +26,7 @@ from knowall import (
     run,
     save_graph_file,
 )
-from knowall import dyngraph, protocol
+from knowall import dyngraph, kuhn, protocol
 from knowall.cli import build_parser, main
 
 
@@ -190,6 +190,24 @@ def test_triangulate_node_and_color_columns(capsys, c5_file):
                            "--alg", "flood_dominator", "--pretty")
     assert code == 0
     assert "3,1\t21100\t5\t0\n" in out
+
+
+def test_triangulate_output_is_capped_before_any_row(capsys, monkeypatch):
+    # C(1002, 2) = 501,501 vertices and 1000^2 cells pass the cell cap, but
+    # the vertex rows would carry 5 * 10^8 input digits
+    def no_rows(*args):
+        raise AssertionError("a vertex row was built")
+
+    monkeypatch.setattr(kuhn, "vertices", no_rows)
+    monkeypatch.setattr(kuhn, "inp", no_rows)
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, "triangulate", "--n", "1000", "--k", "2") == (
+            2, "", "error: triangulation for n=1000, k=2 exceeds the 10000000-digit "
+            "output cap\n")
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_triangulate_budget_at_the_bound_exits_2(capsys, c5_file):

@@ -474,6 +474,71 @@ def test_drawn_coloring_is_sperner_with_known_cells():
     assert format_inputs(inp((3, 1), 5)) == "21100"
 
 
+class _TableColoring:
+    """A coloring from a table, read the way sperner_walk reads a coloring.
+
+    It checks the configuration the walk keeps up to date against inp and
+    records every vertex the walk colors.
+    """
+
+    def __init__(self, n, k, table):
+        self.n, self.k, self.table, self.colored = n, k, table, []
+
+    def _color(self, v, cfg):
+        assert tuple(cfg) == inp(v, self.n), (v, cfg)
+        self.colored.append(v)
+        return self.table[v]
+
+
+def test_sperner_walk_on_the_drawn_coloring():
+    # up the x1 axis to (2, 0), whose color 1 completes the edge cell
+    # ((1, 0), (1,)), up to (2, 1), then one pivot to (3, 1), colored 2
+    coloring = _TableColoring(5, 2, DRAWN_COLORING)
+    cell, colors = kuhn.sperner_walk(coloring)
+    assert cell == PrimitiveSimplex((2, 0), (2, 1)) and colors == (1, 0, 2)
+    assert cell in brute_panchromatic(5, 2, DRAWN_COLORING.__getitem__)
+    assert coloring.colored == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1)]
+
+
+def test_sperner_walk_k1_and_a_wrong_origin():
+    threshold = {(x,): 0 if x < 2 else 1 for x in range(5)}
+    assert kuhn.sperner_walk(_TableColoring(4, 1, threshold)) == \
+        (PrimitiveSimplex((1,), (1,)), (0, 1))
+    # the origin's carrier is {0}, and the walk starts there
+    wrong = _TableColoring(3, 2, dict.fromkeys(vertices(3, 2), 1))
+    assert kuhn.sperner_walk(wrong) == ((0, 0), (1,)) and wrong.colored == [(0, 0)]
+
+
+def test_sperner_walk_matches_the_brute_oracles_on_table_colorings():
+    # Sperner colorings always give a panchromatic cell; palette colorings
+    # give a cell or a carrier violation, both checked by brute force.  The
+    # walk colors each vertex once and keeps every configuration right
+    rng = random.Random(1967)
+    kinds = set()
+    for k in range(1, 5):
+        for n in range(1, 8 if k < 4 else 5):
+            for kind in ("sperner", "palette"):
+                for _ in range(8):
+                    verts = list(vertices(n, k))
+                    if kind == "sperner":
+                        table = {v: rng.choice(sorted(carrier(v, n))) for v in verts}
+                    else:
+                        table = {v: rng.randrange(k + 1) for v in verts}
+                    coloring = _TableColoring(n, k, table)
+                    found, colors = kuhn.sperner_walk(coloring)
+                    assert len(coloring.colored) == len(set(coloring.colored))
+                    if isinstance(found, PrimitiveSimplex):
+                        assert found in brute_panchromatic(n, k, table.__getitem__)
+                        assert colors == tuple(map(table.__getitem__, found.vertices()))
+                        assert coloring.colored[-1] in found.vertices()
+                    else:
+                        assert kind == "palette" and coloring.colored[-1] == found
+                        assert colors[0] == table[found] not in carrier(found, n)
+                    kinds.add((kind, type(found).__name__))
+    assert kinds == {("sperner", "PrimitiveSimplex"), ("palette", "PrimitiveSimplex"),
+                     ("palette", "tuple")}
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 2))
 def test_random_sperner_colorings_have_panchromatic_cell(seed, n, k):

@@ -182,7 +182,7 @@ def test_view_table_memo_stays_within_cap(monkeypatch):
     table = ViewTable(complete_graph(4), 2, MIN_HEARD, 1)
     for cfg in product(range(3), repeat=4):
         assert table.outputs(cfg) == run(complete_graph(4), 2, MIN_HEARD, cfg, 1).outputs
-    assert all(len(memo) <= 5 for _node, _key_of, memo in table._nodes)
+    assert all(len(memo) <= 5 for _node, _key_of, memo in table.entries)
 
 
 def test_view_table_rejects_unknown_node(c5):

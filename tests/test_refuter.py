@@ -25,6 +25,7 @@ from knowall import (
     closure,
     directed_cycle,
     exhaustive_check,
+    find_panchromatic,
     flood_dominator,
     format_inputs,
     inp,
@@ -37,7 +38,7 @@ from knowall import (
 )
 from knowall import kuhn, refuter
 from knowall.families import standard_family
-from knowall.kuhn import algorithm_coloring
+from knowall.kuhn import algorithm_coloring, sperner_walk
 from knowall.oracle import brute_panchromatic, check_sperner
 
 from conftest import random_spec
@@ -78,47 +79,98 @@ def _breaks_validity_at(spec, k, budget, alg, v):
     return AlgorithmSpec(f"{alg.name}_broken_at_{v}", decide)
 
 
-def test_first_witness_in_base_order_wins(c5):
-    # the first panchromatic cell of flood_dominator has base (3, 1); a
-    # validity break at a vertex past that base is not reached, one before
-    # it is
+@pytest.fixture
+def walked(monkeypatch):
+    """The vertices the Sperner walk colors, in order, wherever it runs."""
+    colored = []
+    color = kuhn.AlgorithmColoring._color
+
+    def recorded(self, v, cfg):
+        colored.append(v)
+        return color(self, v, cfg)
+
+    monkeypatch.setattr(kuhn.AlgorithmColoring, "_color", recorded)
+    return colored
+
+
+def test_refute_colors_the_walk_path(c5, walked):
+    # flood_dominator on c5: up the x1 axis to (2, 0), whose color 1
+    # completes a cell of the edge, up into the triangle, and door to door
+    # to the cell at (3, 1)
+    w = refute(c5, 2, flood_dominator(2), 1)
+    path = list(walked)
+    assert path == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 0), (4, 1), (4, 2)]
+    coloring = algorithm_coloring(c5, 2, 1, flood_dominator(2))
+    assert [coloring(v) for v in path] == [0, 0, 1, 0, 0, 1, 1, 2]
+    assert w.simplex == PrimitiveSimplex((3, 1), (1, 2)) and w.outputs == (0, 1, 2)
+
+
+def test_a_validity_break_is_found_only_on_the_walk_path(c5, walked):
+    # the honest walk colors (0, 0) but not (5, 0), and no vertex it colors
+    # shares (5, 0)'s view: a break at (0, 0) is the witness, a break at
+    # (5, 0) leaves the honest cell
     honest = refute(c5, 2, flood_dominator(2), 1)
-    assert honest.simplex.base == (3, 1)
+    path = list(walked)
+    assert (0, 0) in path and (5, 0) not in path
     for v, expected_kind in (((5, 0), WitnessKind.AGREEMENT_VIOLATION),
                              ((0, 0), WitnessKind.VALIDITY_VIOLATION)):
         alg = _breaks_validity_at(c5, 2, 1, flood_dominator(2), v)
         violations = check_sperner(5, 2, algorithm_coloring(c5, 2, 1, alg)).violations
         assert [u for u, _, _ in violations] == [v]
         assert not run(c5, 2, alg, inp(v, 5), 1).valid
+        walked.clear()
         w = refute(c5, 2, alg, 1)
         assert w.kind is expected_kind and w.verified
         report = run(c5, 2, alg, w.config, 1)
         assert tuple(report.outputs[i - 1] for i in w.nodes) == w.outputs
         if expected_kind is WitnessKind.AGREEMENT_VIOLATION:
+            assert walked == path
             assert (w.config, w.nodes, w.outputs, w.simplex) == \
                 (honest.config, honest.nodes, honest.outputs, honest.simplex)
             assert not report.agreeing
         else:
+            assert walked == [v]
             assert w.config == inp(v, 5) and not report.valid
             assert w.nodes == (assign_node(c5, 2, 1, v),) and w.outputs[0] not in w.config
 
 
-def _recording(find, read):
-    # find_panchromatic, except that every color it reads is appended to `read`
-    def recorded(n, k, colors):
-        return find(n, k, (read.append(c) or c for c in colors))
-    return recorded
-
-
-def test_refute_colors_only_part_of_the_triangulation(monkeypatch):
-    name, spec, k = next(m for m in standard_family() if m[0] == "complete5/k=2")
+def _reads(n, k, colors):
+    # how many colors find_panchromatic's sweep reads from the stream
     read = []
-    monkeypatch.setattr(refuter, "find_panchromatic",
-                        _recording(refuter.find_panchromatic, read))
+    find_panchromatic(n, k, (read.append(c) or c for c in colors))
+    return len(read)
+
+
+def test_refute_colors_only_part_of_the_triangulation(monkeypatch, walked):
+    # refute walks: it never sweeps, colors each vertex at most once, and on
+    # the standard family colors no more vertices than the sweep reads
+    def no_sweep(*args):
+        raise AssertionError("refute called find_panchromatic")
+
+    assert not hasattr(refuter, "find_panchromatic")
+    monkeypatch.setattr(kuhn, "find_panchromatic", no_sweep)
+    for name, spec, k in standard_family():
+        budget = min_rounds(spec, k) - 1
+        for alg in builtin_algorithms():
+            walked.clear()
+            assert refute(spec, k, alg, budget).verified
+            assert 0 < len(walked) == len(set(walked)), (name, alg.name)
+            # the stream colors without _color, so `walked` stays as it is
+            read = _reads(spec.n, k, algorithm_coloring(spec, k, budget, alg))
+            assert len(walked) <= read, (name, alg.name)
+            if name == "complete5/k=2":
+                assert len(walked) < read < math.comb(spec.n + k, k), alg.name
+
+
+def test_refute_at_large_k_colors_few_vertices(walked):
+    # c10 at k=9: the sweep reads 66,197 of the C(19, 9) = 92,378 vertices
+    # before its witness, the walk colors at most a hundred
+    spec = directed_cycle(10)
     for alg in builtin_algorithms():
-        read.clear()
-        assert refute(spec, k, alg, min_rounds(spec, k) - 1).verified
-        assert 0 < len(read) < math.comb(spec.n + k, k), (name, alg.name)
+        walked.clear()
+        w = refute(spec, 9, alg, 0)
+        assert w.verified and len(set(w.outputs)) == 10, alg.name
+        assert 0 < len(walked) <= 100, (alg.name, len(walked))
 
 
 def _hashed(seed):
@@ -129,13 +181,12 @@ def _hashed(seed):
     return AlgorithmSpec(f"hashed{seed}", decide)
 
 
-def test_color_stream_matches_per_vertex_coloring_and_brute_witness():
-    # the stream's colors are the per-vertex colors, and refute's witness is
-    # the first that check_sperner and brute_panchromatic give on them
-    rng = random.Random(1968)
-    kinds = set()
-    runs = 0
-    while runs < 60:
+def _random_cases(seed, count):
+    """(spec, k, budget, alg) for `count` refutable cases, n <= 8 and k <= 3,
+    with the built-ins and seeded `_hashed` algorithms."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
         spec = random_spec(rng, max_n=8)
         k = rng.randint(1, min(3, spec.n - 1))
         try:
@@ -144,27 +195,54 @@ def test_color_stream_matches_per_vertex_coloring_and_brute_witness():
         except NeverDominated:
             budgets = range(3)
             algs = [MIN_HEARD, MAX_HEARD, MAJORITY_HEARD, _hashed(rng.randrange(10 ** 6))]
-        n = spec.n
-        for budget in budgets:
-            for alg in algs:
-                coloring = algorithm_coloring(spec, k, budget, alg)
-                colors = list(coloring)
-                assert colors == [coloring(v) for v in vertices(n, k)], (spec, k, budget, alg.name)
-                by_vertex = dict(zip(vertices(n, k), colors)).__getitem__
-                cells = brute_panchromatic(n, k, by_vertex)
-                violations = check_sperner(n, k, by_vertex).violations
-                witness = refute(spec, k, alg, budget)
-                if violations and (not cells or violations[0][0] <= cells[0].base):
-                    vertex, c, _carrier = violations[0]
-                    assert witness.kind is WitnessKind.VALIDITY_VIOLATION
-                    assert (witness.config, witness.nodes, witness.outputs) == \
-                        (inp(vertex, n), (coloring.node(vertex),), (c,))
-                else:
-                    assert witness.simplex == cells[0], (spec, k, budget, alg.name)
-                    assert witness.nodes == tuple(map(coloring.node, cells[0].vertices()))
-                kinds.add(witness.kind)
-                runs += 1
+        cases += [(spec, k, budget, alg) for budget in budgets for alg in algs]
+    return cases[:count]
+
+
+def _check_witness(spec, k, budget, alg, witness, colors):
+    # the witness is a cell of brute_panchromatic's list or one of
+    # check_sperner's violations, and re-simulates through run
+    n = spec.n
+    if witness.kind is WitnessKind.VALIDITY_VIOLATION:
+        vertex = next(v for v in vertices(n, k) if inp(v, n) == witness.config)
+        assert (vertex, witness.outputs[0]) in \
+            [(v, c) for v, c, _ in check_sperner(n, k, colors).violations]
+        assert witness.simplex is None
+    else:
+        assert witness.simplex in brute_panchromatic(n, k, colors), (spec, k, budget, alg.name)
+    report = run(spec, k, alg, witness.config, budget)
+    assert tuple(report.outputs[w - 1] for w in witness.nodes) == witness.outputs
+    assert not (report.valid if witness.simplex is None else report.agreeing)
+
+
+def test_color_stream_matches_per_vertex_coloring_and_brute_witness():
+    # the stream's colors are the per-vertex colors, and refute's witness is
+    # one that brute_panchromatic or check_sperner gives on them
+    kinds = set()
+    for spec, k, budget, alg in _random_cases(1968, 60):
+        coloring = algorithm_coloring(spec, k, budget, alg)
+        colors = list(coloring)
+        assert colors == [coloring(v) for v in vertices(spec.n, k)], (spec, k, budget, alg.name)
+        witness = refute(spec, k, alg, budget)
+        _check_witness(spec, k, budget, alg, witness,
+                       dict(zip(vertices(spec.n, k), colors)).__getitem__)
+        kinds.add(witness.kind)
     assert kinds == set(WitnessKind)
+
+
+def test_walk_witnesses_match_the_brute_oracles(walked):
+    # 1,200 random cases: every cell is panchromatic by brute force, every
+    # validity witness is a real carrier violation, and no vertex is
+    # colored twice
+    kinds = {kind: 0 for kind in WitnessKind}
+    for spec, k, budget, alg in _random_cases(1967, 1200):
+        walked.clear()
+        witness = refute(spec, k, alg, budget)
+        assert len(walked) == len(set(walked)), (spec, k, budget, alg.name)
+        colors = dict(zip(vertices(spec.n, k), algorithm_coloring(spec, k, budget, alg)))
+        _check_witness(spec, k, budget, alg, witness, colors.__getitem__)
+        kinds[witness.kind] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_witness_reruns_through_protocol(c5):
@@ -238,14 +316,13 @@ def test_witness_to_dict(c5):
     assert v.to_dict()["kind"] == "ValidityViolation"
 
 
-def test_lemma_falsified_tripwire(c5):
+def test_lemma_falsified_tripwire(c5, walked):
     # a stateful (hence illegal) algorithm: behaves like min_heard while the
-    # pass decides each distinct view of the vertices it colors once, then
+    # walk decides each distinct view of the vertices it colors once, then
     # goes constant, so the re-simulation cannot reproduce the panchromatic
     # cell
-    read = []
-    _recording(kuhn.find_panchromatic, read)(5, 2, algorithm_coloring(c5, 2, 1, MIN_HEARD))
-    colored = list(vertices(5, 2))[:len(read)]
+    sperner_walk(algorithm_coloring(c5, 2, 1, MIN_HEARD))
+    colored = list(walked)
     assert len(colored) < math.comb(5 + 2, 2)
     flips_after = len({
         (node, tuple(view_of(c5, inp(v, 5), node, 1).heard.items()))
