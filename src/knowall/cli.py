@@ -62,6 +62,15 @@ def _positive(text: str) -> int:
     return value
 
 
+def _digit_k(text: str) -> int:
+    # refute, check and triangulate print configurations one digit per node
+    value = _positive(text)
+    if value > 9:
+        raise argparse.ArgumentTypeError(
+            f"must be <= 9, since configurations print one digit per node, got {value}")
+    return value
+
+
 def _nonnegative(text: str) -> int:
     value = _integer(text)
     if value < 0:
@@ -148,7 +157,7 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
     verts = list(vertices(n, k))
     nodes = colors = [None] * len(verts)
     if coloring is not None:
-        colors = list(coloring)
+        colors = list(map(coloring, verts))
     if decode is not None:
         nodes = list(map(decode, verts))
 
@@ -234,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", parents=[common],
                        help="counterexample against an algorithm run below the bound")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k", type=_digit_k, required=True)
     p.add_argument("--alg", required=True, help="builtin algorithm name")
     p.add_argument("--budget", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_refute)
@@ -242,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangulate", parents=[common],
                        help="vertex and cell tables of the input-space triangulation")
     p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k", type=_digit_k, required=True)
     p.add_argument("--graph", help="adds the node-assignment column")
     p.add_argument("--budget", type=_nonnegative, help="budget for node assignment")
     p.add_argument("--alg", help="adds the color column")
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="validity/agreement sweep of an algorithm at a budget")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--k", type=_digit_k, required=True)
     p.add_argument("--alg", required=True)
     p.add_argument("--budget", type=_nonnegative, required=True)
     p.add_argument("--exhaustive", action="store_true",

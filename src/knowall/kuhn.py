@@ -16,30 +16,24 @@ whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
 
 algorithm_coloring checks the domination precondition once, through
-dyngraph.closure_below_bound, and returns the coloring as an object that
-keeps the closure it got, with every color read through one shared
-ViewTable.  sperner_walk, which refute uses, follows doors from the
-origin through the faces x_{d+1} = ... = x_k = 0 of increasing dimension
-(Kuhn 1968, Cohen 1967) and colors only the vertices on that path, each
-once, keeping each one's configuration up to date from the corner it
-steps from; its witness is the first vertex on the path colored outside
-its carrier, or the cell the path ends at.  Iterating the coloring
-streams the colors of every vertex in vertex order instead, keeping the
-configuration and reach-mask union up to date from the previous vertex;
-find_panchromatic, the reference scan the tests hold the walk to, is one
-pass over that stream.  It tests the cells of a base when it reaches
-their shared top corner, base+(1,...,1), walking the base's permutations
-as a prefix tree, and holds the first vertex colored outside its carrier
-until every earlier base is tested; so it returns the first witness in
-(base, permutation) order and reads nothing past that witness's top
-corner.  The check that colors every vertex, a baseline for the tests,
-is oracle.check_sperner.
+dyngraph.closure_below_bound, and returns the coloring as a function of
+the vertex that keeps the closure it got, with every color read through
+one shared ViewTable.  sperner_walk, which refute uses, follows doors from
+the origin through the faces x_{d+1} = ... = x_k = 0 of increasing
+dimension (Kuhn 1968, Cohen 1967) and colors only the vertices on that
+path, each once, keeping each one's configuration up to date from the
+corner it steps from; its witness is the first vertex on the path colored
+outside its carrier, or the cell the path ends at.  find_panchromatic,
+the reference scan the tests hold the walk to, colors the vertices in
+order instead, up to the top corner of the first witness in (base,
+permutation) order, and returns that witness.  The check that colors
+every vertex, a baseline for the tests, is oracle.check_sperner.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import eq
+from operator import eq, mul
 
 from .dyngraph import DynamicGraphSpec, closure_below_bound
 from .errors import NoPanchromaticCell
@@ -176,23 +170,18 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
 
 def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Vertex) -> int:
     """Output of the algorithm at v's assigned node on v's configuration."""
-    if len(v) != k or not is_vertex(v, spec.n):
-        raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
     return algorithm_coloring(spec, k, budget, alg)(v)
 
 
 class AlgorithmColoring:
     """The vertex coloring an algorithm induces at a budget below the bound.
 
-    Iterating yields the color of every vertex in vertices(n, k) order.
-    The stream keeps the input configuration and the OR of the reach
-    masks of the positive coordinates up to date across odometer steps;
-    most steps bump only the last coordinate, which changes one node's
-    input and one mask.  Calling the object colors one vertex, and node(v)
-    is its assigned node, decoded by the same closure; sperner_walk colors
-    the same way, from configurations it keeps itself.  Every color is
-    read through one ViewTable, so `decide` runs once per distinct view
-    however the vertices are asked for.
+    Calling the object colors one vertex, and node(v) is its assigned
+    node, decoded by the same closure; both refuse anything but a vertex
+    of the (n, k) triangulation.  sperner_walk colors through _color, from
+    configurations it keeps itself.  Every color is read through one
+    ViewTable, so `decide` runs once per distinct view however the
+    vertices are asked for.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, budget: int,
@@ -201,59 +190,23 @@ class AlgorithmColoring:
         self._closure = closure_below_bound(spec, k, budget)
         self._table = ViewTable(spec, k, alg, budget)
 
+    def _check(self, v: Vertex) -> None:
+        if len(v) != self.k or not is_vertex(v, self.n):
+            raise ValueError(f"{v} is not a vertex for n={self.n}, k={self.k}")
+
     def node(self, v: Vertex) -> int:
-        """Assigned node of the vertex v, trusted to be one of the triangulation."""
+        """Assigned node of the vertex v."""
+        self._check(v)
         return self._closure.unheard(v)
 
     def __call__(self, v: Vertex) -> int:
+        self._check(v)
         return self._color(v, _config(v, self.n))
 
     def _color(self, v: Vertex, cfg: Sequence[int]) -> int:
-        # the color of v given its configuration cfg; sperner_walk derives cfg
-        # from a neighbouring corner's, so a color costs at most k mask ORs
-        # and a memo lookup
-        heard, reach = 0, self._closure.reach
-        for x in v:
-            if not x:
-                break  # v is monotone: the rest are 0 too
-            heard |= reach[x - 1]
-        free = ((1 << self.n) - 1) & ~heard
-        node, key_of, memo = self._table.entries[
-            ((free & -free).bit_length() if free else self.node(v)) - 1]
-        key = key_of(cfg)
-        out = memo.get(key)
-        return self._table.decide(node, cfg, memo, key) if out is None else out
-
-    def __iter__(self) -> Iterator[int]:
-        n, k, table, reach = self.n, self.k, self._table, self._closure.reach
-        entries = table.entries
-        full, last = (1 << n) - 1, k - 1
-        v, cfg = [0] * k, [0] * n
-        # heard[j]: OR of the reach masks of the positive coordinates among v[:j]
-        heard = [0] * (k + 1)
-        while True:
-            free = full & ~heard[k]
-            node, key_of, memo = entries[
-                ((free & -free).bit_length() if free else self.node(tuple(v))) - 1]
-            key = key_of(cfg)
-            out = memo.get(key)
-            yield table.decide(node, cfg, memo, key) if out is None else out
-            # the odometer of vertices(n, k); the coordinates after j all
-            # equal v[j] = a, so nodes 1..a+1 now each hold the input j+1
-            j = last
-            while j >= 0 and v[j] == (v[j - 1] if j else n):
-                j -= 1
-            if j < 0:
-                return
-            a = v[j]
-            v[j] = a + 1
-            if j == last:
-                cfg[a] = k
-                heard[k] = heard[last] | reach[a]
-            else:
-                v[j + 1:] = [0] * (last - j)
-                cfg[:a + 1] = [j + 1] * (a + 1)
-                heard[j + 1:] = [heard[j] | reach[a]] * (k - j)
+        # the color of the vertex v given its configuration cfg, unchecked;
+        # sperner_walk derives cfg from a neighbouring corner's
+        return self._table.output(self._closure.unheard(v), cfg)
 
 
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
@@ -425,44 +378,39 @@ def _first_perm(nodes: tuple, base: int, need: int,
 
 
 def find_panchromatic(n: int, k: int,
-                      colors: Iterable[int]) -> PrimitiveSimplex | tuple[Vertex, int]:
+                      coloring: Coloring) -> PrimitiveSimplex | tuple[Vertex, int]:
     """First Sperner witness: a vertex colored outside its carrier, or a cell.
 
-    `colors` holds the colors of vertices(n, k) in that order, and each is
-    read once, as the pass reaches its vertex.  The cells of base b are
-    tested when the pass reaches their shared top corner b+(1,...,1):
-    every corner lies componentwise between b and the top, so it is
-    already colored, and tops arrive in base order.  A base whose top has
-    the base's color, or whose base or top is colored outside 0..k, has no
-    panchromatic cell.  Otherwise the base's permutations are walked as a
-    prefix tree, dropping a prefix whose corner leaves the triangulation,
-    repeats a color or takes one outside 0..k.  The first vertex colored
-    outside its carrier, p, is returned as (p, color) when the pass
-    reaches a top whose base is p or later, or at the end of the pass.
-    So the witness is the first in (base, permutation) order, a tie at p
-    going to the violation, and nothing past its top corner is read.
-    A stream shorter than the triangulation raises ValueError; after a
-    full pass, NoPanchromaticCell is a tripwire that Sperner's lemma
-    leaves no coloring to reach.
+    `coloring` is called once per vertex, in vertices(n, k) order.  The
+    cells of base b are tested when the scan reaches their shared top
+    corner b+(1,...,1): every corner lies componentwise between b and the
+    top, so it is already colored, and tops arrive in base order.  A base
+    whose top has the base's color, or whose base or top is colored
+    outside 0..k, has no panchromatic cell.  Otherwise the base's
+    permutations are walked as a prefix tree, dropping a prefix whose
+    corner leaves the triangulation, repeats a color or takes one outside
+    0..k.  The first vertex colored outside its carrier, p, is returned as
+    (p, color) when the scan reaches a top whose base is p or later, or at
+    the end of the scan.  So the witness is the first in (base,
+    permutation) order, a tie at p going to the violation, and nothing
+    past its top corner is colored.  After a full scan, NoPanchromaticCell
+    is a tripwire that Sperner's lemma leaves no coloring to reach.
     """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
     # a vertex's code is its coordinates read as digits in base n+1, which
     # orders codes as vertices and reaches every corner by one addition
     place = [(n + 1) ** (k - 1 - i) for i in range(k)]
-    tails = [sum(place[i + 1:]) for i in range(k)]
     ones, tree = sum(place), _prefix_tree(k, place)
-    palette, last = (1 << k + 1) - 1, k - 1
+    palette = (1 << k + 1) - 1
     bits: dict[int, int] = {}  # code -> 1 << color, or 0 outside the palette
     held = held_code = None
-    v, code = [0] * k, 0
-    for c in colors:
+    for v in vertices(n, k):
+        c, code = coloring(v), sum(map(mul, v, place))
         bit = 1 << c if 0 <= c <= k else 0
         # c is in v's carrier iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
         if held is None and not (bit and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
-            held, held_code = (tuple(v), c), code
+            held, held_code = (v, c), code
         bits[code] = bit
-        if v[last]:
+        if v[-1]:
             base = code - ones
             if held_code is not None and base >= held_code:
                 return held
@@ -471,19 +419,8 @@ def find_panchromatic(n: int, k: int,
                 perm = _first_perm(tree, base, palette ^ low ^ bit, bits) if tree else (1,)
                 if perm is not None:
                     return PrimitiveSimplex(base=tuple(x - 1 for x in v), perm=perm)
-        # the odometer of vertices(n, k), with the code kept alongside
-        j = last
-        while j >= 0 and v[j] == (v[j - 1] if j else n):
-            j -= 1
-        if j < 0:
-            if held is not None:
-                return held
-            raise NoPanchromaticCell(
-                f"no panchromatic cell in the n={n}, k={k} triangulation although every "
-                "vertex was colored inside its carrier, which Sperner's lemma rules out")
-        a = v[j]
-        v[j] = a + 1
-        code += place[j] - a * tails[j]
-        if j < last:
-            v[j + 1:] = [0] * (last - j)
-    raise ValueError(f"the colors end before the last vertex of the n={n}, k={k} triangulation")
+    if held is not None:
+        return held
+    raise NoPanchromaticCell(
+        f"no panchromatic cell in the n={n}, k={k} triangulation although every "
+        "vertex was colored inside its carrier, which Sperner's lemma rules out")

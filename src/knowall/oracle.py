@@ -44,7 +44,7 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
     Bases are scanned as raw k-tuples filtered for monotonicity and
     permutations lexicographically, which reproduces the production
     enumeration order without sharing its code; the first list entry is
-    therefore what the streaming search must return.
+    therefore what kuhn.find_panchromatic must return.
     """
     if n ** k > cap:
         raise CapExceeded(f"brute panchromatic scan capped at {cap} cells")

@@ -153,7 +153,7 @@ class ViewTable:
     validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
     `senders` is H_budget's own, shared by every table at that budget.
     `entries` lists the nodes in order as (node, key, memo), the form
-    that due_nodes and entry give them in.
+    that due_nodes gives them in.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -194,15 +194,11 @@ class ViewTable:
             memo[key] = out
         return out
 
-    def entry(self, node: int) -> tuple[int, Callable, dict]:
-        """`node` as (node, key, memo), read as the entries of due_nodes are."""
+    def output(self, node: int, cfg: Sequence[int]) -> int:
+        """Output of `node` on configuration `cfg`."""
         if not 1 <= node <= len(self.entries):
             raise ValueError(f"node {node} outside 1..{len(self.entries)}")
-        return self.entries[node - 1]
-
-    def output(self, node: int, cfg: InputConfig) -> int:
-        """Output of `node` on configuration `cfg`."""
-        _node, key_of, memo = self.entry(node)
+        _node, key_of, memo = self.entries[node - 1]
         key = key_of(cfg)
         out = memo.get(key)
         return self.decide(node, cfg, memo, key) if out is None else out

@@ -229,7 +229,7 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     monkeypatch.setattr(dyngraph, "_exists_cover",
                         lambda covers, dom, uncovered, avail, slots: False)
     args = ("triangulate", "--n", "5", "--k", "2", "--graph", c5_file, "--budget", "2")
-    # the color stream of --alg meets the vertex in the same way
+    # the coloring of --alg meets the vertex in the same way
     for extra in ((), ("--alg", "min_heard")):
         code, out, err = run_cli(capsys, *args, *extra)
         assert code == 2 and out == ""
@@ -596,6 +596,17 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
+    # the commands that print configurations, one digit per node, take k <= 9
+    for argv in (["refute", "--graph", "x.json", "--k", "10", "--alg", "min_heard",
+                  "--budget", "0"],
+                 ["check", "--graph", "x.json", "--k", "12", "--alg", "min_heard",
+                  "--budget", "1"],
+                 ["triangulate", "--n", "2", "--k", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "usage:" in err and "one digit per node" in err, argv
 
 
 def test_negative_seed_is_accepted(capsys, c5_file):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 from itertools import permutations
 
@@ -335,6 +336,17 @@ def test_color_example(c5):
     assert color(c5, 2, 1, MIN_HEARD, (5, 5)) == 2
 
 
+@pytest.mark.parametrize("v", [(2, 3), (3,), (1, -1), (6, 0)],
+                         ids=["increasing", "short", "negative", "above_n"])
+def test_the_coloring_refuses_non_vertices(c5, v):
+    # none is a vertex of the n=5, k=2 triangulation
+    coloring = algorithm_coloring(c5, 2, 1, MIN_HEARD)
+    message = f"^{re.escape(str(v))} is not a vertex for n=5, k=2$"
+    for read in (coloring, coloring.node, lambda v: color(c5, 2, 1, MIN_HEARD, v)):
+        with pytest.raises(ValueError, match=message):
+            read(v)
+
+
 # ---------------------------------------------------------------------------
 # Sperner machinery
 # ---------------------------------------------------------------------------
@@ -364,20 +376,15 @@ def test_check_sperner_matches_carrier_membership():
                 assert report == SpernerReport(not expected, expected), (n, k, c)
 
 
-def _colors(coloring, n, k):
-    """The stream find_panchromatic reads: each vertex's color in enumeration order."""
-    return map(coloring, vertices(n, k))
-
-
 def test_find_panchromatic_k1_threshold():
     coloring = {(x,): 0 if x < 2 else 1 for x in range(5)}
-    cell = find_panchromatic(4, 1, _colors(coloring.__getitem__, 4, 1))
+    cell = find_panchromatic(4, 1, coloring.__getitem__)
     assert cell == PrimitiveSimplex((1,), (1,))
 
 
 def test_find_panchromatic_returns_violation_without_sperner():
     # (2,) has carrier {1}; no cell precedes it, and the pass ends there
-    assert find_panchromatic(2, 1, [0, 0, 0]) == ((2,), 0)
+    assert find_panchromatic(2, 1, lambda v: 0) == ((2,), 0)
 
 
 def _top(witness, n):
@@ -390,7 +397,7 @@ def _top(witness, n):
     return top if is_vertex(top, n) else (n,) * len(top)
 
 
-def test_find_panchromatic_reads_each_color_once_up_to_the_witness_top():
+def test_find_panchromatic_calls_the_coloring_once_per_vertex_up_to_the_top():
     rng = random.Random(1960)
     kinds = set()
     for k in range(1, 4):
@@ -404,32 +411,26 @@ def test_find_panchromatic_reads_each_color_once_up_to_the_witness_top():
                         coloring = {v: rng.randrange(k + 1) for v in verts}
                     read = []
 
-                    def stream():
-                        for v in verts:
-                            read.append(v)
-                            yield coloring[v]
+                    def colored(v):
+                        read.append(v)
+                        return coloring[v]
 
-                    found = find_panchromatic(n, k, stream())
+                    found = find_panchromatic(n, k, colored)
                     top = _top(found, n)
                     # vertices come in lexicographic order, so the prefix up to
                     # the top is every vertex that compares at most equal to it
                     assert read == [v for v in verts if v <= top], (n, k, found)
                     kinds.add((kind, type(found).__name__))
-                    if read != verts:
-                        # a stream that stops short of the witness's top is refused
-                        with pytest.raises(ValueError, match="^the colors end before the last"):
-                            find_panchromatic(n, k, [coloring[v] for v in read[:-1]])
     assert kinds == {("sperner", "PrimitiveSimplex"), ("palette", "PrimitiveSimplex"),
                      ("palette", "tuple")}
-    with pytest.raises(ValueError, match="^the colors end before the last vertex of the "
-                       "n=3, k=2 triangulation$"):
-        find_panchromatic(3, 2, [])
+    with pytest.raises(ValueError, match="^need n >= 1 and k >= 1, got n=0 k=2$"):
+        find_panchromatic(0, 2, lambda v: 0)
 
 
 def test_no_panchromatic_cell_is_a_tripwire_after_a_full_pass(monkeypatch):
     # Sperner's lemma leaves no coloring that reaches it: only a cell search
     # that misses every cell makes the pass end without a witness
-    coloring = _colors(DRAWN_COLORING.__getitem__, 5, 2)
+    coloring = DRAWN_COLORING.__getitem__
     monkeypatch.setattr(kuhn, "_first_perm", lambda nodes, base, need, bits: None)
     with pytest.raises(NoPanchromaticCell, match="^no panchromatic cell in the n=5, k=2 "):
         find_panchromatic(5, 2, coloring)
@@ -459,7 +460,7 @@ def test_held_violation_is_ordered_by_base(colors, violation, cell, expected):
     assert c in range(3) and c not in carrier(vertex, 3)
     assert brute_panchromatic(3, 2, coloring)[0] == cell
     assert cell.base <= vertex <= cell.vertices()[-1]
-    assert find_panchromatic(3, 2, iter(colors)) == (cell if expected == "cell" else violation)
+    assert find_panchromatic(3, 2, coloring) == (cell if expected == "cell" else violation)
 
 
 def test_drawn_coloring_is_sperner_with_known_cells():
@@ -467,7 +468,7 @@ def test_drawn_coloring_is_sperner_with_known_cells():
     cells = brute_panchromatic(5, 2, DRAWN_COLORING.__getitem__)
     assert [(s.base, s.perm) for s in cells] == [
         ((2, 0), (1, 2)), ((2, 0), (2, 1)), ((3, 1), (1, 2))]
-    assert find_panchromatic(5, 2, _colors(DRAWN_COLORING.__getitem__, 5, 2)) == cells[0]
+    assert find_panchromatic(5, 2, DRAWN_COLORING.__getitem__) == cells[0]
     bold = PrimitiveSimplex((3, 1), (1, 2))
     assert bold in cells
     assert bold.vertices() == ((3, 1), (4, 1), (4, 2))
@@ -545,6 +546,6 @@ def test_random_sperner_colorings_have_panchromatic_cell(seed, n, k):
     rng = random.Random(seed)
     coloring = {v: rng.choice(sorted(carrier(v, n))) for v in vertices(n, k)}
     assert check_sperner(n, k, coloring.__getitem__).is_sperner
-    cell = find_panchromatic(n, k, _colors(coloring.__getitem__, n, k))
+    cell = find_panchromatic(n, k, coloring.__getitem__)
     assert {coloring[v] for v in cell.vertices()} == set(range(k + 1))
     assert cell == brute_panchromatic(n, k, coloring.__getitem__)[0]

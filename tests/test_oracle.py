@@ -355,7 +355,7 @@ def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monk
     check._depth_first(table, 5)
     heard = [len(view_of(_RELAY_SPEC, (0,) * 5, node, 1).heard) for node in range(1, 6)]
     assert len(decided) == len(set(decided)) == sum(3 ** h for h in heard)
-    assert {node for node in range(1, 6) if not table.entry(node)[2]} == memo_free
+    assert {node for node in range(1, 6) if not table.entries[node - 1][2]} == memo_free
 
 
 @pytest.mark.parametrize("block_bits", [3, 9, 27, 243],
@@ -463,7 +463,7 @@ def test_brute_panchromatic_matches_streaming_search():
                     first_is_violation = bool(violations) and (
                         not cells or rank[violations[0][0]] <= rank[cells[0].base])
                     expected = violations[0][:2] if first_is_violation else cells[0]
-                    found = find_panchromatic(n, k, map(coloring, vertices(n, k)))
+                    found = find_panchromatic(n, k, coloring)
                     assert found == expected, (n, k, kind)
                     inside = bool(cells and violations) and (
                         rank[cells[0].base] < rank[violations[0][0]]

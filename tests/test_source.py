@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import pkgutil
 import random
 import sys
 from pathlib import Path
@@ -165,3 +167,29 @@ def test_no_module_imports_another_modules_private_names():
              if isinstance(node, ast.ImportFrom) and node.level
              for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # perfbench/tracer.py finds its layer functions by name and reports a
+    # missing one as absent rather than failing; this test fails instead,
+    # until the tracer's names and the package's are one set (ROADMAP item 1)
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
+            arg = node.args[1] if len(node.args) > 1 else \
+                next(kw.value for kw in node.keywords if kw.arg == "name")
+            names.add(arg.value)
+        elif isinstance(node, ast.Assign) and \
+                [getattr(t, "id", None) for t in node.targets] == ["DECIDE_FACTORY"]:
+            names.add(node.value.value)
+    assert {"find_panchromatic", "color", "assign_node", "view_of", "check_sperner",
+            "algorithm_by_name"} <= names
+    modules = [importlib.import_module(f"knowall.{info.name}")
+               for info in pkgutil.iter_modules(knowall.__path__)]
+    defined = {name for module in modules for name, obj in vars(module).items()
+               if callable(obj) and str(getattr(obj, "__module__", "")).startswith("knowall")}
+    missing = sorted(names - defined)
+    assert missing == []
+    # the tracer wraps decide functions with dataclasses.replace
+    assert dataclasses.is_dataclass(importlib.import_module("knowall.protocol").AlgorithmSpec)
