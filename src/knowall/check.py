@@ -119,15 +119,14 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     # new view on every read, so its memo is None and it is decided directly.
     walk = [[] for _ in range(top)]
     block = []
-    for p, entries in enumerate(table.due_nodes()):
-        for node, key_of, memo in entries:
-            senders = table.senders[node - 1]
-            if sum(j <= top for j in senders) == min(p + 1, top):
-                memo = None
-            if p < top:
-                walk[p].append((node, key_of, memo))
-            else:
-                block.append((node, key_of, memo, [j - 1 for j in senders if j > top]))
+    for (node, key_of, memo), senders in zip(table.entries, table.senders):
+        p = senders[-1] - 1  # the digit of the highest node it hears
+        if sum(j <= top for j in senders) == min(p + 1, top):
+            memo = None
+        if p < top:
+            walk[p].append((node, key_of, memo))
+        else:
+            block.append((node, key_of, memo, [j - 1 for j in senders if j > top]))
     cfg = [0] * n  # digits 0..top-1 of the walk; the block's stay 0
     out_mask = [0] * (top + 1)
     held = [0] * (top + 1)

@@ -35,19 +35,3 @@ def staggered_relay() -> DynamicGraphSpec:
         extension=Extension.CYCLE,
     )
 
-
-def standard_family() -> list[tuple[str, DynamicGraphSpec, int]]:
-    """(name, spec, k) triples exercised by the acceptance suite."""
-    family: list[tuple[str, DynamicGraphSpec, int]] = []
-    c5 = directed_cycle(5)
-    for k in (1, 2):
-        family.append((f"cycle5/k={k}", c5, k))
-    for n in (3, 4, 5):
-        kn = complete_graph(n)
-        for k in (1, 2):
-            family.append((f"complete{n}/k={k}", kn, k))
-    p4 = directed_path(4)
-    for k in (1, 2):
-        family.append((f"path4/k={k}", p4, k))
-    family.append(("staggered_relay/k=1", staggered_relay(), 1))
-    return family

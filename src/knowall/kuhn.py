@@ -26,14 +26,16 @@ corner it steps from; its witness is the first vertex on the path colored
 outside its carrier, or the cell the path ends at.  find_panchromatic,
 the reference scan the tests hold the walk to, colors the vertices in
 order instead, up to the top corner of the first witness in (base,
-permutation) order, and returns that witness.  The check that colors
-every vertex, a baseline for the tests, is oracle.check_sperner.
+permutation) order, reading the cells from primitive_simplices and each
+vertex's carrier from carrier, and returns that witness.  The check that
+colors every vertex, a baseline for the tests, is oracle.check_sperner.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import eq, mul
+from itertools import groupby
+from operator import attrgetter, eq
 
 from .dyngraph import DynamicGraphSpec, closure_below_bound
 from .errors import NoPanchromaticCell
@@ -341,84 +343,39 @@ def sperner_walk(coloring: AlgorithmColoring) -> tuple[PrimitiveSimplex | Vertex
         cols[new] = c
 
 
-def _prefix_tree(k: int, place: list[int], prefix: tuple[int, ...] = (),
-                 offset: int = 0) -> tuple:
-    """The inner corners of a base's cells as a tree of permutation prefixes.
-
-    A node is (code offset of the corner from the base, permutation,
-    children), children in increasing coordinate order; the leaves are
-    the prefixes of length k-1 and carry the whole permutation, whose last
-    step reaches the top corner.
-    """
-    rest = [j for j in range(1, k + 1) if j not in prefix]
-    if len(rest) < 2:
-        return ()  # k = 1: the base and the top are the only corners
-    nodes = []
-    for j in rest:
-        perm, off = prefix + (j,), offset + place[j - 1]
-        if len(rest) == 2:
-            nodes.append((off, perm + tuple(x for x in rest if x != j), ()))
-        else:
-            nodes.append((off, perm, _prefix_tree(k, place, perm, off)))
-    return tuple(nodes)
-
-
-def _first_perm(nodes: tuple, base: int, need: int,
-                bits: dict[int, int]) -> tuple[int, ...] | None:
-    # first permutation whose inner corners take each color of `need` once
-    for off, perm, children in nodes:
-        bit = bits.get(base + off, 0) & need
-        if bit:
-            if not children:
-                return perm
-            found = _first_perm(children, base, need ^ bit, bits)
-            if found is not None:
-                return found
-    return None
-
-
 def find_panchromatic(n: int, k: int,
                       coloring: Coloring) -> PrimitiveSimplex | tuple[Vertex, int]:
     """First Sperner witness: a vertex colored outside its carrier, or a cell.
 
     `coloring` is called once per vertex, in vertices(n, k) order.  The
-    cells of base b are tested when the scan reaches their shared top
-    corner b+(1,...,1): every corner lies componentwise between b and the
-    top, so it is already colored, and tops arrive in base order.  A base
-    whose top has the base's color, or whose base or top is colored
-    outside 0..k, has no panchromatic cell.  Otherwise the base's
-    permutations are walked as a prefix tree, dropping a prefix whose
-    corner leaves the triangulation, repeats a color or takes one outside
-    0..k.  The first vertex colored outside its carrier, p, is returned as
-    (p, color) when the scan reaches a top whose base is p or later, or at
-    the end of the scan.  So the witness is the first in (base,
-    permutation) order, a tie at p going to the violation, and nothing
-    past its top corner is colored.  After a full scan, NoPanchromaticCell
-    is a tripwire that Sperner's lemma leaves no coloring to reach.
+    cells of base b, a group of primitive_simplices, are tested when the
+    scan reaches their shared top corner b+(1,...,1): every corner lies
+    componentwise between b and the top, so it is already colored, and
+    since b -> b+(1,...,1) keeps the order, the tops reach the groups in
+    stream order.  The first cell of the group whose corners are colored
+    exactly 0..k is returned.  The first vertex colored outside its
+    carrier, p, is returned as (p, color) when the scan reaches a top
+    whose base is p or later, or at the end of the scan.  So the witness
+    is the first in (base, permutation) order, a tie at p going to the
+    violation, and nothing past its top corner is colored.  After a full
+    scan, NoPanchromaticCell is a tripwire that Sperner's lemma leaves no
+    coloring to reach.
     """
-    # a vertex's code is its coordinates read as digits in base n+1, which
-    # orders codes as vertices and reaches every corner by one addition
-    place = [(n + 1) ** (k - 1 - i) for i in range(k)]
-    ones, tree = sum(place), _prefix_tree(k, place)
-    palette = (1 << k + 1) - 1
-    bits: dict[int, int] = {}  # code -> 1 << color, or 0 outside the palette
-    held = held_code = None
+    palette = set(range(k + 1))
+    colors: dict[Vertex, int] = {}
+    held = None
+    groups = groupby(primitive_simplices(n, k), attrgetter("base"))
     for v in vertices(n, k):
-        c, code = coloring(v), sum(map(mul, v, place))
-        bit = 1 << c if 0 <= c <= k else 0
-        # c is in v's carrier iff 0 <= c <= k and xs[c] > xs[c+1], xs = (n, *v, 0)
-        if held is None and not (bit and (v[c - 1] if c else n) > (v[c] if c < k else 0)):
-            held, held_code = (v, c), code
-        bits[code] = bit
+        c = colors[v] = coloring(v)
+        if held is None and c not in carrier(v, n):
+            held = v, c
         if v[-1]:
-            base = code - ones
-            if held_code is not None and base >= held_code:
+            base, cells = next(groups)
+            if held is not None and held[0] <= base:
                 return held
-            low = bits[base]
-            if low and bit and low != bit:
-                perm = _first_perm(tree, base, palette ^ low ^ bit, bits) if tree else (1,)
-                if perm is not None:
-                    return PrimitiveSimplex(base=tuple(x - 1 for x in v), perm=perm)
+            for cell in cells:
+                if set(map(colors.__getitem__, cell.vertices())) == palette:
+                    return cell
     if held is not None:
         return held
     raise NoPanchromaticCell(

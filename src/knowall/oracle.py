@@ -42,9 +42,10 @@ def brute_panchromatic(n: int, k: int, coloring: Coloring,
     """All panchromatic cells, enumerated here from scratch.
 
     Bases are scanned as raw k-tuples filtered for monotonicity and
-    permutations lexicographically, which reproduces the production
-    enumeration order without sharing its code; the first list entry is
-    therefore what kuhn.find_panchromatic must return.
+    permutations lexicographically, which reproduces the order of
+    kuhn.primitive_simplices without sharing its code; the first list
+    entry is therefore the cell kuhn.find_panchromatic must return,
+    unless a vertex colored outside its carrier comes first.
     """
     if n ** k > cap:
         raise CapExceeded(f"brute panchromatic scan capped at {cap} cells")

@@ -58,6 +58,9 @@ def parse_inputs(text: str, n: int, k: int) -> InputConfig:
 
 
 def format_inputs(values: InputConfig) -> str:
+    """Digit-string form, node 1 first; a value above 9 has no digit, so ValueError."""
+    if max(values, default=0) > 9:
+        raise ValueError(f"{values} has a value above 9, which one digit per node cannot show")
     return "".join(str(v) for v in values)
 
 
@@ -152,8 +155,7 @@ class ViewTable:
     without a memo.  Configurations passed in must already be valid (see
     validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
     `senders` is H_budget's own, shared by every table at that budget.
-    `entries` lists the nodes in order as (node, key, memo), the form
-    that due_nodes gives them in.
+    `entries` lists the nodes in order as (node, key, memo).
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
@@ -166,18 +168,6 @@ class ViewTable:
         # (node, heard-digit key of a configuration, memo) per node
         self.entries = [(node, itemgetter(*(j - 1 for j in senders)), {})
                         for node, senders in enumerate(self.senders, start=1)]
-
-    def due_nodes(self) -> list[list[tuple[int, Callable, dict]]]:
-        """The nodes grouped by the highest node they hear, as (node, key, memo).
-
-        Entry p lists the nodes whose highest heard node is p+1: their
-        outputs are fixed once digits 0..p of a configuration are, and read
-        as memo.get(key(cfg)), or as decide(node, cfg, memo, key) on a miss.
-        """
-        due: list[list[tuple[int, Callable, dict]]] = [[] for _ in self.entries]
-        for entry, senders in zip(self.entries, self.senders):
-            due[senders[-1] - 1].append(entry)
-        return due
 
     def decide(self, node: int, cfg: Sequence[int], memo: dict | None = None,
                key=None) -> int:

@@ -83,22 +83,23 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     nodes = tuple(map(coloring.node, corners))
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
-    shown = format_inputs(config)
+    # only a tripwire formats the configuration: at k >= 10 it has no digit string
     if outputs != colors:
         raise LemmaFalsified(f"witness corners {corners} colored {colors} re-simulated to "
-                             f"outputs {outputs} at nodes {nodes} in configuration {shown}")
+                             f"outputs {outputs} at nodes {nodes} in configuration "
+                             f"{format_inputs(config)}")
     if simplex is None:
         kind = WitnessKind.VALIDITY_VIOLATION
         if outputs[0] in config or report.valid:
-            raise LemmaFalsified(f"validity witness at vertex {corners[0]} did not "
-                                 f"re-simulate: node {nodes[0]} output {outputs[0]} on {shown}")
+            raise LemmaFalsified(f"validity witness at vertex {corners[0]} did not re-simulate: "
+                                 f"node {nodes[0]} output {outputs[0]} on {format_inputs(config)}")
     else:
         kind = WitnessKind.AGREEMENT_VIOLATION
         if len(set(outputs)) != k + 1:
-            raise LemmaFalsified(f"panchromatic cell {simplex} decoded to outputs {outputs} "
-                                 f"in configuration {shown}; expected k+1 distinct")
+            raise LemmaFalsified(f"panchromatic cell {simplex} decoded to outputs {outputs} in "
+                                 f"configuration {format_inputs(config)}; expected k+1 distinct")
         if report.agreeing:
-            raise LemmaFalsified(f"re-simulation of {shown} reported agreement "
+            raise LemmaFalsified(f"re-simulation of {format_inputs(config)} reported agreement "
                                  f"although nodes {nodes} output {outputs}")
     return Witness(kind=kind, config=config, budget=budget, nodes=nodes,
                    outputs=outputs, simplex=simplex, verified=True)

@@ -56,3 +56,20 @@ def random_spec(rng: random.Random, max_n: int = 10, max_prefix: int = 3) -> Dyn
         rounds.append(arcs)
     ext = rng.choice((Extension.REPEAT_LAST, Extension.CYCLE))
     return DynamicGraphSpec(n=n, rounds=tuple(rounds), extension=ext)
+
+
+def standard_family() -> list[tuple[str, DynamicGraphSpec, int]]:
+    """(name, spec, k) triples the acceptance, kuhn, protocol and refuter tests sweep."""
+    family: list[tuple[str, DynamicGraphSpec, int]] = []
+    c5 = directed_cycle(5)
+    for k in (1, 2):
+        family.append((f"cycle5/k={k}", c5, k))
+    for n in (3, 4, 5):
+        kn = complete_graph(n)
+        for k in (1, 2):
+            family.append((f"complete{n}/k={k}", kn, k))
+    p4 = directed_path(4)
+    for k in (1, 2):
+        family.append((f"path4/k={k}", p4, k))
+    family.append(("staggered_relay/k=1", staggered_relay(), 1))
+    return family

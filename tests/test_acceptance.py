@@ -31,11 +31,10 @@ from knowall import (
     view_of,
 )
 from knowall.cli import main
-from knowall.families import standard_family
 from knowall.kuhn import algorithm_coloring
 from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 
-from conftest import random_spec
+from conftest import random_spec, standard_family
 
 
 def test_criterion_1_cycle_bound_via_cli(capsys, c5, tmp_path):

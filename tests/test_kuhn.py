@@ -36,10 +36,9 @@ from knowall import (
 )
 from knowall import kuhn
 from knowall.dyngraph import _gamma
-from knowall.families import standard_family
 from knowall.oracle import SpernerReport, brute_panchromatic, check_sperner
 
-from conftest import random_spec
+from conftest import random_spec, standard_family
 
 # Sperner coloring transcribed from a drawn n=5, k=2 example
 # (values 0, 1, 2 at each lattice vertex)
@@ -427,11 +426,45 @@ def test_find_panchromatic_calls_the_coloring_once_per_vertex_up_to_the_top():
         find_panchromatic(0, 2, lambda v: 0)
 
 
+def test_find_panchromatic_reads_the_cells_of_primitive_simplices_in_order(monkeypatch):
+    # the scan takes its cells from the one enumeration, in stream order,
+    # and stops in the witness's base group: at the witness cell, or, for a
+    # violation at p, at the first cell of the first base at or after p
+    stream = kuhn.primitive_simplices
+    taken = []
+
+    def recorded(n, k):
+        for cell in stream(n, k):
+            taken.append(cell)
+            yield cell
+
+    monkeypatch.setattr(kuhn, "primitive_simplices", recorded)
+    rng = random.Random(1968)
+    kinds = set()
+    for k in range(1, 4):
+        for n in range(1, 6):
+            for _ in range(8):
+                table = {v: rng.randrange(k + 1) for v in vertices(n, k)}
+                taken.clear()
+                found = find_panchromatic(n, k, table.__getitem__)
+                cells = list(stream(n, k))
+                if isinstance(found, PrimitiveSimplex):
+                    last = cells.index(found)
+                else:
+                    last = next((i for i, cell in enumerate(cells) if cell.base >= found[0]),
+                                len(cells) - 1)
+                assert taken == cells[:last + 1], (n, k, found)
+                kinds.add(type(found).__name__)
+    assert kinds == {"PrimitiveSimplex", "tuple"}
+
+
 def test_no_panchromatic_cell_is_a_tripwire_after_a_full_pass(monkeypatch):
     # Sperner's lemma leaves no coloring that reaches it: only a cell search
-    # that misses every cell makes the pass end without a witness
+    # that misses every cell makes the pass end without a witness, here one
+    # that reads each cell's corners as k+1 copies of its base
     coloring = DRAWN_COLORING.__getitem__
-    monkeypatch.setattr(kuhn, "_first_perm", lambda nodes, base, need, bits: None)
+    monkeypatch.setattr(kuhn.PrimitiveSimplex, "vertices",
+                        lambda cell: (cell.base,) * (len(cell.perm) + 1))
     with pytest.raises(NoPanchromaticCell, match="^no panchromatic cell in the n=5, k=2 "):
         find_panchromatic(5, 2, coloring)
 

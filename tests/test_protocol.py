@@ -36,15 +36,18 @@ from knowall import (
 
 from knowall import protocol
 from knowall.dyngraph import closure_at
-from knowall.families import standard_family
 
-from conftest import random_spec
+from conftest import random_spec, standard_family
 import random
 
 
 def test_parse_and_format_inputs():
     assert parse_inputs("01201", 5, 2) == (0, 1, 2, 0, 1)
     assert format_inputs((0, 1, 2, 0, 1)) == "01201"
+    assert format_inputs((9, 0)) == "90"
+    # a value above 9 has no digit that parse_inputs could read back
+    with pytest.raises(ValueError, match=r"^\(10, 1, 0\) has a value above 9, "):
+        format_inputs((10, 1, 0))
     with pytest.raises(ValueError):
         parse_inputs("012", 5, 2)
     with pytest.raises(ValueError):

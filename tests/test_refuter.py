@@ -37,11 +37,10 @@ from knowall import (
     view_of,
 )
 from knowall import kuhn, refuter
-from knowall.families import standard_family
 from knowall.kuhn import algorithm_coloring, sperner_walk
 from knowall.oracle import brute_panchromatic, check_sperner
 
-from conftest import random_spec
+from conftest import random_spec, standard_family
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
@@ -301,6 +300,16 @@ def test_witness_to_dict(c5):
     v = refute(c5, 2, CONST_ZERO, 1)
     assert v.to_dict()["simplex"] is None
     assert v.to_dict()["kind"] == "ValidityViolation"
+
+
+def test_refute_at_k_above_9_returns_a_witness_with_no_digit_string():
+    # a library refute at k >= 10 is verified as at any k; only its digit
+    # string, which one digit per node cannot show, is refused
+    w = refute(directed_cycle(13), 12, MIN_HEARD, 0)
+    assert w.verified and w.kind is WitnessKind.AGREEMENT_VIOLATION
+    assert w.config == tuple(range(12, -1, -1)) and len(set(w.outputs)) == 13
+    with pytest.raises(ValueError, match="has a value above 9"):
+        w.to_dict()
 
 
 def test_lemma_falsified_tripwire(c5, walked):

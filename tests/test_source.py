@@ -169,6 +169,32 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_every_private_module_name_is_used_by_the_package():
+    # a private helper that only its own definition and the tests reach is
+    # dead code that a test's monkeypatch keeps alive
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        defined = {}  # private name -> the top-level statement defining it
+        for stmt in body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((name, stmt) for name in names
+                           if name.startswith("_") and not name.endswith("__"))
+        for name, home in defined.items():
+            if not any(isinstance(node, ast.Name) and node.id == name and
+                       isinstance(node.ctx, ast.Load) or
+                       isinstance(node, ast.Attribute) and node.attr == name
+                       for stmt in body if stmt is not home for node in ast.walk(stmt)):
+                unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     # perfbench/tracer.py finds its layer functions by name and reports a
     # missing one as absent rather than failing; this test fails instead,
