@@ -9,17 +9,14 @@ through it.  The sampled sweep reads all n outputs of each configuration.
 The exhaustive sweep goes through the (k+1)^n configurations in
 `product` order, bit-parallel over the last input digits: the
 configurations those digits span form a block, kept as one int per
-output value with a bit per configuration, and it walks the digits above
-the block depth first.  A node's output is fixed once the digit of the
-highest node it hears is set, so a node due above the block is read once
-per walk prefix, and a node due inside it once per prefix and view, which
-ORs the block configurations with that view into the int of its output.
-Validity and k-agreement then take a few int operations per block.  Up
-to BLOCK_BITS configurations (n <= 7 at k=2) make one block and no walk.
-A node due at walk digit p that hears all of digits 0..p, and a node due
-inside the block that hears every walk digit, meet a new view on every
-read, so they skip the memo: `decide` is called with no key, lookup or
-store.  With no walk, that is every node.
+output value with a bit per configuration, and each setting of the
+digits above the block is one block.  A node is read once per block and
+view of the block digits it hears, which ORs every block configuration
+with that view into the int of its output.  Validity and k-agreement
+then take a few int operations per block.  Up to BLOCK_BITS
+configurations (n <= 7 at k=2) make one block.  A node that hears every
+digit above the block meets a new view on every read, so it is decided
+without its memo; with one block, that is every node.
 """
 from __future__ import annotations
 
@@ -85,20 +82,19 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
 
     The last `width` digits form a block of base^width configurations,
     base = k+1, with width the most digits whose block fits in BLOCK_BITS
-    (one at least).  The digits above the block are walked depth first
-    with an explicit stack: digit p is node p+1's input, and out_mask[p]
-    and held[p] are the bitmasks of the outputs read and the inputs set at
-    digits 0..p-1; going down from p reads the nodes due at p.  Each prefix
-    the walk reaches is one block, settled a bit per configuration:
-    outs[v] holds the configurations in which some node outputs v.  A
-    node due inside the block has one view per value of its heard block
-    digits, met on the AND of those digits' masks, and ORs it into
-    outs[output].  A configuration fails where a node outputs a v that no
-    node holds, or where all k+1 values are output, as more than k
-    distinct outputs must be.
+    (one at least), and each setting of the `top` digits above it, taken
+    in `product` order, is one block.  A block is settled a bit per
+    configuration: outs[v] holds the configurations in which some node
+    outputs v.  A node has one view per value of the block digits it
+    hears, met on the AND of those digits' masks (all of the block when
+    it hears none), and ORs it into outs[output].  A configuration fails
+    where a node outputs a v that no node holds, or where all k+1 values
+    are output, as more than k distinct outputs must be.  A node that
+    hears every digit above the block meets a new view on every read, so
+    it is decided directly; the others are read through their memos.
 
     A view whose decision raises, whatever the error, is first met in the
-    current block (the digits below a walk depth are 0 on the way down),
+    current block, since every view of the blocks before it was decided,
     so the block is replayed in `product` and node order until a
     configuration raises the error `run` raises first.
     """
@@ -112,91 +108,46 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     masks = _digit_masks(base, width)
     # the block configurations in which no block digit holds v
     unheld = [ones & ~reduce(or_, (digit[value] for digit in masks)) for value in range(base)]
-    decide = table.decide
-    # walk[p]: the nodes due at walk digit p, as (node, key, memo); block:
-    # the nodes due inside the block, each with the block digits it hears.
-    # A node that hears every walk digit up to the one it is due at meets a
-    # new view on every read, so its memo is None and it is decided directly.
-    walk = [[] for _ in range(top)]
-    block = []
-    for (node, key_of, memo), senders in zip(table.entries, table.senders):
-        p = senders[-1] - 1  # the digit of the highest node it hears
-        if sum(j <= top for j in senders) == min(p + 1, top):
-            memo = None
-        if p < top:
-            walk[p].append((node, key_of, memo))
-        else:
-            block.append((node, key_of, memo, [j - 1 for j in senders if j > top]))
-    cfg = [0] * n  # digits 0..top-1 of the walk; the block's stay 0
-    out_mask = [0] * (top + 1)
-    held = [0] * (top + 1)
+    # (node, read, the block digits it hears) per node
+    nodes = [(node, table.decide if sum(j <= top for j in senders) == top else table.output,
+              [j - 1 for j in senders if j > top])
+             for node, senders in enumerate(table.senders, start=1)]
+    block = [range(base)] * width
     failures = []
-    p = 0
     try:
-        while True:
-            while p < top:
-                mask = out_mask[p]
-                for node, key_of, memo in walk[p]:
-                    if memo is None:
-                        out = decide(node, cfg)
-                    else:
-                        key = key_of(cfg)
-                        out = memo.get(key)
-                        if out is None:
-                            out = decide(node, cfg, memo, key)
-                    mask |= 1 << out
-                out_mask[p + 1] = mask
-                held[p + 1] = held[p] | 1 << cfg[p]
-                p += 1
-            mask = out_mask[top]
-            outs = [ones if mask >> value & 1 else 0 for value in range(base)]
-            digits = [(value,) for value in cfg]
-            for node, key_of, memo, low in block:
+        for prefix in product(range(base), repeat=top):
+            digits = [(value,) for value in prefix] + [(0,)] * width
+            outs = [0] * base
+            for node, read, low in nodes:
                 views = digits.copy()
                 cylinders = [ones]
                 for j in low:
                     views[j] = range(base)
                     cylinders = [c & m for c in cylinders for m in masks[j - top]]
-                if memo is None:
-                    for view, cylinder in zip(product(*views), cylinders):
-                        outs[decide(node, view)] |= cylinder
-                    continue
-                get = memo.get
                 for view, cylinder in zip(product(*views), cylinders):
-                    key = key_of(view)
-                    out = get(key)
-                    if out is None:
-                        out = decide(node, view, memo, key)
-                    outs[out] |= cylinder
+                    outs[read(node, view)] |= cylinder
             failing = reduce(and_, outs)
             for value in range(base):
-                if not held[top] >> value & 1:
+                if value not in prefix:
                     failing |= outs[value] & unheld[value]
             if failing:
                 # bit i of failing selects the block's i-th configuration
                 selectors = bin(failing)[:1:-1].encode().translate(_BIT_BYTES)
-                failures.extend(compress(
-                    product(*digits[:top], *[range(base)] * width), selectors))
-            p = top - 1
-            while p >= 0 and cfg[p] == k:
-                cfg[p] = 0
-                p -= 1
-            if p < 0:
-                return tuple(failures)
-            cfg[p] += 1
+                failures.extend(compress(product(*digits[:top], *block), selectors))
     except Exception:
-        for config in product(*([value] for value in cfg[:top]), *[range(base)] * width):
+        for config in product(*digits[:top], *block):
             table.outputs(config)
         raise
+    return tuple(failures)
 
 
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
-                     budget: int, cap: int = EXHAUSTIVE_CONFIG_CAP) -> ExhaustiveReport:
+                     budget: int) -> ExhaustiveReport:
     """Run every input configuration and list those failing validity or agreement."""
     total = (k + 1) ** spec.n
-    if total > cap:
-        raise CapExceeded(
-            f"exhaustive check needs {total} configurations, cap is {cap}")
+    if total > EXHAUSTIVE_CONFIG_CAP:
+        raise CapExceeded(f"exhaustive check needs {total} configurations, "
+                          f"cap is {EXHAUSTIVE_CONFIG_CAP}")
     failures = _depth_first(ViewTable(spec, k, alg, budget), spec.n)
     return ExhaustiveReport(total_configs=total, failures=failures)
 

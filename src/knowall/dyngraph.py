@@ -521,6 +521,8 @@ def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
     NeverDominated if it needs more than k dominators.  So the search ends
     within about n^2 * m rounds.
     """
+    if type(k) is not int:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"k is {k!r}, not an integer")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     bounds = spec._memo.bounds

@@ -37,6 +37,8 @@ VIEW_MEMO_CAP = 4096
 
 def validate_inputs(values, n: int, k: int) -> InputConfig:
     """The n inputs as a tuple, each exactly an int in 0..k: never truncated or parsed."""
+    if type(k) is not int:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"k is {k!r}, not an integer")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     vals = tuple(values)
@@ -149,58 +151,53 @@ class ViewTable:
     H_budget, so each node keeps a memo from those heard digits to its
     output.  The algorithm is bound once, when the table is built, so an
     error of the binding (flooding's NeverDominated or CapExceeded) is
-    raised there; the bound function is called only on a memo miss,
-    through ViewTable.decide, with the same View and the same range check
-    as `run`.  A caller that reads each view of a node once may call decide
-    without a memo.  Configurations passed in must already be valid (see
-    validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
-    `senders` is H_budget's own, shared by every table at that budget.
-    `entries` lists the nodes in order as (node, key, memo).
+    raised there.  `output` is the one memoized read: it calls the bound
+    function only on a memo miss, through `decide`, which builds the same
+    View and makes the same range check as `run` and remembers nothing, so
+    a caller that reads each view of a node once may call it directly.
+    Configurations passed in must already be valid (see validate_inputs).
+    Each memo holds at most VIEW_MEMO_CAP views, and `senders` is
+    H_budget's own, shared by every table at that budget.
     """
 
     def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                  budget: int) -> None:
+        if type(k) is not int:  # bool is a subclass of int, so test the exact type
+            raise ValueError(f"k is {k!r}, not an integer")
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         self.k, self.alg, self.budget = k, alg, budget
         self.senders = closure_at(spec, budget).senders
         self._decide = alg.bind(spec, k, budget)
-        # (node, heard-digit key of a configuration, memo) per node
-        self.entries = [(node, itemgetter(*(j - 1 for j in senders)), {})
-                        for node, senders in enumerate(self.senders, start=1)]
+        # (heard-digit key of a configuration, memo) per node
+        self._memos = [(itemgetter(*(j - 1 for j in senders)), {}) for senders in self.senders]
 
-    def decide(self, node: int, cfg: Sequence[int], memo: dict | None = None,
-               key=None) -> int:
-        """Decide `node`'s view of `cfg`, and remember it in `memo` under `key`
-        when a memo is given."""
+    def decide(self, node: int, cfg: Sequence[int]) -> int:
+        """Decide `node`'s view of `cfg` afresh: nothing is looked up or remembered."""
         view = tuple.__new__(View, (node, self.budget,
                                     {j: cfg[j - 1] for j in self.senders[node - 1]}))
         out = self._decide(view)
         if type(out) is not int or not 0 <= out <= self.k:
             _checked_output(self.alg, self.k, node, out)  # raises AlgorithmRangeError
-        if memo is not None:
+        return out
+
+    def output(self, node: int, cfg: Sequence[int]) -> int:
+        """Output of `node` on configuration `cfg`, decided once per distinct view."""
+        if not 1 <= node <= len(self._memos):
+            raise ValueError(f"node {node} outside 1..{len(self._memos)}")
+        key_of, memo = self._memos[node - 1]
+        key = key_of(cfg)
+        out = memo.get(key)
+        if out is None:
+            out = self.decide(node, cfg)
             if len(memo) >= VIEW_MEMO_CAP:
                 memo.clear()
             memo[key] = out
         return out
 
-    def output(self, node: int, cfg: Sequence[int]) -> int:
-        """Output of `node` on configuration `cfg`."""
-        if not 1 <= node <= len(self.entries):
-            raise ValueError(f"node {node} outside 1..{len(self.entries)}")
-        _node, key_of, memo = self.entries[node - 1]
-        key = key_of(cfg)
-        out = memo.get(key)
-        return self.decide(node, cfg, memo, key) if out is None else out
-
     def outputs(self, cfg: InputConfig) -> tuple[int, ...]:
-        """Outputs of nodes 1..n on `cfg`, decided in node order."""
-        outs = []
-        for node, key_of, memo in self.entries:
-            key = key_of(cfg)
-            out = memo.get(key)
-            outs.append(self.decide(node, cfg, memo, key) if out is None else out)
-        return tuple(outs)
+        """Outputs of nodes 1..n on `cfg`, read in node order."""
+        return tuple([self.output(node, cfg) for node in range(1, len(self._memos) + 1)])
 
 
 # ---------------------------------------------------------------------------

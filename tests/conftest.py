@@ -5,6 +5,7 @@ import random
 import pytest
 
 from knowall import (
+    AlgorithmSpec,
     DynamicGraphSpec,
     Extension,
     complete_graph,
@@ -73,3 +74,12 @@ def standard_family() -> list[tuple[str, DynamicGraphSpec, int]]:
         family.append((f"path4/k={k}", p4, k))
     family.append(("staggered_relay/k=1", staggered_relay(), 1))
     return family
+
+
+def counting_min(decided: list) -> AlgorithmSpec:
+    """min_heard that appends each view it decides to `decided`, as
+    (observer, heard items)."""
+    def decide(spec, k, view):
+        decided.append((view.observer, tuple(view.heard.items())))
+        return min(view.heard.values())
+    return AlgorithmSpec("counting_min", decide)

@@ -36,7 +36,7 @@ from knowall.kuhn import algorithm_coloring
 from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 from knowall.protocol import MIN_HEARD
 
-from conftest import random_spec
+from conftest import counting_min, random_spec
 
 
 def test_exhaustive_check_counts(c5):
@@ -138,7 +138,7 @@ def _outcome(fn):
 
 
 # BLOCK_BITS values that make the exhaustive sweep settle every case below
-# in one block, walk every digit but the last, or split the digits
+# in one block, put every digit but the last above the block, or split the digits
 BLOCK_WIDTHS = {"whole": EXHAUSTIVE_CONFIG_CAP, "one_digit": 1, "split": 16}
 
 
@@ -213,8 +213,8 @@ def _backward_cases(rng: random.Random) -> list[tuple[DynamicGraphSpec, int, int
 @_across_block_widths("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
 def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, block_bits,
                                                                    monkeypatch):
-    # the exhaustive sweep reads a node once the highest node it hears is
-    # set; here that order differs from node order
+    # a node's output is due, fixed, once the input of the highest node it
+    # hears is set; here that order differs from node order
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
     monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     for spec, k, budget in _backward_cases(random.Random(20261018)):
@@ -242,8 +242,8 @@ def test_range_error_parity_when_a_higher_node_is_due_first(trigger, block_bits,
 
 
 # node 1 hears {1, 3, 5} and is due at the last digit, inside every block;
-# node 2 hears {2, 3} and is due at digit 2, in the walk while the block is
-# at most two digits wide
+# node 2 hears {2, 3} and is due at digit 2, above the block while the block
+# is at most two digits wide
 _TWO_DUE_SPEC = _backward_spec(5, {(3, 1), (5, 1), (3, 2)})
 
 
@@ -269,42 +269,35 @@ def test_error_parity_inside_a_later_block(width, node1_view, node2_view, first,
     assert _outcome(lambda: exhaustive_check(_TWO_DUE_SPEC, 2, alg, 1)) == expected
 
 
-def _counting(decided):
-    def decide(spec, k, view):
-        decided.append((view.observer, tuple(view.heard.items())))
-        return min(view.heard.values())
-    return AlgorithmSpec("counting_min", decide)
-
-
 def test_sweeps_and_coloring_decide_each_view_once(monkeypatch):
     spec = directed_cycle(5)
     for budget in (0, 1, 2):
         for width, block_bits in BLOCK_WIDTHS.items():
             monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
             decided = []
-            exhaustive_check(spec, 2, _counting(decided), budget)
+            exhaustive_check(spec, 2, counting_min(decided), budget)
             # node v hears budget+1 inputs, each one of k+1 = 3 values
             assert len(decided) == len(set(decided)) == 5 * 3 ** (budget + 1), width
 
         decided = []
-        sample_check(spec, 2, _counting(decided), budget, samples=300, seed=1)
+        sample_check(spec, 2, counting_min(decided), budget, samples=300, seed=1)
         assert len(decided) == len(set(decided))
 
     # nodes 1 and 2 hear {1, 5} and {2, 4}, so node 3 is due before them
     for width, block_bits in BLOCK_WIDTHS.items():
         monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
         decided = []
-        exhaustive_check(_backward_spec(5, {(5, 1), (4, 2)}), 2, _counting(decided), 1)
+        exhaustive_check(_backward_spec(5, {(5, 1), (4, 2)}), 2, counting_min(decided), 1)
         assert len(decided) == len(set(decided)) == 2 * 3 ** 2 + 3 * 3, width
 
     decided = []
-    check_sperner(5, 2, algorithm_coloring(spec, 2, 1, _counting(decided)))
+    check_sperner(5, 2, algorithm_coloring(spec, 2, 1, counting_min(decided)))
     assert len(decided) == len(set(decided)) == 10
 
     # refute's pass decides each view once; only the re-simulation of the
     # witness, one decision per node, comes after it
     decided = []
-    witness = refute(spec, 2, _counting(decided), 1)
+    witness = refute(spec, 2, counting_min(decided), 1)
     swept, rerun = decided[:-5], decided[-5:]
     assert swept and len(swept) == len(set(swept))
     assert rerun == [(node, tuple(view_of(spec, witness.config, node, 1).heard.items()))
@@ -328,16 +321,16 @@ def test_one_block_sweep_decides_each_view_once_and_replays_nothing(monkeypatch)
                  for node in range(1, spec.n + 1)]
         assert (k + 1) ** max(heard) <= protocol.VIEW_MEMO_CAP
         decided = []
-        exhaustive_check(spec, k, _counting(decided), budget)
+        exhaustive_check(spec, k, counting_min(decided), budget)
         assert len(decided) == len(set(decided)) == sum((k + 1) ** h for h in heard)
 
 
 # a backward relay in which node v hears v and v+1, and node 5 also hears
-# 1, 2 and 3; with a block of w digits the walk sets digits 0..4-w
+# 1, 2 and 3; with a block of w digits, 5-w digits lie above the block
 _RELAY_SPEC = _backward_spec(5, {(2, 1), (3, 2), (4, 3), (5, 4), (1, 5), (2, 5), (3, 5)})
-# BLOCK_BITS, and the nodes that hear every walk digit up to the one they
-# are due at: node 1 always, node 5 once the walk is three digits or fewer
-_RELAY_WIDTHS = [pytest.param(3, {1}, id="one_digit"), pytest.param(9, {1, 5}, id="two_digits"),
+# BLOCK_BITS, and the nodes that hear every digit above the block: node 5
+# once three digits or fewer lie above it, node 1 once two or fewer do
+_RELAY_WIDTHS = [pytest.param(3, set(), id="one_digit"), pytest.param(9, {5}, id="two_digits"),
                  pytest.param(27, {1, 5}, id="three_digits"),
                  pytest.param(243, {1, 2, 3, 4, 5}, id="whole")]
 
@@ -345,17 +338,25 @@ _RELAY_WIDTHS = [pytest.param(3, {1}, id="one_digit"), pytest.param(9, {1, 5}, i
 @pytest.mark.parametrize("block_bits, memo_free", _RELAY_WIDTHS)
 def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monkeypatch):
     # every read of such a node meets a view not met before, so it is
-    # decided without a memo; the others still decide each view once
+    # decided without reading its memo; the others still decide each view once
     monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, FLIP_OWN):
         assert exhaustive_check(_RELAY_SPEC, 2, alg, 1) == ExhaustiveReport(3 ** 5, _naive_sweep(
             _RELAY_SPEC, 2, alg, 1, product(range(3), repeat=5)))
     decided = []
-    table = ViewTable(_RELAY_SPEC, 2, _counting(decided), 1)
+    table = ViewTable(_RELAY_SPEC, 2, counting_min(decided), 1)
+    memo_read = set()
+    output = table.output
+
+    def recording_output(node, cfg):
+        memo_read.add(node)
+        return output(node, cfg)
+
+    table.output = recording_output
     check._depth_first(table, 5)
     heard = [len(view_of(_RELAY_SPEC, (0,) * 5, node, 1).heard) for node in range(1, 6)]
     assert len(decided) == len(set(decided)) == sum(3 ** h for h in heard)
-    assert {node for node in range(1, 6) if not table.entries[node - 1][2]} == memo_free
+    assert set(range(1, 6)) - memo_read == memo_free
 
 
 @pytest.mark.parametrize("block_bits", [3, 9, 27, 243],
@@ -364,7 +365,7 @@ def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monk
     ({5: (0, 0, 1, 2), 2: (1, 0)}, 5),  # node 5 first, at (0, 0, 1, 0, 2)
     ({1: (0, 1), 2: (1, 1)}, 1),        # node 1 first, at (0, 1, 0, 0, 0)
     ({5: (0, 1, 0, 0), 1: (0, 1)}, 1),  # both at (0, 1, 0, 0, 0), and `run` meets node 1 first
-    ({5: (0, 1, 0, 0), 2: (1, 0)}, 2),  # likewise with node 2, memoized while there is a walk
+    ({5: (0, 1, 0, 0), 2: (1, 0)}, 2),  # likewise with node 2, memoized while a digit is above the block
 ], ids=["block_node_first", "walk_node_first", "same_configuration",
         "memo_node_same_configuration"])
 def test_error_parity_at_nodes_without_a_memo(bad, node, block_bits, monkeypatch):

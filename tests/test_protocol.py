@@ -37,7 +37,7 @@ from knowall import (
 from knowall import protocol
 from knowall.dyngraph import closure_at
 
-from conftest import random_spec, standard_family
+from conftest import counting_min, random_spec, standard_family
 import random
 
 
@@ -76,6 +76,20 @@ def test_k_must_be_positive(c5):
                  lambda: ViewTable(c5, -1, MIN_HEARD, 1)):
         with pytest.raises(ValueError, match=r"^k must be positive, got -?\d+$"):
             call()
+
+
+def test_k_must_be_exactly_an_int(c5):
+    # a float k would reach bit shifts and sequence repeats, and True
+    # would run as k = 1
+    for k in (2.0, True):
+        for call in (lambda: run(c5, k, MIN_HEARD, (0,) * 5, 1),
+                     lambda: exhaustive_check(c5, k, MIN_HEARD, 1),
+                     lambda: sample_check(c5, k, MIN_HEARD, 1, samples=10),
+                     lambda: refute(c5, k, MIN_HEARD, 1),
+                     lambda: min_rounds(c5, k),
+                     lambda: ViewTable(c5, k, MIN_HEARD, 1)):
+            with pytest.raises(ValueError, match=f"^k is {k!r}, not an integer$"):
+                call()
 
 
 def test_view_examples(c5):
@@ -181,11 +195,40 @@ def test_flood_solve_consensus(c5, k4):
 
 def test_view_table_memo_stays_within_cap(monkeypatch):
     # on K4 after one round every node hears all 4 inputs: 81 views each
+    default_cap = protocol.VIEW_MEMO_CAP
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", 5)
     table = ViewTable(complete_graph(4), 2, MIN_HEARD, 1)
     for cfg in product(range(3), repeat=4):
         assert table.outputs(cfg) == run(complete_graph(4), 2, MIN_HEARD, cfg, 1).outputs
-    assert all(len(memo) <= 5 for _node, _key_of, memo in table.entries)
+    # a full memo is emptied before it stores one more view, so with a cap
+    # of 5 a view read again after 4 others is remembered and after 5
+    # others decided again; with the default cap it is remembered
+    configs = list(product(range(3), repeat=4))
+    for cap, others, again in ((5, 4, 0), (5, 5, 1), (default_cap, 5, 0)):
+        monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", cap)
+        decided = []
+        table = ViewTable(complete_graph(4), 2, counting_min(decided), 1)
+        for cfg in configs[:others + 1]:
+            table.output(1, cfg)
+        assert len(decided) == others + 1
+        assert table.output(1, configs[0]) == 0
+        assert len(decided) == others + 1 + again, (cap, others)
+
+
+def test_view_table_decide_always_calls_the_algorithm_and_output_once_per_view(c5):
+    decided = []
+    table = ViewTable(c5, 2, counting_min(decided), 1)
+    cfg = (0, 1, 2, 1, 0)
+    expected = run(c5, 2, MIN_HEARD, cfg, 1).outputs
+    assert [table.decide(5, cfg) for _ in range(3)] == [expected[4]] * 3
+    assert len(decided) == 3
+    decided.clear()
+    for _ in range(3):
+        assert tuple(table.output(node, cfg) for node in range(1, 6)) == expected
+    assert len(set(decided)) == len(decided) == 5
+    # node 5 hears only nodes 4 and 5, so this configuration shows it the same view
+    assert table.output(5, (2, 2, 2, 1, 0)) == expected[4] and len(decided) == 5
+    assert table.decide(5, cfg) == expected[4] and len(decided) == 6
 
 
 def test_view_table_rejects_unknown_node(c5):

@@ -169,6 +169,29 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
+def test_private_attributes_are_read_only_by_their_defining_module():
+    # obj._name reaches into data that only the module defining _name may
+    # know the shape of: a function, class, attribute store or __slots__
+    # entry of that module
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        defined = set()
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif isinstance(node, ast.Assign) and \
+                    [getattr(t, "id", None) for t in node.targets] == ["__slots__"]:
+                defined |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in nodes
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                  and node.attr.startswith("_") and not node.attr.endswith("__")
+                  and node.attr not in defined]
+    assert found == []
+
+
 def test_every_private_module_name_is_used_by_the_package():
     # a private helper that only its own definition and the tests reach is
     # dead code that a test's monkeypatch keeps alive
