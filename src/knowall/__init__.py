@@ -22,6 +22,7 @@ _EXPORTS = {
         "Arc",
         "DynamicGraphSpec",
         "Extension",
+        "Instance",
         "closure",
         "domination_numbers",
         "graph_at",

@@ -2,21 +2,15 @@
 
 Both find the failing configurations, in sweep order: those where some
 output is a value no node holds, or where more than k distinct values are
-output.  They read outputs through one ViewTable, so `decide` runs once
-per distinct view, and report configurations only; `run` gives the
-outcome of any of them, and `check` re-simulates the first failure
-through it.  The sampled sweep reads all n outputs of each configuration.
-The exhaustive sweep goes through the (k+1)^n configurations in
-`product` order, bit-parallel over the last input digits: the
-configurations those digits span form a block, kept as one int per
-output value with a bit per configuration, and each setting of the
-digits above the block is one block.  A node is read once per block and
-view of the block digits it hears, which ORs every block configuration
-with that view into the int of its output.  Validity and k-agreement
-then take a few int operations per block.  Up to BLOCK_BITS
-configurations (n <= 7 at k=2) make one block.  A node that hears every
-digit above the block meets a new view on every read, so it is decided
-without its memo; with one block, that is every node.
+output.  They read outputs through the query instance's ViewTable, so
+`decide` runs once per distinct view, and report configurations only;
+`run` gives the outcome of any of them, and `check` re-simulates the
+first failure through it.  The sampled sweep reads all n outputs of each
+configuration.  The exhaustive sweep goes through the (k+1)^n
+configurations in `product` order, bit-parallel over blocks of up to
+BLOCK_BITS configurations (n <= 7 at k=2 make one block), so that
+validity and k-agreement take a few int operations per block
+(_depth_first).
 """
 from __future__ import annotations
 
@@ -26,7 +20,7 @@ from functools import reduce
 from itertools import compress, product
 from operator import and_, or_
 
-from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec
+from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec, Instance
 from .errors import CapExceeded
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
@@ -144,11 +138,12 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                      budget: int) -> ExhaustiveReport:
     """Run every input configuration and list those failing validity or agreement."""
+    instance = Instance(spec, k)
     total = (k + 1) ** spec.n
     if total > EXHAUSTIVE_CONFIG_CAP:
         raise CapExceeded(f"exhaustive check needs {total} configurations, "
                           f"cap is {EXHAUSTIVE_CONFIG_CAP}")
-    failures = _depth_first(ViewTable(spec, k, alg, budget), spec.n)
+    failures = _depth_first(instance.table(alg, budget), spec.n)
     return ExhaustiveReport(total_configs=total, failures=failures)
 
 
@@ -157,10 +152,13 @@ def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int
     """Seeded random configurations; same report shape as the exhaustive run."""
     import random  # only the sampled mode draws, so only it loads the module
 
+    instance = Instance(spec, k)
+    if type(samples) is not int:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"samples is {samples!r}, not an integer")
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     rng = random.Random(seed)
     configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
                for _ in range(samples))
-    failures = _sweep(ViewTable(spec, k, alg, budget), configs)
+    failures = _sweep(instance.table(alg, budget), configs)
     return ExhaustiveReport(total_configs=samples, failures=failures)

@@ -24,8 +24,7 @@ import math
 import sys
 
 from .dyngraph import (
-    EXHAUSTIVE_CONFIG_CAP, closure, closure_below_bound, domination_numbers, load_graph_file,
-    min_dominating_set, min_rounds, to_dot)
+    EXHAUSTIVE_CONFIG_CAP, Instance, closure, domination_numbers, load_graph_file, to_dot)
 from .errors import (
     AlgorithmRangeError,
     BudgetNotBelowBound,
@@ -79,24 +78,23 @@ def _nonnegative(text: str) -> int:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    spec = load_graph_file(args.graph)
-    r = min_rounds(spec, args.k)
-    _emit({"r": r, "dominating_set": list(min_dominating_set(spec, r)),
-           "gamma_by_round": list(domination_numbers(spec, r))}, args.pretty)
+    query = Instance(load_graph_file(args.graph), args.k)
+    r = query.bound()
+    _emit({"r": r, "dominating_set": list(query.dominating_set()),
+           "gamma_by_round": list(domination_numbers(query.spec, r))}, args.pretty)
     return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     from .protocol import flood_solve, format_inputs, parse_inputs
 
-    spec = load_graph_file(args.graph)
-    inputs = parse_inputs(args.inputs, spec.n, args.k)
-    report = flood_solve(spec, args.k, inputs)
-    r = min_rounds(spec, args.k)  # derived by flood_solve, read from the spec
+    query = Instance(load_graph_file(args.graph), args.k)
+    inputs = parse_inputs(args.inputs, query.spec.n, query.k)
+    report = flood_solve(query.spec, query.k, inputs)
     _emit({
         "outputs": format_inputs(report.outputs),
-        "r": r,
-        "dominating_set": list(min_dominating_set(spec, r)),
+        "r": query.bound(),  # derived by flood_solve, read from the spec
+        "dominating_set": list(query.dominating_set()),
         "valid": report.valid,
         "agreeing": report.agreeing,
     }, args.pretty)
@@ -125,7 +123,7 @@ def cmd_closure(args: argparse.Namespace) -> int:
 
 
 def cmd_triangulate(args: argparse.Namespace) -> int:
-    from .kuhn import algorithm_coloring, inp, primitive_simplices, vertices
+    from .kuhn import AlgorithmColoring, inp, primitive_simplices, vertices
     from .protocol import algorithm_by_name, format_inputs
 
     n, k = args.n, args.k
@@ -144,11 +142,12 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
             raise ValueError(f"--n {n} does not match the graph's n={spec.n}")
 
     coloring = decode = None
-    if args.alg is not None:
-        coloring = algorithm_coloring(spec, k, args.budget, algorithm_by_name(args.alg))
-        decode = coloring.node
-    elif args.budget is not None:
-        decode = closure_below_bound(spec, k, args.budget).unheard
+    if args.budget is not None:
+        # the coloring and the node column share the query's one refutability decision
+        query = Instance(spec, k)
+        if args.alg is not None:
+            coloring = AlgorithmColoring(query, args.budget, algorithm_by_name(args.alg))
+        decode = query.closure_below_bound(args.budget).unheard
     # every vertex row carries its n-digit configuration
     if math.comb(n + k, k) * n > TRIANGULATION_DIGIT_CAP:
         raise CapExceeded(f"triangulation for n={n}, k={k} exceeds the "
@@ -172,10 +171,7 @@ def cmd_triangulate(args: argparse.Namespace) -> int:
         print("# vertices: coords\tinp\tnode\tcolor")
         for row in rows:
             cols = [",".join(str(x) for x in row["coords"]), row["inp"]]
-            if row["node"] is not None:
-                cols.append(str(row["node"]))
-            if row["color"] is not None:
-                cols.append(str(row["color"]))
+            cols += [str(x) for x in (row["node"], row["color"]) if x is not None]
             print("\t".join(cols))
         print("# simplices: vertex ids")
         for cell in cells:

@@ -18,33 +18,18 @@ Every answer is derived from one Closure object per H_r.  Its reach
 masks are its cover masks: entry u is the bitmask of nodes u's token can
 occupy after rounds 1..r.  Its in-masks are its dominator masks: entry v
 is the bitmask of nodes v has heard from, the nodes that dominate v.
-The in-masks grow round by round with one OR per arc of G_t, and the
-reach masks take the bits the in-masks gained, so each closure arc is
-set once and no mask set is ever transposed.  Each spec keeps its
-closures, and the domination numbers, dominating sets and bounds derived
-from them, in a private memo that is freed with the spec; rounds with
-the same closure share one object, and the memo stores no round after
-the closures are fixed, so any r costs the same once they are.  Other
-modules read H_r through closure_at, or through closure_below_bound,
-which first checks with one k-slot cover decision that no k nodes
-dominate it: the package's one refutability test.  Building a spec
-builds no n-bit mask, and every exact search checks EXACT_SEARCH_CAP
-before it grows any.  Closures only grow, so the domination number never
-increases with r, and each round whose closure changed proves a lower
-bound before it searches.  It sorts the nodes once, fewest dominators
-first.  Nodes with pairwise disjoint dominators, taken in that order,
-each need a member of their own, and no member covers more than the
-widest cover, so the larger of the two counts bounds the answer from
-below.  When it reaches the previous round's number, that number is
-copied.  Otherwise the greedy size, cut off at the previous number, is
-the start, and the size steps down with cover decisions while it is
-above the lower bound.  Only the round a caller asks for rebuilds its
-member list (min_dominating_set).  A decision branches on the first node
-in that order still uncovered, and fails early when more uncovered nodes
-have pairwise disjoint dominators than slots remain, when slots times
-the widest cover fall short of the uncovered nodes, or when the same
-uncovered nodes already failed with as many slots while this round was
-searched.
+Each spec keeps its closures (grown by _grow), and the domination
+numbers, dominating sets and bounds derived from them, in a private memo
+that is freed with the spec.  Other modules read H_r through closure_at,
+or through an Instance, the query (spec, k): building one is the
+package's one test of k, and its closure_below_bound first checks with
+one k-slot cover decision that no k nodes dominate H_r, the package's
+one refutability test.  Building a spec builds no n-bit mask, and every
+exact search checks EXACT_SEARCH_CAP before it grows any.  Closures only
+grow, so the domination number never increases with r: each round whose
+closure changed searches down from the round before (_domination_number,
+whose cover decisions are _cover), and only the round a caller asks for
+rebuilds its member list (min_dominating_set).
 """
 from __future__ import annotations
 
@@ -510,50 +495,90 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     return found[r]
 
 
-def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
-    """Smallest r >= 0 with a dominating set of H_r no larger than k.
-
-    r is 0 exactly when n <= k.  Gamma never increases with r, so a budget
-    b is below this bound exactly when no k nodes dominate H_b.
-
-    Closures only grow, and once m = len(spec.rounds) consecutive rounds
-    change no reach mask, H_r is fixed for good (see _grow):
-    NeverDominated if it needs more than k dominators.  So the search ends
-    within about n^2 * m rounds.
-    """
+def checked_k(k: int) -> int:
+    """k if it is exactly an int of at least 1, else ValueError: the package's one
+    test of k, made by building an Instance and by validate_inputs, which has no spec."""
     if type(k) is not int:  # bool is a subclass of int, so test the exact type
         raise ValueError(f"k is {k!r}, not an integer")
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    bounds = spec._memo.bounds
-    bound = bounds.get(k)
-    if bound is not None:
-        return bound
-    r = 0
-    while (g := _gamma(spec, r)) > k:
-        if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
-            raise NeverDominated(
-                f"no round suffices: H_r is fixed from round {r - len(spec.rounds)} on "
-                f"and its domination number is {g} > k = {k}")
-        r += 1
-    bounds[k] = r
-    return r
+    return k
 
 
-def closure_below_bound(spec: DynamicGraphSpec, k: int, budget: int) -> Closure:
-    """H_budget, after checking that no k nodes dominate it.
+class Instance:
+    """One query of the model: a known sequence and the k it is asked for.
 
-    Gamma never increases, so this holds exactly below min_rounds(spec, k),
-    or always if no bound exists; when it fails min_rounds <= budget, so
-    the BudgetNotBelowBound message cannot raise.  Raises CapExceeded when
-    n > EXACT_SEARCH_CAP.
+    Building one tests k and nothing else, so every entry point refuses a
+    bad k with the same ValueError first.  The instance owns what a query
+    derives: the bound and its dominating set, read from the spec's memo;
+    H_budget once shown refutable, per budget; one ViewTable per algorithm
+    and budget.
     """
-    h = spec._memo.closures[_search_round(spec, budget)]
-    full = (1 << spec.n) - 1
-    if _exists_cover(h.reach, h.into, full, full, k):
-        raise BudgetNotBelowBound(
-            f"budget {budget} is not below the tight bound {min_rounds(spec, k)}")
-    return h
+
+    __slots__ = ("spec", "k", "_below", "_tables")
+
+    def __init__(self, spec: DynamicGraphSpec, k: int) -> None:
+        self.spec, self.k = spec, checked_k(k)
+        self._below: dict[int, Closure] = {}  # budget -> H_budget, shown refutable
+        self._tables: dict = {}  # (id of an algorithm, budget) -> its ViewTable
+
+    def bound(self) -> int:
+        """Smallest r >= 0 with a dominating set of H_r no larger than k.
+
+        r is 0 exactly when n <= k.  Closures only grow, and once m =
+        len(spec.rounds) consecutive rounds change no reach mask, H_r is
+        fixed for good (see _grow): NeverDominated if it needs more than k
+        dominators.  So the search ends within about n^2 * m rounds.
+        """
+        spec, k = self.spec, self.k
+        bounds = spec._memo.bounds
+        if k in bounds:
+            return bounds[k]
+        r = 0
+        while (g := _gamma(spec, r)) > k:
+            if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
+                raise NeverDominated(
+                    f"no round suffices: H_r is fixed from round {r - len(spec.rounds)} on "
+                    f"and its domination number is {g} > k = {k}")
+            r += 1
+        bounds[k] = r
+        return r
+
+    def dominating_set(self) -> tuple[int, ...]:
+        """min_dominating_set of H_r at the bound r."""
+        return min_dominating_set(self.spec, self.bound())
+
+    def closure_below_bound(self, budget: int) -> Closure:
+        """H_budget, once one k-slot decision per budget shows no k nodes dominate it.
+
+        The package's one refutability test.  Gamma never increases with r,
+        so it holds exactly below the bound, or always if none exists, and
+        BudgetNotBelowBound's message cannot raise.  Raises CapExceeded
+        when n > EXACT_SEARCH_CAP.
+        """
+        if budget not in self._below:
+            spec = self.spec
+            h = spec._memo.closures[_search_round(spec, budget)]
+            full = (1 << spec.n) - 1
+            if _exists_cover(h.reach, h.into, full, full, self.k):
+                raise BudgetNotBelowBound(
+                    f"budget {budget} is not below the tight bound {self.bound()}")
+            self._below[budget] = h
+        return self._below[budget]
+
+    def table(self, alg, budget: int):
+        """The protocol.ViewTable of `alg` at `budget`, built on first use."""
+        from .protocol import ViewTable  # bound and closure never load protocol
+        # by identity, since an algorithm need not be hashable; the table keeps it alive
+        key = id(alg), budget
+        if key not in self._tables:
+            self._tables[key] = ViewTable(self, alg, budget)
+        return self._tables[key]
+
+
+def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
+    """The tight bound for k-set agreement on spec: Instance(spec, k).bound()."""
+    return Instance(spec, k).bound()
 
 
 # ---------------------------------------------------------------------------

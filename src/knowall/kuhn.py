@@ -15,20 +15,17 @@ vertex's configuration), and otherwise a panchromatic cell must exist,
 whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
 a single configuration.
 
-algorithm_coloring checks the domination precondition once, through
-dyngraph.closure_below_bound, and returns the coloring as a function of
+algorithm_coloring checks the domination precondition once, through its
+instance's closure_below_bound, and returns the coloring as a function of
 the vertex that keeps the closure it got, with every color read through
-one shared ViewTable.  sperner_walk, which refute uses, follows doors from
-the origin through the faces x_{d+1} = ... = x_k = 0 of increasing
+the instance's ViewTable.  sperner_walk, which refute uses, follows doors
+from the origin through the faces x_{d+1} = ... = x_k = 0 of increasing
 dimension (Kuhn 1968, Cohen 1967) and colors only the vertices on that
-path, each once, keeping each one's configuration up to date from the
-corner it steps from; its witness is the first vertex on the path colored
+path, each once; its witness is the first vertex on the path colored
 outside its carrier, or the cell the path ends at.  find_panchromatic,
-the reference scan the tests hold the walk to, colors the vertices in
-order instead, up to the top corner of the first witness in (base,
-permutation) order, reading the cells from primitive_simplices and each
-vertex's carrier from carrier, and returns that witness.  The check that
-colors every vertex, a baseline for the tests, is oracle.check_sperner.
+the reference scan the tests hold the walk to, returns the first witness
+in (base, permutation) order instead.  The check that colors every
+vertex, a baseline for the tests, is oracle.check_sperner.
 """
 from __future__ import annotations
 
@@ -37,9 +34,9 @@ from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, eq
 
-from .dyngraph import DynamicGraphSpec, closure_below_bound
+from .dyngraph import DynamicGraphSpec, Instance
 from .errors import NoPanchromaticCell
-from .protocol import AlgorithmSpec, InputConfig, ViewTable
+from .protocol import AlgorithmSpec, InputConfig
 
 Vertex = tuple[int, ...]
 Carrier = frozenset[int]
@@ -165,9 +162,10 @@ def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
     cannot reach every node.  Otherwise the budget is at or above the
     tight bound and BudgetNotBelowBound is raised.
     """
+    instance = Instance(spec, k)
     if len(v) != k or not is_vertex(v, spec.n):
         raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
-    return closure_below_bound(spec, k, budget).unheard(v)
+    return instance.closure_below_bound(budget).unheard(v)
 
 
 def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Vertex) -> int:
@@ -179,18 +177,18 @@ class AlgorithmColoring:
     """The vertex coloring an algorithm induces at a budget below the bound.
 
     Calling the object colors one vertex, and node(v) is its assigned
-    node, decoded by the same closure; both refuse anything but a vertex
-    of the (n, k) triangulation.  sperner_walk colors through _color, from
-    configurations it keeps itself.  Every color is read through one
-    ViewTable, so `decide` runs once per distinct view however the
-    vertices are asked for.
+    node, both decoded by the closure of the instance's one refutability
+    decision; both refuse anything but a vertex of the (n, k)
+    triangulation.  sperner_walk colors through _color, from
+    configurations it keeps itself.  Every color is read through the
+    instance's ViewTable, so `decide` runs once per distinct view however
+    the vertices are asked for.
     """
 
-    def __init__(self, spec: DynamicGraphSpec, k: int, budget: int,
-                 alg: AlgorithmSpec) -> None:
-        self.n, self.k = spec.n, k
-        self._closure = closure_below_bound(spec, k, budget)
-        self._table = ViewTable(spec, k, alg, budget)
+    def __init__(self, instance: Instance, budget: int, alg: AlgorithmSpec) -> None:
+        self.n, self.k = instance.spec.n, instance.k
+        self._closure = instance.closure_below_bound(budget)
+        self._table = instance.table(alg, budget)
 
     def _check(self, v: Vertex) -> None:
         if len(v) != self.k or not is_vertex(v, self.n):
@@ -213,13 +211,8 @@ class AlgorithmColoring:
 
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,
                        alg: AlgorithmSpec) -> AlgorithmColoring:
-    """The coloring `alg` induces on the (spec.n, k) triangulation at `budget`.
-
-    The coloring checks the domination precondition of assign_node once,
-    before it builds its ViewTable, so every node it decodes, including a
-    caller's witness nodes, comes from that one decision.
-    """
-    return AlgorithmColoring(spec, k, budget, alg)
+    """The coloring `alg` induces on the (spec.n, k) triangulation at `budget`."""
+    return AlgorithmColoring(Instance(spec, k), budget, alg)
 
 
 def sperner_walk(coloring: AlgorithmColoring) -> tuple[PrimitiveSimplex | Vertex, tuple[int, ...]]:

@@ -6,16 +6,18 @@ usable knowledge is therefore the restriction of the input vector to its
 in-neighborhood in the closure H_budget.  That restriction is the View,
 and a candidate algorithm is any pure function of (sequence, k, view).
 
-An algorithm is reached through one entry point, AlgorithmSpec.bind(spec,
-k, budget), which fixes the instance and returns a function of the View
-alone; per-instance data such as flooding's dominating set is derived
-there, once.  `run` binds once per call and a ViewTable once when it is
-built, and nothing else calls an algorithm.  Purity is a contract, not a
-convention: the bound function must return the same value whenever it
-is given the same view.  `run` calls it for every node of the one
-configuration it executes, but configuration sweeps and the
-triangulation coloring go through a ViewTable, which calls it once per
-distinct view it meets and replays the remembered output afterwards.
+A query is a dyngraph.Instance: the sequence and k, checked once.  An
+algorithm is reached through one entry point, AlgorithmSpec.bind(instance,
+budget), which returns a function of the View alone; per-instance data
+such as flooding's dominating set is derived there, once.  `run` binds
+once per call, and a ViewTable, which the instance keeps one of per
+algorithm and budget, once when it is built; nothing else calls an
+algorithm.  Purity is a contract, not a convention: the bound function
+must return the same value whenever it is given the same view.  `run`
+calls it for every node of the one configuration it executes, but
+configuration sweeps and the triangulation coloring go through a
+ViewTable, which calls it once per distinct view it meets and replays
+the remembered output afterwards.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
-from .dyngraph import DynamicGraphSpec, closure_at, min_dominating_set, min_rounds
+from .dyngraph import DynamicGraphSpec, Instance, checked_k, closure_at, min_dominating_set
 from .errors import AlgorithmRangeError, LemmaFalsified
 
 InputConfig = tuple[int, ...]
@@ -37,10 +39,7 @@ VIEW_MEMO_CAP = 4096
 
 def validate_inputs(values, n: int, k: int) -> InputConfig:
     """The n inputs as a tuple, each exactly an int in 0..k: never truncated or parsed."""
-    if type(k) is not int:  # bool is a subclass of int, so test the exact type
-        raise ValueError(f"k is {k!r}, not an integer")
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    checked_k(k)
     vals = tuple(values)
     if len(vals) != n:
         raise ValueError(f"expected {n} inputs, got {len(vals)}")
@@ -82,15 +81,15 @@ class AlgorithmSpec:
     """Named candidate algorithm: a pure decision function of the view.
 
     `decide(spec, k, view)` is the algorithm itself; the package calls it
-    only through bind, whose default closes over spec and k.
+    only through bind, whose default closes over the instance's spec and k.
     """
 
     name: str
     decide: Callable[[DynamicGraphSpec, int, View], int]
 
-    def bind(self, spec: DynamicGraphSpec, k: int, budget: int) -> Callable[[View], int]:
+    def bind(self, instance: Instance, budget: int) -> Callable[[View], int]:
         """The algorithm on this instance, as a function of the View alone."""
-        return partial(self.decide, spec, k)
+        return partial(self.decide, instance.spec, instance.k)
 
 
 @dataclass(frozen=True)
@@ -127,9 +126,9 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
     most k distinct outputs.  Raises AlgorithmRangeError if the
     algorithm returns anything but an int in 0..k at any node.
     """
-    vals = validate_inputs(inputs, spec.n, k)
+    vals = validate_inputs(inputs, spec.n, k)  # tests k as building an Instance does
     heard_by = closure_at(spec, budget).senders
-    decide = alg.bind(spec, k, budget)
+    decide = alg.bind(Instance(spec, k), budget)
     outputs = []
     for node, senders in enumerate(heard_by, start=1):
         view = View(node, budget, {j: vals[j - 1] for j in senders})
@@ -160,15 +159,10 @@ class ViewTable:
     H_budget's own, shared by every table at that budget.
     """
 
-    def __init__(self, spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
-                 budget: int) -> None:
-        if type(k) is not int:  # bool is a subclass of int, so test the exact type
-            raise ValueError(f"k is {k!r}, not an integer")
-        if k < 1:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k, self.alg, self.budget = k, alg, budget
-        self.senders = closure_at(spec, budget).senders
-        self._decide = alg.bind(spec, k, budget)
+    def __init__(self, instance: Instance, alg: AlgorithmSpec, budget: int) -> None:
+        self.k, self.alg, self.budget = instance.k, alg, budget
+        self.senders = closure_at(instance.spec, budget).senders
+        self._decide = alg.bind(instance, budget)
         # (heard-digit key of a configuration, memo) per node
         self._memos = [(itemgetter(*(j - 1 for j in senders)), {}) for senders in self.senders]
 
@@ -205,10 +199,6 @@ class ViewTable:
 # ---------------------------------------------------------------------------
 
 
-def _dominators(spec: DynamicGraphSpec, k: int, r: int | None) -> tuple[int, ...]:
-    return min_dominating_set(spec, min_rounds(spec, k) if r is None else r)
-
-
 def _first_heard(members: tuple[int, ...], view: View) -> int:
     heard = view.heard
     for j in members:
@@ -223,8 +213,10 @@ class _Flooding(AlgorithmSpec):
 
     r: int | None
 
-    def bind(self, spec: DynamicGraphSpec, k: int, budget: int) -> Callable[[View], int]:
-        return partial(_first_heard, _dominators(spec, k, self.r))
+    def bind(self, instance: Instance, budget: int) -> Callable[[View], int]:
+        r = self.r
+        return partial(_first_heard, instance.dominating_set() if r is None
+                       else min_dominating_set(instance.spec, r))
 
 
 def flood_dominator(r: int | None = None) -> AlgorithmSpec:
@@ -235,15 +227,16 @@ def flood_dominator(r: int | None = None) -> AlgorithmSpec:
     hand.  Run below that budget some nodes hear no dominator; they fall
     back to their own input, which keeps the algorithm
     validity-respecting at every budget.  Binding derives the set, so a
-    spec with no bound raises NeverDominated there; `decide` derives it
-    again on every call.
+    spec with no bound raises NeverDominated there; `decide` binds afresh
+    on every call.
     """
 
     def decide(spec: DynamicGraphSpec, k: int, view: View) -> int:
-        return _first_heard(_dominators(spec, k, r), view)
+        return flooding.bind(Instance(spec, k), view.budget)(view)
 
     name = "flood_dominator" if r is None else f"flood_dominator({r})"
-    return _Flooding(name=name, decide=decide, r=r)
+    flooding = _Flooding(name=name, decide=decide, r=r)
+    return flooding
 
 
 def _decide_min_heard(spec: DynamicGraphSpec, k: int, view: View) -> int:
@@ -279,7 +272,7 @@ def algorithm_by_name(name: str) -> AlgorithmSpec:
 
 def flood_solve(spec: DynamicGraphSpec, k: int, inputs) -> OutcomeReport:
     """Solve k-set agreement in exactly the optimal number of rounds."""
-    r = min_rounds(spec, k)
+    r = Instance(spec, k).bound()
     vals = validate_inputs(inputs, spec.n, k)
     report = run(spec, k, flood_dominator(r), vals, budget=r)
     if not (report.valid and report.agreeing):

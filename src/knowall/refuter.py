@@ -2,15 +2,10 @@
 
 refute() takes any candidate algorithm claimed to work in fewer rounds
 than the tight bound and produces a concrete, re-simulated
-counterexample: either a configuration where some node outputs a value
-nobody holds, or one where k+1 nodes output k+1 distinct values,
-whichever kuhn.sperner_walk meets first on its door-to-door path from
-the origin.  Both kinds are verified the same way, by one `protocol.run`
-of the witness configuration: the outputs at the nodes decoded by the
-coloring's closure H_budget must be the colors the walk gave them.  The
-closure comes from the coloring's one refutability decision, so the
-budget is tested once.  Verification deliberately goes back through the
-protocol module only, so a bug in the triangulation machinery cannot
+counterexample: a configuration where some node outputs a value nobody
+holds, or one where k+1 nodes output k+1 distinct values.  Both kinds
+are verified by one `protocol.run` of the witness configuration, through
+the protocol module only, so a bug in the triangulation machinery cannot
 vouch for itself.
 """
 from __future__ import annotations
@@ -18,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dyngraph import DynamicGraphSpec
+from .dyngraph import DynamicGraphSpec, Instance
 from .errors import LemmaFalsified
-from .kuhn import PrimitiveSimplex, algorithm_coloring, inp, sperner_walk
+from .kuhn import AlgorithmColoring, PrimitiveSimplex, inp, sperner_walk
 from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
 
 
@@ -61,25 +56,24 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     """Build and verify a counterexample against `alg` run at `budget`.
 
     The budget is refutable exactly when no k nodes dominate H_budget, so
-    below the tight bound and on sequences with no bound; otherwise
-    algorithm_coloring raises BudgetNotBelowBound (ValueError when
-    negative).  The Sperner walk colors only the vertices on its path from
-    the origin, each once, and stops at the first witness on it: a vertex
-    colored outside its carrier gives a validity witness, the panchromatic
-    cell the path ends at an agreement witness, so validity broken only off
-    the path is refuted by that cell.  Both kinds are one run of the first
-    corner's configuration, which must give each corner's color at its
-    node.
+    below the tight bound and on sequences with no bound; otherwise the
+    query instance's one refutability decision raises BudgetNotBelowBound
+    (ValueError when negative).  The Sperner walk colors only the vertices
+    on its path from the origin, each once, and stops at the first witness
+    on it: a vertex colored outside its carrier gives a validity witness,
+    the panchromatic cell the path ends at an agreement witness, so
+    validity broken only off the path is refuted by that cell.  Both kinds
+    are one run of the first corner's configuration, which must give each
+    corner's color at the node that decision's closure decodes for it.
     LemmaFalsified is a tripwire: it fires only if direct re-simulation
     disagrees with the combinatorial argument, which means a bug in this
     package, not in the algorithm under test.
     """
-    n = spec.n
-    coloring = algorithm_coloring(spec, k, budget, alg)
+    coloring = AlgorithmColoring(Instance(spec, k), budget, alg)
     found, colors = sperner_walk(coloring)
     simplex = found if isinstance(found, PrimitiveSimplex) else None
     corners = (found,) if simplex is None else simplex.vertices()
-    config = inp(corners[0], n)
+    config = inp(corners[0], spec.n)
     nodes = tuple(map(coloring.node, corners))
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)

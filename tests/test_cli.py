@@ -354,23 +354,25 @@ def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, mon
 
 
 def test_flooding_looks_up_its_dominators_once_per_bind(capsys, c5_file, monkeypatch):
-    calls = {"min_rounds": 0, "min_dominating_set": 0}
+    # the instance reads the bound and the dominating set from the spec's memo
+    calls = {"bound": 0, "min_dominating_set": 0}
 
-    def counted(name):
-        fn = getattr(protocol, name)
+    def counted(owner, name):
+        fn = getattr(owner, name)
 
         def counting(*args):
             calls[name] += 1
             return fn(*args)
         return counting
 
-    for name in calls:
-        monkeypatch.setattr(protocol, name, counted(name))
+    monkeypatch.setattr(dyngraph.Instance, "bound", counted(dyngraph.Instance, "bound"))
+    monkeypatch.setattr(dyngraph, "min_dominating_set",
+                        counted(dyngraph, "min_dominating_set"))
 
     def counts_of(action):
         calls.update(dict.fromkeys(calls, 0))
         action()
-        return calls["min_rounds"], calls["min_dominating_set"]
+        return calls["bound"], calls["min_dominating_set"]
 
     c5 = directed_cycle(5)
     flooding = algorithm_by_name("flood_dominator")

@@ -19,6 +19,7 @@ from knowall import (
     DynamicGraphSpec,
     Extension,
     GraphFormatError,
+    Instance,
     NeverDominated,
     ViewTable,
     closure,
@@ -557,7 +558,7 @@ def test_closures_are_shared_and_build_senders_on_first_use():
     assert closure_at(spec, 10 ** 9) is closure_at(spec, 5) is closure_at(spec, 4)
     assert closure_at(spec, 3) is not closure_at(spec, 4)
     # tables of two algorithms read one set of sender lists, built once
-    tables = [ViewTable(spec, 2, alg, 1) for alg in (MIN_HEARD, MAX_HEARD)]
+    tables = [ViewTable(Instance(spec, 2), alg, 1) for alg in (MIN_HEARD, MAX_HEARD)]
     assert tables[0].senders is tables[1].senders is closure_at(spec, 1).senders
     assert [h._senders is None for h in memo.closures] == [True, False, True, True, True, True]
     # a round that adds nothing shares its predecessor's closure

@@ -13,6 +13,7 @@ from knowall import (
     DynamicGraphSpec,
     ExhaustiveReport,
     Extension,
+    Instance,
     KnowAllError,
     ViewTable,
     carrier,
@@ -118,7 +119,7 @@ def _naive_sweep(spec, k, alg, budget, configs, cached=False):
         if key not in _RUN_LOOPS:
             _RUN_LOOPS[key] = _run_loop(spec, k, alg, budget, configs)
         reports, error = _RUN_LOOPS[key]
-    table = ViewTable(spec, k, alg, budget)
+    table = ViewTable(Instance(spec, k), alg, budget)
     failures = []
     for cfg, report in zip(configs, reports):
         assert table.outputs(cfg) == report.outputs, (alg.name, cfg)
@@ -344,7 +345,7 @@ def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monk
         assert exhaustive_check(_RELAY_SPEC, 2, alg, 1) == ExhaustiveReport(3 ** 5, _naive_sweep(
             _RELAY_SPEC, 2, alg, 1, product(range(3), repeat=5)))
     decided = []
-    table = ViewTable(_RELAY_SPEC, 2, counting_min(decided), 1)
+    table = ViewTable(Instance(_RELAY_SPEC, 2), counting_min(decided), 1)
     memo_read = set()
     output = table.output
 

@@ -13,6 +13,7 @@ from knowall import (
     AlgorithmRangeError,
     AlgorithmSpec,
     DynamicGraphSpec,
+    Instance,
     LemmaFalsified,
     NeverDominated,
     View,
@@ -72,8 +73,8 @@ def test_k_must_be_positive(c5):
     # with k = 0 no output is legal, so nothing may be run or swept
     for call in (lambda: validate_inputs((0,) * 5, 5, 0),
                  lambda: run(c5, 0, MIN_HEARD, (0,) * 5, 1),
-                 lambda: ViewTable(c5, 0, MIN_HEARD, 1),
-                 lambda: ViewTable(c5, -1, MIN_HEARD, 1)):
+                 lambda: ViewTable(Instance(c5, 0), MIN_HEARD, 1),
+                 lambda: ViewTable(Instance(c5, -1), MIN_HEARD, 1)):
         with pytest.raises(ValueError, match=r"^k must be positive, got -?\d+$"):
             call()
 
@@ -87,7 +88,7 @@ def test_k_must_be_exactly_an_int(c5):
                      lambda: sample_check(c5, k, MIN_HEARD, 1, samples=10),
                      lambda: refute(c5, k, MIN_HEARD, 1),
                      lambda: min_rounds(c5, k),
-                     lambda: ViewTable(c5, k, MIN_HEARD, 1)):
+                     lambda: ViewTable(Instance(c5, k), MIN_HEARD, 1)):
             with pytest.raises(ValueError, match=f"^k is {k!r}, not an integer$"):
                 call()
 
@@ -197,7 +198,7 @@ def test_view_table_memo_stays_within_cap(monkeypatch):
     # on K4 after one round every node hears all 4 inputs: 81 views each
     default_cap = protocol.VIEW_MEMO_CAP
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", 5)
-    table = ViewTable(complete_graph(4), 2, MIN_HEARD, 1)
+    table = ViewTable(Instance(complete_graph(4), 2), MIN_HEARD, 1)
     for cfg in product(range(3), repeat=4):
         assert table.outputs(cfg) == run(complete_graph(4), 2, MIN_HEARD, cfg, 1).outputs
     # a full memo is emptied before it stores one more view, so with a cap
@@ -207,7 +208,7 @@ def test_view_table_memo_stays_within_cap(monkeypatch):
     for cap, others, again in ((5, 4, 0), (5, 5, 1), (default_cap, 5, 0)):
         monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", cap)
         decided = []
-        table = ViewTable(complete_graph(4), 2, counting_min(decided), 1)
+        table = ViewTable(Instance(complete_graph(4), 2), counting_min(decided), 1)
         for cfg in configs[:others + 1]:
             table.output(1, cfg)
         assert len(decided) == others + 1
@@ -217,7 +218,7 @@ def test_view_table_memo_stays_within_cap(monkeypatch):
 
 def test_view_table_decide_always_calls_the_algorithm_and_output_once_per_view(c5):
     decided = []
-    table = ViewTable(c5, 2, counting_min(decided), 1)
+    table = ViewTable(Instance(c5, 2), counting_min(decided), 1)
     cfg = (0, 1, 2, 1, 0)
     expected = run(c5, 2, MIN_HEARD, cfg, 1).outputs
     assert [table.decide(5, cfg) for _ in range(3)] == [expected[4]] * 3
@@ -232,7 +233,7 @@ def test_view_table_decide_always_calls_the_algorithm_and_output_once_per_view(c
 
 
 def test_view_table_rejects_unknown_node(c5):
-    table = ViewTable(c5, 2, MIN_HEARD, 1)
+    table = ViewTable(Instance(c5, 2), MIN_HEARD, 1)
     assert table.output(5, (0, 1, 2, 1, 0)) == run(c5, 2, MIN_HEARD, (0, 1, 2, 1, 0), 1).outputs[4]
     for node in (0, 6):
         with pytest.raises(ValueError, match="outside 1..5"):
@@ -288,13 +289,13 @@ def test_algorithm_registry():
 
 
 def test_bound_function_equals_decide_on_every_view():
-    # decide(spec, k, view) is the oracle for what bind(spec, k, budget) returns
+    # decide(spec, k, view) is the oracle for what bind(Instance(spec, k), budget) returns
     reads_spec_and_k = AlgorithmSpec(
         "reads_spec_and_k", lambda spec, k, view: (sum(view.heard.values()) + spec.n) % (k + 1))
     for name, spec, k in standard_family():
         for alg in (*builtin_algorithms(), reads_spec_and_k):
             for budget in range(min_rounds(spec, k) + 1):
-                bound = alg.bind(spec, k, budget)
+                bound = alg.bind(Instance(spec, k), budget)
                 for node, senders in enumerate(closure_at(spec, budget).senders, start=1):
                     for digits in product(range(k + 1), repeat=len(senders)):
                         view = View(node, budget, dict(zip(senders, digits)))
@@ -305,11 +306,11 @@ def test_flooding_with_no_bound_raises_when_bound():
     # flooding reads the dominating set of H_r when it is bound, not at a view,
     # so a table that would decide nothing still raises
     islands = DynamicGraphSpec(2, (frozenset(),))
-    for bind in (lambda: flood_dominator().bind(islands, 1, 0),
-                 lambda: ViewTable(islands, 1, flood_dominator(), 0),
+    for bind in (lambda: flood_dominator().bind(Instance(islands, 1), 0),
+                 lambda: ViewTable(Instance(islands, 1), flood_dominator(), 0),
                  lambda: sample_check(islands, 1, flood_dominator(), 0, samples=0),
                  lambda: run(islands, 1, flood_dominator(), (0, 1), 0)):
         with pytest.raises(NeverDominated, match="^no round suffices"):
             bind()
     # a fixed round count needs no bound
-    assert flood_dominator(0).bind(islands, 1, 0)(View(1, 0, {1: 1})) == 1
+    assert flood_dominator(0).bind(Instance(islands, 1), 0)(View(1, 0, {1: 1})) == 1

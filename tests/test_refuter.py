@@ -15,6 +15,7 @@ from knowall import (
     AlgorithmSpec,
     BudgetNotBelowBound,
     DynamicGraphSpec,
+    Instance,
     LemmaFalsified,
     NeverDominated,
     PrimitiveSimplex,
@@ -23,10 +24,12 @@ from knowall import (
     assign_node,
     builtin_algorithms,
     closure,
+    color,
     directed_cycle,
     exhaustive_check,
     find_panchromatic,
     flood_dominator,
+    flood_solve,
     format_inputs,
     inp,
     min_rounds,
@@ -36,7 +39,7 @@ from knowall import (
     vertices,
     view_of,
 )
-from knowall import kuhn, refuter
+from knowall import dyngraph, kuhn, protocol, refuter
 from knowall.kuhn import algorithm_coloring, sperner_walk
 from knowall.oracle import brute_panchromatic, check_sperner
 
@@ -379,8 +382,9 @@ def test_refute_releases_its_coloring(c5, monkeypatch):
             return obj
         return wrapper
 
-    monkeypatch.setattr(kuhn, "ViewTable", recorded(kuhn.ViewTable))
-    monkeypatch.setattr(refuter, "algorithm_coloring", recorded(refuter.algorithm_coloring))
+    # the query instance holds the table and imports ViewTable when it builds it
+    monkeypatch.setattr(protocol, "ViewTable", recorded(protocol.ViewTable))
+    monkeypatch.setattr(refuter, "AlgorithmColoring", recorded(refuter.AlgorithmColoring))
     gc.disable()
     try:
         witness = refute(c5, 2, flood_dominator(2), budget=1)
@@ -413,7 +417,7 @@ def test_derived_data_is_freed_with_the_spec():
 @pytest.mark.parametrize("call", [
     lambda spec: view_of(spec, (0,) * 5, 1, -1),
     lambda spec: run(spec, 2, MIN_HEARD, (0,) * 5, -1),
-    lambda spec: ViewTable(spec, 2, MIN_HEARD, -1),
+    lambda spec: ViewTable(Instance(spec, 2), MIN_HEARD, -1),
     lambda spec: exhaustive_check(spec, 2, MIN_HEARD, -1),
     lambda spec: sample_check(spec, 2, MIN_HEARD, -1),
     lambda spec: refute(spec, 2, MIN_HEARD, -1),
@@ -425,3 +429,96 @@ def test_a_negative_budget_has_one_message(call):
     # every path reads H_budget through the spec's memo, which refuses r < 0
     with pytest.raises(ValueError, match=r"^closure needs r >= 0, got -1$"):
         call(directed_cycle(5))
+
+
+@pytest.mark.parametrize("n", [6, 20])
+@pytest.mark.parametrize("k", [2.0, True, 2.5, 0], ids=["float", "bool", "fraction", "zero"])
+def test_every_entry_point_refuses_a_bad_k_first(n, k):
+    # building the query instance is the one test of k, and every entry
+    # point builds it before anything else reads k: at n = 20 a float k
+    # would otherwise reach the exhaustive cap, and k = 0 or True would
+    # reach the refutability decision and answer
+    spec = directed_cycle(n)
+    expected = f"k is {k!r}, not an integer" if type(k) is not int else \
+        f"k must be positive, got {k}"
+    calls = {
+        "Instance": lambda: Instance(spec, k),
+        "min_rounds": lambda: min_rounds(spec, k),
+        "run": lambda: run(spec, k, MIN_HEARD, (0,) * n, 1),
+        "flood_solve": lambda: flood_solve(spec, k, (0,) * n),
+        "exhaustive_check": lambda: exhaustive_check(spec, k, MIN_HEARD, 1),
+        "sample_check": lambda: sample_check(spec, k, MIN_HEARD, 1, samples=5),
+        "refute": lambda: refute(spec, k, MIN_HEARD, 1),
+        "algorithm_coloring": lambda: algorithm_coloring(spec, k, 1, MIN_HEARD),
+        "assign_node": lambda: assign_node(spec, k, 1, (1, 0)),
+        "color": lambda: color(spec, k, 1, MIN_HEARD, (1, 0)),
+        "ViewTable": lambda: ViewTable(Instance(spec, k), MIN_HEARD, 1),
+        "closure_below_bound": lambda: Instance(spec, k).closure_below_bound(1),
+    }
+    outcomes = {}
+    for name, call in calls.items():
+        try:
+            outcomes[name] = f"answered {call()!r}"
+        except Exception as exc:  # noqa: BLE001 - every outcome is compared below
+            outcomes[name] = f"{type(exc).__name__}: {exc}"
+    assert outcomes == dict.fromkeys(calls, f"ValueError: {expected}")
+
+
+def test_sample_check_refuses_samples_that_are_not_an_int():
+    # the sample count is a count: a bool or a float is refused, never
+    # truncated or read as 1
+    c5 = directed_cycle(5)
+    for samples in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match=f"^samples is {samples!r}, not an integer$"):
+            sample_check(c5, 2, MIN_HEARD, 1, samples=samples)
+    # a bad k is reported before a bad sample count
+    with pytest.raises(ValueError, match="^k is 2.0, not an integer$"):
+        sample_check(c5, 2.0, MIN_HEARD, 1, samples=2.5)
+
+
+def test_an_instance_owns_its_decision_and_tables(monkeypatch):
+    # one k-slot decision per budget and one ViewTable per algorithm and
+    # budget, however often the query asks for them
+    decisions = []
+    exists_cover = dyngraph._exists_cover
+
+    def counting(*args):
+        decisions.append(args)
+        return exists_cover(*args)
+
+    monkeypatch.setattr(dyngraph, "_exists_cover", counting)
+    query = Instance(directed_cycle(5), 2)
+    assert (query.spec, query.k) == (directed_cycle(5), 2)
+    assert query.bound() == 2 and query.dominating_set() == (1, 3)
+    h = query.closure_below_bound(1)
+    assert query.closure_below_bound(1) is h and len(decisions) == 1
+    table = query.table(MIN_HEARD, 1)
+    assert query.table(MIN_HEARD, 1) is table
+    assert query.table(MAX_HEARD, 1) is not table and query.table(MIN_HEARD, 0) is not table
+    # a coloring built on the query reads its decision and its table
+    coloring = kuhn.AlgorithmColoring(query, 1, MIN_HEARD)
+    assert coloring._table is table and len(decisions) == 1
+    fresh = algorithm_coloring(directed_cycle(5), 2, 1, MIN_HEARD)
+    assert [coloring(v) for v in vertices(5, 2)] == [fresh(v) for v in vertices(5, 2)]
+    assert len(decisions) == 2
+    with pytest.raises(BudgetNotBelowBound, match="^budget 2 is not below the tight bound 2$"):
+        query.closure_below_bound(2)
+
+
+def test_an_algorithm_need_not_be_hashable():
+    # the instance keeps tables by the algorithm's identity, so a decide
+    # that cannot be hashed still sweeps, colors and refutes
+    class Smallest:
+        __hash__ = None
+
+        def __call__(self, spec, k, view):
+            return min(view.heard.values())
+
+    alg = AlgorithmSpec("smallest", Smallest())
+    with pytest.raises(TypeError):
+        hash(alg)
+    c5 = directed_cycle(5)
+    assert exhaustive_check(c5, 2, alg, 1) == exhaustive_check(c5, 2, MIN_HEARD, 1)
+    assert refute(c5, 2, alg, 1).to_dict() == refute(c5, 2, MIN_HEARD, 1).to_dict()
+    query = Instance(c5, 2)
+    assert query.table(alg, 1) is query.table(alg, 1)

@@ -100,7 +100,7 @@ def test_package_neither_imports_nor_exports_the_oracle():
 PUBLIC = {
     "check": ["ExhaustiveReport", "exhaustive_check", "sample_check"],
     "dyngraph": ["EXACT_SEARCH_CAP", "EXHAUSTIVE_CONFIG_CAP", "Arc", "DynamicGraphSpec",
-                 "Extension", "closure", "domination_numbers", "graph_at", "load_graph_file",
+                 "Extension", "Instance", "closure", "domination_numbers", "graph_at", "load_graph_file",
                  "min_dominating_set", "min_rounds", "save_graph_file", "spec_from_dict",
                  "spec_to_dict", "to_dot"],
     "errors": ["AlgorithmRangeError", "BudgetNotBelowBound", "CapExceeded", "GraphFormatError",
@@ -119,7 +119,7 @@ PUBLIC = {
 
 def test_public_names_resolve_to_their_defining_modules():
     names = [name for names in PUBLIC.values() for name in names]
-    assert len(names) == len(set(names)) == 62
+    assert len(names) == len(set(names)) == 63
     assert sorted(knowall.__all__) == sorted(names)
     assert set(names) <= set(dir(knowall))
     defined = {name: getattr(importlib.import_module(f"knowall.{home}"), name)
@@ -216,6 +216,35 @@ def test_every_private_module_name_is_used_by_the_package():
                        for stmt in body if stmt is not home for node in ast.walk(stmt)):
                 unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+def _package_trees():
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def test_k_is_tested_in_one_place():
+    # building an Instance is the package's one test of k (checked_k,
+    # which validate_inputs shares because it has no spec)
+    found = [f"{name}:{node.lineno}" for name, tree in _package_trees()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+             and getattr(node.left.func, "id", None) == "type"
+             and [getattr(a, "id", None) for a in node.left.args] == ["k"]]
+    assert len(found) == 1, found
+    assert found[0].startswith("dyngraph.py:")
+
+
+def test_few_functions_take_both_k_and_budget():
+    # a query's spec and k travel together in an Instance; only the
+    # documented library entry points still take both k and a budget
+    both = sorted(f"{name}:{node.name}" for name, tree in _package_trees()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef)
+                  and {"k", "budget"} <= {a.arg for a in node.args.args + node.args.kwonlyargs})
+    assert both == ["check.py:exhaustive_check", "check.py:sample_check",
+                    "kuhn.py:algorithm_coloring", "kuhn.py:assign_node", "kuhn.py:color",
+                    "protocol.py:run", "refuter.py:refute"]
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
