@@ -20,7 +20,7 @@ from functools import reduce
 from itertools import compress, product
 from operator import and_, or_
 
-from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec, Instance
+from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec, Instance, checked_round
 from .errors import CapExceeded
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
@@ -139,6 +139,7 @@ def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                      budget: int) -> ExhaustiveReport:
     """Run every input configuration and list those failing validity or agreement."""
     instance = Instance(spec, k)
+    checked_round(budget)
     total = (k + 1) ** spec.n
     if total > EXHAUSTIVE_CONFIG_CAP:
         raise CapExceeded(f"exhaustive check needs {total} configurations, "

@@ -12,15 +12,16 @@ at import; `build_parser()` returns a fresh one to any other caller.
 
 Importing this module loads only the graph and error modules of the
 package, which `bound` and `closure` need.  Each other command imports
-the sweeps, the protocol, the triangulation or the refuter when it runs,
-so a process pays only for what its command uses.
+the protocol, the sweeps or the refuter when it runs, so a process pays
+only for what its command uses.  The triangulation is a library matter:
+for a vertex v, kuhn.inp(v, n) is its configuration, and an
+algorithm_coloring gives its node (.node(v)) and its color (called on v).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .dyngraph import (
@@ -35,8 +36,6 @@ from .errors import (
     NeverDominated,
 )
 
-TRIANGULATION_CAP = 10 ** 6
-TRIANGULATION_DIGIT_CAP = 10 ** 7
 SAMPLE_COUNT = 1000
 
 
@@ -62,7 +61,7 @@ def _positive(text: str) -> int:
 
 
 def _digit_k(text: str) -> int:
-    # refute, check and triangulate print configurations one digit per node
+    # refute and check print configurations one digit per node
     value = _positive(text)
     if value > 9:
         raise argparse.ArgumentTypeError(
@@ -122,65 +121,6 @@ def cmd_closure(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_triangulate(args: argparse.Namespace) -> int:
-    from .kuhn import AlgorithmColoring, inp, primitive_simplices, vertices
-    from .protocol import algorithm_by_name, format_inputs
-
-    n, k = args.n, args.k
-    if math.comb(n + k, k) > TRIANGULATION_CAP or n ** k > TRIANGULATION_CAP:
-        raise CapExceeded(
-            f"triangulation for n={n}, k={k} exceeds the {TRIANGULATION_CAP}-cell cap")
-    if args.budget is not None and args.graph is None:
-        raise ValueError("--budget needs --graph")
-    if args.alg is not None and args.budget is None:
-        raise ValueError("--alg needs --graph and --budget")
-
-    spec = None
-    if args.graph is not None:
-        spec = load_graph_file(args.graph)
-        if spec.n != n:
-            raise ValueError(f"--n {n} does not match the graph's n={spec.n}")
-
-    coloring = decode = None
-    if args.budget is not None:
-        # the coloring and the node column share the query's one refutability decision
-        query = Instance(spec, k)
-        if args.alg is not None:
-            coloring = AlgorithmColoring(query, args.budget, algorithm_by_name(args.alg))
-        decode = query.closure_below_bound(args.budget).unheard
-    # every vertex row carries its n-digit configuration
-    if math.comb(n + k, k) * n > TRIANGULATION_DIGIT_CAP:
-        raise CapExceeded(f"triangulation for n={n}, k={k} exceeds the "
-                          f"{TRIANGULATION_DIGIT_CAP}-digit output cap")
-
-    verts = list(vertices(n, k))
-    nodes = colors = [None] * len(verts)
-    if coloring is not None:
-        colors = list(map(coloring, verts))
-    if decode is not None:
-        nodes = list(map(decode, verts))
-
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [{"coords": list(v), "inp": format_inputs(inp(v, n)), "node": w, "color": c}
-            for v, w, c in zip(verts, nodes, colors)]
-    cells = [{"base": list(s.base), "perm": list(s.perm),
-              "vertex_ids": [index[v] for v in s.vertices()]}
-             for s in primitive_simplices(n, k)]
-
-    if args.pretty:
-        print("# vertices: coords\tinp\tnode\tcolor")
-        for row in rows:
-            cols = [",".join(str(x) for x in row["coords"]), row["inp"]]
-            cols += [str(x) for x in (row["node"], row["color"]) if x is not None]
-            print("\t".join(cols))
-        print("# simplices: vertex ids")
-        for cell in cells:
-            print(",".join(str(i) for i in cell["vertex_ids"]))
-    else:
-        _emit({"n": n, "k": k, "vertices": rows, "simplices": cells}, pretty=False)
-    return 0
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     from .check import exhaustive_check, sample_check
     from .protocol import algorithm_by_name, format_inputs, run
@@ -220,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "compute the tight bound, solve at it, refute below it.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true",
-                        help="indented JSON (tables for triangulate)")
+                        help="indented JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", parents=[common],
@@ -243,15 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="builtin algorithm name")
     p.add_argument("--budget", type=_nonnegative, required=True)
     p.set_defaults(func=cmd_refute)
-
-    p = sub.add_parser("triangulate", parents=[common],
-                       help="vertex and cell tables of the input-space triangulation")
-    p.add_argument("--n", type=_positive, required=True)
-    p.add_argument("--k", type=_digit_k, required=True)
-    p.add_argument("--graph", help="adds the node-assignment column")
-    p.add_argument("--budget", type=_nonnegative, help="budget for node assignment")
-    p.add_argument("--alg", help="adds the color column")
-    p.set_defaults(func=cmd_triangulate)
 
     p = sub.add_parser("closure", parents=[common],
                        help="information-flow closure H_r of the sequence")

@@ -25,11 +25,12 @@ or through an Instance, the query (spec, k): building one is the
 package's one test of k, and its closure_below_bound first checks with
 one k-slot cover decision that no k nodes dominate H_r, the package's
 one refutability test.  Building a spec builds no n-bit mask, and every
-exact search checks EXACT_SEARCH_CAP before it grows any.  Closures only
-grow, so the domination number never increases with r: each round whose
-closure changed searches down from the round before (_domination_number,
-whose cover decisions are _cover), and only the round a caller asks for
-rebuilds its member list (min_dominating_set).
+exact search tests its round (checked_round), then EXACT_SEARCH_CAP,
+before it grows any.  Closures only grow, so the domination number never
+increases with r: each round whose closure changed searches down from the
+round before (_domination_number, whose cover decisions are _cover), and
+only the round a caller asks for rebuilds its member list
+(min_dominating_set).
 """
 from __future__ import annotations
 
@@ -191,6 +192,16 @@ class DynamicGraphSpec:
 # ---------------------------------------------------------------------------
 
 
+def checked_round(r: int) -> int:
+    """r if it is exactly an int of at least 0, else ValueError: the package's one
+    test of a round number, made before any memo keyed by it is read and any cap."""
+    if type(r) is not int:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"closure needs an integer r, got {r!r}")
+    if r < 0:
+        raise ValueError(f"closure needs r >= 0, got {r}")
+    return r
+
+
 def _round_index(spec: DynamicGraphSpec, t: int) -> int:
     """Index into spec.rounds of G_t, applying the extension rule past the prefix."""
     if t < 1:
@@ -223,8 +234,7 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
     one.  Each window that adds something adds an arc, so at most about
     n^2 * m rounds are ever stored, whatever r is asked for.
     """
-    if r < 0:
-        raise ValueError(f"closure needs r >= 0, got {r}")
+    checked_round(r)
     memo = spec._memo
     closures = memo.closures
     if not closures:
@@ -259,7 +269,7 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
 
 
 def closure_at(spec: DynamicGraphSpec, r: int) -> Closure:
-    """The closure H_r, memoized on the spec; ValueError when r < 0."""
+    """The closure H_r, memoized on the spec; ValueError unless r is an int >= 0."""
     return spec._memo.closures[_grow(spec, r)]
 
 
@@ -286,7 +296,8 @@ def to_dot(arcs: frozenset[Arc]) -> str:
 def _search_round(spec: DynamicGraphSpec, r: int) -> int:
     """The stored round whose closure is H_r, grown for an exact search."""
     # every exact search starts here, so this is where the cap is enforced,
-    # before any mask is grown
+    # after the round is tested and before any mask is grown
+    checked_round(r)
     if spec.n > EXACT_SEARCH_CAP:
         raise CapExceeded(
             f"exact dominating-set search capped at n <= {EXACT_SEARCH_CAP}, got n = {spec.n}")
@@ -434,7 +445,7 @@ def _gamma(spec: DynamicGraphSpec, r: int) -> int:
     Closures only grow, so gamma never increases with r: a changed round
     searches down from the round before, an unchanged one copies it.
     """
-    last = _search_round(spec, r)  # checks the cap, rejects r < 0, grows the closures
+    last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
     memo = spec._memo
     while (t := len(memo.gammas)) <= last:
         g = memo.gammas[-1]
@@ -470,7 +481,7 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     found = spec._memo.dominating
-    if r in found:
+    if checked_round(r) in found:
         return found[r]
     h = spec._memo.closures[_search_round(spec, r)]
     covers, dom = h.reach, h.into
@@ -556,7 +567,7 @@ class Instance:
         BudgetNotBelowBound's message cannot raise.  Raises CapExceeded
         when n > EXACT_SEARCH_CAP.
         """
-        if budget not in self._below:
+        if checked_round(budget) not in self._below:
             spec = self.spec
             h = spec._memo.closures[_search_round(spec, budget)]
             full = (1 << spec.n) - 1
@@ -570,7 +581,7 @@ class Instance:
         """The protocol.ViewTable of `alg` at `budget`, built on first use."""
         from .protocol import ViewTable  # bound and closure never load protocol
         # by identity, since an algorithm need not be hashable; the table keeps it alive
-        key = id(alg), budget
+        key = id(alg), checked_round(budget)
         if key not in self._tables:
             self._tables[key] = ViewTable(self, alg, budget)
         return self._tables[key]

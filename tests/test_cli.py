@@ -18,6 +18,7 @@ from knowall import (
     Extension,
     WitnessKind,
     algorithm_by_name,
+    algorithm_coloring,
     builtin_algorithms,
     complete_graph,
     directed_cycle,
@@ -25,8 +26,9 @@ from knowall import (
     refute,
     run,
     save_graph_file,
+    vertices,
 )
-from knowall import dyngraph, kuhn, protocol
+from knowall import dyngraph, protocol
 from knowall.cli import build_parser, main
 
 
@@ -163,82 +165,23 @@ def test_closure_dot(capsys, c5_file):
                    "}\n")
 
 
-def test_triangulate_json_counts(capsys):
-    code, out, _ = run_cli(capsys, "triangulate", "--n", "2", "--k", "2")
-    assert code == 0
-    payload = json.loads(out)
-    assert len(payload["vertices"]) == 6 and len(payload["simplices"]) == 4
-    assert payload["vertices"][0] == {"coords": [0, 0], "inp": "00",
-                                      "node": None, "color": None}
-    assert payload["simplices"][0] == {"base": [0, 0], "perm": [1, 2],
-                                       "vertex_ids": [0, 1, 2]}
-
-
-def test_triangulate_pretty_table(capsys):
-    code, out, _ = run_cli(capsys, "triangulate", "--n", "3", "--k", "1",
-                           "--pretty")
-    assert code == 0
-    assert out == ("# vertices: coords\tinp\tnode\tcolor\n"
-                   "0\t000\n1\t100\n2\t110\n3\t111\n"
-                   "# simplices: vertex ids\n"
-                   "0,1\n1,2\n2,3\n")
-
-
-def test_triangulate_node_and_color_columns(capsys, c5_file):
-    code, out, _ = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
-                           "--graph", c5_file, "--budget", "1",
-                           "--alg", "flood_dominator", "--pretty")
-    assert code == 0
-    assert "3,1\t21100\t5\t0\n" in out
-
-
-def test_triangulate_output_is_capped_before_any_row(capsys, monkeypatch):
-    # C(1002, 2) = 501,501 vertices and 1000^2 cells pass the cell cap, but
-    # the vertex rows would carry 5 * 10^8 input digits
-    def no_rows(*args):
-        raise AssertionError("a vertex row was built")
-
-    monkeypatch.setattr(kuhn, "vertices", no_rows)
-    monkeypatch.setattr(kuhn, "inp", no_rows)
-    tracemalloc.start()
-    try:
-        assert run_cli(capsys, "triangulate", "--n", "1000", "--k", "2") == (
-            2, "", "error: triangulation for n=1000, k=2 exceeds the 10000000-digit "
-            "output cap\n")
-        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
-    finally:
-        tracemalloc.stop()
-
-
-def test_triangulate_budget_at_the_bound_exits_2(capsys, c5_file):
-    code, out, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
-                             "--graph", c5_file, "--budget", "2")
-    assert (code, out, err) == (2, "", "error: budget 2 is not below the tight bound 2\n")
-
-
-def test_triangulate_budget_requires_graph(capsys):
-    code, _, err = run_cli(capsys, "triangulate", "--n", "5", "--k", "2",
-                           "--budget", "1")
-    assert code == 2 and "--graph" in err
-
-
 def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # a cover decision claiming no two nodes dominate H_2 of the 5-cycle
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
     # without a node
     monkeypatch.setattr(dyngraph, "_exists_cover",
                         lambda covers, dom, uncovered, avail, slots: False)
-    args = ("triangulate", "--n", "5", "--k", "2", "--graph", c5_file, "--budget", "2")
-    # the coloring of --alg meets the vertex in the same way
-    for extra in ((), ("--alg", "min_heard")):
-        code, out, err = run_cli(capsys, *args, *extra)
-        assert code == 2 and out == ""
+    # the Sperner walk meets that vertex under either algorithm
+    for alg in ("flood_dominator", "max_heard"):
+        code, out, err = run_cli(capsys, "refute", "--graph", c5_file, "--k", "2",
+                                 "--alg", alg, "--budget", "2")
+        assert code == 2 and out == "", alg
         assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
 
 
-def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch):
-    # refute and triangulate --budget decide refutability once, and decode
-    # witness corners and vertices with the closure that decision returned;
+def test_refutability_is_decided_once_per_command(monkeypatch):
+    # refute and a coloring decide refutability once, and decode witness
+    # corners and vertices with the closure that decision returned;
     # flood_dominator's searches call _cover directly, so they do not show
     decide = dyngraph._exists_cover
     calls = []
@@ -254,16 +197,13 @@ def test_refutability_is_decided_once_per_command(capsys, tmp_path, monkeypatch)
         calls.clear()
         assert refute(directed_cycle(5), 2, alg, 1).kind is kind
         assert len(calls) == 1, alg.name
+    # a caller reading every vertex's node and color makes one decision too
     for n in (5, 8):
-        path = tmp_path / f"c{n}.json"
-        save_graph_file(directed_cycle(n), str(path))
-        args = ("triangulate", "--n", str(n), "--k", "2", "--graph", str(path),
-                "--budget", "1")
         calls.clear()
-        assert run_cli(capsys, *args)[0] == 0
-        assert len(calls) == 1, n
-        calls.clear()
-        assert run_cli(capsys, *args, "--alg", "min_heard")[0] == 0
+        coloring = algorithm_coloring(directed_cycle(n), 2, 1, algorithm_by_name("min_heard"))
+        for v in vertices(n, 2):
+            coloring.node(v)
+            coloring(v)
         assert len(calls) == 1, n
 
 
@@ -307,9 +247,7 @@ def test_huge_n_is_refused_before_any_mask_is_built(capsys, tmp_path):
         assert tracemalloc.get_traced_memory()[1] < 4 * 2 ** 20
         for argv in (("bound", "--k", "1"),
                      ("solve", "--k", "1", "--inputs", "0" * n),
-                     ("refute", "--k", "1", "--alg", "min_heard", "--budget", "0"),
-                     ("triangulate", "--n", str(n), "--k", "1", "--budget", "0",
-                      "--alg", "min_heard")):
+                     ("refute", "--k", "1", "--alg", "min_heard", "--budget", "0")):
             assert run_cli(capsys, *argv, "--graph", str(path)) == (2, "", refusal), argv
             assert tracemalloc.get_traced_memory()[1] < 4 * 2 ** 20, argv
     finally:
@@ -396,14 +334,13 @@ def test_flooding_answers_without_its_decide(capsys, c5_file, monkeypatch):
             assert run(c5, 2, bound_only, cfg, budget) == run(c5, 2, flooding, cfg, budget)
     assert refute(c5, 2, bound_only, 1) == refute(c5, 2, flooding, 1)
     commands = [("check", "--budget", "2", "--exhaustive"), ("check", "--budget", "1"),
-                ("check", "--budget", "1", "--exhaustive"), ("refute", "--budget", "1"),
-                ("triangulate", "--n", "5", "--budget", "1")]
+                ("check", "--budget", "1", "--exhaustive"), ("refute", "--budget", "1")]
     expected = [run_cli(capsys, *argv, "--graph", c5_file, "--k", "2",
                         "--alg", "flood_dominator") for argv in commands]
     monkeypatch.setattr(protocol, "algorithm_by_name", lambda name: bound_only)
     assert [run_cli(capsys, *argv, "--graph", c5_file, "--k", "2", "--alg", "flood_dominator")
             for argv in commands] == expected
-    assert [code for code, _out, _err in expected] == [0, 1, 1, 1, 0]
+    assert [code for code, _out, _err in expected] == [0, 1, 1, 1]
 
 
 def test_flooding_refusals_keep_their_messages(capsys, tmp_path):
@@ -421,8 +358,6 @@ def test_flooding_refusals_keep_their_messages(capsys, tmp_path):
                        "flood_dominator", "--budget", "0", *mode) == (2, "", err), (path, mode)
     assert run_cli(capsys, "refute", "--graph", str(islands), "--k", "1", "--alg",
                    "flood_dominator", "--budget", "0") == (2, "", never)
-    assert run_cli(capsys, "triangulate", "--n", "2", "--graph", str(islands), "--k", "1",
-                   "--alg", "flood_dominator", "--budget", "0") == (2, "", never)
 
 
 def test_check_sampled_is_seed_deterministic(capsys, c5_file):
@@ -602,13 +537,23 @@ def test_usage_errors_exit_2(capsys):
     for argv in (["refute", "--graph", "x.json", "--k", "10", "--alg", "min_heard",
                   "--budget", "0"],
                  ["check", "--graph", "x.json", "--k", "12", "--alg", "min_heard",
-                  "--budget", "1"],
-                 ["triangulate", "--n", "2", "--k", "10"]):
+                  "--budget", "1"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         err = capsys.readouterr().err
         assert "usage:" in err and "one digit per node" in err, argv
+
+
+def test_the_cli_offers_exactly_its_five_commands(capsys):
+    # the triangulation is read through the library (algorithm_coloring),
+    # so no command dumps it
+    with pytest.raises(SystemExit) as exc:
+        main(["triangulate", "--n", "2", "--k", "1"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'triangulate'" in capsys.readouterr().err
+    assert build_parser().format_usage() == (
+        "usage: knowall [-h] {bound,solve,refute,closure,check} ...\n")
 
 
 def test_negative_seed_is_accepted(capsys, c5_file):

@@ -26,12 +26,14 @@ from knowall import (
     closure,
     color,
     directed_cycle,
+    domination_numbers,
     exhaustive_check,
     find_panchromatic,
     flood_dominator,
     flood_solve,
     format_inputs,
     inp,
+    min_dominating_set,
     min_rounds,
     refute,
     run,
@@ -40,6 +42,7 @@ from knowall import (
     view_of,
 )
 from knowall import dyngraph, kuhn, protocol, refuter
+from knowall.dyngraph import closure_at
 from knowall.kuhn import algorithm_coloring, sperner_walk
 from knowall.oracle import brute_panchromatic, check_sperner
 
@@ -415,20 +418,45 @@ def test_derived_data_is_freed_with_the_spec():
 
 
 @pytest.mark.parametrize("call", [
-    lambda spec: view_of(spec, (0,) * 5, 1, -1),
-    lambda spec: run(spec, 2, MIN_HEARD, (0,) * 5, -1),
-    lambda spec: ViewTable(Instance(spec, 2), MIN_HEARD, -1),
-    lambda spec: exhaustive_check(spec, 2, MIN_HEARD, -1),
-    lambda spec: sample_check(spec, 2, MIN_HEARD, -1),
-    lambda spec: refute(spec, 2, MIN_HEARD, -1),
-    lambda spec: assign_node(spec, 2, -1, (0, 0)),
-    lambda spec: algorithm_coloring(spec, 2, -1, MIN_HEARD),
+    lambda spec, query, r: view_of(spec, (0,) * spec.n, 1, r),
+    lambda spec, query, r: run(spec, 2, MIN_HEARD, (0,) * spec.n, r),
+    lambda spec, query, r: ViewTable(query, MIN_HEARD, r),
+    lambda spec, query, r: exhaustive_check(spec, 2, MIN_HEARD, r),
+    lambda spec, query, r: sample_check(spec, 2, MIN_HEARD, r),
+    lambda spec, query, r: refute(spec, 2, MIN_HEARD, r),
+    lambda spec, query, r: assign_node(spec, 2, r, (0, 0)),
+    lambda spec, query, r: algorithm_coloring(spec, 2, r, MIN_HEARD),
+    lambda spec, query, r: closure(spec, r),
+    lambda spec, query, r: closure_at(spec, r),
+    lambda spec, query, r: domination_numbers(spec, r),
+    lambda spec, query, r: min_dominating_set(spec, r),
+    lambda spec, query, r: query.table(MIN_HEARD, r),
+    lambda spec, query, r: query.closure_below_bound(r),
 ], ids=["view_of", "run", "ViewTable", "exhaustive_check", "sample_check", "refute",
-        "assign_node", "algorithm_coloring"])
+        "assign_node", "algorithm_coloring", "closure", "closure_at", "domination_numbers",
+        "min_dominating_set", "Instance.table", "Instance.closure_below_bound"])
 def test_a_negative_budget_has_one_message(call):
-    # every path reads H_budget through the spec's memo, which refuses r < 0
-    with pytest.raises(ValueError, match=r"^closure needs r >= 0, got -1$"):
-        call(directed_cycle(5))
+    # one test of a round number runs before any memo keyed by the round
+    # is read and before either cap: a bool or a float is never read as an
+    # int, and n = 40, past the exact-search cap and the exhaustive cap,
+    # gets the message n = 5 gets.  The memos are warm at round 1, which
+    # True and 1.0 would otherwise hit
+    outcomes = {}
+    for n in (5, 40):
+        spec = directed_cycle(n)
+        query = Instance(spec, 2)
+        query.table(MIN_HEARD, 1)
+        if n == 5:
+            min_dominating_set(spec, 1)
+            query.closure_below_bound(1)
+        for r in (-1, True, 1.0, 2.5):
+            try:
+                outcomes[n, r] = f"answered {call(spec, query, r)!r}"
+            except Exception as exc:  # noqa: BLE001 - every outcome is compared below
+                outcomes[n, r] = f"{type(exc).__name__}: {exc}"
+    assert outcomes == {(n, r): "ValueError: closure needs r >= 0, got -1" if r == -1 else
+                        f"ValueError: closure needs an integer r, got {r!r}"
+                        for n in (5, 40) for r in (-1, True, 1.0, 2.5)}
 
 
 @pytest.mark.parametrize("n", [6, 20])

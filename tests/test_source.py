@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import pkgutil
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -137,6 +138,50 @@ def test_public_names_resolve_to_their_defining_modules():
     assert not hasattr(knowall, "brute_domination")
 
 
+# exported names that no other package module and no code in the README
+# uses, each with the reason it stays exported
+EXPORTED_UNUSED = {
+    "EXACT_SEARCH_CAP": "the n cap of every exact search, for callers to test n against",
+    "save_graph_file": "writes the graph files that load_graph_file and the CLI read",
+    "spec_from_dict": "the benchmark's verifier builds specs from its JSON documents with it",
+    "spec_to_dict": "the JSON shape of a spec, for callers that embed it in other documents",
+    "complete_graph": "a named sequence family that callers and the tests build specs from",
+    "directed_path": "a named sequence family that callers and the tests build specs from",
+    "staggered_relay": "a named sequence family that callers and the tests build specs from",
+    "assign_node": "a vertex's node without an algorithm; the benchmark tracer wraps it",
+    "color": "a vertex's color without a kept coloring; the benchmark tracer wraps it",
+    "is_vertex": "the lattice test the coloring refuses non-vertices with",
+    "MAX_HEARD": "a built-in algorithm as a library constant; the CLI reaches it by name",
+    "MAJORITY_HEARD": "a built-in algorithm as a library constant; the CLI reaches it by name",
+    "builtin_algorithms": "the algorithms algorithm_by_name chooses from",
+    "validate_inputs": "the input test of run and flood_solve, for callers building inputs",
+    "view_of": "one node's view of one configuration; the benchmark tracer wraps it",
+    "Witness": "the type refute returns",
+    "WitnessKind": "the kinds of witness refute returns",
+}
+
+
+def test_every_export_is_used_or_kept_for_a_reason():
+    # an export that nothing in the package runs and the README does not
+    # show is kept only for a stated reason
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    # the words of its fenced blocks and code spans
+    shown = set(re.findall(r"\w+", " ".join(re.findall(r"```.*?```|`[^`]+`", readme, re.S))))
+
+    def used(name, tree):
+        return any(isinstance(node, ast.Name) and node.id == name or
+                   isinstance(node, ast.Attribute) and node.attr == name or
+                   isinstance(node, ast.alias) and node.name == name
+                   for node in ast.walk(tree))
+
+    unused = {name for home, names in knowall._EXPORTS.items() for name in names
+              if name not in shown
+              and not any(used(name, tree) for stem, tree in trees.items() if stem != home)}
+    assert sorted(unused) == sorted(EXPORTED_UNUSED)
+
+
 def test_searches_keep_no_module_state():
     # everything a search derives lives in the spec's memo, freed with the
     # spec; a module-level container that grows would be a cache shared by
@@ -233,6 +278,18 @@ def test_k_is_tested_in_one_place():
              and [getattr(a, "id", None) for a in node.left.args] == ["k"]]
     assert len(found) == 1, found
     assert found[0].startswith("dyngraph.py:")
+
+
+def test_a_round_number_is_tested_in_one_place():
+    # checked_round is the package's one test of a round number's type and
+    # sign; every entry point reaches it before a memo or a cap
+    found = [f"{name}:{node.lineno}" for name, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and (isinstance(node.left, ast.Call) and getattr(node.left.func, "id", None) == "type"
+                  and [getattr(a, "id", None) for a in node.left.args] in (["r"], ["budget"])
+                  or getattr(node.left, "id", None) in ("r", "budget")
+                  and isinstance(node.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE)))]
+    assert len(found) == 2 and all(f.startswith("dyngraph.py:") for f in found), found
 
 
 def test_few_functions_take_both_k_and_budget():
