@@ -3,10 +3,11 @@
 Both find the failing configurations, in sweep order: those where some
 output is a value no node holds, or where more than k distinct values are
 output.  They read outputs through the query instance's ViewTable, so
-`decide` runs once per distinct view, and report configurations only;
-`run` gives the outcome of any of them, and `check` re-simulates the
-first failure through it.  The sampled sweep reads all n outputs of each
-configuration.  The exhaustive sweep goes through the (k+1)^n
+`decide` runs once per distinct read view (one sender's digit per node
+for flooding), and report configurations only; `run`, which decides
+full views, gives the outcome of any of them, and `check` re-simulates
+the first failure through it.  The sampled sweep reads all n outputs of
+each configuration.  The exhaustive sweep goes through the (k+1)^n
 configurations in `product` order, bit-parallel over blocks of up to
 BLOCK_BITS configurations (n <= 7 at k=2 make one block), so that
 validity and k-agreement take a few int operations per block
@@ -79,13 +80,14 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     (one at least), and each setting of the `top` digits above it, taken
     in `product` order, is one block.  A block is settled a bit per
     configuration: outs[v] holds the configurations in which some node
-    outputs v.  A node has one view per value of the block digits it
-    hears, met on the AND of those digits' masks (all of the block when
-    it hears none), and ORs it into outs[output].  A configuration fails
-    where a node outputs a v that no node holds, or where all k+1 values
-    are output, as more than k distinct outputs must be.  A node that
-    hears every digit above the block meets a new view on every read, so
-    it is decided directly; the others are read through their memos.
+    outputs v.  A node has one read view per value of the block digits it
+    reads (table.reads), met on the AND of those digits' masks (all of
+    the block when it reads none), and ORs it into outs[output].  A
+    configuration fails where a node outputs a v that no node holds, or
+    where all k+1 values are output, as more than k distinct outputs
+    must be.  A node that reads every digit above the block meets a new
+    read view on every read, so it is decided directly; the others are
+    read through their memos.
 
     A view whose decision raises, whatever the error, is first met in the
     current block, since every view of the blocks before it was decided,
@@ -102,10 +104,10 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
     masks = _digit_masks(base, width)
     # the block configurations in which no block digit holds v
     unheld = [ones & ~reduce(or_, (digit[value] for digit in masks)) for value in range(base)]
-    # (node, read, the block digits it hears) per node
-    nodes = [(node, table.decide if sum(j <= top for j in senders) == top else table.output,
-              [j - 1 for j in senders if j > top])
-             for node, senders in enumerate(table.senders, start=1)]
+    # (node, read, the block digits its output reads) per node
+    nodes = [(node, table.decide if sum(j <= top for j in reads) == top else table.output,
+              [j - 1 for j in reads if j > top])
+             for node, reads in enumerate(table.reads, start=1)]
     block = [range(base)] * width
     failures = []
     try:

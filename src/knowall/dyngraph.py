@@ -213,7 +213,12 @@ def _round_index(spec: DynamicGraphSpec, t: int) -> int:
 
 
 def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
-    """Arc set of the round graph G_t for t >= 1, applying the extension rule past the prefix."""
+    """Arc set of the round graph G_t for t >= 1, applying the extension rule past the prefix.
+
+    t must be exactly an int, as a round count must be (see checked_round).
+    """
+    if type(t) is not int:  # bool is a subclass of int, so test the exact type
+        raise ValueError(f"rounds are numbered by integers, got t={t!r}")
     return spec.rounds[_round_index(spec, t)]
 
 

@@ -14,10 +14,14 @@ once per call, and a ViewTable, which the instance keeps one of per
 algorithm and budget, once when it is built; nothing else calls an
 algorithm.  Purity is a contract, not a convention: the bound function
 must return the same value whenever it is given the same view.  `run`
-calls it for every node of the one configuration it executes, but
-configuration sweeps and the triangulation coloring go through a
-ViewTable, which calls it once per distinct view it meets and replays
-the remembered output afterwards.
+calls it on every node's full view of the one configuration it executes,
+but configuration sweeps and the triangulation coloring go through a
+ViewTable, which calls it once per distinct read view it meets and
+replays the remembered output afterwards.  A node's read view is the
+inputs of the senders its output depends on, which the binding declares
+alongside the bound function: by default every sender the node hears,
+and for flooding one, its first heard dominator or else itself.  `run`
+never reads that declaration, so it stays an independent check of it.
 """
 from __future__ import annotations
 
@@ -91,6 +95,12 @@ class AlgorithmSpec:
         """The algorithm on this instance, as a function of the View alone."""
         return partial(self.decide, instance.spec, instance.k)
 
+    def _bind_reads(self, instance: Instance, budget: int) -> tuple[Callable[[View], int],
+                                                                    Sequence[tuple[int, ...]]]:
+        """bind's function and, per node, the heard senders whose inputs it reads:
+        by default every sender of the node in H_budget."""
+        return self.bind(instance, budget), closure_at(instance.spec, budget).senders
+
 
 @dataclass(frozen=True)
 class OutcomeReport:
@@ -144,27 +154,34 @@ def run(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, inputs,
 
 
 class ViewTable:
-    """Outputs of one algorithm at one budget, decided once per distinct view.
+    """Outputs of one algorithm at one budget, decided once per distinct read view.
 
-    A node's view is fixed by the inputs of its in-neighborhood in
-    H_budget, so each node keeps a memo from those heard digits to its
-    output.  The algorithm is bound once, when the table is built, so an
-    error of the binding (flooding's NeverDominated or CapExceeded) is
-    raised there.  `output` is the one memoized read: it calls the bound
-    function only on a memo miss, through `decide`, which builds the same
-    View and makes the same range check as `run` and remembers nothing, so
-    a caller that reads each view of a node once may call it directly.
-    Configurations passed in must already be valid (see validate_inputs).
-    Each memo holds at most VIEW_MEMO_CAP views, and `senders` is
-    H_budget's own, shared by every table at that budget.
+    A node's output is fixed by the inputs of the senders it reads,
+    `reads[v-1]`: the binding declares them, every sender of v in H_budget
+    by default and one for flooding, and the table refuses with ValueError
+    a read of a sender the node does not hear.  So each node keeps a memo
+    from those read digits to its output.  The algorithm is bound once,
+    when the table is built, so an error of the binding (flooding's
+    NeverDominated or CapExceeded) is raised there.  `output` is the one
+    memoized read: it calls the bound function only on a memo miss,
+    through `decide`, which builds the same full View from every heard
+    sender and makes the same range check as `run` and remembers nothing,
+    so a caller that reads each read view of a node once may call it
+    directly.  Configurations passed in must already be valid (see
+    validate_inputs).  Each memo holds at most VIEW_MEMO_CAP views, and
+    `senders` is H_budget's own, shared by every table at that budget.
     """
 
     def __init__(self, instance: Instance, alg: AlgorithmSpec, budget: int) -> None:
         self.k, self.alg, self.budget = instance.k, alg, budget
         self.senders = closure_at(instance.spec, budget).senders
-        self._decide = alg.bind(instance, budget)
-        # (heard-digit key of a configuration, memo) per node
-        self._memos = [(itemgetter(*(j - 1 for j in senders)), {}) for senders in self.senders]
+        self._decide, self.reads = alg._bind_reads(instance, budget)
+        for node, (reads, senders) in enumerate(zip(self.reads, self.senders, strict=True), 1):
+            # the default declaration is the senders themselves, which need no test
+            if reads is not senders and not set(reads) <= set(senders):
+                raise ValueError(f"node {node} reads {reads}, beyond its senders {senders}")
+        # (read-digit key of a configuration, memo) per node
+        self._memos = [(itemgetter(*(j - 1 for j in reads)), {}) for reads in self.reads]
 
     def decide(self, node: int, cfg: Sequence[int]) -> int:
         """Decide `node`'s view of `cfg` afresh: nothing is looked up or remembered."""
@@ -209,14 +226,28 @@ def _first_heard(members: tuple[int, ...], view: View) -> int:
 
 @dataclass(frozen=True)
 class _Flooding(AlgorithmSpec):
-    """flood_dominator's spec, whose bind looks up the dominators once."""
+    """flood_dominator's spec, whose binding looks up the dominators once
+    and declares one read per node."""
 
     r: int | None
 
     def bind(self, instance: Instance, budget: int) -> Callable[[View], int]:
+        return self._bind_reads(instance, budget)[0]
+
+    def _bind_reads(self, instance: Instance, budget: int) -> tuple[Callable[[View], int],
+                                                                    Sequence[tuple[int, ...]]]:
         r = self.r
-        return partial(_first_heard, instance.dominating_set() if r is None
-                       else min_dominating_set(instance.spec, r))
+        members = instance.dominating_set() if r is None else min_dominating_set(instance.spec, r)
+        # a node reads its first heard member, or its own input if it hears none
+        reads = []
+        for node, heard in enumerate(closure_at(instance.spec, budget).into, start=1):
+            for j in members:
+                if heard >> j - 1 & 1:
+                    reads.append((j,))
+                    break
+            else:
+                reads.append((node,))
+        return partial(_first_heard, members), reads
 
 
 def flood_dominator(r: int | None = None) -> AlgorithmSpec:

@@ -83,6 +83,16 @@ def test_graph_at_prefix_and_extensions():
 def test_graph_at_rejects_bad_round():
     with pytest.raises(ValueError):
         graph_at(directed_cycle(3), 0)
+    # a round index is exactly an int, on a one-graph repeat_last spec and a
+    # two-graph cycle spec alike: never truncated, and a bool is not one
+    two_graph_cycle = DynamicGraphSpec(
+        5, (frozenset({(1, 2)}), frozenset({(2, 3)})), extension=Extension.CYCLE)
+    for spec in (directed_cycle(5), two_graph_cycle):
+        for bad in (True, 1.5):
+            message = rf"^rounds are numbered by integers, got t={bad}$"
+            with pytest.raises(ValueError, match=message):
+                graph_at(spec, bad)
+        assert graph_at(spec, 1) == spec.rounds[0]
 
 
 def test_spec_validation():

@@ -15,6 +15,7 @@ from knowall import (
     Extension,
     Instance,
     KnowAllError,
+    NeverDominated,
     ViewTable,
     carrier,
     closure,
@@ -37,7 +38,7 @@ from knowall.kuhn import algorithm_coloring
 from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 from knowall.protocol import MIN_HEARD
 
-from conftest import counting_min, random_spec
+from conftest import counting_min, random_spec, standard_family
 
 
 def test_exhaustive_check_counts(c5):
@@ -224,6 +225,51 @@ def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, blo
             expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
                 spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
+
+
+def _flooding_cases():
+    """(spec, k, top budget): the standard family up to its bound r, and the
+    backward cases up to r, or up to their own budget where no r exists."""
+    cases = [(spec, k, min_rounds(spec, k)) for _, spec, k in standard_family()]
+    for spec, k, budget in _backward_cases(random.Random(20261018)):
+        try:
+            cases.append((spec, k, min_rounds(spec, k)))
+        except NeverDominated:
+            cases.append((spec, k, budget))
+    return cases
+
+
+@_across_block_widths("memo_cap", [protocol.VIEW_MEMO_CAP, 3])
+def test_flooding_sweeps_on_read_views_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
+    # a flooding table decides once per value of the one sender a node
+    # reads, where `run` decides every full view; at every budget up to the
+    # bound, the failing ones below it included, and with the dominators of
+    # a round below, at and above the budget, the sweeps list what `run` does
+    monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+    failing = 0
+    for spec, k, top in _flooding_cases():
+        for budget in range(top + 1):
+            rounds = sorted({max(budget - 1, 0), budget, budget + 1})
+            for alg in (flood_dominator(), *map(flood_dominator, rounds)):
+                total = (k + 1) ** spec.n
+                expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+                    spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
+                report = _outcome(lambda: exhaustive_check(spec, k, alg, budget))
+                assert report == expected, (spec, k, alg.name, budget)
+                if isinstance(report, ExhaustiveReport):
+                    assert report.failures[:1] == expected.failures[:1]
+                    failing += not report.passed
+
+                seed = budget * 101 + k
+                sampler = random.Random(seed)
+                configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
+                           for _ in range(40)]
+                expected = _outcome(lambda: ExhaustiveReport(40, _naive_sweep(
+                    spec, k, alg, budget, configs, cached=True)))
+                assert _outcome(lambda: sample_check(
+                    spec, k, alg, budget, samples=40, seed=seed)) == expected
+    assert failing  # flooding below its bound fails on some configurations
 
 
 @_across_block_widths("trigger", [0, 1])

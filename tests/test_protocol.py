@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+from collections.abc import Callable
 from itertools import product
 
 import pytest
@@ -35,7 +37,7 @@ from knowall import (
     view_of,
 )
 
-from knowall import protocol
+from knowall import check, protocol
 from knowall.dyngraph import closure_at
 
 from conftest import counting_min, random_spec, standard_family
@@ -230,6 +232,58 @@ def test_view_table_decide_always_calls_the_algorithm_and_output_once_per_view(c
     # node 5 hears only nodes 4 and 5, so this configuration shows it the same view
     assert table.output(5, (2, 2, 2, 1, 0)) == expected[4] and len(decided) == 5
     assert table.decide(5, cfg) == expected[4] and len(decided) == 6
+
+
+@pytest.mark.parametrize("block_bits", [check.BLOCK_BITS, 3], ids=["whole", "one_digit"])
+def test_flooding_table_decides_once_per_read_value(block_bits, monkeypatch):
+    # a flooding node outputs the input of the one sender it reads, so its
+    # table decides each node at most k+1 times where it would decide every
+    # heard view, (k+1)^|heard| of them, were it keyed by all it hears;
+    # with one digit in the block the nodes are read through their memos
+    monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
+    spec, k = directed_cycle(7), 2
+    r = min_rounds(spec, k)
+    first_heard = protocol._first_heard
+    calls = []
+
+    def counting(members, view):
+        calls.append(view.observer)
+        return first_heard(members, view)
+
+    monkeypatch.setattr(protocol, "_first_heard", counting)
+    assert exhaustive_check(spec, k, flood_dominator(), r).passed
+    heard_views = sum((k + 1) ** len(senders) for senders in closure_at(spec, r).senders)
+    assert 0 < len(calls) <= spec.n * (k + 1) < heard_views
+    table = ViewTable(Instance(spec, k), flood_dominator(), r)
+    assert all(len(reads) == 1 for reads in table.reads)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DeclaredReads(AlgorithmSpec):
+    """min_heard whose declared reads are what `declare` makes of every node's senders."""
+
+    declare: Callable = list
+
+    def _bind_reads(self, instance, budget):
+        bound, senders = super()._bind_reads(instance, budget)
+        return bound, self.declare(senders)
+
+
+def _declared(declare) -> _DeclaredReads:
+    return _DeclaredReads("declared_reads", MIN_HEARD.decide, declare)
+
+
+def test_view_table_refuses_reads_outside_what_a_node_hears(c5):
+    # node v of c5 hears v-1 and v at budget 1, and never v+1
+    table = ViewTable(Instance(c5, 2), _declared(lambda senders: [(v,) for v in range(1, 6)]), 1)
+    assert table.reads == [(v,) for v in range(1, 6)]
+    for bad in ((2,), (1, 5, 3)):
+        with pytest.raises(ValueError, match=r"^node 1 reads "):
+            ViewTable(Instance(c5, 2), _declared(lambda senders: [bad, *senders[1:]]), 1)
+    # one read set per node, neither fewer nor more
+    for declare in (lambda senders: senders[1:], lambda senders: [*senders, (1,)]):
+        with pytest.raises(ValueError):
+            ViewTable(Instance(c5, 2), _declared(declare), 1)
 
 
 def test_view_table_rejects_unknown_node(c5):

@@ -304,6 +304,19 @@ def test_few_functions_take_both_k_and_budget():
                     "protocol.py:run", "refuter.py:refute"]
 
 
+def test_run_decides_full_views():
+    # run is the oracle that check's first failure, refute's witness and the
+    # benchmark's verifier re-simulate through: it binds with bind and shows
+    # each node every sender it hears, never the reads a ViewTable keys by
+    tree = ast.parse((PACKAGE / "protocol.py").read_text(encoding="utf-8"))
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    names = {node.id for node in ast.walk(run) if isinstance(node, ast.Name)} | \
+        {node.attr for node in ast.walk(run) if isinstance(node, ast.Attribute)}
+    assert {"bind", "senders"} <= names
+    assert sorted(name for name in names if "read" in name or "table" in name.lower()) == []
+
+
 def test_every_name_the_benchmark_tracer_wraps_exists():
     # perfbench/tracer.py finds its layer functions by name and reports a
     # missing one as absent rather than failing; this test fails instead,
