@@ -46,18 +46,11 @@ _EXPORTS = {
     ),
     "families": ("complete_graph", "directed_cycle", "directed_path", "staggered_relay"),
     "kuhn": (
-        "Carrier",
         "PrimitiveSimplex",
         "Vertex",
         "algorithm_coloring",
-        "assign_node",
-        "carrier",
-        "color",
-        "find_panchromatic",
         "inp",
         "is_vertex",
-        "primitive_simplices",
-        "vertices",
     ),
     "protocol": (
         "MAJORITY_HEARD",
@@ -76,7 +69,6 @@ _EXPORTS = {
         "parse_inputs",
         "run",
         "validate_inputs",
-        "view_of",
     ),
     "refuter": ("Witness", "WitnessKind", "refute"),
 }

@@ -1,75 +1,50 @@
-"""Triangulated input space and the Sperner machinery for refutation.
+"""Triangulated input space and the Sperner walk that refutation follows.
 
 The corner-of-a-cube simplex {n >= x1 >= ... >= xk >= 0} is cut into
 n^k primitive cells, each the convex hull of a base lattice point plus a
 chain of k unit steps ordered by a permutation.  Every lattice vertex v
 carries an input configuration inp(v) (node i holds the number of
-coordinates that are >= i) and a node assign_node(v) that hears none of
-the positive coordinates of v within the refuted budget: the lowest node
-outside the union of those coordinates' reach masks in H_budget.
+coordinates that are >= i) and a node that hears none of the positive
+coordinates of v within the refuted budget: the lowest node outside the
+union of those coordinates' reach masks in H_budget.
 
 Coloring each vertex with the output the candidate algorithm produces at
-its assigned node turns correctness questions combinatorial: a color
-outside the carrier is a value nobody holds (validity broken at that
-vertex's configuration), and otherwise a panchromatic cell must exist,
-whose k+1 corners decode to k+1 nodes outputting k+1 distinct values in
-a single configuration.
+its node turns correctness questions combinatorial: a color outside the
+vertex's carrier (the values its configuration holds) is a value nobody
+holds, and otherwise a panchromatic cell must exist, whose k+1 corners
+decode to k+1 nodes outputting k+1 distinct values in a single
+configuration.
 
 algorithm_coloring checks the domination precondition once, through its
 instance's closure_below_bound, and returns the coloring as a function of
 the vertex that keeps the closure it got, with every color read through
-the instance's ViewTable.  sperner_walk, which refute uses, follows doors
-from the origin through the faces x_{d+1} = ... = x_k = 0 of increasing
-dimension (Kuhn 1968, Cohen 1967) and colors only the vertices on that
-path, each once; its witness is the first vertex on the path colored
-outside its carrier, or the cell the path ends at.  find_panchromatic,
-the reference scan the tests hold the walk to, returns the first witness
-in (base, permutation) order instead.  The check that colors every
-vertex, a baseline for the tests, is oracle.check_sperner.
+the instance's ViewTable; it is the package's one way to a vertex's node
+and color.  sperner_walk, which refute uses, follows doors from the
+origin through the faces x_{d+1} = ... = x_k = 0 of increasing dimension
+(Kuhn 1968, Cohen 1967) and colors only the vertices on that path, each
+once; its witness is the first vertex on the path colored outside its
+carrier, or the cell the path ends at.  The module enumerates nothing:
+the whole-triangulation enumeration and the reference scan the tests
+hold the walk to are test baselines in oracle.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import groupby
-from operator import attrgetter, eq
 
 from .dyngraph import DynamicGraphSpec, Instance
 from .errors import NoPanchromaticCell
 from .protocol import AlgorithmSpec, InputConfig
 
 Vertex = tuple[int, ...]
-Carrier = frozenset[int]
-Coloring = Callable[[Vertex], int]
 
 
 def is_vertex(v: Vertex, n: int) -> bool:
-    """Monotone lattice point: n >= x1 >= ... >= xk >= 0."""
-    if len(v) < 1 or v[0] > n or v[-1] < 0:
+    """Monotone lattice point of ints: n >= x1 >= ... >= xk >= 0."""
+    # bool is a subclass of int, so test the exact type
+    if len(v) < 1 or any(type(x) is not int for x in v) or v[0] > n or v[-1] < 0:
         return False
     return all(a >= b for a, b in zip(v, v[1:]))
-
-
-def _monotone(bound: int, k: int) -> Iterator[Vertex]:
-    # odometer: bump the rightmost coordinate still below its bound (the
-    # coordinate before it, or `bound` for the first) and zero the rest
-    v = [0] * k
-    while True:
-        yield tuple(v)
-        j = k - 1
-        while j >= 0 and v[j] == (v[j - 1] if j else bound):
-            j -= 1
-        if j < 0:
-            return
-        v[j] += 1
-        v[j + 1:] = [0] * (k - 1 - j)
-
-
-def vertices(n: int, k: int) -> Iterator[Vertex]:
-    """All lattice vertices in lexicographic order; there are C(n+k, k)."""
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n} k={k}")
-    return _monotone(n, k)
 
 
 @dataclass(frozen=True)
@@ -88,48 +63,6 @@ class PrimitiveSimplex:
         return tuple(pts)
 
 
-def _prefixes(n: int, base: Vertex) -> Iterator[tuple[int, ...]]:
-    """The permutation prefixes whose unit steps from `base` stay in the simplex.
-
-    Depth first with the steps in increasing coordinate order, so the
-    whole permutations among them come in lexicographic order; a step
-    that leaves the simplex drops its prefix and every extension of it.
-    """
-    stack = [(list(base), (), tuple(range(1, len(base) + 1)))]
-    while stack:
-        cur, prefix, rest = stack.pop()
-        yield prefix
-        for i in range(len(rest) - 1, -1, -1):  # pushed last to first, popped first
-            j = rest[i]
-            # only the bound on the bumped coordinate can break
-            if cur[j - 1] < (n if j == 1 else cur[j - 2]):
-                corner = cur.copy()
-                corner[j - 1] += 1
-                stack.append((corner, prefix + (j,), rest[:i] + rest[i + 1:]))
-
-
-def primitive_simplices(n: int, k: int) -> Iterator[PrimitiveSimplex]:
-    """Stream the n^k cells in (base, permutation) lexicographic order.
-
-    A base with x1 = n has no cell, since coordinate 1 cannot step.  At
-    any other base, coordinate j can step unless it ties with coordinate
-    j-1 that has not stepped yet, so the cells' permutations depend only
-    on which consecutive coordinates tie, and each tie pattern is walked
-    once.  Such a walk never reaches a dead end (the lowest coordinate
-    left can always step), so it visits at most k+1 prefixes per cell.
-    """
-    perms_by_ties: dict[tuple[bool, ...], list[tuple[int, ...]]] = {}
-    for base in vertices(n, k):
-        if base[0] == n:
-            continue
-        ties = tuple(map(eq, base, base[1:]))
-        perms = perms_by_ties.get(ties)
-        if perms is None:
-            perms = perms_by_ties[ties] = [p for p in _prefixes(n, base) if len(p) == k]
-        for perm in perms:
-            yield PrimitiveSimplex(base=base, perm=perm)
-
-
 def _config(v: Vertex, n: int) -> InputConfig:
     # v is monotone, so the configuration is k repeated v[k-1] times,
     # then k-1 repeated v[k-2] - v[k-1] times, ..., then n - v[0] zeros
@@ -145,32 +78,6 @@ def inp(v: Vertex, n: int) -> InputConfig:
     if not is_vertex(v, n):
         raise ValueError(f"{v} is not a vertex for n={n}")
     return _config(v, n)
-
-
-def carrier(v: Vertex, n: int) -> Carrier:
-    """Face of the simplex containing v: values with positive barycentric weight."""
-    # value j has weight x_j - x_{j+1}, reading x_0 = n and x_{k+1} = 0
-    xs = (n, *v, 0)
-    return frozenset(j for j in range(len(v) + 1) if xs[j] > xs[j + 1])
-
-
-def assign_node(spec: DynamicGraphSpec, k: int, budget: int, v: Vertex) -> int:
-    """Smallest node hearing none of v's positive coordinates within budget.
-
-    Requires the domination number of H_budget to exceed k, which
-    guarantees such a node exists for every vertex: at most k coordinates
-    cannot reach every node.  Otherwise the budget is at or above the
-    tight bound and BudgetNotBelowBound is raised.
-    """
-    instance = Instance(spec, k)
-    if len(v) != k or not is_vertex(v, spec.n):
-        raise ValueError(f"{v} is not a vertex for n={spec.n}, k={k}")
-    return instance.closure_below_bound(budget).unheard(v)
-
-
-def color(spec: DynamicGraphSpec, k: int, budget: int, alg: AlgorithmSpec, v: Vertex) -> int:
-    """Output of the algorithm at v's assigned node on v's configuration."""
-    return algorithm_coloring(spec, k, budget, alg)(v)
 
 
 class AlgorithmColoring:
@@ -334,43 +241,3 @@ def sperner_walk(coloring: AlgorithmColoring) -> tuple[PrimitiveSimplex | Vertex
             if (v[c - 1] if c else n) <= (v[c] if c < k else 0):
                 return v, (c,)
         cols[new] = c
-
-
-def find_panchromatic(n: int, k: int,
-                      coloring: Coloring) -> PrimitiveSimplex | tuple[Vertex, int]:
-    """First Sperner witness: a vertex colored outside its carrier, or a cell.
-
-    `coloring` is called once per vertex, in vertices(n, k) order.  The
-    cells of base b, a group of primitive_simplices, are tested when the
-    scan reaches their shared top corner b+(1,...,1): every corner lies
-    componentwise between b and the top, so it is already colored, and
-    since b -> b+(1,...,1) keeps the order, the tops reach the groups in
-    stream order.  The first cell of the group whose corners are colored
-    exactly 0..k is returned.  The first vertex colored outside its
-    carrier, p, is returned as (p, color) when the scan reaches a top
-    whose base is p or later, or at the end of the scan.  So the witness
-    is the first in (base, permutation) order, a tie at p going to the
-    violation, and nothing past its top corner is colored.  After a full
-    scan, NoPanchromaticCell is a tripwire that Sperner's lemma leaves no
-    coloring to reach.
-    """
-    palette = set(range(k + 1))
-    colors: dict[Vertex, int] = {}
-    held = None
-    groups = groupby(primitive_simplices(n, k), attrgetter("base"))
-    for v in vertices(n, k):
-        c = colors[v] = coloring(v)
-        if held is None and c not in carrier(v, n):
-            held = v, c
-        if v[-1]:
-            base, cells = next(groups)
-            if held is not None and held[0] <= base:
-                return held
-            for cell in cells:
-                if set(map(colors.__getitem__, cell.vertices())) == palette:
-                    return cell
-    if held is not None:
-        return held
-    raise NoPanchromaticCell(
-        f"no panchromatic cell in the n={n}, k={k} triangulation although every "
-        "vertex was colored inside its carrier, which Sperner's lemma rules out")

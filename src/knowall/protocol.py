@@ -22,6 +22,8 @@ inputs of the senders its output depends on, which the binding declares
 alongside the bound function: by default every sender the node hears,
 and for flooding one, its first heard dominator or else itself.  `run`
 never reads that declaration, so it stays an independent check of it.
+`run` and ViewTable are the package's only builders of views; the tests'
+independent one, over plain reach sets, is oracle.view_of.
 """
 from __future__ import annotations
 
@@ -63,9 +65,13 @@ def parse_inputs(text: str, n: int, k: int) -> InputConfig:
 
 
 def format_inputs(values: InputConfig) -> str:
-    """Digit-string form, node 1 first; a value above 9 has no digit, so ValueError."""
-    if max(values, default=0) > 9:
-        raise ValueError(f"{values} has a value above 9, which one digit per node cannot show")
+    """Digit-string form, node 1 first: one digit per node, so ValueError unless
+    every value is exactly an int in 0..9, as parse_inputs reads them back."""
+    for v in values:
+        if type(v) is not int or v < 0:  # bool is a subclass of int: refuse it too
+            raise ValueError(f"{values} has {v!r}, which is not a digit")
+        if v > 9:
+            raise ValueError(f"{values} has a value above 9, which one digit per node cannot show")
     return "".join(str(v) for v in values)
 
 
@@ -108,17 +114,6 @@ class OutcomeReport:
     valid: bool
     agreeing: bool
     distinct_count: int
-
-
-def view_of(spec: DynamicGraphSpec, inputs, observer: int, budget: int) -> View:
-    """Restriction of the input vector to what `observer` heard by `budget`."""
-    if not 1 <= observer <= spec.n:
-        raise ValueError(f"observer {observer} outside 1..{spec.n}")
-    senders = closure_at(spec, budget).senders[observer - 1]
-    vals = tuple(inputs)
-    if len(vals) != spec.n or not all(type(x) is int for x in vals):
-        raise ValueError(f"expected {spec.n} integer inputs, got {vals!r}")
-    return View(observer=observer, budget=budget, heard={j: vals[j - 1] for j in senders})
 
 
 def _checked_output(alg: AlgorithmSpec, k: int, node: int, out) -> int:

@@ -12,27 +12,31 @@ import random
 import time
 
 from knowall import (
+    MIN_HEARD,
     WitnessKind,
-    assign_node,
+    algorithm_coloring,
     builtin_algorithms,
-    carrier,
     closure,
     exhaustive_check,
-    find_panchromatic,
     flood_dominator,
     format_inputs,
     inp,
     min_dominating_set,
     min_rounds,
-    primitive_simplices,
     refute,
     save_graph_file,
+)
+from knowall.cli import main
+from knowall.oracle import (
+    brute_domination,
+    brute_panchromatic,
+    carrier,
+    check_sperner,
+    find_panchromatic,
+    primitive_simplices,
     vertices,
     view_of,
 )
-from knowall.cli import main
-from knowall.kuhn import algorithm_coloring
-from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
 
 from conftest import random_spec, standard_family
 
@@ -91,8 +95,9 @@ def test_criterion_4_anchored_micro_facts(c5):
     assert sum(1 for _ in primitive_simplices(5, 2)) == 25
     cube = [s for s in primitive_simplices(3, 3) if s.base == (2, 1, 0)]
     assert len(cube) == 6
-    assert assign_node(c5, 2, 1, (3, 1)) == 5
-    assert assign_node(c5, 2, 1, (4, 2)) == 1
+    node = algorithm_coloring(c5, 2, 1, MIN_HEARD).node
+    assert node((3, 1)) == 5
+    assert node((4, 2)) == 1
     print("PASS criterion 4: inp((3,3,1))=32200, 25 cells for n=5 k=2, "
           "6 cells per unit cube at k=3, forced assignments (3,1)->5 and "
           "(4,2)->1 on the 5-cycle at budget 1")
@@ -137,16 +142,17 @@ def test_criterion_5_simplex_lemma_suite():
     pairs = 0
     for name, spec, k in standard_family():
         budget = min_rounds(spec, k) - 1
+        algs = builtin_algorithms()
+        colorings = [algorithm_coloring(spec, k, budget, alg) for alg in algs]
         for s in primitive_simplices(spec.n, k):
             corners = s.vertices()
             base_cfg = inp(corners[0], spec.n)
             for i in range(1, k + 1):
-                node = assign_node(spec, k, budget, corners[i])
+                node = colorings[0].node(corners[i])
                 cfg = inp(corners[i], spec.n)
                 assert view_of(spec, cfg, node, budget) == \
                     view_of(spec, base_cfg, node, budget)
-        for alg in builtin_algorithms():
-            coloring = algorithm_coloring(spec, k, budget, alg)
+        for alg, coloring in zip(algs, colorings):
             assert check_sperner(spec.n, k, coloring).is_sperner, (name, alg.name)
             pairs += 1
     print(f"PASS criterion 5: adjacency and chain laws on {cells} cells "

@@ -26,10 +26,10 @@ from knowall import (
     refute,
     run,
     save_graph_file,
-    vertices,
 )
 from knowall import dyngraph, protocol
 from knowall.cli import build_parser, main
+from knowall.oracle import vertices
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:

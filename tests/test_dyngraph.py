@@ -41,7 +41,7 @@ from knowall import dyngraph
 from knowall.cli import main
 from knowall.dyngraph import (
     _domination_number, _exists_cover, _gamma, _greedy_members, _order, _packing, closure_at)
-from knowall.oracle import brute_domination
+from knowall.oracle import brute_domination, reach_sets
 
 from conftest import random_spec
 
@@ -202,18 +202,15 @@ def test_dominating_set_covers_everyone(c5, p4, relay):
 
 
 def test_grown_masks_match_naive_reach_sets_and_their_transpose():
-    # reach sets grown one round graph at a time, as sets; the in-masks are
-    # grown separately and must be exactly the transpose of the reach masks
+    # the oracle's reach sets, grown one round graph at a time as sets; the
+    # in-masks are grown separately and must be exactly the transpose of the
+    # reach masks
     rng = random.Random(4669)
     rules = set()
     for _ in range(150):
         spec = random_spec(rng, max_n=9)
         n = spec.n
-        reach = [{u} for u in range(1, n + 1)]
-        for r in range(3 * n + 1):
-            if r:
-                arcs = graph_at(spec, r)
-                reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
+        for r, reach in zip(range(3 * n + 1), reach_sets(spec)):
             h = closure_at(spec, r)
             masks, into = h.reach, h.into
             assert [{v for v in range(1, n + 1) if m >> (v - 1) & 1} for m in masks] == reach
@@ -359,15 +356,11 @@ def test_min_rounds_unsolvable():
 
 
 def _naive_bound(spec, k):
-    # reach sets grown one round graph at a time for n^2 * m rounds from
-    # H_0, and domination tried on every set of at most k nodes
+    # the oracle's reach sets for n^2 * m rounds from H_0, and domination
+    # tried on every set of at most k nodes
     n = spec.n
     everyone = set(range(1, n + 1))
-    reach = [{u} for u in everyone]
-    for r in range(n * n * len(spec.rounds) + 1):
-        if r:
-            arcs = graph_at(spec, r)
-            reach = [s | {v for (u, v) in arcs if u in s} for s in reach]
+    for r, reach in zip(range(n * n * len(spec.rounds) + 1), reach_sets(spec)):
         for size in range(1, k + 1):
             for combo in combinations(range(n), size):
                 if set().union(*(reach[d] for d in combo)) == everyone:

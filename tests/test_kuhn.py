@@ -18,25 +18,28 @@ from knowall import (
     NoPanchromaticCell,
     PrimitiveSimplex,
     algorithm_coloring,
-    assign_node,
     builtin_algorithms,
-    carrier,
     closure,
-    color,
     complete_graph,
     directed_cycle,
-    find_panchromatic,
     format_inputs,
     inp,
     is_vertex,
     min_rounds,
+)
+from knowall import kuhn, oracle
+from knowall.dyngraph import _gamma
+from knowall.oracle import (
+    SpernerReport,
+    assign_node,
+    brute_panchromatic,
+    carrier,
+    check_sperner,
+    color,
+    find_panchromatic,
     primitive_simplices,
-    run,
     vertices,
 )
-from knowall import kuhn
-from knowall.dyngraph import _gamma
-from knowall.oracle import SpernerReport, brute_panchromatic, check_sperner
 
 from conftest import random_spec, standard_family
 
@@ -78,6 +81,10 @@ def test_is_vertex():
     assert not is_vertex((1, 2), 5)   # not monotone
     assert not is_vertex((6, 0), 5)   # above n
     assert not is_vertex((1, -1), 5)
+    # every coordinate is exactly an int: a bool or a float is refused
+    assert not is_vertex((True, False), 5)
+    assert not is_vertex((1.5, 0), 5)
+    assert not is_vertex((3.0, 1.0), 5)
 
 
 def test_simplex_count_identity():
@@ -131,7 +138,7 @@ def test_prefix_walk_matches_every_permutation_enumeration():
 
 def test_cell_walk_visits_at_most_k_plus_1_prefixes_per_cell(monkeypatch):
     # every permutation at every base would be 9! = 362880 tests per base
-    prefixes = kuhn._prefixes
+    prefixes = oracle._prefixes
     steps = [0]
 
     def counting(*args):
@@ -139,7 +146,7 @@ def test_cell_walk_visits_at_most_k_plus_1_prefixes_per_cell(monkeypatch):
             steps[0] += 1
             yield prefix
 
-    monkeypatch.setattr(kuhn, "_prefixes", counting)
+    monkeypatch.setattr(oracle, "_prefixes", counting)
     for n in (1, 2, 3):
         steps[0] = 0
         cells = list(primitive_simplices(n, 9))
@@ -255,22 +262,23 @@ def test_carrier_equals_values_held():
 
 
 def test_assign_node_examples(c5):
-    assert assign_node(c5, 2, 1, (3, 1)) == 5
-    assert assign_node(c5, 2, 1, (4, 1)) == 3
-    assert assign_node(c5, 2, 1, (4, 2)) == 1
-    assert assign_node(c5, 2, 1, (0, 0)) == 1
-    assert assign_node(c5, 2, 1, (5, 5)) == 2
+    node = algorithm_coloring(c5, 2, 1, MIN_HEARD).node
+    assert node((3, 1)) == 5
+    assert node((4, 1)) == 3
+    assert node((4, 2)) == 1
+    assert node((0, 0)) == 1
+    assert node((5, 5)) == 2
 
 
 def test_assign_node_requires_budget_below_bound(c5):
     with pytest.raises(BudgetNotBelowBound, match="^budget 2 is not below the tight bound 2$"):
-        assign_node(c5, 2, 2, (3, 1))
+        algorithm_coloring(c5, 2, 2, MIN_HEARD)
     with pytest.raises(BudgetNotBelowBound, match="^budget 1 is not below the tight bound 1$"):
-        assign_node(complete_graph(3), 2, 1, (1, 1))
+        algorithm_coloring(complete_graph(3), 2, 1, MIN_HEARD)
     with pytest.raises(BudgetNotBelowBound, match="^budget 3 is not below the tight bound 2$"):
         algorithm_coloring(c5, 2, 3, MIN_HEARD)
     with pytest.raises(BudgetNotBelowBound, match="^budget 0 is not below the tight bound 0$"):
-        assign_node(directed_cycle(3), 3, 0, (0, 0, 0))
+        algorithm_coloring(directed_cycle(3), 3, 0, MIN_HEARD)
 
 
 def test_negative_budget_is_rejected_whatever_was_asked_before():
@@ -278,10 +286,10 @@ def test_negative_budget_is_rejected_whatever_was_asked_before():
     # negative round must not index it from the end
     spec = directed_cycle(5)
     with pytest.raises(ValueError, match="^closure needs r >= 0, got -1$"):
-        assign_node(spec, 2, -1, (0, 0))
+        algorithm_coloring(spec, 2, -1, MIN_HEARD)
     assert min_rounds(spec, 2) == 2
     with pytest.raises(ValueError, match="^closure needs r >= 0, got -1$"):
-        assign_node(spec, 2, -1, (0, 0))
+        algorithm_coloring(spec, 2, -1, MIN_HEARD)
     with pytest.raises(ValueError, match="^closure needs r >= 0, got -7$"):
         _gamma(spec, -7)
 
@@ -290,24 +298,18 @@ def test_assigned_node_hears_no_positive_coordinate():
     for name, spec, k in standard_family():
         budget = min_rounds(spec, k) - 1
         H = closure(spec, budget)
+        node = algorithm_coloring(spec, k, budget, MIN_HEARD).node
         for v in vertices(spec.n, k):
-            w = assign_node(spec, k, budget, v)
+            w = node(v)
             senders = {x for x in v if x != 0}
             assert w not in senders
             assert all((p, w) not in H for p in senders), (name, v, w)
 
 
-def _arc_scan_assign_node(spec, k, budget, v):
-    # reference: scan every arc of H_budget for the nodes v's senders reach
-    H = closure(spec, budget)
-    senders = {x for x in v if x != 0}
-    blocked = senders | {w for u, w in H if u in senders}
-    return min(w for w in range(1, spec.n + 1) if w not in blocked)
-
-
 def test_assign_node_matches_arc_scan_on_random_specs():
-    # the coloring is checked against a plain run of the algorithm on the
-    # vertex's configuration, read at the vertex's node
+    # the coloring is checked against the oracle's node, read off reach sets
+    # grown by scanning each round graph's arcs, and its color, a plain run
+    # of the algorithm on the vertex's configuration read at that node
     rng = random.Random(2718)
     extensions, budgets = set(), 0
     for _ in range(30):
@@ -322,28 +324,32 @@ def test_assign_node_matches_arc_scan_on_random_specs():
             colorings = [(alg, algorithm_coloring(spec, k, budget, alg))
                          for alg in builtin_algorithms()]
             for v in vertices(spec.n, k):
-                node = assign_node(spec, k, budget, v)
-                assert node == _arc_scan_assign_node(spec, k, budget, v), (spec, k, budget, v)
+                node = colorings[0][1].node(v)
+                assert node == assign_node(spec, budget, v), (spec, k, budget, v)
                 for alg, coloring in colorings:
-                    expected = run(spec, k, alg, inp(v, spec.n), budget).outputs[node - 1]
-                    assert coloring(v) == expected, (spec, k, budget, v, alg.name)
+                    assert coloring(v) == color(spec, k, budget, alg, v), \
+                        (spec, k, budget, v, alg.name)
             budgets += 1
     assert extensions == set(Extension) and budgets >= 30
 
 
 def test_color_example(c5):
-    assert color(c5, 2, 1, MIN_HEARD, (5, 5)) == 2
+    assert algorithm_coloring(c5, 2, 1, MIN_HEARD)((5, 5)) == 2
 
 
-@pytest.mark.parametrize("v", [(2, 3), (3,), (1, -1), (6, 0)],
-                         ids=["increasing", "short", "negative", "above_n"])
+@pytest.mark.parametrize("v", [(2, 3), (3,), (1, -1), (6, 0), (True, False), (1.5, 0)],
+                         ids=["increasing", "short", "negative", "above_n", "bool", "float"])
 def test_the_coloring_refuses_non_vertices(c5, v):
     # none is a vertex of the n=5, k=2 triangulation
     coloring = algorithm_coloring(c5, 2, 1, MIN_HEARD)
     message = f"^{re.escape(str(v))} is not a vertex for n=5, k=2$"
-    for read in (coloring, coloring.node, lambda v: color(c5, 2, 1, MIN_HEARD, v)):
+    for read in (coloring, coloring.node):
         with pytest.raises(ValueError, match=message):
             read(v)
+    # inp takes no k, and (3,) is a vertex of the k = 1 triangulation
+    if len(v) == 2:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(v))} is not a vertex for n=5$"):
+            inp(v, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +436,7 @@ def test_find_panchromatic_reads_the_cells_of_primitive_simplices_in_order(monke
     # the scan takes its cells from the one enumeration, in stream order,
     # and stops in the witness's base group: at the witness cell, or, for a
     # violation at p, at the first cell of the first base at or after p
-    stream = kuhn.primitive_simplices
+    stream = oracle.primitive_simplices
     taken = []
 
     def recorded(n, k):
@@ -438,7 +444,7 @@ def test_find_panchromatic_reads_the_cells_of_primitive_simplices_in_order(monke
             taken.append(cell)
             yield cell
 
-    monkeypatch.setattr(kuhn, "primitive_simplices", recorded)
+    monkeypatch.setattr(oracle, "primitive_simplices", recorded)
     rng = random.Random(1968)
     kinds = set()
     for k in range(1, 4):

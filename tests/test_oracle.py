@@ -17,25 +17,29 @@ from knowall import (
     KnowAllError,
     NeverDominated,
     ViewTable,
-    carrier,
     closure,
     complete_graph,
     directed_cycle,
     exhaustive_check,
-    find_panchromatic,
     flood_dominator,
     min_dominating_set,
     min_rounds,
     refute,
     run,
     sample_check,
-    vertices,
-    view_of,
 )
 from knowall import check, protocol
 from knowall.dyngraph import EXHAUSTIVE_CONFIG_CAP
 from knowall.kuhn import algorithm_coloring
-from knowall.oracle import brute_domination, brute_panchromatic, check_sperner
+from knowall.oracle import (
+    brute_domination,
+    brute_panchromatic,
+    carrier,
+    check_sperner,
+    find_panchromatic,
+    vertices,
+    view_of,
+)
 from knowall.protocol import MIN_HEARD
 
 from conftest import counting_min, random_spec, standard_family

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from collections.abc import Callable
 from itertools import product
 
@@ -34,11 +35,11 @@ from knowall import (
     run,
     sample_check,
     validate_inputs,
-    view_of,
 )
 
 from knowall import check, protocol
 from knowall.dyngraph import closure_at
+from knowall.oracle import view_of
 
 from conftest import counting_min, random_spec, standard_family
 import random
@@ -51,6 +52,11 @@ def test_parse_and_format_inputs():
     # a value above 9 has no digit that parse_inputs could read back
     with pytest.raises(ValueError, match=r"^\(10, 1, 0\) has a value above 9, "):
         format_inputs((10, 1, 0))
+    # nor has anything but exactly an int in 0..9
+    for values in ((True, 0), (-1, 2), (1.0, 2)):
+        message = rf"^{re.escape(str(values))} has .*, which is not a digit$"
+        with pytest.raises(ValueError, match=message):
+            format_inputs(values)
     with pytest.raises(ValueError):
         parse_inputs("012", 5, 2)
     with pytest.raises(ValueError):
@@ -95,35 +101,30 @@ def test_k_must_be_exactly_an_int(c5):
                 call()
 
 
+def _run_views(spec, k, cfg, budget):
+    """The views `run` shows nodes 1..n on cfg, as the algorithm it runs records them."""
+    views = []
+    run(spec, k, AlgorithmSpec("record", lambda s, kk, view: views.append(view) or 0), cfg, budget)
+    return views
+
+
 def test_view_examples(c5):
     cfg = parse_inputs("21100", 5, 2)
-    assert view_of(c5, cfg, 3, 0).heard == {3: 1}
-    assert view_of(c5, cfg, 5, 1).heard == {4: 0, 5: 0}
-    assert view_of(c5, cfg, 1, 2).heard == {1: 2, 4: 0, 5: 0}
-
-
-def test_view_validates(c5):
-    cfg = (0,) * 5
-    with pytest.raises(ValueError):
-        view_of(c5, cfg, 0, 1)
-    with pytest.raises(ValueError):
-        view_of(c5, cfg, 1, -1)
-    with pytest.raises(ValueError):
-        view_of(c5, (0,) * 4, 1, 1)
-    for bad in (0.9, True, "1"):
-        with pytest.raises(ValueError, match="integer inputs"):
-            view_of(c5, (0, 0, bad, 0, 0), 1, 1)
+    assert _run_views(c5, 2, cfg, 0)[2].heard == {3: 1}
+    assert _run_views(c5, 2, cfg, 1)[4].heard == {4: 0, 5: 0}
+    assert _run_views(c5, 2, cfg, 2)[0].heard == {1: 2, 4: 0, 5: 0}
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6), st.integers(0, 3))
 def test_view_contains_observer_and_grows(seed, budget):
+    # run's views, held to the oracle's, read off plain reach sets
     rng = random.Random(seed)
     spec = random_spec(rng, max_n=6)
     cfg = tuple(rng.randrange(2) for _ in range(spec.n))
-    for obs in range(1, spec.n + 1):
-        now = view_of(spec, cfg, obs, budget)
-        nxt = view_of(spec, cfg, obs, budget + 1)
+    views, later = _run_views(spec, 1, cfg, budget), _run_views(spec, 1, cfg, budget + 1)
+    for obs, now, nxt in zip(range(1, spec.n + 1), views, later, strict=True):
+        assert now == view_of(spec, cfg, obs, budget)
         assert now.heard[obs] == cfg[obs - 1]
         assert set(now.heard) <= set(nxt.heard)
         for j, val in now.heard.items():
@@ -140,11 +141,10 @@ def test_views_indistinguishable_when_heard_inputs_agree(seed, budget):
     k = 2
     a = tuple(rng.randrange(k + 1) for _ in range(spec.n))
     b = tuple(rng.randrange(k + 1) for _ in range(spec.n))
-    for obs in range(1, spec.n + 1):
-        va = view_of(spec, a, obs, budget)
+    for obs, va in enumerate(_run_views(spec, k, a, budget), start=1):
         spliced = tuple(
             a[j - 1] if j in va.heard else b[j - 1] for j in range(1, spec.n + 1))
-        vs = view_of(spec, spliced, obs, budget)
+        vs = _run_views(spec, k, spliced, budget)[obs - 1]
         assert va == vs
         # fixed-round flood variant: the derived-round one has no bound to
         # derive on sparse random sequences

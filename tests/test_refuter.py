@@ -21,14 +21,11 @@ from knowall import (
     PrimitiveSimplex,
     ViewTable,
     WitnessKind,
-    assign_node,
     builtin_algorithms,
     closure,
-    color,
     directed_cycle,
     domination_numbers,
     exhaustive_check,
-    find_panchromatic,
     flood_dominator,
     flood_solve,
     format_inputs,
@@ -38,13 +35,18 @@ from knowall import (
     refute,
     run,
     sample_check,
+)
+from knowall import dyngraph, kuhn, oracle, protocol, refuter
+from knowall.dyngraph import closure_at
+from knowall.kuhn import algorithm_coloring, sperner_walk
+from knowall.oracle import (
+    assign_node,
+    brute_panchromatic,
+    check_sperner,
+    find_panchromatic,
     vertices,
     view_of,
 )
-from knowall import dyngraph, kuhn, protocol, refuter
-from knowall.dyngraph import closure_at
-from knowall.kuhn import algorithm_coloring, sperner_walk
-from knowall.oracle import brute_panchromatic, check_sperner
 
 from conftest import random_spec, standard_family
 
@@ -72,7 +74,7 @@ def test_refute_validity_violator(c5):
 
 def _breaks_validity_at(spec, k, budget, alg, v):
     """alg, except that v's assigned node outputs a value it did not hear in inp(v)."""
-    node = assign_node(spec, k, budget, v)
+    node = assign_node(spec, budget, v)
     heard = view_of(spec, inp(v, spec.n), node, budget).heard
     bad = min(set(range(k + 1)) - set(heard.values()))
 
@@ -136,7 +138,7 @@ def test_a_validity_break_is_found_only_on_the_walk_path(c5, walked):
         else:
             assert walked == [v]
             assert w.config == inp(v, 5) and not report.valid
-            assert w.nodes == (assign_node(c5, 2, 1, v),) and w.outputs[0] not in w.config
+            assert w.nodes == (assign_node(c5, 1, v),) and w.outputs[0] not in w.config
 
 
 def _reads(n, k, coloring):
@@ -152,8 +154,8 @@ def test_refute_colors_only_part_of_the_triangulation(monkeypatch, walked):
     def no_sweep(*args):
         raise AssertionError("refute called find_panchromatic")
 
-    assert not hasattr(refuter, "find_panchromatic")
-    monkeypatch.setattr(kuhn, "find_panchromatic", no_sweep)
+    assert not hasattr(refuter, "find_panchromatic") and not hasattr(kuhn, "find_panchromatic")
+    monkeypatch.setattr(oracle, "find_panchromatic", no_sweep)
     for name, spec, k in standard_family():
         budget = min_rounds(spec, k) - 1
         for alg in builtin_algorithms():
@@ -329,7 +331,7 @@ def test_lemma_falsified_tripwire(c5, walked):
     flips_after = len({
         (node, tuple(view_of(c5, inp(v, 5), node, 1).heard.items()))
         for v in colored
-        for node in [assign_node(c5, 2, 1, v)]})
+        for node in [assign_node(c5, 1, v)]})
     calls = {"n": 0}
 
     def decide(spec, k, view):
@@ -418,13 +420,11 @@ def test_derived_data_is_freed_with_the_spec():
 
 
 @pytest.mark.parametrize("call", [
-    lambda spec, query, r: view_of(spec, (0,) * spec.n, 1, r),
     lambda spec, query, r: run(spec, 2, MIN_HEARD, (0,) * spec.n, r),
     lambda spec, query, r: ViewTable(query, MIN_HEARD, r),
     lambda spec, query, r: exhaustive_check(spec, 2, MIN_HEARD, r),
     lambda spec, query, r: sample_check(spec, 2, MIN_HEARD, r),
     lambda spec, query, r: refute(spec, 2, MIN_HEARD, r),
-    lambda spec, query, r: assign_node(spec, 2, r, (0, 0)),
     lambda spec, query, r: algorithm_coloring(spec, 2, r, MIN_HEARD),
     lambda spec, query, r: closure(spec, r),
     lambda spec, query, r: closure_at(spec, r),
@@ -432,8 +432,8 @@ def test_derived_data_is_freed_with_the_spec():
     lambda spec, query, r: min_dominating_set(spec, r),
     lambda spec, query, r: query.table(MIN_HEARD, r),
     lambda spec, query, r: query.closure_below_bound(r),
-], ids=["view_of", "run", "ViewTable", "exhaustive_check", "sample_check", "refute",
-        "assign_node", "algorithm_coloring", "closure", "closure_at", "domination_numbers",
+], ids=["run", "ViewTable", "exhaustive_check", "sample_check", "refute",
+        "algorithm_coloring", "closure", "closure_at", "domination_numbers",
         "min_dominating_set", "Instance.table", "Instance.closure_below_bound"])
 def test_a_negative_budget_has_one_message(call):
     # one test of a round number runs before any memo keyed by the round
@@ -478,8 +478,6 @@ def test_every_entry_point_refuses_a_bad_k_first(n, k):
         "sample_check": lambda: sample_check(spec, k, MIN_HEARD, 1, samples=5),
         "refute": lambda: refute(spec, k, MIN_HEARD, 1),
         "algorithm_coloring": lambda: algorithm_coloring(spec, k, 1, MIN_HEARD),
-        "assign_node": lambda: assign_node(spec, k, 1, (1, 0)),
-        "color": lambda: color(spec, k, 1, MIN_HEARD, (1, 0)),
         "ViewTable": lambda: ViewTable(Instance(spec, k), MIN_HEARD, 1),
         "closure_below_bound": lambda: Instance(spec, k).closure_below_bound(1),
     }
