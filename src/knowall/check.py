@@ -2,9 +2,9 @@
 
 Both find the failing configurations, in sweep order: those where some
 output is a value no node holds, or where more than k distinct values are
-output.  They read outputs through the query instance's ViewTable, so
+output.  Each reads outputs through the one ViewTable it builds, so
 `decide` runs once per distinct read view (one sender's digit per node
-for flooding), and report configurations only; `run`, which decides
+for flooding), and reports configurations only; `run`, which decides
 full views, gives the outcome of any of them, and `check` re-simulates
 the first failure through it.  The sampled sweep reads all n outputs of
 each configuration.  The exhaustive sweep goes through the (k+1)^n
@@ -146,7 +146,7 @@ def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
     if total > EXHAUSTIVE_CONFIG_CAP:
         raise CapExceeded(f"exhaustive check needs {total} configurations, "
                           f"cap is {EXHAUSTIVE_CONFIG_CAP}")
-    failures = _depth_first(instance.table(alg, budget), spec.n)
+    failures = _depth_first(ViewTable(instance, alg, budget), spec.n)
     return ExhaustiveReport(total_configs=total, failures=failures)
 
 
@@ -163,5 +163,5 @@ def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int
     rng = random.Random(seed)
     configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
                for _ in range(samples))
-    failures = _sweep(instance.table(alg, budget), configs)
+    failures = _sweep(ViewTable(instance, alg, budget), configs)
     return ExhaustiveReport(total_configs=samples, failures=failures)

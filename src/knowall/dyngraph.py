@@ -14,23 +14,24 @@ of at least one member of any dominating set of H_r.  The smallest r
 whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
 
-Every answer is derived from one Closure object per H_r.  Its reach
-masks are its cover masks: entry u is the bitmask of nodes u's token can
-occupy after rounds 1..r.  Its in-masks are its dominator masks: entry v
-is the bitmask of nodes v has heard from, the nodes that dominate v.
-Each spec keeps its closures (grown by _grow), and the domination
-numbers, dominating sets and bounds derived from them, in a private memo
-that is freed with the spec.  Other modules read H_r through closure_at,
-or through an Instance, the query (spec, k): building one is the
-package's one test of k, and its closure_below_bound first checks with
-one k-slot cover decision that no k nodes dominate H_r, the package's
-one refutability test.  Building a spec builds no n-bit mask, and every
-exact search tests its round (checked_round), then EXACT_SEARCH_CAP,
-before it grows any.  Closures only grow, so the domination number never
-increases with r: each round whose closure changed searches down from the
-round before (_domination_number, whose cover decisions are _cover), and
-only the round a caller asks for rebuilds its member list
-(min_dominating_set).
+The module is the package's bottom layer: it imports nothing from the
+package but its errors.  Every answer is derived from one Closure object
+per H_r.  Its reach masks are its cover masks: entry u is the bitmask of
+nodes u's token can occupy after rounds 1..r.  Its in-masks are its
+dominator masks: entry v is the bitmask of nodes v has heard from, the
+nodes that dominate v.  Each spec keeps its closures (grown by _grow),
+and the domination numbers, dominating sets and bounds derived from
+them, in a private memo that is freed with the spec.  Other modules read
+H_r through closure_at, or through an Instance, the query (spec, k),
+which keeps nothing else: building one is the package's one test of k,
+and its closure_below_bound first checks with one k-slot cover decision
+that no k nodes dominate H_r, the package's one refutability test.
+Building a spec builds no n-bit mask, and every exact search tests its
+round (checked_round), then EXACT_SEARCH_CAP, before it grows any.
+Closures only grow, so the domination number never increases with r:
+each round whose closure changed searches down from the round before
+(_domination_number, whose cover decisions are _cover), and only the
+round a caller asks for rebuilds its member list (min_dominating_set).
 """
 from __future__ import annotations
 
@@ -86,20 +87,6 @@ class Closure:
                 senders.append(tuple(nodes))
             self._senders = tuple(senders)
         return self._senders
-
-    def unheard(self, v: tuple[int, ...]) -> int:
-        """Lowest node outside the reach masks of the positive coordinates of v;
-        LemmaFalsified if none is, which needs len(v) nodes to dominate H_r."""
-        heard = 0
-        for x in v:
-            if x:
-                heard |= self.reach[x - 1]
-        free = ((1 << len(self.reach)) - 1) & ~heard
-        if not free:
-            raise LemmaFalsified(
-                f"the positive coordinates of {v} reach every node although the "
-                f"closure needs more than {len(v)} dominators")
-        return (free & -free).bit_length()
 
 
 class _Memo:
@@ -525,18 +512,15 @@ class Instance:
     """One query of the model: a known sequence and the k it is asked for.
 
     Building one tests k and nothing else, so every entry point refuses a
-    bad k with the same ValueError first.  The instance owns what a query
-    derives: the bound and its dominating set, read from the spec's memo;
-    H_budget once shown refutable, per budget; one ViewTable per algorithm
-    and budget.
+    bad k with the same ValueError first.  The instance keeps nothing but
+    the two: its bound and dominating set are read from the spec's memo,
+    and each refutability decision is made afresh when asked for.
     """
 
-    __slots__ = ("spec", "k", "_below", "_tables")
+    __slots__ = ("spec", "k")
 
     def __init__(self, spec: DynamicGraphSpec, k: int) -> None:
         self.spec, self.k = spec, checked_k(k)
-        self._below: dict[int, Closure] = {}  # budget -> H_budget, shown refutable
-        self._tables: dict = {}  # (id of an algorithm, budget) -> its ViewTable
 
     def bound(self) -> int:
         """Smallest r >= 0 with a dominating set of H_r no larger than k.
@@ -565,31 +549,20 @@ class Instance:
         return min_dominating_set(self.spec, self.bound())
 
     def closure_below_bound(self, budget: int) -> Closure:
-        """H_budget, once one k-slot decision per budget shows no k nodes dominate it.
+        """H_budget, once one k-slot cover decision shows no k nodes dominate it.
 
-        The package's one refutability test.  Gamma never increases with r,
-        so it holds exactly below the bound, or always if none exists, and
-        BudgetNotBelowBound's message cannot raise.  Raises CapExceeded
-        when n > EXACT_SEARCH_CAP.
+        The package's one refutability test, made on every call.  Gamma
+        never increases with r, so it holds exactly below the bound, or
+        always if none exists, and BudgetNotBelowBound's message cannot
+        raise.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
         """
-        if checked_round(budget) not in self._below:
-            spec = self.spec
-            h = spec._memo.closures[_search_round(spec, budget)]
-            full = (1 << spec.n) - 1
-            if _exists_cover(h.reach, h.into, full, full, self.k):
-                raise BudgetNotBelowBound(
-                    f"budget {budget} is not below the tight bound {self.bound()}")
-            self._below[budget] = h
-        return self._below[budget]
-
-    def table(self, alg, budget: int):
-        """The protocol.ViewTable of `alg` at `budget`, built on first use."""
-        from .protocol import ViewTable  # bound and closure never load protocol
-        # by identity, since an algorithm need not be hashable; the table keeps it alive
-        key = id(alg), checked_round(budget)
-        if key not in self._tables:
-            self._tables[key] = ViewTable(self, alg, budget)
-        return self._tables[key]
+        spec = self.spec
+        h = spec._memo.closures[_search_round(spec, budget)]  # tests budget first
+        full = (1 << spec.n) - 1
+        if _exists_cover(h.reach, h.into, full, full, self.k):
+            raise BudgetNotBelowBound(
+                f"budget {budget} is not below the tight bound {self.bound()}")
+        return h
 
 
 def min_rounds(spec: DynamicGraphSpec, k: int) -> int:
@@ -638,11 +611,13 @@ def spec_to_dict(spec: DynamicGraphSpec) -> dict:
 
 
 def load_graph_file(path: str) -> DynamicGraphSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
+        try:
             obj = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
+        # JSONDecodeError, UnicodeDecodeError and an over-long integer literal
+        # are all ValueErrors; deep nesting raises RecursionError
+        except (ValueError, RecursionError) as exc:
+            raise GraphFormatError(f"{path}: {exc}") from None
     return spec_from_dict(obj)
 
 

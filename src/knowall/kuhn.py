@@ -17,15 +17,16 @@ configuration.
 
 algorithm_coloring checks the domination precondition once, through its
 instance's closure_below_bound, and returns the coloring as a function of
-the vertex that keeps the closure it got, with every color read through
-the instance's ViewTable; it is the package's one way to a vertex's node
-and color.  sperner_walk, which refute uses, follows doors from the
-origin through the faces x_{d+1} = ... = x_k = 0 of increasing dimension
-(Kuhn 1968, Cohen 1967) and colors only the vertices on that path, each
-once; its witness is the first vertex on the path colored outside its
-carrier, or the cell the path ends at.  The module enumerates nothing:
-the whole-triangulation enumeration and the reference scan the tests
-hold the walk to are test baselines in oracle.
+the vertex: it keeps that closure's reach masks, decodes each vertex's
+node from them, and reads every color through the one ViewTable it
+builds; it is the package's one way to a vertex's node and color.
+sperner_walk, which refute uses, follows doors from the origin through
+the faces x_{d+1} = ... = x_k = 0 of increasing dimension (Kuhn 1968,
+Cohen 1967) and colors only the vertices on that path, each once; its
+witness is the first vertex on the path colored outside its carrier, or
+the cell the path ends at.  The module enumerates nothing: the
+whole-triangulation enumeration and the reference scan the tests hold
+the walk to are test baselines in oracle.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .dyngraph import DynamicGraphSpec, Instance
-from .errors import NoPanchromaticCell
-from .protocol import AlgorithmSpec, InputConfig
+from .errors import LemmaFalsified, NoPanchromaticCell
+from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
 Vertex = tuple[int, ...]
 
@@ -84,27 +85,43 @@ class AlgorithmColoring:
     """The vertex coloring an algorithm induces at a budget below the bound.
 
     Calling the object colors one vertex, and node(v) is its assigned
-    node, both decoded by the closure of the instance's one refutability
-    decision; both refuse anything but a vertex of the (n, k)
-    triangulation.  sperner_walk colors through _color, from
-    configurations it keeps itself.  Every color is read through the
-    instance's ViewTable, so `decide` runs once per distinct view however
-    the vertices are asked for.
+    node, the lowest one outside the reach masks of v's positive
+    coordinates in the closure of the instance's refutability decision;
+    both refuse anything but a vertex of the (n, k) triangulation.
+    sperner_walk colors through _color, from configurations it keeps
+    itself.  Every color is read through the coloring's one ViewTable, so
+    `decide` runs once per distinct view however the vertices are asked
+    for.
     """
 
     def __init__(self, instance: Instance, budget: int, alg: AlgorithmSpec) -> None:
         self.n, self.k = instance.spec.n, instance.k
-        self._closure = instance.closure_below_bound(budget)
-        self._table = instance.table(alg, budget)
+        self._reach = instance.closure_below_bound(budget).reach
+        self._table = ViewTable(instance, alg, budget)
 
     def _check(self, v: Vertex) -> None:
         if len(v) != self.k or not is_vertex(v, self.n):
             raise ValueError(f"{v} is not a vertex for n={self.n}, k={self.k}")
 
+    def _unheard(self, v: Vertex) -> int:
+        # the lowest node outside the reach masks of v's positive coordinates,
+        # which name at most k nodes: the decision showed they reach not all
+        reach = self._reach
+        heard = 0
+        for x in v:
+            if x:
+                heard |= reach[x - 1]
+        free = ((1 << len(reach)) - 1) & ~heard
+        if not free:
+            raise LemmaFalsified(
+                f"the positive coordinates of {v} reach every node although the "
+                f"closure needs more than {len(v)} dominators")
+        return (free & -free).bit_length()
+
     def node(self, v: Vertex) -> int:
         """Assigned node of the vertex v."""
         self._check(v)
-        return self._closure.unheard(v)
+        return self._unheard(v)
 
     def __call__(self, v: Vertex) -> int:
         self._check(v)
@@ -113,7 +130,7 @@ class AlgorithmColoring:
     def _color(self, v: Vertex, cfg: Sequence[int]) -> int:
         # the color of the vertex v given its configuration cfg, unchecked;
         # sperner_walk derives cfg from a neighbouring corner's
-        return self._table.output(self._closure.unheard(v), cfg)
+        return self._table.output(self._unheard(v), cfg)
 
 
 def algorithm_coloring(spec: DynamicGraphSpec, k: int, budget: int,

@@ -10,9 +10,8 @@ A query is a dyngraph.Instance: the sequence and k, checked once.  An
 algorithm is reached through one entry point, AlgorithmSpec.bind(instance,
 budget), which returns a function of the View alone; per-instance data
 such as flooding's dominating set is derived there, once.  `run` binds
-once per call, and a ViewTable, which the instance keeps one of per
-algorithm and budget, once when it is built; nothing else calls an
-algorithm.  Purity is a contract, not a convention: the bound function
+once per call, and a ViewTable once when it is built; nothing else calls
+an algorithm.  Purity is a contract, not a convention: the bound function
 must return the same value whenever it is given the same view.  `run`
 calls it on every node's full view of the one configuration it executes,
 but configuration sweeps and the triangulation coloring go through a
@@ -298,8 +297,8 @@ def algorithm_by_name(name: str) -> AlgorithmSpec:
 
 def flood_solve(spec: DynamicGraphSpec, k: int, inputs) -> OutcomeReport:
     """Solve k-set agreement in exactly the optimal number of rounds."""
+    vals = validate_inputs(inputs, spec.n, k)  # before the bound search, which may raise
     r = Instance(spec, k).bound()
-    vals = validate_inputs(inputs, spec.n, k)
     report = run(spec, k, flood_dominator(r), vals, budget=r)
     if not (report.valid and report.agreeing):
         raise LemmaFalsified(

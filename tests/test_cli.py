@@ -508,6 +508,10 @@ def test_malformed_graph_file(capsys, tmp_path):
     path.write_bytes(b'{"n": 3, "rounds": [[[1, 2]]], "extension": "\xff"}')
     code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
     assert (code, out) == (2, "") and err.startswith(f"error: {path}: 'utf-8' codec")
+    # an integer literal too long for int() names the file too
+    path.write_text('{"n": 1%s, "rounds": [[[1, 2]]]}' % ("0" * sys.get_int_max_str_digits()))
+    code, out, err = run_cli(capsys, "bound", "--graph", str(path), "--k", "1")
+    assert (code, out) == (2, "") and err.startswith(f"error: {path}: Exceeds the limit")
 
 
 def test_usage_errors_exit_2(capsys):

@@ -5,6 +5,8 @@ import inspect
 import json
 import pickle
 import random
+import re
+import sys
 import weakref
 from itertools import combinations
 
@@ -483,6 +485,10 @@ def test_graph_format_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(GraphFormatError):
+        load_graph_file(str(bad))
+    # an integer literal too long for int() is a ValueError of json.load
+    bad.write_text('{"n": 1%s, "rounds": [[[1, 2]]]}' % ("0" * sys.get_int_max_str_digits()))
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(str(bad))}: Exceeds the limit"):
         load_graph_file(str(bad))
 
 

@@ -196,6 +196,14 @@ def test_flood_solve_consensus(c5, k4):
     assert format_inputs(flood_solve(k4, 1, parse_inputs("0110", 4, 1)).outputs) == "0000"
 
 
+def test_flood_solve_checks_its_inputs_before_the_bound():
+    # an input outside 0..k is refused as `run` refuses it, before the
+    # bound search could raise NeverDominated or CapExceeded
+    for spec in (DynamicGraphSpec(4, [[(1, 2)]]), directed_cycle(40)):
+        with pytest.raises(ValueError, match=r"^input of node 1 is 7, outside 0\.\.2$"):
+            flood_solve(spec, 2, (7,) * spec.n)
+
+
 def test_view_table_memo_stays_within_cap(monkeypatch):
     # on K4 after one round every node hears all 4 inputs: 81 views each
     default_cap = protocol.VIEW_MEMO_CAP

@@ -36,7 +36,7 @@ from knowall import (
     run,
     sample_check,
 )
-from knowall import dyngraph, kuhn, oracle, protocol, refuter
+from knowall import dyngraph, kuhn, oracle, refuter
 from knowall.dyngraph import closure_at
 from knowall.kuhn import algorithm_coloring, sperner_walk
 from knowall.oracle import (
@@ -387,8 +387,8 @@ def test_refute_releases_its_coloring(c5, monkeypatch):
             return obj
         return wrapper
 
-    # the query instance holds the table and imports ViewTable when it builds it
-    monkeypatch.setattr(protocol, "ViewTable", recorded(protocol.ViewTable))
+    # the coloring builds its one table through the name kuhn imports
+    monkeypatch.setattr(kuhn, "ViewTable", recorded(kuhn.ViewTable))
     monkeypatch.setattr(refuter, "AlgorithmColoring", recorded(refuter.AlgorithmColoring))
     gc.disable()
     try:
@@ -430,11 +430,10 @@ def test_derived_data_is_freed_with_the_spec():
     lambda spec, query, r: closure_at(spec, r),
     lambda spec, query, r: domination_numbers(spec, r),
     lambda spec, query, r: min_dominating_set(spec, r),
-    lambda spec, query, r: query.table(MIN_HEARD, r),
     lambda spec, query, r: query.closure_below_bound(r),
 ], ids=["run", "ViewTable", "exhaustive_check", "sample_check", "refute",
         "algorithm_coloring", "closure", "closure_at", "domination_numbers",
-        "min_dominating_set", "Instance.table", "Instance.closure_below_bound"])
+        "min_dominating_set", "Instance.closure_below_bound"])
 def test_a_negative_budget_has_one_message(call):
     # one test of a round number runs before any memo keyed by the round
     # is read and before either cap: a bool or a float is never read as an
@@ -445,7 +444,7 @@ def test_a_negative_budget_has_one_message(call):
     for n in (5, 40):
         spec = directed_cycle(n)
         query = Instance(spec, 2)
-        query.table(MIN_HEARD, 1)
+        ViewTable(query, MIN_HEARD, 1)
         if n == 5:
             min_dominating_set(spec, 1)
             query.closure_below_bound(1)
@@ -502,9 +501,9 @@ def test_sample_check_refuses_samples_that_are_not_an_int():
         sample_check(c5, 2.0, MIN_HEARD, 1, samples=2.5)
 
 
-def test_an_instance_owns_its_decision_and_tables(monkeypatch):
-    # one k-slot decision per budget and one ViewTable per algorithm and
-    # budget, however often the query asks for them
+def test_an_instance_is_the_query_and_a_coloring_decides_once(monkeypatch):
+    # the instance keeps its spec and k and nothing else; a coloring built
+    # on it makes one k-slot decision and colors as a fresh coloring does
     decisions = []
     exists_cover = dyngraph._exists_cover
 
@@ -514,16 +513,11 @@ def test_an_instance_owns_its_decision_and_tables(monkeypatch):
 
     monkeypatch.setattr(dyngraph, "_exists_cover", counting)
     query = Instance(directed_cycle(5), 2)
+    assert Instance.__slots__ == ("spec", "k")
     assert (query.spec, query.k) == (directed_cycle(5), 2)
     assert query.bound() == 2 and query.dominating_set() == (1, 3)
-    h = query.closure_below_bound(1)
-    assert query.closure_below_bound(1) is h and len(decisions) == 1
-    table = query.table(MIN_HEARD, 1)
-    assert query.table(MIN_HEARD, 1) is table
-    assert query.table(MAX_HEARD, 1) is not table and query.table(MIN_HEARD, 0) is not table
-    # a coloring built on the query reads its decision and its table
     coloring = kuhn.AlgorithmColoring(query, 1, MIN_HEARD)
-    assert coloring._table is table and len(decisions) == 1
+    assert len(decisions) == 1
     fresh = algorithm_coloring(directed_cycle(5), 2, 1, MIN_HEARD)
     assert [coloring(v) for v in vertices(5, 2)] == [fresh(v) for v in vertices(5, 2)]
     assert len(decisions) == 2
@@ -532,8 +526,7 @@ def test_an_instance_owns_its_decision_and_tables(monkeypatch):
 
 
 def test_an_algorithm_need_not_be_hashable():
-    # the instance keeps tables by the algorithm's identity, so a decide
-    # that cannot be hashed still sweeps, colors and refutes
+    # a decide that cannot be hashed still sweeps, colors and refutes
     class Smallest:
         __hash__ = None
 
@@ -546,5 +539,3 @@ def test_an_algorithm_need_not_be_hashable():
     c5 = directed_cycle(5)
     assert exhaustive_check(c5, 2, alg, 1) == exhaustive_check(c5, 2, MIN_HEARD, 1)
     assert refute(c5, 2, alg, 1).to_dict() == refute(c5, 2, MIN_HEARD, 1).to_dict()
-    query = Instance(c5, 2)
-    assert query.table(alg, 1) is query.table(alg, 1)

@@ -97,6 +97,33 @@ def test_package_neither_imports_nor_exports_the_oracle():
     assert sorted(defined & set(dir(knowall))) == []
 
 
+def test_the_modules_form_layers_with_dyngraph_at_the_bottom():
+    # every relative import, at module level or inside a function, is an
+    # edge; the package's modules import one another without a cycle, and
+    # dyngraph leans on nothing of the package but its errors
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        edges = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                edges |= {node.module} if node.module else {a.name for a in node.names}
+        graph[path.stem] = edges
+    assert graph["dyngraph"] == {"errors"}
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, f"import cycle {' -> '.join(path + [module])}"
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph.get(module, ())):
+                visit(target)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
 # every public name of the package and the module that defines it
 PUBLIC = {
     "check": ["ExhaustiveReport", "exhaustive_check", "sample_check"],
