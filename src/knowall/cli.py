@@ -36,9 +36,6 @@ from .errors import (
     NeverDominated,
 )
 
-SAMPLE_COUNT = 1000
-
-
 def _emit(payload, pretty: bool) -> None:
     if pretty:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -131,8 +128,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = exhaustive_check(spec, args.k, alg, args.budget)
         mode = "exhaustive"
     else:
-        report = sample_check(spec, args.k, alg, args.budget,
-                              samples=SAMPLE_COUNT, seed=args.seed)
+        report = sample_check(spec, args.k, alg, args.budget, seed=args.seed)
         mode = "sampled"
     first = None
     if report.failures:

@@ -30,8 +30,9 @@ Building a spec builds no n-bit mask, and every exact search tests its
 round (checked_round), then EXACT_SEARCH_CAP, before it grows any.
 Closures only grow, so the domination number never increases with r:
 each round whose closure changed searches down from the round before
-(_domination_number, whose cover decisions are _cover), and only the
-round a caller asks for rebuilds its member list (min_dominating_set).
+(_domination_number), and its number is proven by one failing cover
+decision (_cover), whatever the round.  Only the round a caller asks
+for rebuilds its member list (min_dominating_set).
 """
 from __future__ import annotations
 
@@ -266,13 +267,12 @@ def closure_at(spec: DynamicGraphSpec, r: int) -> Closure:
 
 
 def closure(spec: DynamicGraphSpec, r: int) -> frozenset[Arc]:
-    """Arc set of the information-flow closure H_r, read from its reach masks.
+    """Arc set of the information-flow closure H_r, read from its senders.
 
     H_0 is the identity relation, and every closure has all n self-arcs.
     """
     return frozenset(
-        (u, v) for u, mask in enumerate(closure_at(spec, r).reach, start=1)
-        for v in range(1, spec.n + 1) if mask >> (v - 1) & 1)
+        (u, v) for v, heard in enumerate(closure_at(spec, r).senders, start=1) for u in heard)
 
 
 def to_dot(arcs: frozenset[Arc]) -> str:
@@ -335,21 +335,6 @@ def _order(dom: tuple[int, ...], uncovered: int, avail: int) -> list[tuple[int, 
     return order
 
 
-def _packing(order: list[tuple[int, int, int]]) -> int:
-    """Nodes with pairwise disjoint dominators, taken greedily in order.
-
-    No member dominates two of them, so every cover has at least this many
-    members.  _cover repeats this scan inline over its uncovered nodes,
-    where the same pass also finds the node to branch on.
-    """
-    taken = count = 0
-    for _, _, dm in order:
-        if not dm & taken:
-            taken |= dm
-            count += 1
-    return count
-
-
 def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
                   uncovered: int, avail: int, slots: int) -> bool:
     """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
@@ -372,12 +357,12 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
     Three tests fail a search before it branches: more nodes to cover than
     slots * widest, where no node covers more than `widest`; a mask that
     `failed` maps to at least `slots`; and more uncovered nodes with
-    pairwise disjoint dominators than slots (the count of _packing, kept
-    inline here).  Otherwise the search branches on the dominators of the
-    first uncovered node in order, the one with the fewest, and a mask it
-    fails on goes into `failed` with its slots.  Those entries hold only
-    for these covers and the dominators the order offers, so `failed`
-    lives for one round's searches or one decision.
+    pairwise disjoint dominators, taken greedily in order, than slots,
+    since no member dominates two of them.  Otherwise the search branches
+    on the dominators of the first uncovered node in order, the one with
+    the fewest, and a mask it fails on goes into `failed` with its slots.
+    Those entries hold only for these covers and the dominators the order
+    offers, so `failed` lives for one round's searches or one decision.
     """
     if uncovered == 0:
         return True
@@ -409,24 +394,20 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
 def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
     """Domination number, at most `upper`, which must be attained.
 
-    A lower bound comes first, from one fewest-dominators-first order: the
-    larger of the packing count (_packing) and ceil(n / widest cover).  If
-    it reaches upper, upper is the answer, with no greedy pass and no
-    search.  Otherwise the greedy cover, cut off at upper, is the start,
-    and the size steps down while it is above the lower bound and one
-    fewer node still covers everyone.  Every decision reuses the order and
-    one failure memo, which is dropped when the round's number is known.
+    The greedy cover, cut off at upper, is the start, and the size steps
+    down while one fewer node still covers everyone.  So every number is
+    proven by one failing root decision (_cover on all n nodes), whose
+    counting and packing prunes settle at once a round that needs no
+    branching.  Every decision reuses one fewest-dominators-first order
+    and one failure memo, which is dropped when the number is known.
     """
     n = len(covers)
     full = (1 << n) - 1
     order = _order(dom, full, full)  # every node dominates itself
     widest = max(map(int.bit_count, covers))
-    lower = max(_packing(order), -(-n // widest))
-    if lower >= upper:
-        return upper
     g = len(_greedy_members(covers, full, upper))
     failed: dict[int, int] = {}
-    while g > lower and _cover(covers, order, full, g - 1, widest, failed):
+    while _cover(covers, order, full, g - 1, widest, failed):
         g -= 1
     return g
 

@@ -41,8 +41,13 @@ Vertex = tuple[int, ...]
 
 
 def is_vertex(v: Vertex, n: int) -> bool:
-    """Monotone lattice point of ints: n >= x1 >= ... >= xk >= 0."""
+    """Monotone lattice point of ints: n >= x1 >= ... >= xk >= 0.
+
+    ValueError unless n is exactly an int, tested before any comparison.
+    """
     # bool is a subclass of int, so test the exact type
+    if type(n) is not int:
+        raise ValueError(f"n is {n!r}, not an integer")
     if len(v) < 1 or any(type(x) is not int for x in v) or v[0] > n or v[-1] < 0:
         return False
     return all(a >= b for a, b in zip(v, v[1:]))

@@ -42,7 +42,7 @@ from knowall import (
 from knowall import dyngraph
 from knowall.cli import main
 from knowall.dyngraph import (
-    _domination_number, _exists_cover, _gamma, _greedy_members, _order, _packing, closure_at)
+    _domination_number, _exists_cover, _gamma, _greedy_members, closure_at)
 from knowall.oracle import brute_domination, reach_sets
 
 from conftest import random_spec
@@ -221,8 +221,19 @@ def test_grown_masks_match_naive_reach_sets_and_their_transpose():
             for v in range(1, n + 1):
                 assert h.senders[v - 1] == tuple(u for u in range(1, n + 1)
                                                  if v in reach[u - 1])
+            assert closure(spec, r) == {(u, v) for u in range(1, n + 1) for v in reach[u - 1]}
         rules.add(spec.extension)
     assert len(rules) == 2
+
+
+def test_closure_reads_its_arcs_from_the_senders_alone(monkeypatch):
+    # closure() lists each node's senders instead of testing all n^2 pairs
+    # of reach bits: handed a closure with no reach masks, it still yields
+    # exactly the self-arcs of a large empty round
+    n = 10_000
+    h = closure_at(DynamicGraphSpec(n, [[]]), 1)
+    monkeypatch.setattr(dyngraph, "closure_at", lambda spec, r: dyngraph.Closure((), h.into))
+    assert closure(DynamicGraphSpec(n, [[]]), 1) == {(v, v) for v in range(1, n + 1)}
 
 
 def test_exists_cover_matches_subset_enumeration():
@@ -280,17 +291,20 @@ def _counting(monkeypatch, name, calls):
     monkeypatch.setattr(dyngraph, name, counted)
 
 
-def test_cycles_are_settled_without_a_cover_search(monkeypatch):
+def test_cycles_are_settled_without_branching(monkeypatch):
     # on a directed cycle each node of H_t covers t + 1 nodes, and greedy
-    # takes ceil(n / (t + 1)) of them, so the counting bound proves every
-    # domination number before any search
+    # takes ceil(n / (t + 1)) of them, so the counting prune of one root
+    # decision proves every domination number
     searched = []
     _counting(monkeypatch, "_cover", searched)
+    rounds = 0
     for n in range(5, 33):
         spec = directed_cycle(n)
         for t in range(1, n):
             assert _gamma(spec, t) == -(-n // (t + 1)), (n, t)
-    assert searched == []
+            rounds += 1
+    assert all(args[2] == (1 << len(args[0])) - 1 and not found for args, found in searched)
+    assert len(searched) == rounds == 490
 
 
 def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
@@ -298,29 +312,24 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
     _counting(monkeypatch, "_greedy_members", greedy)
     _counting(monkeypatch, "_cover", searched)
     rng = random.Random(1414)
-    paths = set()
     rules = set()
     proven = 0
+    searched_down = False
     for _ in range(150):
         spec = random_spec(rng, max_n=14)
         n = spec.n
-        full = (1 << n) - 1
         h = closure_at(spec, rng.randint(0, 3))
         covers, dom = h.reach, h.into
         arcs = {(u + 1, v + 1) for u in range(n) for v in range(n) if covers[u] >> v & 1}
         gamma = brute_domination(n, arcs)
-        assert _packing(_order(dom, full, full)) <= gamma
         assert -(-n // max(c.bit_count() for c in covers)) <= gamma
         for upper in range(gamma, n + 1):
             greedy.clear()
             searched.clear()
             assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
-            if not greedy:
-                paths.add("copied")
-            elif not searched:
-                paths.add("greedy")
-            elif gamma < len(greedy[0][1]):
-                paths.add("searched down")
+            # the greedy start lay above gamma, so successful decisions
+            # stepped the size down
+            searched_down |= gamma < len(greedy[0][1])
             # one failure memo per call, and each of its masks really fails
             # with the slots it is kept with
             memos = {id(args[5]): args[5] for args, _ in searched}
@@ -332,8 +341,35 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
                                for combo in combinations(range(n), slots)), (spec, upper)
         rules.add(spec.extension)
     assert len(rules) == 2
-    assert paths == {"copied", "greedy", "searched down"}
+    assert searched_down
     assert proven >= 20
+
+
+def test_every_domination_number_is_proven_by_one_failing_root_decision(monkeypatch):
+    # whatever upper a round starts from, its number g is certified by the
+    # last decision made: a root call on all n nodes with g - 1 slots that
+    # fails, the one place a proof is to be recorded
+    searched = []
+    _counting(monkeypatch, "_cover", searched)
+    rng = random.Random(2718)
+    rules = set()
+    cases = 0
+    for _ in range(150):
+        spec = random_spec(rng, max_n=12)
+        n = spec.n
+        full = (1 << n) - 1
+        h = closure_at(spec, rng.randint(0, 3))
+        covers, dom = h.reach, h.into
+        gamma = _domination_number(covers, dom, n)
+        for upper in range(gamma, n + 1):
+            searched.clear()
+            g = _domination_number(covers, dom, upper)
+            args, found = searched[-1]
+            assert (g, args[2], args[3], found) == (gamma, full, gamma - 1, False), (spec, upper)
+            cases += 1
+        rules.add(spec.extension)
+    assert len(rules) == 2
+    assert cases >= 600
 
 
 # ---------------------------------------------------------------------------

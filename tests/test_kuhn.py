@@ -87,6 +87,15 @@ def test_is_vertex():
     assert not is_vertex((3.0, 1.0), 5)
 
 
+@pytest.mark.parametrize("n", ["2", 2.0, True, None])
+def test_is_vertex_and_inp_refuse_an_n_that_is_not_an_int(n):
+    # refused by name before any comparison, so a string n is no TypeError
+    # and a float or bool n is never compared with the coordinates
+    for call in (is_vertex, inp):
+        with pytest.raises(ValueError, match=f"^n is {re.escape(repr(n))}, not an integer$"):
+            call((1,), n)
+
+
 def test_simplex_count_identity():
     for n in range(1, 7):
         for k in range(1, 4):

@@ -66,9 +66,16 @@ def test_exhaustive_check_counts(c5):
     assert report.total_configs == 16 and report.passed
 
 
-def test_exhaustive_check_cap():
+def test_exhaustive_check_cap(c5, monkeypatch):
     with pytest.raises(CapExceeded):
         exhaustive_check(complete_graph(20), 2, flood_dominator(1), 1)
+    # the cap is inclusive: 3^5 configurations run at a cap of 243 only
+    monkeypatch.setattr(check, "EXHAUSTIVE_CONFIG_CAP", 243)
+    assert exhaustive_check(c5, 2, MIN_HEARD, 1).total_configs == 243
+    monkeypatch.setattr(check, "EXHAUSTIVE_CONFIG_CAP", 242)
+    with pytest.raises(CapExceeded,
+                       match="^exhaustive check needs 243 configurations, cap is 242$"):
+        exhaustive_check(c5, 2, MIN_HEARD, 1)
 
 
 def test_sample_check_seeded(c5):

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import random
+import re
 import weakref
 
 import pytest
@@ -353,6 +354,22 @@ def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
     monkeypatch.setattr(refuter, "run", agreeing_run)
     with pytest.raises(LemmaFalsified, match="reported agreement"):
         refute(c5, 2, flood_dominator(2), budget=1)
+
+
+def test_lemma_falsified_when_resimulation_claims_validity(c5, monkeypatch):
+    # a constant 1 is no input at the origin, so the walk stops there; a run
+    # that calls the outputs valid fires the tripwire although the output
+    # itself re-simulates
+    real_run = refuter.run
+
+    def valid_run(*args):
+        return dataclasses.replace(real_run(*args), valid=True)
+
+    monkeypatch.setattr(refuter, "run", valid_run)
+    with pytest.raises(LemmaFalsified, match=re.escape(
+            "validity witness at vertex (0, 0) did not re-simulate: "
+            "node 1 output 1 on 00000")):
+        refute(c5, 2, AlgorithmSpec("const1", lambda s, k, v: 1), 1)
 
 
 def test_lemma_falsified_when_resimulated_outputs_differ_from_the_coloring(c5, monkeypatch):
