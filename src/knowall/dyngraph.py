@@ -29,10 +29,12 @@ that no k nodes dominate H_r, the package's one refutability test.
 Building a spec builds no n-bit mask, and every exact search tests its
 round (checked_round), then EXACT_SEARCH_CAP, before it grows any.
 Closures only grow, so the domination number never increases with r:
-each round whose closure changed searches down from the round before
-(_domination_number), and its number is proven by one failing cover
-decision (_cover), whatever the round.  Only the round a caller asks
-for rebuilds its member list (min_dominating_set).
+each round whose closure changed starts from the round before
+(_domination_number), and its number is proven by the cheapest of three
+proofs: counting, the forced members (nodes that hear nobody else)
+covering everyone, or one failing cover decision (_cover) on the nodes
+they leave uncovered.  Only the round a caller asks for rebuilds its
+member list (min_dominating_set).
 """
 from __future__ import annotations
 
@@ -300,19 +302,24 @@ def _greedy_members(covers: tuple[int, ...], full: int, limit: int) -> list[int]
     """Greedy cover of `full` in pick order, cut off after `limit` members.
 
     Each pick takes the node that covers the most nodes still uncovered,
-    ties going to the smallest id.
+    ties going to the smallest id.  Gains only shrink, so a scan stops at
+    the first node that gains as much as the pick before it.
     """
     n = len(covers)
     members = []
     uncovered = full
+    best = full.bit_count()
     while uncovered and len(members) < limit:
         gain, pick = 0, -1
         for u in range(n):
             g = (covers[u] & uncovered).bit_count()
             if g > gain:  # strict: ties go to the smallest id
                 gain, pick = g, u
+                if g == best:
+                    break
         members.append(pick + 1)
         uncovered &= ~covers[pick]
+        best = gain
     return members
 
 
@@ -339,14 +346,17 @@ def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
                   uncovered: int, avail: int, slots: int) -> bool:
     """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
 
+    Counting comes first: no node covers more than the widest cover.
     avail never changes inside the search, so the uncovered nodes are
     sorted once (_order), and a node no available node dominates fails the
     search here.  The failure memo lives as long as this call.
     """
+    widest = max(map(int.bit_count, covers))
+    if uncovered.bit_count() > slots * widest:
+        return False
     order = _order(dom, uncovered, avail)
     if order is None:
         return False
-    widest = max(map(int.bit_count, covers))
     return _cover(covers, order, uncovered, slots, widest, {})
 
 
@@ -394,22 +404,36 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
 def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
     """Domination number, at most `upper`, which must be attained.
 
-    The greedy cover, cut off at upper, is the start, and the size steps
-    down while one fewer node still covers everyone.  So every number is
-    proven by one failing root decision (_cover on all n nodes), whose
-    counting and packing prunes settle at once a round that needs no
-    branching.  Every decision reuses one fewest-dominators-first order
-    and one failure memo, which is dropped when the number is known.
+    The cheapest proof comes first.  Counting: more than (upper - 1) *
+    widest nodes need upper members.  Forced members: the set F of nodes
+    that hear nobody else lies in every dominating set (the first rule of
+    Alber, Fellows and Niedermeier, J. ACM 2004), and is the answer when it
+    covers everyone.  Otherwise the greedy cover of `rest`, the nodes F
+    leaves uncovered, cut off at upper - |F|, is the start, and the size
+    steps down while one fewer node still covers rest: a number g is then
+    proven by one failing root decision (_cover on rest, g - |F| - 1
+    slots).  The decisions share one fewest-dominators-first order and one
+    failure memo, dropped when the number is known.
     """
     n = len(covers)
-    full = (1 << n) - 1
-    order = _order(dom, full, full)  # every node dominates itself
     widest = max(map(int.bit_count, covers))
-    g = len(_greedy_members(covers, full, upper))
+    if n > (upper - 1) * widest:
+        return upper
+    forced = taken = 0
+    for v, heard in enumerate(dom):
+        if heard == 1 << v:
+            forced += 1
+            taken |= covers[v]
+    full = (1 << n) - 1
+    rest = full & ~taken
+    if not rest:
+        return forced
+    g = len(_greedy_members(covers, rest, upper - forced))
+    order = _order(dom, rest, full)
     failed: dict[int, int] = {}
-    while _cover(covers, order, full, g - 1, widest, failed):
+    while _cover(covers, order, rest, g - 1, widest, failed):
         g -= 1
-    return g
+    return forced + g
 
 
 def _gamma(spec: DynamicGraphSpec, r: int) -> int:
@@ -449,8 +473,9 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     out-neighbours in H_r, so the reach masks of H_r are its cover masks.
     The size is _gamma(spec, r); each position of the sorted member list
     then takes the smallest node that still allows completion with larger
-    ids only, a cover decision (_order, then _cover) that counts the widest
-    cover once for all of them.  The answer is memoized on the spec.
+    ids only, a cover decision that counts the widest cover once for all
+    of them and builds an _order for _cover only where counting leaves it
+    open.  The answer is memoized on the spec.
     Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     found = spec._memo.dominating
@@ -466,6 +491,8 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     for remaining in range(size, 0, -1):
         for u in range(floor, spec.n):
             rest = uncovered & ~covers[u]
+            if rest.bit_count() > (remaining - 1) * widest:
+                continue
             order = _order(dom, rest, full & ~((1 << (u + 1)) - 1))
             if order is not None and _cover(covers, order, rest, remaining - 1, widest, {}):
                 members.append(u + 1)

@@ -26,7 +26,7 @@ independent one, over plain reach sets, is oracle.view_of.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -273,8 +273,8 @@ def _decide_max_heard(spec: DynamicGraphSpec, k: int, view: View) -> int:
 
 
 def _decide_majority_heard(spec: DynamicGraphSpec, k: int, view: View) -> int:
-    counts = Counter(view.heard.values())
-    return min(counts, key=lambda v: (-counts[v], v))
+    values = list(view.heard.values())
+    return max(sorted(set(values)), key=values.count)  # ties go to the smallest value
 
 
 MIN_HEARD = AlgorithmSpec("min_heard", _decide_min_heard)

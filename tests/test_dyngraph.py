@@ -278,6 +278,38 @@ def test_greedy_examples(c5, k4):
     assert _greedy_members(closure_at(c5, 1).reach, (1 << 5) - 1, 2) == [1, 3]
 
 
+def _full_scan_greedy(covers, full, limit):
+    # every pick scans every node and takes the smallest id of largest
+    # gain; the picks come with their gains
+    members, gains, uncovered = [], [], full
+    while uncovered and len(members) < limit:
+        scan = [(c & uncovered).bit_count() for c in covers]
+        pick = scan.index(max(scan))
+        members.append(pick + 1)
+        gains.append(scan[pick])
+        uncovered &= ~covers[pick]
+    return members, gains
+
+
+def test_greedy_members_match_a_full_scan_greedy():
+    # the scan that stops at the previous pick's gain picks the same nodes,
+    # in the same order, whatever is to be covered and wherever it is cut off
+    rng = random.Random(5077)
+    stopped = 0
+    for _ in range(300):
+        n = rng.randint(2, 16)
+        prob = rng.choice((0.1, 0.3, 0.5))
+        covers = tuple(sum(1 << v for v in range(n) if v == u or rng.random() < prob)
+                       for u in range(n))
+        full = rng.choice(((1 << n) - 1, rng.getrandbits(n)))
+        for limit in range(n + 1):
+            members, gains = _full_scan_greedy(covers, full, limit)
+            assert _greedy_members(covers, full, limit) == members, (covers, full, limit)
+        # two picks of equal gain in a row: the second scan stops early
+        stopped += any(a == b for a, b in zip(gains, gains[1:]))
+    assert stopped >= 50
+
+
 def _counting(monkeypatch, name, calls):
     # record the arguments and the result of every call of a dyngraph
     # function, recursive calls included
@@ -291,20 +323,37 @@ def _counting(monkeypatch, name, calls):
     monkeypatch.setattr(dyngraph, name, counted)
 
 
+def _forced(covers, dom):
+    # the nodes that hear nobody else, and the mask of the nodes they cover
+    forced = [v for v in range(len(dom)) if dom[v] == 1 << v]
+    return forced, _union(covers, forced)
+
+
 def test_cycles_are_settled_without_branching(monkeypatch):
-    # on a directed cycle each node of H_t covers t + 1 nodes, and greedy
-    # takes ceil(n / (t + 1)) of them, so the counting prune of one root
-    # decision proves every domination number
-    searched = []
-    _counting(monkeypatch, "_cover", searched)
-    rounds = 0
+    # on a directed cycle each node of H_t covers t + 1 nodes and every node
+    # hears another, so gamma is ceil(n / (t + 1)) and no member is forced: a
+    # round whose number stays is settled by counting before any sort or
+    # search, and one whose number drops by one root decision that fails on
+    # counting, since the greedy start is optimal
+    calls = {name: [] for name in ("_cover", "_order", "_greedy_members")}
+    for name, seen in calls.items():
+        _counting(monkeypatch, name, seen)
+    settled = dropped = 0
     for n in range(5, 33):
         spec = directed_cycle(n)
         for t in range(1, n):
-            assert _gamma(spec, t) == -(-n // (t + 1)), (n, t)
-            rounds += 1
-    assert all(args[2] == (1 << len(args[0])) - 1 and not found for args, found in searched)
-    assert len(searched) == rounds == 490
+            for seen in calls.values():
+                seen.clear()
+            g = _gamma(spec, t)
+            assert g == -(-n // (t + 1)), (n, t)
+            if g == _gamma(spec, t - 1):
+                assert not any(calls.values()), (n, t)
+                settled += 1
+            else:
+                [(args, found)] = calls["_cover"]
+                assert (args[2], args[3], found) == ((1 << n) - 1, g - 1, False), (n, t)
+                dropped += 1
+    assert (settled, dropped) == (300, 190)
 
 
 def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
@@ -313,23 +362,38 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
     _counting(monkeypatch, "_cover", searched)
     rng = random.Random(1414)
     rules = set()
-    proven = 0
-    searched_down = False
+    cases = []
     for _ in range(150):
         spec = random_spec(rng, max_n=14)
-        n = spec.n
         h = closure_at(spec, rng.randint(0, 3))
-        covers, dom = h.reach, h.into
+        cases.append((spec, h.reach, h.into))
+        rules.add(spec.extension)
+    # only node 9 is forced, and on the rest the greedy takes node 2 (5
+    # nodes), then 5 and 1, one more than {1, 5}
+    covers = (0b1111, 0b1101110, 0b100, 0b11000, 0b11110000, 0b100000, 0b1000000, 0b10000001,
+              0b100000000)
+    cases.append(("greedy above gamma", covers,
+                  tuple(sum(1 << u for u in range(9) if covers[u] >> v & 1) for v in range(9))))
+    proven = 0
+    searched_down = False
+    for spec, covers, dom in cases:
+        n = len(covers)
+        forced, _ = _forced(covers, dom)
         arcs = {(u + 1, v + 1) for u in range(n) for v in range(n) if covers[u] >> v & 1}
         gamma = brute_domination(n, arcs)
         assert -(-n // max(c.bit_count() for c in covers)) <= gamma
+        assert len(forced) <= gamma
         for upper in range(gamma, n + 1):
             greedy.clear()
             searched.clear()
             assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
-            # the greedy start lay above gamma, so successful decisions
-            # stepped the size down
-            searched_down |= gamma < len(greedy[0][1])
+            # where the greedy ran, its start (the forced members and the
+            # greedy cover of the rest, cut off at upper) lay above gamma
+            # somewhere, so successful decisions stepped the size down
+            if greedy:
+                start = len(forced) + len(greedy[0][1])
+                assert start <= upper, (spec, upper)
+                searched_down |= gamma < start
             # one failure memo per call, and each of its masks really fails
             # with the slots it is kept with
             memos = {id(args[5]): args[5] for args, _ in searched}
@@ -339,37 +403,99 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
                 for uncovered, slots in failed.items():
                     assert all(uncovered & ~_union(covers, combo)
                                for combo in combinations(range(n), slots)), (spec, upper)
-        rules.add(spec.extension)
     assert len(rules) == 2
     assert searched_down
     assert proven >= 20
 
 
-def test_every_domination_number_is_proven_by_one_failing_root_decision(monkeypatch):
-    # whatever upper a round starts from, its number g is certified by the
-    # last decision made: a root call on all n nodes with g - 1 slots that
-    # fails, the one place a proof is to be recorded
+def test_every_domination_number_is_proven_by_exactly_one_form(monkeypatch):
+    # whatever upper a round starts from, its number g is certified in one
+    # of three ways, tried in this order: counting (n > (g - 1) * widest,
+    # no decision made); the forced members F, the nodes that hear nobody
+    # else, covering every node with g = |F| (no decision made); or, as the
+    # last decision made, a root call on rest, the nodes F leaves uncovered,
+    # with g - |F| - 1 slots that fails
     searched = []
     _counting(monkeypatch, "_cover", searched)
     rng = random.Random(2718)
     rules = set()
-    cases = 0
+    forms = {"counting": 0, "forced": 0, "search": 0}
+    searched_after_forced = 0
     for _ in range(150):
         spec = random_spec(rng, max_n=12)
         n = spec.n
         full = (1 << n) - 1
         h = closure_at(spec, rng.randint(0, 3))
         covers, dom = h.reach, h.into
+        widest = max(c.bit_count() for c in covers)
+        forced, taken = _forced(covers, dom)
         gamma = _domination_number(covers, dom, n)
+        counted = n > (gamma - 1) * widest
         for upper in range(gamma, n + 1):
             searched.clear()
-            g = _domination_number(covers, dom, upper)
-            args, found = searched[-1]
-            assert (g, args[2], args[3], found) == (gamma, full, gamma - 1, False), (spec, upper)
-            cases += 1
+            assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
+            if not searched and upper == gamma and counted:
+                forms["counting"] += 1
+            elif not searched and taken == full:
+                assert gamma == len(forced), (spec, upper)
+                forms["forced"] += 1
+            else:
+                args, found = searched[-1]
+                assert not (upper == gamma and counted) and taken != full, (spec, upper)
+                assert (args[2], args[3], found) == (
+                    full & ~taken, gamma - len(forced) - 1, False), (spec, upper)
+                forms["search"] += 1
+                searched_after_forced += bool(forced)
         rules.add(spec.extension)
     assert len(rules) == 2
-    assert cases >= 600
+    assert all(forms.values()) and searched_after_forced, forms
+    assert sum(forms.values()) >= 600
+
+
+def test_domination_number_matches_brute_force_on_forced_heavy_specs():
+    # sequences where many nodes hear nobody else: single-arc rounds, a
+    # round where n - 1 nodes hear nobody, a cycle beside silent nodes,
+    # and sparse random rounds
+    rng = random.Random(3023)
+    cases = []
+    for n in range(2, 15):
+        u, v = rng.sample(range(1, n + 1), 2)
+        cases.append(DynamicGraphSpec(n, [[(u, v)]]))
+        cases.append(DynamicGraphSpec(n, [[(u, n) for u in range(1, n)]]))
+        m = rng.randint(2, n)
+        cases.append(DynamicGraphSpec(n, [[(u, u % m + 1) for u in range(1, m + 1)]]))
+        arcs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, n))]
+        cases.append(DynamicGraphSpec(n, [arcs[:1], arcs], rng.choice(list(Extension))))
+    forced_all = forced_some = 0
+    for spec in cases:
+        n = spec.n
+        for r in range(3):
+            h = closure_at(spec, r)
+            covers, dom = h.reach, h.into
+            gamma = brute_domination(n, closure(spec, r))
+            forced, taken = _forced(covers, dom)
+            forced_all += taken == (1 << n) - 1
+            forced_some += 0 < len(forced) < gamma
+            for upper in range(gamma, n + 1):
+                assert _domination_number(covers, dom, upper) == gamma, (spec, r, upper)
+            assert _gamma(spec, r) == gamma
+            assert len(min_dominating_set(spec, r)) == gamma
+    assert forced_all >= 20 and forced_some >= 20
+
+
+def test_counting_rules_out_a_decision_before_any_order(monkeypatch, c5):
+    orders = []
+    _counting(monkeypatch, "_order", orders)
+    # no 2 nodes of H_1 of the 5-cycle, each covering 2, cover 5 > 2 * 2
+    assert Instance(c5, 2).closure_below_bound(1) is closure_at(c5, 1)
+    assert orders == []
+    # node 1 covers 1..4 in round 1 and nobody but 1 hears node 1 or 5, so
+    # F = {1, 5} settles gamma without an order; min_dominating_set then
+    # orders for node 1 and for node 5 alone: with 1 taken, no other node
+    # covering at most 4 fits node 5 in 0 slots
+    spec = DynamicGraphSpec(5, [[(1, 2), (1, 3), (1, 4)]])
+    assert min_dominating_set(spec, 1) == (1, 5)
+    assert [args[1] for args, _ in orders] == [1 << 4, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from collections import Counter
 from collections.abc import Callable
 from itertools import product
 
@@ -331,6 +332,24 @@ def test_builtin_decides():
     assert MAJORITY_HEARD.decide(spec, 2, view) == 1
     tie = View(observer=2, budget=1, heard={1: 2, 2: 0, 3: 0, 4: 2})
     assert MAJORITY_HEARD.decide(spec, 2, tie) == 0  # ties to the smaller value
+
+
+def test_majority_heard_matches_a_counter_reference():
+    # the most frequent value, ties going to the smallest: every value
+    # tuple over 0..3 of length 1..6, and over 0..9 (the digits a
+    # configuration holds) of length 1..3, where a set of values such as
+    # {8, 0} need not iterate in increasing order
+    spec = directed_cycle(6)
+    tuples = 0
+    for top, longest in ((4, 6), (10, 3)):
+        for values in (v for length in range(1, longest + 1)
+                       for v in product(range(top), repeat=length)):
+            counts = Counter(values)
+            expected = min(counts, key=lambda v: (-counts[v], v))
+            view = View(observer=1, budget=1, heard=dict(enumerate(values, start=1)))
+            assert MAJORITY_HEARD.decide(spec, 9, view) == expected, values
+            tuples += 1
+    assert tuples == 5460 + 1110
 
 
 def test_flood_dominator_below_budget_falls_back(c5):
