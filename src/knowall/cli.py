@@ -10,8 +10,8 @@ unreadable graph, cap exceeded, budget not below the bound).
 process.  Those calls share one parser, built on the first call and never
 at import; `build_parser()` returns a fresh one to any other caller.
 
-Importing this module loads only the graph and error modules of the
-package, which `bound` and `closure` need.  Each other command imports
+Importing this module loads only the graph, cover-search and error
+modules, which `bound` and `closure` need.  Each other command imports
 the protocol, the sweeps or the refuter when it runs, so a process pays
 only for what its command uses.  The triangulation is a library matter:
 for a vertex v, kuhn.inp(v, n) is its configuration, and an

@@ -14,8 +14,8 @@ of at least one member of any dominating set of H_r.  The smallest r
 whose closure admits a dominating set of size at most k is the exact
 number of rounds needed to solve k-set agreement on the sequence.
 
-The module is the package's bottom layer: it imports nothing from the
-package but its errors.  Every answer is derived from one Closure object
+Of the package, the module imports only its errors and the cover search
+below it (domination).  Every answer is derived from one Closure object
 per H_r.  Its reach masks are its cover masks: entry u is the bitmask of
 nodes u's token can occupy after rounds 1..r.  Its in-masks are its
 dominator masks: entry v is the bitmask of nodes v has heard from, the
@@ -28,19 +28,13 @@ and its closure_below_bound first checks with one k-slot cover decision
 that no k nodes dominate H_r, the package's one refutability test.
 Building a spec builds no n-bit mask, and every exact search tests its
 round (checked_round), then EXACT_SEARCH_CAP, before it grows any.
-Closures only grow, so the domination number never increases with r:
-each round whose closure changed starts from the round before
-(_domination_number), and its number is proven by the cheapest of three
-proofs: counting, the forced members (nodes that hear nobody else)
-covering everyone, or one failing cover decision (_cover) on the nodes
-they leave uncovered.  Only the round a caller asks for rebuilds its
-member list (min_dominating_set).
 """
 from __future__ import annotations
 
 import json
 from enum import Enum
 
+from .domination import domination_number, find_cover
 from .errors import (
     BudgetNotBelowBound, CapExceeded, GraphFormatError, LemmaFalsified, NeverDominated)
 
@@ -102,9 +96,9 @@ class _Memo:
         self.closures: list[Closure] = []  # H_0, H_1, ... until they are fixed (see _grow)
         self.quiet = 0  # trailing stored rounds that added nothing
         self.gammas = [n]  # domination number of H_0, H_1, ...
-        # r -> sorted members of the lex-smallest minimum dominating set of H_r
+        # stored round -> sorted members of the lex-smallest minimum dominating set
         self.dominating: dict[int, tuple[int, ...]] = {}
-        self.bounds: dict[int, int] = {}  # k -> min_rounds(spec, k)
+        self.bounds: dict[int, int] = {}  # min(k, n) -> min_rounds(spec, k)
 
 
 class DynamicGraphSpec:
@@ -298,157 +292,16 @@ def _search_round(spec: DynamicGraphSpec, r: int) -> int:
     return _grow(spec, r)
 
 
-def _greedy_members(covers: tuple[int, ...], full: int, limit: int) -> list[int]:
-    """Greedy cover of `full` in pick order, cut off after `limit` members.
-
-    Each pick takes the node that covers the most nodes still uncovered,
-    ties going to the smallest id.  Gains only shrink, so a scan stops at
-    the first node that gains as much as the pick before it.
-    """
-    n = len(covers)
-    members = []
-    uncovered = full
-    best = full.bit_count()
-    while uncovered and len(members) < limit:
-        gain, pick = 0, -1
-        for u in range(n):
-            g = (covers[u] & uncovered).bit_count()
-            if g > gain:  # strict: ties go to the smallest id
-                gain, pick = g, u
-                if g == best:
-                    break
-        members.append(pick + 1)
-        uncovered &= ~covers[pick]
-        best = gain
-    return members
-
-
-def _order(dom: tuple[int, ...], uncovered: int, avail: int) -> list[tuple[int, int, int]] | None:
-    """(dominator count, bit, dominators) of each node of `uncovered`, fewest first.
-
-    Dominators are taken within `avail` and ties go to the smaller id; the
-    order is None when some node has no dominator in avail.
-    """
-    order = []
-    m = uncovered
-    while m:
-        low = m & -m
-        m ^= low
-        dm = dom[low.bit_length() - 1] & avail
-        if not dm:
-            return None
-        order.append((dm.bit_count(), low, dm))
-    order.sort()
-    return order
-
-
-def _exists_cover(covers: tuple[int, ...], dom: tuple[int, ...],
-                  uncovered: int, avail: int, slots: int) -> bool:
-    """Whether at most `slots` nodes of `avail` cover every node of `uncovered`.
-
-    Counting comes first: no node covers more than the widest cover.
-    avail never changes inside the search, so the uncovered nodes are
-    sorted once (_order), and a node no available node dominates fails the
-    search here.  The failure memo lives as long as this call.
-    """
-    widest = max(map(int.bit_count, covers))
-    if uncovered.bit_count() > slots * widest:
-        return False
-    order = _order(dom, uncovered, avail)
-    if order is None:
-        return False
-    return _cover(covers, order, uncovered, slots, widest, {})
-
-
-def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
-           uncovered: int, slots: int, widest: int, failed: dict[int, int]) -> bool:
-    """Whether `slots` of the dominators listed in `order` cover `uncovered`.
-
-    Three tests fail a search before it branches: more nodes to cover than
-    slots * widest, where no node covers more than `widest`; a mask that
-    `failed` maps to at least `slots`; and more uncovered nodes with
-    pairwise disjoint dominators, taken greedily in order, than slots,
-    since no member dominates two of them.  Otherwise the search branches
-    on the dominators of the first uncovered node in order, the one with
-    the fewest, and a mask it fails on goes into `failed` with its slots.
-    Those entries hold only for these covers and the dominators the order
-    offers, so `failed` lives for one round's searches or one decision.
-    """
-    if uncovered == 0:
-        return True
-    if uncovered.bit_count() > slots * widest or failed.get(uncovered, -1) >= slots:
-        return False
-    # disjointly dominated nodes each need a slot, and a last slot needs no
-    # recursion
-    pick = taken = 0
-    packed = slots
-    for _, bit, dm in order:
-        if uncovered & bit:
-            if not pick:
-                pick = dm
-            if not dm & taken:
-                taken |= dm
-                packed -= 1
-                if packed < 0:
-                    return False
-    while pick:
-        low = pick & -pick
-        pick ^= low
-        rest = uncovered & ~covers[low.bit_length() - 1]
-        if not rest or slots > 1 and _cover(covers, order, rest, slots - 1, widest, failed):
-            return True
-    failed[uncovered] = slots
-    return False
-
-
-def _domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
-    """Domination number, at most `upper`, which must be attained.
-
-    The cheapest proof comes first.  Counting: more than (upper - 1) *
-    widest nodes need upper members.  Forced members: the set F of nodes
-    that hear nobody else lies in every dominating set (the first rule of
-    Alber, Fellows and Niedermeier, J. ACM 2004), and is the answer when it
-    covers everyone.  Otherwise the greedy cover of `rest`, the nodes F
-    leaves uncovered, cut off at upper - |F|, is the start, and the size
-    steps down while one fewer node still covers rest: a number g is then
-    proven by one failing root decision (_cover on rest, g - |F| - 1
-    slots).  The decisions share one fewest-dominators-first order and one
-    failure memo, dropped when the number is known.
-    """
-    n = len(covers)
-    widest = max(map(int.bit_count, covers))
-    if n > (upper - 1) * widest:
-        return upper
-    forced = taken = 0
-    for v, heard in enumerate(dom):
-        if heard == 1 << v:
-            forced += 1
-            taken |= covers[v]
-    full = (1 << n) - 1
-    rest = full & ~taken
-    if not rest:
-        return forced
-    g = len(_greedy_members(covers, rest, upper - forced))
-    order = _order(dom, rest, full)
-    failed: dict[int, int] = {}
-    while _cover(covers, order, rest, g - 1, widest, failed):
-        g -= 1
-    return forced + g
-
-
 def _gamma(spec: DynamicGraphSpec, r: int) -> int:
-    """Domination number of H_r, memoized on the spec round by round.
-
-    Closures only grow, so gamma never increases with r: a changed round
-    searches down from the round before, an unchanged one copies it.
-    """
+    """Domination number of H_r, memoized on the spec round by round: a changed
+    round searches down from the round before, an unchanged one copies it."""
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
     memo = spec._memo
     while (t := len(memo.gammas)) <= last:
         g = memo.gammas[-1]
         h = memo.closures[t]
         if h is not memo.closures[t - 1]:
-            g = _domination_number(h.reach, h.into, g)
+            g = domination_number(h.reach, h.into, g)
         memo.gammas.append(g)
     return memo.gammas[last]
 
@@ -469,41 +322,41 @@ def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """Sorted members of the lex-smallest minimum dominating set of H_r.
 
-    Domination is directional: a member covers itself and its
-    out-neighbours in H_r, so the reach masks of H_r are its cover masks.
     The size is _gamma(spec, r); each position of the sorted member list
     then takes the smallest node that still allows completion with larger
-    ids only, a cover decision that counts the widest cover once for all
-    of them and builds an _order for _cover only where counting leaves it
-    open.  The answer is memoized on the spec.
+    ids only.  The completion found for one position is kept: its smallest
+    member fits the next position, so only smaller nodes are decided there
+    (find_cover).  The answer is memoized on the spec by the stored round.
     Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
+    last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
     found = spec._memo.dominating
-    if checked_round(r) in found:
-        return found[r]
-    h = spec._memo.closures[_search_round(spec, r)]
+    if last in found:
+        return found[last]
+    h = spec._memo.closures[last]
     covers, dom = h.reach, h.into
-    size = _gamma(spec, r)
+    size = _gamma(spec, last)
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
-    floor = 0
+    completion: list[int] = []
+    u = -1  # the last member taken
     for remaining in range(size, 0, -1):
-        for u in range(floor, spec.n):
-            rest = uncovered & ~covers[u]
-            if rest.bit_count() > (remaining - 1) * widest:
-                continue
-            order = _order(dom, rest, full & ~((1 << (u + 1)) - 1))
-            if order is not None and _cover(covers, order, rest, remaining - 1, widest, {}):
-                members.append(u + 1)
-                uncovered &= ~covers[u]
-                floor = u + 1
+        for u in range(u + 1, completion[0] - 1 if completion else spec.n):
+            fit = find_cover(covers, dom, uncovered & ~covers[u], full & ~((1 << (u + 1)) - 1),
+                             remaining - 1, widest)
+            if fit is not None:
+                completion = fit
                 break
         else:
-            raise LemmaFalsified(
-                f"a dominating set of size {size} exists but none was rebuilt")
-    found[r] = tuple(members)
-    return found[r]
+            if not completion:
+                raise LemmaFalsified(
+                    f"a dominating set of size {size} exists but none was rebuilt")
+            u = completion.pop(0) - 1
+        members.append(u + 1)
+        uncovered &= ~covers[u]
+    found[last] = tuple(members)
+    return found[last]
 
 
 def checked_k(k: int) -> int:
@@ -538,7 +391,7 @@ class Instance:
         fixed for good (see _grow): NeverDominated if it needs more than k
         dominators.  So the search ends within about n^2 * m rounds.
         """
-        spec, k = self.spec, self.k
+        spec, k = self.spec, min(self.k, self.spec.n)  # every k >= n has bound 0
         bounds = spec._memo.bounds
         if k in bounds:
             return bounds[k]
@@ -567,7 +420,8 @@ class Instance:
         spec = self.spec
         h = spec._memo.closures[_search_round(spec, budget)]  # tests budget first
         full = (1 << spec.n) - 1
-        if _exists_cover(h.reach, h.into, full, full, self.k):
+        if find_cover(h.reach, h.into, full, full, self.k,
+                      max(map(int.bit_count, h.reach))) is not None:
             raise BudgetNotBelowBound(
                 f"budget {budget} is not below the tight bound {self.bound()}")
         return h

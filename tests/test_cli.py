@@ -27,7 +27,7 @@ from knowall import (
     run,
     save_graph_file,
 )
-from knowall import dyngraph, protocol
+from knowall import domination, dyngraph, protocol
 from knowall.cli import build_parser, main
 from knowall.oracle import vertices
 
@@ -168,9 +168,16 @@ def test_closure_dot(capsys, c5_file):
 def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
     # a cover decision claiming no two nodes dominate H_2 of the 5-cycle
     # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
-    # without a node
-    monkeypatch.setattr(dyngraph, "_exists_cover",
-                        lambda covers, dom, uncovered, avail, slots: False)
+    # without a node; the dominating set's rebuild still decides truly
+    find_cover = dyngraph.find_cover
+
+    def no_cover(covers, dom, uncovered, avail, slots, widest):
+        full = (1 << len(covers)) - 1
+        if (uncovered, avail, slots) == (full, full, 2):
+            return None
+        return find_cover(covers, dom, uncovered, avail, slots, widest)
+
+    monkeypatch.setattr(dyngraph, "find_cover", no_cover)
     # the Sperner walk meets that vertex under either algorithm
     for alg in ("flood_dominator", "max_heard"):
         code, out, err = run_cli(capsys, "refute", "--graph", c5_file, "--k", "2",
@@ -181,16 +188,20 @@ def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
 
 def test_refutability_is_decided_once_per_command(monkeypatch):
     # refute and a coloring decide refutability once, and decode witness
-    # corners and vertices with the closure that decision returned;
-    # flood_dominator's searches call _cover directly, so they do not show
-    decide = dyngraph._exists_cover
+    # corners and vertices with the closure that decision returned; a
+    # refutability decision offers k slots to cover all n nodes with all n
+    # (a dominating set's rebuild offers fewer nodes, and the domination
+    # numbers are proven without find_cover)
+    decide = dyngraph.find_cover
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return decide(*args)
+    def counting(covers, dom, uncovered, avail, slots, widest):
+        full = (1 << len(covers)) - 1
+        if (uncovered, avail, slots) == (full, full, 2):
+            calls.append(slots)
+        return decide(covers, dom, uncovered, avail, slots, widest)
 
-    monkeypatch.setattr(dyngraph, "_exists_cover", counting)
+    monkeypatch.setattr(dyngraph, "find_cover", counting)
     const_zero = AlgorithmSpec("const0", lambda spec, k, view: 0)
     for alg, kind in ((algorithm_by_name("min_heard"), WitnessKind.AGREEMENT_VIOLATION),
                       (const_zero, WitnessKind.VALIDITY_VIOLATION)):
@@ -208,14 +219,14 @@ def test_refutability_is_decided_once_per_command(monkeypatch):
 
 
 def test_failed_dominating_set_rebuild_is_an_internal_error(capsys, tmp_path, monkeypatch):
-    order = dyngraph._order
+    order = domination._order
 
     def rebuild_fails(dom, uncovered, avail):
         # the size decisions offer every node and answer truly, so the bound
         # is found; only the lex-min rebuild, which offers fewer, fails
         return order(dom, uncovered, avail) if avail == (1 << len(dom)) - 1 else None
 
-    monkeypatch.setattr(dyngraph, "_order", rebuild_fails)
+    monkeypatch.setattr(domination, "_order", rebuild_fails)
     spec = DynamicGraphSpec(n=6, rounds=(frozenset({(1, 2), (3, 4), (5, 6)}),
                                          frozenset({(2, 3), (6, 1)})),
                             extension=Extension.CYCLE)
@@ -444,7 +455,7 @@ def test_import_builds_no_parser_and_the_script_entry_runs(c5_file):
 
 
 def test_each_command_imports_only_what_it_runs(c5_file):
-    # a cold process: importing the CLI loads four package modules and none
+    # a cold process: importing the CLI loads five package modules and none
     # of the heavier standard modules; bound loads nothing more, and check
     # and refute load their own modules when they run
     root = Path(__file__).resolve().parent.parent
@@ -475,7 +486,7 @@ def test_each_command_imports_only_what_it_runs(c5_file):
         cwd=Path(c5_file).parent, env=env, capture_output=True, text=True, timeout=60)
     assert ran.returncode == 0, ran.stderr
     assert ran.stdout == "".join(readme[readme.index(f"$ {c}") + 1] + "\n" for c in commands)
-    cli = ["knowall", "knowall.cli", "knowall.dyngraph", "knowall.errors"]
+    cli = ["knowall", "knowall.cli", "knowall.domination", "knowall.dyngraph", "knowall.errors"]
     before, imported, bound, check, refuted = json.loads(ran.stderr)
     assert before == [] and imported == cli and bound == [0, cli]
     assert check[0] == 1 and "random" not in check[1]

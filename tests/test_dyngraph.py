@@ -39,10 +39,10 @@ from knowall import (
     staggered_relay,
     to_dot,
 )
-from knowall import dyngraph
+from knowall import domination, dyngraph
 from knowall.cli import main
-from knowall.dyngraph import (
-    _domination_number, _exists_cover, _gamma, _greedy_members, closure_at)
+from knowall.domination import _greedy_members, domination_number, find_cover
+from knowall.dyngraph import _gamma, closure_at
 from knowall.oracle import brute_domination, reach_sets
 
 from conftest import random_spec
@@ -245,6 +245,7 @@ def test_exists_cover_matches_subset_enumeration():
         r = rng.randint(0, 3)
         h = closure_at(spec, r)
         covers, dom = h.reach, h.into
+        widest = max(c.bit_count() for c in covers)
         for _ in range(8):
             avail = rng.getrandbits(n)
             offered = [x for x in range(n) if avail >> x & 1]
@@ -253,8 +254,14 @@ def test_exists_cover_matches_subset_enumeration():
                 expected = any(
                     not uncovered & ~_union(covers, combo)
                     for size in range(slots + 1) for combo in combinations(offered, size))
-                assert _exists_cover(covers, dom, uncovered, avail, slots) == expected, (
-                    spec, r, avail, uncovered, slots)
+                found = find_cover(covers, dom, uncovered, avail, slots, widest)
+                assert (found is not None) == expected, (spec, r, avail, uncovered, slots)
+                # the members found are sorted nodes of avail, at most slots of
+                # them, and they cover
+                if found is not None:
+                    assert found == sorted(set(found)) and len(found) <= slots
+                    assert all(avail >> (v - 1) & 1 for v in found)
+                    assert not uncovered & ~_union(covers, [v - 1 for v in found])
                 answers.add(expected)
     assert answers == {True, False}
 
@@ -310,17 +317,36 @@ def test_greedy_members_match_a_full_scan_greedy():
     assert stopped >= 50
 
 
+class _CountedReads(tuple):
+    # a covers tuple that counts its reads
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_each_greedy_scan_stops_at_the_previous_picks_gain():
+    # nodes 1, 2 and 3 each cover two nodes and 4..6 only themselves: the
+    # first scan reads all 6 covers, and the next two stop at node 2 and at
+    # node 3, which gain as much as the pick before; each pick reads its
+    # cover once more
+    covers = _CountedReads((0b11, 0b1100, 0b110000, 0b1000, 0b10000, 0b100000))
+    assert _greedy_members(covers, 0b111111, 6) == [1, 2, 3]
+    assert covers.reads == 6 + 2 + 3 + 3
+
+
 def _counting(monkeypatch, name, calls):
-    # record the arguments and the result of every call of a dyngraph
+    # record the arguments and the result of every call of a domination
     # function, recursive calls included
-    real = getattr(dyngraph, name)
+    real = getattr(domination, name)
 
     def counted(*args):
         result = real(*args)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(dyngraph, name, counted)
+    monkeypatch.setattr(domination, name, counted)
 
 
 def _forced(covers, dom):
@@ -351,7 +377,7 @@ def test_cycles_are_settled_without_branching(monkeypatch):
                 settled += 1
             else:
                 [(args, found)] = calls["_cover"]
-                assert (args[2], args[3], found) == ((1 << n) - 1, g - 1, False), (n, t)
+                assert (args[2], args[3], found) == ((1 << n) - 1, g - 1, None), (n, t)
                 dropped += 1
     assert (settled, dropped) == (300, 190)
 
@@ -386,7 +412,7 @@ def test_lower_bounds_and_every_start_match_brute_force(monkeypatch):
         for upper in range(gamma, n + 1):
             greedy.clear()
             searched.clear()
-            assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
+            assert domination_number(covers, dom, upper) == gamma, (spec, upper)
             # where the greedy ran, its start (the forced members and the
             # greedy cover of the rest, cut off at upper) lay above gamma
             # somewhere, so successful decisions stepped the size down
@@ -414,13 +440,14 @@ def test_every_domination_number_is_proven_by_exactly_one_form(monkeypatch):
     # no decision made); the forced members F, the nodes that hear nobody
     # else, covering every node with g = |F| (no decision made); or, as the
     # last decision made, a root call on rest, the nodes F leaves uncovered,
-    # with g - |F| - 1 slots that fails
+    # with g - |F| - 1 slots that fails.  The root calls before it succeed,
+    # and each starts from the size of the cover the one before found
     searched = []
     _counting(monkeypatch, "_cover", searched)
     rng = random.Random(2718)
     rules = set()
     forms = {"counting": 0, "forced": 0, "search": 0}
-    searched_after_forced = 0
+    searched_after_forced = descents = 0
     for _ in range(150):
         spec = random_spec(rng, max_n=12)
         n = spec.n
@@ -429,11 +456,11 @@ def test_every_domination_number_is_proven_by_exactly_one_form(monkeypatch):
         covers, dom = h.reach, h.into
         widest = max(c.bit_count() for c in covers)
         forced, taken = _forced(covers, dom)
-        gamma = _domination_number(covers, dom, n)
+        gamma = domination_number(covers, dom, n)
         counted = n > (gamma - 1) * widest
         for upper in range(gamma, n + 1):
             searched.clear()
-            assert _domination_number(covers, dom, upper) == gamma, (spec, upper)
+            assert domination_number(covers, dom, upper) == gamma, (spec, upper)
             if not searched and upper == gamma and counted:
                 forms["counting"] += 1
             elif not searched and taken == full:
@@ -443,12 +470,20 @@ def test_every_domination_number_is_proven_by_exactly_one_form(monkeypatch):
                 args, found = searched[-1]
                 assert not (upper == gamma and counted) and taken != full, (spec, upper)
                 assert (args[2], args[3], found) == (
-                    full & ~taken, gamma - len(forced) - 1, False), (spec, upper)
+                    full & ~taken, gamma - len(forced) - 1, None), (spec, upper)
+                # a recursive call covers fewer nodes than the root
+                roots = [(args[3], found) for args, found in searched
+                         if args[2] == full & ~taken]
+                sizes = [len(found) for _, found in roots[:-1]]
+                assert None not in [found for _, found in roots[:-1]], (spec, upper)
+                assert sizes == sorted(set(sizes), reverse=True), (spec, upper)
+                assert [slots for slots, _ in roots[1:]] == [g - 1 for g in sizes], (spec, upper)
+                descents += len(sizes)
                 forms["search"] += 1
                 searched_after_forced += bool(forced)
         rules.add(spec.extension)
     assert len(rules) == 2
-    assert all(forms.values()) and searched_after_forced, forms
+    assert all(forms.values()) and searched_after_forced and descents, forms
     assert sum(forms.values()) >= 600
 
 
@@ -477,10 +512,21 @@ def test_domination_number_matches_brute_force_on_forced_heavy_specs():
             forced_all += taken == (1 << n) - 1
             forced_some += 0 < len(forced) < gamma
             for upper in range(gamma, n + 1):
-                assert _domination_number(covers, dom, upper) == gamma, (spec, r, upper)
+                assert domination_number(covers, dom, upper) == gamma, (spec, r, upper)
             assert _gamma(spec, r) == gamma
             assert len(min_dominating_set(spec, r)) == gamma
     assert forced_all >= 20 and forced_some >= 20
+
+
+def test_the_search_orders_only_the_nodes_the_forced_members_leave(monkeypatch):
+    # node 1 hears nobody, so it is forced; the cycle 2 -> 3 -> 4 -> 5 -> 2
+    # it leaves needs two more, and the failing one-slot decision on it
+    # sorts those four nodes only
+    orders = []
+    _counting(monkeypatch, "_order", orders)
+    h = closure_at(DynamicGraphSpec(5, [[(2, 3), (3, 4), (4, 5), (5, 2)]]), 1)
+    assert domination_number(h.reach, h.into, 5) == 3
+    assert [(args[1], args[2]) for args, _ in orders] == [(0b11110, 0b11111)]
 
 
 def test_counting_rules_out_a_decision_before_any_order(monkeypatch, c5):
@@ -491,11 +537,12 @@ def test_counting_rules_out_a_decision_before_any_order(monkeypatch, c5):
     assert orders == []
     # node 1 covers 1..4 in round 1 and nobody but 1 hears node 1 or 5, so
     # F = {1, 5} settles gamma without an order; min_dominating_set then
-    # orders for node 1 and for node 5 alone: with 1 taken, no other node
-    # covering at most 4 fits node 5 in 0 slots
+    # orders for node 1 alone, whose decision finds the completion {5}: with 1
+    # taken, no node below 5, covering only itself, fits node 5 in 0 slots,
+    # and 5 is taken without a decision
     spec = DynamicGraphSpec(5, [[(1, 2), (1, 3), (1, 4)]])
     assert min_dominating_set(spec, 1) == (1, 5)
-    assert [args[1] for args, _ in orders] == [1 << 4, 0]
+    assert [args[1] for args, _ in orders] == [1 << 4]
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +732,23 @@ def test_memo_is_not_part_of_the_spec(relay):
         assert made._memo is not relay._memo and made._memo.closures == []
         assert min_rounds(made, 1) == 5
     assert weakref.ref(relay)() is relay
+
+
+def test_dominating_sets_are_kept_once_per_stored_round():
+    # H_r of the 8-cycle is fixed from round 7 on and the memo stores
+    # rounds 0..8, so however many rounds are asked for, at most 8 sets are
+    # kept, each asked for with a round it answers
+    spec = directed_cycle(8)
+    answers = [min_dominating_set(spec, r) for r in range(1, 300)]
+    assert sorted(spec._memo.dominating) == list(range(1, 9))
+    assert answers == [min_dominating_set(directed_cycle(8), min(r, 8)) for r in range(1, 300)]
+
+
+def test_bounds_are_kept_once_per_k_below_n():
+    # every k >= n has bound 0, so the spec keeps one bound per k up to n
+    spec = directed_cycle(8)
+    assert [min_rounds(spec, k) for k in range(1, 300)] == [7, 3, 2, 1, 1, 1, 1] + [0] * 292
+    assert sorted(spec._memo.bounds) == list(range(1, 9))
 
 
 def test_closures_stop_growing_once_they_are_fixed():

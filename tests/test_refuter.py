@@ -520,15 +520,19 @@ def test_sample_check_refuses_samples_that_are_not_an_int():
 
 def test_an_instance_is_the_query_and_a_coloring_decides_once(monkeypatch):
     # the instance keeps its spec and k and nothing else; a coloring built
-    # on it makes one k-slot decision and colors as a fresh coloring does
+    # on it makes one k-slot decision and colors as a fresh coloring does.
+    # A refutability decision offers all n nodes to cover all n in k slots;
+    # the dominating set's rebuild decides through find_cover too
     decisions = []
-    exists_cover = dyngraph._exists_cover
+    find_cover = dyngraph.find_cover
 
-    def counting(*args):
-        decisions.append(args)
-        return exists_cover(*args)
+    def counting(covers, dom, uncovered, avail, slots, widest):
+        full = (1 << len(covers)) - 1
+        if (uncovered, avail, slots) == (full, full, 2):
+            decisions.append(slots)
+        return find_cover(covers, dom, uncovered, avail, slots, widest)
 
-    monkeypatch.setattr(dyngraph, "_exists_cover", counting)
+    monkeypatch.setattr(dyngraph, "find_cover", counting)
     query = Instance(directed_cycle(5), 2)
     assert Instance.__slots__ == ("spec", "k")
     assert (query.spec, query.k) == (directed_cycle(5), 2)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import knowall
-from knowall import dyngraph
+from knowall import domination, dyngraph
 
 from conftest import random_spec
 
@@ -97,10 +97,11 @@ def test_package_neither_imports_nor_exports_the_oracle():
     assert sorted(defined & set(dir(knowall))) == []
 
 
-def test_the_modules_form_layers_with_dyngraph_at_the_bottom():
+def test_the_modules_form_layers_with_domination_at_the_bottom():
     # every relative import, at module level or inside a function, is an
-    # edge; the package's modules import one another without a cycle, and
-    # dyngraph leans on nothing of the package but its errors
+    # edge; the package's modules import one another without a cycle, the
+    # cover search leans on nothing of the package, and dyngraph on nothing
+    # but the search and the errors
     graph = {}
     for path in sorted(PACKAGE.glob("*.py")):
         edges = set()
@@ -108,7 +109,8 @@ def test_the_modules_form_layers_with_dyngraph_at_the_bottom():
             if isinstance(node, ast.ImportFrom) and node.level:
                 edges |= {node.module} if node.module else {a.name for a in node.names}
         graph[path.stem] = edges
-    assert graph["dyngraph"] == {"errors"}
+    assert graph["domination"] == set()
+    assert graph["dyngraph"] == {"domination", "errors"}
     done, path = set(), []
 
     def visit(module):
@@ -211,10 +213,11 @@ def test_searches_keep_no_module_state():
     # spec; a module-level container that grows would be a cache shared by
     # every caller in the process
     def containers():
-        return {name: len(value) for name, value in vars(dyngraph).items()
+        return {(module.__name__, name): len(value)
+                for module in (domination, dyngraph) for name, value in vars(module).items()
                 if isinstance(value, (dict, list, set))}
 
-    names = set(vars(dyngraph))
+    names = set(vars(dyngraph)), set(vars(domination))
     before = containers()
     assert before
     rng = random.Random(4669)
@@ -223,7 +226,7 @@ def test_searches_keep_no_module_state():
         r = rng.randint(0, 4)
         dyngraph._gamma(spec, r)
         dyngraph.min_dominating_set(spec, r)
-    assert set(vars(dyngraph)) == names
+    assert (set(vars(dyngraph)), set(vars(domination))) == names
     assert containers() == before
 
 
