@@ -1,58 +1,57 @@
 """The exhaustive and sampled configuration sweeps behind `check`.
 
-Both find the failing configurations, in sweep order: those where some
-output is a value no node holds, or where more than k distinct values are
-output.  Each reads outputs through the one ViewTable it builds, so
-`decide` runs once per distinct read view (one sender's digit per node
-for flooding), and reports configurations only; `run`, which decides
-full views, gives the outcome of any of them, and `check` re-simulates
-the first failure through it.  The sampled sweep reads all n outputs of
-each configuration.  The exhaustive sweep goes through the (k+1)^n
-configurations in `product` order, bit-parallel over blocks of up to
-BLOCK_BITS configurations (n <= 7 at k=2 make one block), so that
-validity and k-agreement take a few int operations per block
-(_depth_first).
+Both count the failing configurations and keep the first in sweep
+order: those where some output is a value no node holds, or where more
+than k distinct values are output.  Each reads outputs through the one
+ViewTable it builds, so `decide` runs once per distinct read view (one
+sender's digit per node for flooding), and reports configurations only;
+`run`, which decides full views, gives the outcome of any of them, and
+`check` re-simulates the first failure through it.  The sampled sweep
+reads all n outputs of each configuration.  The exhaustive sweep goes
+through the (k+1)^n configurations in `product` order, bit-parallel over
+blocks of up to BLOCK_BITS configurations (n <= 7 at k=2 make one
+block), so that validity and k-agreement take a few int operations per
+block (_depth_first).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, product
+from itertools import islice, product
 from operator import and_, or_
 
 from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec, Instance, checked_round
 from .errors import CapExceeded
 from .protocol import AlgorithmSpec, InputConfig, ViewTable
 
-Failures = tuple[InputConfig, ...]
-
 # configurations settled at once by the exhaustive sweep: one bit each in
 # an int per output value, so this bounds the width of those ints
 BLOCK_BITS = 4096
-# bytes.translate table from the digits of bin() to false and true bytes
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
 class ExhaustiveReport:
     total_configs: int
-    failures: Failures
+    failure_count: int
+    first_failure: InputConfig | None
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.failure_count == 0
 
 
-def _sweep(table: ViewTable, configs: Iterable[InputConfig]) -> Failures:
-    """The configurations whose outputs are not valid and k-agreeing, in order."""
+def _sweep(table: ViewTable, configs: Iterable[InputConfig]) -> tuple[int, InputConfig | None]:
+    """How many configurations have outputs not valid and k-agreeing, and the first."""
     k = table.k
-    failures = []
+    count, first = 0, None
     for cfg in configs:
         decided = set(table.outputs(cfg))
         if len(decided) > k or not decided.issubset(cfg):
-            failures.append(cfg)
-    return tuple(failures)
+            count += 1
+            if first is None:
+                first = cfg
+    return count, first
 
 
 def _digit_masks(base: int, width: int) -> list[list[int]]:
@@ -72,8 +71,8 @@ def _digit_masks(base: int, width: int) -> list[list[int]]:
     return masks
 
 
-def _depth_first(table: ViewTable, n: int) -> Failures:
-    """All (k+1)^n configurations in `product` order; the failing ones in order.
+def _depth_first(table: ViewTable, n: int) -> tuple[int, InputConfig | None]:
+    """All (k+1)^n configurations in `product` order: how many fail, and the first.
 
     The last `width` digits form a block of base^width configurations,
     base = k+1, with width the most digits whose block fits in BLOCK_BITS
@@ -109,7 +108,7 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
               [j - 1 for j in reads if j > top])
              for node, reads in enumerate(table.reads, start=1)]
     block = [range(base)] * width
-    failures = []
+    count, first = 0, None
     try:
         for prefix in product(range(base), repeat=top):
             digits = [(value,) for value in prefix] + [(0,)] * width
@@ -126,28 +125,28 @@ def _depth_first(table: ViewTable, n: int) -> Failures:
             for value in range(base):
                 if value not in prefix:
                     failing |= outs[value] & unheld[value]
-            if failing:
-                # bit i of failing selects the block's i-th configuration
-                selectors = bin(failing)[:1:-1].encode().translate(_BIT_BYTES)
-                failures.extend(compress(product(*digits[:top], *block), selectors))
+            count += failing.bit_count()
+            if failing and first is None:
+                # the first failure is the block configuration at the lowest set bit
+                i = (failing & -failing).bit_length() - 1
+                first = prefix + next(islice(product(*block), i, None))
     except Exception:
         for config in product(*digits[:top], *block):
             table.outputs(config)
         raise
-    return tuple(failures)
+    return count, first
 
 
 def exhaustive_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec,
                      budget: int) -> ExhaustiveReport:
-    """Run every input configuration and list those failing validity or agreement."""
+    """Run every input configuration; count those failing validity or agreement."""
     instance = Instance(spec, k)
     checked_round(budget)
     total = (k + 1) ** spec.n
     if total > EXHAUSTIVE_CONFIG_CAP:
         raise CapExceeded(f"exhaustive check needs {total} configurations, "
                           f"cap is {EXHAUSTIVE_CONFIG_CAP}")
-    failures = _depth_first(ViewTable(instance, alg, budget), spec.n)
-    return ExhaustiveReport(total_configs=total, failures=failures)
+    return ExhaustiveReport(total, *_depth_first(ViewTable(instance, alg, budget), spec.n))
 
 
 def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int,
@@ -163,5 +162,4 @@ def sample_check(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int
     rng = random.Random(seed)
     configs = (tuple(rng.randrange(k + 1) for _ in range(spec.n))
                for _ in range(samples))
-    failures = _sweep(ViewTable(instance, alg, budget), configs)
-    return ExhaustiveReport(total_configs=samples, failures=failures)
+    return ExhaustiveReport(samples, *_sweep(ViewTable(instance, alg, budget), configs))

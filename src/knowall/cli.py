@@ -131,9 +131,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = sample_check(spec, args.k, alg, args.budget, seed=args.seed)
         mode = "sampled"
     first = None
-    if report.failures:
-        # the sweeps list configurations; `run` alone scores the one printed
-        cfg = report.failures[0]
+    if report.first_failure is not None:
+        # the sweeps count configurations and keep the first; `run` alone scores it
+        cfg = report.first_failure
         outcome = run(spec, args.k, alg, cfg, args.budget)
         if outcome.valid and outcome.agreeing:
             raise LemmaFalsified(
@@ -144,7 +144,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                  "valid": outcome.valid,
                  "agreeing": outcome.agreeing}
     _emit({"mode": mode, "configs_checked": report.total_configs,
-           "failure_count": len(report.failures),
+           "failure_count": report.failure_count,
            "first_failure": first, "passed": report.passed}, args.pretty)
     return 0 if report.passed else 1
 

@@ -62,14 +62,15 @@ class Closure:
     """H_r as its reach masks, its in-masks and, built on first use, its senders.
 
     senders[v] lists the nodes of into[v] 1-based and increasing, so a
-    search that reads masks only builds none.  A closure never refers to
-    its spec.
+    search that reads masks only builds none.  `dominating` is None until
+    min_dominating_set rebuilds the closure's set, which every round
+    sharing the closure then reads.  A closure never refers to its spec.
     """
 
-    __slots__ = ("reach", "into", "_senders")
+    __slots__ = ("reach", "into", "_senders", "dominating")
 
     def __init__(self, reach: tuple[int, ...], into: tuple[int, ...]) -> None:
-        self.reach, self.into, self._senders = reach, into, None
+        self.reach, self.into, self._senders, self.dominating = reach, into, None, None
 
     @property
     def senders(self) -> tuple[tuple[int, ...], ...]:
@@ -89,15 +90,13 @@ class Closure:
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("graphs", "closures", "quiet", "gammas", "dominating", "bounds")
+    __slots__ = ("graphs", "closures", "quiet", "gammas", "bounds")
 
     def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
         self.closures: list[Closure] = []  # H_0, H_1, ... until they are fixed (see _grow)
         self.quiet = 0  # trailing stored rounds that added nothing
         self.gammas = [n]  # domination number of H_0, H_1, ...
-        # stored round -> sorted members of the lex-smallest minimum dominating set
-        self.dominating: dict[int, tuple[int, ...]] = {}
         self.bounds: dict[int, int] = {}  # min(k, n) -> min_rounds(spec, k)
 
 
@@ -326,14 +325,13 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     then takes the smallest node that still allows completion with larger
     ids only.  The completion found for one position is kept: its smallest
     member fits the next position, so only smaller nodes are decided there
-    (find_cover).  The answer is memoized on the spec by the stored round.
-    Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    (find_cover).  The answer is kept on the closure, so rounds that share
+    a closure share it.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
-    found = spec._memo.dominating
-    if last in found:
-        return found[last]
     h = spec._memo.closures[last]
+    if h.dominating is not None:
+        return h.dominating
     covers, dom = h.reach, h.into
     size = _gamma(spec, last)
     widest = max(map(int.bit_count, covers))
@@ -355,8 +353,8 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
             u = completion.pop(0) - 1
         members.append(u + 1)
         uncovered &= ~covers[u]
-    found[last] = tuple(members)
-    return found[last]
+    h.dominating = tuple(members)
+    return h.dominating
 
 
 def checked_k(k: int) -> int:

@@ -225,13 +225,16 @@ class _Flooding(AlgorithmSpec):
 
     r: int | None
 
+    def _members(self, instance: Instance) -> tuple[int, ...]:
+        r = self.r
+        return instance.dominating_set() if r is None else min_dominating_set(instance.spec, r)
+
     def bind(self, instance: Instance, budget: int) -> Callable[[View], int]:
-        return self._bind_reads(instance, budget)[0]
+        return partial(_first_heard, self._members(instance))
 
     def _bind_reads(self, instance: Instance, budget: int) -> tuple[Callable[[View], int],
                                                                     Sequence[tuple[int, ...]]]:
-        r = self.r
-        members = instance.dominating_set() if r is None else min_dominating_set(instance.spec, r)
+        members = self._members(instance)
         # a node reads its first heard member, or its own input if it hears none
         reads = []
         for node, heard in enumerate(closure_at(instance.spec, budget).into, start=1):

@@ -63,7 +63,8 @@ def test_criterion_2_flooding_solves_at_the_bound():
     for name, spec, k in standard_family():
         r = min_rounds(spec, k)
         report = exhaustive_check(spec, k, flood_dominator(r), r)
-        assert report.failures == (), f"{name} k={k} failed at budget {r}"
+        assert (report.failure_count, report.first_failure) == (0, None), \
+            f"{name} k={k} failed at budget {r}"
         configs += report.total_configs
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

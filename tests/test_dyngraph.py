@@ -734,13 +734,15 @@ def test_memo_is_not_part_of_the_spec(relay):
     assert weakref.ref(relay)() is relay
 
 
-def test_dominating_sets_are_kept_once_per_stored_round():
-    # H_r of the 8-cycle is fixed from round 7 on and the memo stores
-    # rounds 0..8, so however many rounds are asked for, at most 8 sets are
-    # kept, each asked for with a round it answers
+def test_dominating_sets_are_kept_once_per_closure():
+    # H_r of the 8-cycle is fixed from round 7 on: the memo stores rounds
+    # 0..8, and round 8 shares round 7's closure, so however many rounds
+    # are asked for, 7 sets are rebuilt, one per closure of H_1..H_7
     spec = directed_cycle(8)
     answers = [min_dominating_set(spec, r) for r in range(1, 300)]
-    assert sorted(spec._memo.dominating) == list(range(1, 9))
+    assert len(set(map(id, answers))) == 7
+    assert min_dominating_set(spec, 7) is min_dominating_set(spec, 8)
+    assert [h.dominating is not None for h in spec._memo.closures] == [False] + [True] * 8
     assert answers == [min_dominating_set(directed_cycle(8), min(r, 8)) for r in range(1, 300)]
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -49,21 +50,35 @@ def test_exhaustive_check_counts(c5):
     report = exhaustive_check(c5, 2, flood_dominator(2), 2)
     assert report.total_configs == 243 and report.passed
 
-    # failures are configurations in sweep order, the ones run scores as failing
+    # the sweep counts the configurations run scores as failing, and keeps the first
     configs = list(product(range(3), repeat=5))
     report = exhaustive_check(c5, 2, MIN_HEARD, 1)
-    assert report.total_configs == 243 and len(report.failures) == 45
-    assert report.failures == _naive_sweep(c5, 2, MIN_HEARD, 1, configs)
-    assert report.failures[0] == (0, 0, 1, 2, 2)
+    assert report == _report(243, _naive_sweep(c5, 2, MIN_HEARD, 1, configs))
+    assert (report.failure_count, report.first_failure) == (45, (0, 0, 1, 2, 2))
 
     # min_heard converges too slowly: at the tight budget it still breaks
     report = exhaustive_check(c5, 2, MIN_HEARD, 2)
     assert not report.passed
-    assert report.failures == _naive_sweep(c5, 2, MIN_HEARD, 2, configs)
+    assert report == _report(243, _naive_sweep(c5, 2, MIN_HEARD, 2, configs))
 
     # consensus on K4 in one round
     report = exhaustive_check(complete_graph(4), 1, flood_dominator(1), 1)
     assert report.total_configs == 16 and report.passed
+
+
+def test_exhaustive_sweep_keeps_no_failure_list():
+    # 3^12 configurations, 342,272 of them failing: the sweep holds a count
+    # and the first failure, never a list of the failing configurations
+    spec = directed_cycle(12)
+    min_rounds(spec, 2)  # the closures and the bound, grown before tracing
+    tracemalloc.start()
+    try:
+        report = exhaustive_check(spec, 2, MIN_HEARD, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.failure_count, report.first_failure) == (342272, (0,) * 9 + (1, 2, 2))
+    assert peak < 1 << 20, peak
 
 
 def test_exhaustive_check_cap(c5, monkeypatch):
@@ -92,7 +107,7 @@ def test_sweeps_refuse_k_below_1_and_negative_samples(c5):
             call()
     with pytest.raises(ValueError, match="^samples must be >= 0, got -3$"):
         sample_check(c5, 2, MIN_HEARD, 1, samples=-3)
-    assert sample_check(c5, 2, MIN_HEARD, 1, samples=0) == ExhaustiveReport(0, ())
+    assert sample_check(c5, 2, MIN_HEARD, 1, samples=0) == ExhaustiveReport(0, 0, None)
 
 
 # run's reports on each configuration, up to the error it raises, keyed by
@@ -119,7 +134,7 @@ def _naive_sweep(spec, k, alg, budget, configs, cached=False):
 
     Each configuration's outputs are also read through one ViewTable,
     which must give `run`'s outputs, so the sweeps' outputs stay covered
-    although their reports list only configurations.  With `cached`, run's
+    although their reports name only configurations.  With `cached`, run's
     reports are computed once per spec, k, algorithm name, budget and
     configurations; they depend on neither VIEW_MEMO_CAP nor BLOCK_BITS.
     """
@@ -140,6 +155,12 @@ def _naive_sweep(spec, k, alg, budget, configs, cached=False):
     if error is not None:
         raise error
     return tuple(failures)
+
+
+def _report(total, failures):
+    """The report of a sweep of `total` configurations whose failing ones,
+    in sweep order, are `failures`: their count and the first."""
+    return ExhaustiveReport(total, len(failures), failures[0] if failures else None)
 
 
 def _outcome(fn):
@@ -185,7 +206,7 @@ def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
                 flood_dominator(rng.randint(1, 3)), SUM_HEARD, FLIP_OWN]
         for alg in algs:
             total = (k + 1) ** spec.n
-            expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+            expected = _outcome(lambda: _report(total, _naive_sweep(
                 spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
@@ -193,7 +214,7 @@ def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
             sampler = random.Random(seed)
             configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
                        for _ in range(60)]
-            expected = _outcome(lambda: ExhaustiveReport(60, _naive_sweep(
+            expected = _outcome(lambda: _report(60, _naive_sweep(
                 spec, k, alg, budget, configs, cached=True)))
             assert _outcome(lambda: sample_check(
                 spec, k, alg, budget, samples=60, seed=seed)) == expected
@@ -233,7 +254,7 @@ def test_depth_first_sweep_equals_naive_run_loop_out_of_node_order(memo_cap, blo
     for spec, k, budget in _backward_cases(random.Random(20261018)):
         for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, SUM_HEARD, FLIP_OWN):
             total = (k + 1) ** spec.n
-            expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+            expected = _outcome(lambda: _report(total, _naive_sweep(
                 spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
             assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
@@ -255,7 +276,7 @@ def test_flooding_sweeps_on_read_views_equal_naive_run_loop(memo_cap, block_bits
     # a flooding table decides once per value of the one sender a node
     # reads, where `run` decides every full view; at every budget up to the
     # bound, the failing ones below it included, and with the dominators of
-    # a round below, at and above the budget, the sweeps list what `run` does
+    # a round below, at and above the budget, the sweeps report what `run` scores
     monkeypatch.setattr(protocol, "VIEW_MEMO_CAP", memo_cap)
     monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     failing = 0
@@ -264,19 +285,18 @@ def test_flooding_sweeps_on_read_views_equal_naive_run_loop(memo_cap, block_bits
             rounds = sorted({max(budget - 1, 0), budget, budget + 1})
             for alg in (flood_dominator(), *map(flood_dominator, rounds)):
                 total = (k + 1) ** spec.n
-                expected = _outcome(lambda: ExhaustiveReport(total, _naive_sweep(
+                expected = _outcome(lambda: _report(total, _naive_sweep(
                     spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
                 report = _outcome(lambda: exhaustive_check(spec, k, alg, budget))
                 assert report == expected, (spec, k, alg.name, budget)
                 if isinstance(report, ExhaustiveReport):
-                    assert report.failures[:1] == expected.failures[:1]
                     failing += not report.passed
 
                 seed = budget * 101 + k
                 sampler = random.Random(seed)
                 configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
                            for _ in range(40)]
-                expected = _outcome(lambda: ExhaustiveReport(40, _naive_sweep(
+                expected = _outcome(lambda: _report(40, _naive_sweep(
                     spec, k, alg, budget, configs, cached=True)))
                 assert _outcome(lambda: sample_check(
                     spec, k, alg, budget, samples=40, seed=seed)) == expected
@@ -399,7 +419,7 @@ def test_nodes_whose_views_never_repeat_keep_no_memo(block_bits, memo_free, monk
     # decided without reading its memo; the others still decide each view once
     monkeypatch.setattr(check, "BLOCK_BITS", block_bits)
     for alg in (flood_dominator(), MIN_HEARD, MAJORITY_HEARD, FLIP_OWN):
-        assert exhaustive_check(_RELAY_SPEC, 2, alg, 1) == ExhaustiveReport(3 ** 5, _naive_sweep(
+        assert exhaustive_check(_RELAY_SPEC, 2, alg, 1) == _report(3 ** 5, _naive_sweep(
             _RELAY_SPEC, 2, alg, 1, product(range(3), repeat=5)))
     decided = []
     table = ViewTable(Instance(_RELAY_SPEC, 2), counting_min(decided), 1)
@@ -461,7 +481,7 @@ def test_exhaustive_check_equals_naive_run_loop_on_check_benchmark_shapes():
         r = min_rounds(spec, 2)
         for alg, budget in ((flood_dominator(), r), ((MIN_HEARD, MAJORITY_HEARD)[i % 2], r - 1)):
             report = exhaustive_check(spec, 2, alg, budget)
-            assert report == ExhaustiveReport(3 ** n, _naive_sweep(
+            assert report == _report(3 ** n, _naive_sweep(
                 spec, 2, alg, budget, product(range(3), repeat=n)))
             assert report.passed == (budget == r)
 

@@ -383,6 +383,18 @@ def test_bound_function_equals_decide_on_every_view():
                         assert bound(view) == alg.decide(spec, k, view), (name, alg.name, view)
 
 
+def test_flooding_binds_without_reading_a_closure(c5, monkeypatch):
+    # bind needs only the dominating set; the reads per node are for tables
+    def no_closure(spec, r):
+        raise AssertionError("closure_at called")
+
+    monkeypatch.setattr(protocol, "closure_at", no_closure)
+    view = View(3, 1, {2: 1, 3: 2})  # node 3 hears node 2 and itself at budget 1
+    for alg, out in ((flood_dominator(), 2), (flood_dominator(1), 1)):
+        # D = {1, 3} at the bound 2, and D = {1, 2, 4} at round 1
+        assert alg.bind(Instance(c5, 2), 1)(view) == out
+
+
 def test_flooding_with_no_bound_raises_when_bound():
     # flooding reads the dominating set of H_r when it is bound, not at a view,
     # so a table that would decide nothing still raises
