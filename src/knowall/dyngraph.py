@@ -120,7 +120,10 @@ class DynamicGraphSpec:
     extension: Extension
 
     def __init__(self, n: int, rounds, extension: Extension = Extension.REPEAT_LAST) -> None:
-        rounds = tuple([(u, v) for u, v in rnd] for rnd in rounds)
+        self._build(n, tuple([(u, v) for u, v in rnd] for rnd in rounds), extension)
+
+    def _build(self, n: int, rounds: tuple[list[Arc], ...], extension: Extension) -> None:
+        # __init__ on rounds already copied into lists of (u, v) pairs
         for x in (n, *(x for rnd in rounds for arc in rnd for x in arc)):
             if type(x) is not int:  # bool is a subclass of int, so test the exact type
                 raise ValueError(f"n and arc endpoints must be integers, got {x!r}")
@@ -452,14 +455,17 @@ def spec_from_dict(obj: object) -> DynamicGraphSpec:
     if not isinstance(rounds_raw, list) or not all(isinstance(r, list) for r in rounds_raw):
         raise GraphFormatError("rounds must be a list of arc lists")
     try:
-        rounds = [[(u, v) for u, v in rnd] for rnd in rounds_raw]
+        rounds = tuple([(u, v) for u, v in rnd] for rnd in rounds_raw)
         ext = Extension(extension)
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"bad graph document: {exc}") from None
+    # the pairs are the spec's one copy of the arcs
+    spec = object.__new__(DynamicGraphSpec)
     try:
-        return DynamicGraphSpec(n=n, rounds=rounds, extension=ext)
+        spec._build(n, rounds, ext)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
+    return spec
 
 
 def spec_to_dict(spec: DynamicGraphSpec) -> dict:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -28,7 +31,8 @@ from knowall import (
     save_graph_file,
 )
 from knowall import domination, dyngraph, protocol
-from knowall.cli import build_parser, main
+from knowall import cli
+from knowall.cli import main
 from knowall.oracle import vertices
 
 
@@ -397,8 +401,6 @@ def test_repeated_invocations_are_byte_identical(capsys, c5_file):
 
 
 def test_calls_share_one_parser_and_leak_nothing(capsys, c5_file, monkeypatch):
-    bound = ("bound", "--graph", c5_file, "--k", "2")
-    expected = run_cli(capsys, *bound)  # builds the shared parser unless an earlier call did
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -407,6 +409,8 @@ def test_calls_share_one_parser_and_leak_nothing(capsys, c5_file, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    bound = ("bound", "--graph", c5_file, "--k", "2")
+    expected = run_cli(capsys, *bound)
 
     # a usage error leaves nothing behind for the next call
     with pytest.raises(SystemExit) as exc:
@@ -422,28 +426,21 @@ def test_calls_share_one_parser_and_leak_nothing(capsys, c5_file, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert built == []
-    assert capsys.readouterr().out == build_parser().format_help()
-    assert "knowall" in built  # build_parser still builds a fresh tree
+    help_page = capsys.readouterr()
+    assert help_page.err == ""
+    assert help_page.out.startswith("usage: knowall [-h] {bound,solve,refute,closure,check} ...\n")
+    for command, (_run, line, _options) in cli._COMMANDS.items():
+        assert f"  {command} " in help_page.out and line in help_page.out, command
+    assert built == []  # no call builds an argparse parser
 
 
 def test_import_builds_no_parser_and_the_script_entry_runs(c5_file):
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    probe = textwrap.dedent("""
-        import argparse
-        built = []
-        init = argparse.ArgumentParser.__init__
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-        argparse.ArgumentParser.__init__ = counting_init
-        import knowall.cli
-        print(len(built))
-    """)
+    probe = "import sys, knowall.cli; print('argparse' in sys.modules)"
     probed = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                             capture_output=True, text=True, timeout=60)
-    assert (probed.returncode, probed.stdout, probed.stderr) == (0, "0\n", "")
+    assert (probed.returncode, probed.stdout, probed.stderr) == (0, "False\n", "")
 
     command = "knowall bound --graph c5.json --k 2"
     readme = (root / "README.md").read_text().splitlines()
@@ -452,12 +449,23 @@ def test_import_builds_no_parser_and_the_script_entry_runs(c5_file):
                          cwd=Path(c5_file).parent, env=env,
                          capture_output=True, text=True, timeout=60)
     assert (ran.returncode, ran.stdout, ran.stderr) == (0, expected, "")
+    # the script entry calls main() with argv=None, which reads sys.argv
+    helped = subprocess.run([sys.executable, "-S", "-m", "knowall.cli", "--help"], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (helped.returncode, helped.stderr) == (0, "")
+    assert helped.stdout.startswith("usage: knowall [-h] {bound,solve,refute,closure,check}")
+    bare = subprocess.run([sys.executable, "-S", "-m", "knowall.cli"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (bare.returncode, bare.stdout) == (2, "")
+    assert bare.stderr.endswith(
+        "knowall: error: the following arguments are required: command\n")
 
 
 def test_each_command_imports_only_what_it_runs(c5_file):
     # a cold process: importing the CLI loads five package modules and none
     # of the heavier standard modules; bound loads nothing more, and check
-    # and refute load their own modules when they run
+    # and refute load their own modules when they run; no command loads the
+    # argument parser of the standard library or what it imports
     root = Path(__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     readme = (root / "README.md").read_text().splitlines()
@@ -471,7 +479,8 @@ def test_each_command_imports_only_what_it_runs(c5_file):
         import sys
 
         def loaded():
-            watched = ("knowall", "dataclasses", "inspect", "typing", "random")
+            watched = ("knowall", "dataclasses", "inspect", "typing", "random",
+                       "argparse", "gettext", "locale", "shutil")
             return sorted(m for m in sys.modules if m.partition(".")[0] in watched)
 
         seen = [loaded()]
@@ -494,6 +503,8 @@ def test_each_command_imports_only_what_it_runs(c5_file):
         [*cli, "knowall.check", "knowall.protocol"])
     assert refuted[0] == 1 and [m for m in refuted[1] if m.startswith("knowall")] == sorted(
         [*cli, "knowall.check", "knowall.kuhn", "knowall.protocol", "knowall.refuter"])
+    for _code, modules in (check, refuted):
+        assert not {"argparse", "gettext", "locale", "shutil"} & set(modules)
 
 
 def test_missing_graph_file(capsys):
@@ -566,12 +577,189 @@ def test_the_cli_offers_exactly_its_five_commands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["triangulate", "--n", "2", "--k", "1"])
     assert exc.value.code == 2
-    assert "invalid choice: 'triangulate'" in capsys.readouterr().err
-    assert build_parser().format_usage() == (
-        "usage: knowall [-h] {bound,solve,refute,closure,check} ...\n")
+    err = capsys.readouterr().err
+    assert "invalid choice: 'triangulate'" in err
+    assert err.splitlines()[0] == "usage: knowall [-h] {bound,solve,refute,closure,check} ..."
+    assert list(cli._COMMANDS) == ["bound", "solve", "refute", "closure", "check"]
 
 
 def test_negative_seed_is_accepted(capsys, c5_file):
     code, out, _ = run_cli(capsys, "check", "--graph", c5_file, "--k", "2",
                            "--alg", "min_heard", "--budget", "1", "--seed", "-3")
     assert code == 1 and json.loads(out)["mode"] == "sampled"
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI read its arguments with before `cli._COMMANDS`.
+
+    It is the grammar's oracle: its converters raise argparse's own error
+    type with the messages of the CLI's converters, and their names give
+    argparse's "invalid _positive value" message.
+    """
+    def _integer(text: str) -> int:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+        return int(text)
+
+    def _positive(text: str) -> int:
+        value = _integer(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+        return value
+
+    def _digit_k(text: str) -> int:
+        value = _positive(text)
+        if value > 9:
+            raise argparse.ArgumentTypeError(
+                f"must be <= 9, since configurations print one digit per node, got {value}")
+        return value
+
+    def _nonnegative(text: str) -> int:
+        value = _integer(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    parser = argparse.ArgumentParser(
+        prog="knowall",
+        description="Round-optimal k-set agreement on known dynamic graphs: "
+                    "compute the tight bound, solve at it, refute below it.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--pretty", action="store_true", help="indented JSON")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("bound", parents=[common],
+                       help="tight round bound and a witnessing dominating set")
+    p.add_argument("--graph", required=True, help="graph sequence JSON file")
+    p.add_argument("--k", type=_positive, required=True)
+
+    p = sub.add_parser("solve", parents=[common],
+                       help="run the optimal flooding algorithm on given inputs")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=_positive, required=True)
+    p.add_argument("--inputs", required=True, help="digit string, node 1 first")
+
+    p = sub.add_parser("refute", parents=[common],
+                       help="counterexample against an algorithm run below the bound")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=_digit_k, required=True)
+    p.add_argument("--alg", required=True, help="builtin algorithm name")
+    p.add_argument("--budget", type=_nonnegative, required=True)
+
+    p = sub.add_parser("closure", parents=[common],
+                       help="information-flow closure H_r of the sequence")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--r", type=_nonnegative, required=True)
+    p.add_argument("--dot", action="store_true", help="DOT text instead of JSON")
+
+    p = sub.add_parser("check", parents=[common],
+                       help="validity/agreement sweep of an algorithm at a budget")
+    p.add_argument("--graph", required=True)
+    p.add_argument("--k", type=_digit_k, required=True)
+    p.add_argument("--alg", required=True)
+    p.add_argument("--budget", type=_nonnegative, required=True)
+    p.add_argument("--exhaustive", action="store_true",
+                   help="all (k+1)^n configurations (cap 1000000)")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for the sampled mode")
+    return parser
+
+
+# int() refuses a digit string this long, which argparse reports as a usage error
+LONG_DIGITS = "1" + "0" * sys.get_int_max_str_digits()
+INTEGERS = ["0", "1", "2", "3", "9", "10", "12", "-1", "-3", "٢", "١", "٣",
+            "1_0", " 2", "2 ", " 3", "+3", "-", LONG_DIGITS]
+VALUES = {"--graph": ["c5.json", "-", "-3", "", "x y", "-1.5", "-x", "--pretty"],
+          "--inputs": ["01201", "-1", ""], "--alg": ["min_heard", "flood_dominator", "-"],
+          "--n": ["2"]}
+COMMAND_OPTIONS = {
+    "bound": ["--pretty", "--graph", "--k"],
+    "solve": ["--pretty", "--graph", "--k", "--inputs"],
+    "refute": ["--pretty", "--graph", "--k", "--alg", "--budget"],
+    "closure": ["--pretty", "--graph", "--r", "--dot"],
+    "check": ["--pretty", "--graph", "--k", "--alg", "--budget", "--exhaustive", "--seed"],
+    "triangulate": ["--n", "--k"],
+}
+FLAGS = ("--pretty", "--dot", "--exhaustive")
+ODD_TOKENS = ["--", "-h", "--he", "--help", "-hh", "-hx", "--help=1", "--threads", "--=x",
+              "stray", "-5", "-", ""]
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A command line near the grammar's edges, mostly over a real command."""
+    argv = []
+    while rng.random() < 0.1:
+        argv.append(rng.choice(ODD_TOKENS))
+    command = rng.choice(list(COMMAND_OPTIONS))
+    if rng.random() < 0.97:
+        argv.append(command)
+    names = list(COMMAND_OPTIONS[command])
+    rng.shuffle(names)
+    names += rng.sample(names, rng.choice((0, 0, 0, 1, 2)))  # repeats
+    if rng.random() < 0.1:
+        names.insert(rng.randrange(len(names) + 1), "--threads")
+    for name in names:
+        if rng.random() < 0.08:  # a missing option
+            continue
+        spelling = name if rng.random() < 0.6 else name[:rng.randint(3, len(name))]
+        if name in FLAGS:
+            argv.append(spelling if rng.random() < 0.95 else spelling + "=1")
+            continue
+        pool = VALUES.get(name, INTEGERS)
+        value = rng.choice(pool[:2]) if rng.random() < 0.6 else rng.choice(pool)
+        # argparse drops "--" from `--name=--` and stores an empty list; the
+        # table's parser keeps it as the value, so that join is left out
+        if rng.random() < 0.25 and value != "--":
+            argv.append(f"{spelling}={value}")
+        elif rng.random() < 0.03:
+            argv.append(spelling)  # its value is left out
+        else:
+            argv += [spelling, value]
+    for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD_TOKENS))
+    return argv
+
+
+def outcome(parse, argv: list[str]):
+    """(command, values) of an accepted argv, else (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_the_table_parser_reads_argv_as_argparse_did():
+    reference = reference_parser()
+
+    def argparse_parse(argv):
+        values = vars(reference.parse_args(argv))
+        return values.pop("command"), values
+
+    rng = random.Random(35)
+    seen = {"accepted": 0, "refused": 0, "help": 0, "converter or choice": 0}
+    for _ in range(2500):
+        argv = random_argv(rng)
+        expected, got = outcome(argparse_parse, argv), outcome(cli._parse, argv)
+        if isinstance(expected[0], str):
+            assert got == expected, argv
+            seen["accepted"] += 1
+            continue
+        code, out, err = got
+        assert code == expected[0], argv
+        if code == 0:
+            assert err == "" and out.startswith("usage: knowall"), argv
+            seen["help"] += 1
+            continue
+        assert code == 2 and out == "" and err.startswith("usage: knowall"), argv
+        seen["refused"] += 1
+        line = expected[2].splitlines()[-1]
+        message = line.partition(": error: ")[2]
+        if "invalid choice: '" in message or message.startswith(
+                ("argument --k: ", "argument --r: ", "argument --budget: ", "argument --seed: ")
+        ) and not message.endswith("expected one argument"):
+            assert err.splitlines()[-1] == line, argv
+            seen["converter or choice"] += 1
+        else:
+            assert err.splitlines()[-1].endswith(f": error: {message}"), argv
+    assert min(seen.values()) >= 150, seen

@@ -701,6 +701,35 @@ def test_graph_format_errors(tmp_path):
         load_graph_file(str(bad))
 
 
+def test_graph_document_messages_and_their_order():
+    # a non-pair arc first, then the extension, then every type before any
+    # range, each range in the order given
+    cases = [
+        ({"n": 3, "rounds": [[[1, 9], [1.5, 2]]]},
+         "n and arc endpoints must be integers, got 1.5"),
+        ({"n": 3, "rounds": [[[1, 2, 3]]]},
+         "bad graph document: too many values to unpack (expected 2)"),
+        ({"n": 3, "rounds": [[[1]]], "extension": "bogus"},
+         "bad graph document: not enough values to unpack (expected 2, got 1)"),
+        ({"n": 3, "rounds": [[5]]}, "bad graph document: cannot unpack non-iterable int object"),
+        ({"n": 3, "rounds": [[[1.5, 2], [1, 2, 3]]]},
+         "bad graph document: too many values to unpack (expected 2)"),
+        ({"n": 1.5, "rounds": [[[1, 2]]], "extension": "bogus"},
+         "bad graph document: 'bogus' is not a valid Extension"),
+        ({"n": 3, "rounds": [["ab"]]}, "n and arc endpoints must be integers, got 'a'"),
+        ({"n": 1, "rounds": [[[1, 2.5]]]}, "n and arc endpoints must be integers, got 2.5"),
+        ({"n": 1, "rounds": [[[1, 2]]]}, "need at least two nodes, got n=1"),
+        ({"n": 3, "rounds": []}, "need at least one round graph"),
+        ({"n": 3, "rounds": [[[1, 2]], [[3, 3], [1, 9]]]}, "round 2: self-loop (3, 3) not allowed"),
+        ({"n": 3, "rounds": [[[1, 9]]]}, "round 1: arc (1, 9) outside 1..3"),
+        ({"n": 3, "rounds": [[[1, 2]], 7]}, "rounds must be a list of arc lists"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(GraphFormatError) as exc:
+            spec_from_dict(doc)
+        assert str(exc.value) == message, doc
+
+
 def test_dot_export():
     arcs = frozenset({(1, 2), (2, 3), (1, 1)})
     assert to_dot(arcs) == "digraph {\n  1 -> 1;\n  1 -> 2;\n  2 -> 3;\n}\n"

@@ -31,8 +31,8 @@ def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     examples = readme_examples(text)
     assert [cmd.split()[1] for cmd, _ in examples] == [
         "bound", "bound", "solve", "refute", "check", "check"]
-    # a second pass in reverse order, in the same process, reuses the parser
-    # of the first and must print the same bytes
+    # a second pass in reverse order, in the same process, must print the
+    # same bytes
     for cmd, expected in examples + examples[::-1]:
         main(shlex.split(cmd)[1:])
         assert capsys.readouterr().out == expected + "\n", cmd
