@@ -313,12 +313,16 @@ def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 
     One _gamma call fills the memo up to H_r, or up to the round from
     which the closures are fixed, whose number every later round shares.
-    Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    Raises CapExceeded when n > EXACT_SEARCH_CAP, and ValueError when r is
+    past what a tuple can index.
     """
     _gamma(spec, r)
     gammas = spec._memo.gammas
     head = gammas[1:r + 1]
-    return tuple(head) + (gammas[-1],) * (r - len(head))
+    try:
+        return tuple(head) + (gammas[-1],) * (r - len(head))
+    except OverflowError:  # r is past what a tuple can index
+        raise ValueError(f"r = {r} is too large to list one number per round") from None
 
 
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
@@ -326,10 +330,9 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 
     The size is _gamma(spec, r); each position of the sorted member list
     then takes the smallest node that still allows completion with larger
-    ids only.  The completion found for one position is kept: its smallest
-    member fits the next position, so only smaller nodes are decided there
-    (find_cover).  The answer is kept on the closure, so rounds that share
-    a closure share it.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
+    ids only, one find_cover decision per node tried.  The answer is kept
+    on the closure, so rounds that share a closure share it.  Raises
+    CapExceeded when n > EXACT_SEARCH_CAP.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
     h = spec._memo.closures[last]
@@ -340,20 +343,15 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
-    completion: list[int] = []
     u = -1  # the last member taken
     for remaining in range(size, 0, -1):
-        for u in range(u + 1, completion[0] - 1 if completion else spec.n):
-            fit = find_cover(covers, dom, uncovered & ~covers[u], full & ~((1 << (u + 1)) - 1),
-                             remaining - 1, widest)
-            if fit is not None:
-                completion = fit
+        for u in range(u + 1, spec.n):
+            if find_cover(covers, dom, uncovered & ~covers[u], full & ~((1 << (u + 1)) - 1),
+                          remaining - 1, widest) is not None:
                 break
         else:
-            if not completion:
-                raise LemmaFalsified(
-                    f"a dominating set of size {size} exists but none was rebuilt")
-            u = completion.pop(0) - 1
+            raise LemmaFalsified(
+                f"a dominating set of size {size} exists but none was rebuilt")
         members.append(u + 1)
         uncovered &= ~covers[u]
     h.dominating = tuple(members)

@@ -80,10 +80,16 @@ def _config(v: Vertex, n: int) -> InputConfig:
 
 
 def inp(v: Vertex, n: int) -> InputConfig:
-    """Input configuration of a vertex: node i holds #{coordinates >= i}."""
+    """Input configuration of a vertex: node i holds #{coordinates >= i}.
+
+    ValueError unless v is a vertex for n and n is small enough to index a tuple.
+    """
     if not is_vertex(v, n):
         raise ValueError(f"{v} is not a vertex for n={n}")
-    return _config(v, n)
+    try:
+        return _config(v, n)
+    except OverflowError:  # n is past what a tuple can index
+        raise ValueError(f"n = {n} is too large for a configuration of n inputs") from None
 
 
 class AlgorithmColoring:

@@ -7,11 +7,12 @@ in-neighborhood in the closure H_budget.  That restriction is the View,
 and a candidate algorithm is any pure function of (sequence, k, view).
 
 A query is a dyngraph.Instance: the sequence and k, checked once.  An
-algorithm is reached through one entry point, AlgorithmSpec.bind(instance,
-budget), which returns a function of the View alone; per-instance data
-such as flooding's dominating set is derived there, once.  `run` binds
-once per call, and a ViewTable once when it is built; nothing else calls
-an algorithm.  Purity is a contract, not a convention: the bound function
+algorithm is reached through one entry point,
+AlgorithmSpec.bind(instance, budget), which returns a function of the
+View alone; per-instance data such as flooding's dominating set, the
+instance's own at its tight bound, is read there, once.  `run` binds once
+per call, and a ViewTable once when it is built; nothing else calls an
+algorithm.  Purity is a contract, not a convention: the bound function
 must return the same value whenever it is given the same view.  `run`
 calls it on every node's full view of the one configuration it executes,
 but configuration sweeps and the triangulation coloring go through a
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 
-from .dyngraph import DynamicGraphSpec, Instance, checked_k, closure_at, min_dominating_set
+from .dyngraph import DynamicGraphSpec, Instance, checked_k, closure_at
 from .errors import AlgorithmRangeError, LemmaFalsified
 
 InputConfig = tuple[int, ...]
@@ -218,23 +219,16 @@ def _first_heard(members: tuple[int, ...], view: View) -> int:
     return heard[view.observer]
 
 
-@dataclass(frozen=True)
 class _Flooding(AlgorithmSpec):
     """flood_dominator's spec, whose binding looks up the dominators once
     and declares one read per node."""
 
-    r: int | None
-
-    def _members(self, instance: Instance) -> tuple[int, ...]:
-        r = self.r
-        return instance.dominating_set() if r is None else min_dominating_set(instance.spec, r)
-
     def bind(self, instance: Instance, budget: int) -> Callable[[View], int]:
-        return partial(_first_heard, self._members(instance))
+        return partial(_first_heard, instance.dominating_set())
 
     def _bind_reads(self, instance: Instance, budget: int) -> tuple[Callable[[View], int],
                                                                     Sequence[tuple[int, ...]]]:
-        members = self._members(instance)
+        members = instance.dominating_set()
         # a node reads its first heard member, or its own input if it hears none
         reads = []
         for node, heard in enumerate(closure_at(instance.spec, budget).into, start=1):
@@ -247,24 +241,21 @@ class _Flooding(AlgorithmSpec):
         return partial(_first_heard, members), reads
 
 
-def flood_dominator(r: int | None = None) -> AlgorithmSpec:
+def _decide_flooding(spec: DynamicGraphSpec, k: int, view: View) -> int:
+    return _first_heard(Instance(spec, k).dominating_set(), view)
+
+
+def flood_dominator() -> AlgorithmSpec:
     """Optimal flooding: output the input of the smallest heard dominator.
 
-    The dominating set is the exact minimum one of H_r, where r is the
-    given intended budget or, when None, the tight bound for the spec at
-    hand.  Run below that budget some nodes hear no dominator; they fall
-    back to their own input, which keeps the algorithm
-    validity-respecting at every budget.  Binding derives the set, so a
-    spec with no bound raises NeverDominated there; `decide` binds afresh
+    The dominating set is the exact minimum one of H_r at the tight bound
+    r of the instance at hand.  Run below r some nodes hear no dominator;
+    they fall back to their own input, which keeps the algorithm
+    validity-respecting at every budget.  Binding reads the set once, so
+    a spec with no bound raises NeverDominated there; `decide` reads it
     on every call.
     """
-
-    def decide(spec: DynamicGraphSpec, k: int, view: View) -> int:
-        return flooding.bind(Instance(spec, k), view.budget)(view)
-
-    name = "flood_dominator" if r is None else f"flood_dominator({r})"
-    flooding = _Flooding(name=name, decide=decide, r=r)
-    return flooding
+    return _Flooding("flood_dominator", _decide_flooding)
 
 
 def _decide_min_heard(spec: DynamicGraphSpec, k: int, view: View) -> int:
@@ -302,7 +293,7 @@ def flood_solve(spec: DynamicGraphSpec, k: int, inputs) -> OutcomeReport:
     """Solve k-set agreement in exactly the optimal number of rounds."""
     vals = validate_inputs(inputs, spec.n, k)  # before the bound search, which may raise
     r = Instance(spec, k).bound()
-    report = run(spec, k, flood_dominator(r), vals, budget=r)
+    report = run(spec, k, flood_dominator(), vals, budget=r)
     if not (report.valid and report.agreeing):
         raise LemmaFalsified(
             f"flooding at the tight bound {r} failed on inputs "

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -8,9 +10,12 @@ from knowall import (
     AlgorithmSpec,
     DynamicGraphSpec,
     Extension,
+    Instance,
     complete_graph,
     directed_cycle,
     directed_path,
+    flood_dominator,
+    min_dominating_set,
     save_graph_file,
     staggered_relay,
 )
@@ -83,3 +88,17 @@ def counting_min(decided: list) -> AlgorithmSpec:
         decided.append((view.observer, tuple(view.heard.items())))
         return min(view.heard.values())
     return AlgorithmSpec("counting_min", decide)
+
+
+@contextmanager
+def flooding_of_round(r: int | None):
+    """flood_dominator(), named flood_dominator(r), whose dominators are the
+    minimum dominating set of H_r instead of the bound's while the context
+    lasts; None leaves flooding as it is."""
+    if r is None:
+        yield flood_dominator()
+        return
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Instance, "dominating_set",
+                      lambda instance: min_dominating_set(instance.spec, r))
+        yield dataclasses.replace(flood_dominator(), name=f"flood_dominator({r})")

@@ -124,7 +124,8 @@ def replay() -> dict[str, list[tuple[list[str], str]]]:
 
 
 def differences(replayed: dict, golden: dict) -> list[str]:
-    """Per group, the first argv whose digest differs from `golden`, and groups missing on either side."""
+    """Per group, the first argv whose digest differs from `golden`; groups
+    missing on either side, and lengths that differ."""
     found = [f"{group}: not in the golden file" for group in replayed if group not in golden]
     found += [f"{group}: not replayed" for group in golden if group not in replayed]
     for group, queries in replayed.items():

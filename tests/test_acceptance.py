@@ -62,7 +62,7 @@ def test_criterion_2_flooding_solves_at_the_bound():
     configs = 0
     for name, spec, k in standard_family():
         r = min_rounds(spec, k)
-        report = exhaustive_check(spec, k, flood_dominator(r), r)
+        report = exhaustive_check(spec, k, flood_dominator(), r)
         assert (report.failure_count, report.first_failure) == (0, None), \
             f"{name} k={k} failed at budget {r}"
         configs += report.total_configs

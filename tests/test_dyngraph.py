@@ -537,12 +537,12 @@ def test_counting_rules_out_a_decision_before_any_order(monkeypatch, c5):
     assert orders == []
     # node 1 covers 1..4 in round 1 and nobody but 1 hears node 1 or 5, so
     # F = {1, 5} settles gamma without an order; min_dominating_set then
-    # orders for node 1 alone, whose decision finds the completion {5}: with 1
-    # taken, no node below 5, covering only itself, fits node 5 in 0 slots,
-    # and 5 is taken without a decision
+    # orders node 5 for node 1's decision, which succeeds. With 1 taken,
+    # nodes 2 to 4, each covering only itself, leave node 5 to 0 slots and
+    # fail by counting alone, and node 5's decision orders nothing left
     spec = DynamicGraphSpec(5, [[(1, 2), (1, 3), (1, 4)]])
     assert min_dominating_set(spec, 1) == (1, 5)
-    assert [args[1] for args, _ in orders] == [1 << 4]
+    assert [args[1] for args, _ in orders] == [1 << 4, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +803,14 @@ def test_closures_stop_growing_once_they_are_fixed():
     assert len(relay._memo.closures) <= 4 * 4 * 3 + 3 + 1
     with pytest.raises(NeverDominated, match="fixed from round 3 on"):
         min_rounds(relay, 1)
+
+
+def test_domination_numbers_refuse_an_r_past_a_tuple_by_name():
+    # the closures of the 4-cycle are fixed from round 4 on, so only listing
+    # the numbers meets r; an r within sys.maxsize would allocate instead
+    with pytest.raises(ValueError,
+                       match=f"^r = {10 ** 30} is too large to list one number per round$"):
+        domination_numbers(directed_cycle(4), 10 ** 30)
 
 
 def test_closures_are_shared_and_build_senders_on_first_use():

@@ -183,6 +183,12 @@ def test_inp_examples():
         inp((1, 2), 5)
 
 
+def test_inp_refuses_an_n_past_a_tuple_by_name():
+    with pytest.raises(ValueError,
+                       match=f"^n = {10 ** 30} is too large for a configuration of n inputs$"):
+        inp((1,), 10 ** 30)
+
+
 def test_inp_counts_coordinates_at_least_i():
     for n in range(1, 6):
         for k in range(1, 4):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from contextlib import nullcontext
 from itertools import combinations, product
 
 import pytest
@@ -43,11 +44,11 @@ from knowall.oracle import (
 )
 from knowall.protocol import MIN_HEARD
 
-from conftest import counting_min, random_spec, standard_family
+from conftest import counting_min, flooding_of_round, random_spec, standard_family
 
 
 def test_exhaustive_check_counts(c5):
-    report = exhaustive_check(c5, 2, flood_dominator(2), 2)
+    report = exhaustive_check(c5, 2, flood_dominator(), 2)
     assert report.total_configs == 243 and report.passed
 
     # the sweep counts the configurations run scores as failing, and keeps the first
@@ -62,7 +63,7 @@ def test_exhaustive_check_counts(c5):
     assert report == _report(243, _naive_sweep(c5, 2, MIN_HEARD, 2, configs))
 
     # consensus on K4 in one round
-    report = exhaustive_check(complete_graph(4), 1, flood_dominator(1), 1)
+    report = exhaustive_check(complete_graph(4), 1, flood_dominator(), 1)
     assert report.total_configs == 16 and report.passed
 
 
@@ -83,7 +84,7 @@ def test_exhaustive_sweep_keeps_no_failure_list():
 
 def test_exhaustive_check_cap(c5, monkeypatch):
     with pytest.raises(CapExceeded):
-        exhaustive_check(complete_graph(20), 2, flood_dominator(1), 1)
+        exhaustive_check(complete_graph(20), 2, flood_dominator(), 1)
     # the cap is inclusive: 3^5 configurations run at a cap of 243 only
     monkeypatch.setattr(check, "EXHAUSTIVE_CONFIG_CAP", 243)
     assert exhaustive_check(c5, 2, MIN_HEARD, 1).total_configs == 243
@@ -97,7 +98,7 @@ def test_sample_check_seeded(c5):
     a = sample_check(c5, 2, MIN_HEARD, 1, samples=200, seed=5)
     b = sample_check(c5, 2, MIN_HEARD, 1, samples=200, seed=5)
     assert a == b and a.total_configs == 200
-    assert sample_check(c5, 2, flood_dominator(2), 2, samples=200, seed=5).passed
+    assert sample_check(c5, 2, flood_dominator(), 2, samples=200, seed=5).passed
 
 
 def test_sweeps_refuse_k_below_1_and_negative_samples(c5):
@@ -202,22 +203,24 @@ def test_sweeps_equal_naive_run_loop(memo_cap, block_bits, monkeypatch):
         extensions.add(spec.extension)
         k = rng.randint(1, 2)
         budget = rng.randint(0, 3)
+        # the int stands for flooding with the dominators of that round
         algs = [flood_dominator(), MIN_HEARD, MAX_HEARD, MAJORITY_HEARD,
-                flood_dominator(rng.randint(1, 3)), SUM_HEARD, FLIP_OWN]
-        for alg in algs:
-            total = (k + 1) ** spec.n
-            expected = _outcome(lambda: _report(total, _naive_sweep(
-                spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
-            assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
+                rng.randint(1, 3), SUM_HEARD, FLIP_OWN]
+        for entry in algs:
+            with flooding_of_round(entry) if type(entry) is int else nullcontext(entry) as alg:
+                total = (k + 1) ** spec.n
+                expected = _outcome(lambda: _report(total, _naive_sweep(
+                    spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
+                assert _outcome(lambda: exhaustive_check(spec, k, alg, budget)) == expected
 
-            seed = rng.randrange(1000)
-            sampler = random.Random(seed)
-            configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
-                       for _ in range(60)]
-            expected = _outcome(lambda: _report(60, _naive_sweep(
-                spec, k, alg, budget, configs, cached=True)))
-            assert _outcome(lambda: sample_check(
-                spec, k, alg, budget, samples=60, seed=seed)) == expected
+                seed = rng.randrange(1000)
+                sampler = random.Random(seed)
+                configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
+                           for _ in range(60)]
+                expected = _outcome(lambda: _report(60, _naive_sweep(
+                    spec, k, alg, budget, configs, cached=True)))
+                assert _outcome(lambda: sample_check(
+                    spec, k, alg, budget, samples=60, seed=seed)) == expected
     assert len(extensions) == 2
 
 
@@ -283,23 +286,25 @@ def test_flooding_sweeps_on_read_views_equal_naive_run_loop(memo_cap, block_bits
     for spec, k, top in _flooding_cases():
         for budget in range(top + 1):
             rounds = sorted({max(budget - 1, 0), budget, budget + 1})
-            for alg in (flood_dominator(), *map(flood_dominator, rounds)):
-                total = (k + 1) ** spec.n
-                expected = _outcome(lambda: _report(total, _naive_sweep(
-                    spec, k, alg, budget, product(range(k + 1), repeat=spec.n), cached=True)))
-                report = _outcome(lambda: exhaustive_check(spec, k, alg, budget))
-                assert report == expected, (spec, k, alg.name, budget)
-                if isinstance(report, ExhaustiveReport):
-                    failing += not report.passed
+            for r in (None, *rounds):
+                with flooding_of_round(r) as alg:
+                    total = (k + 1) ** spec.n
+                    expected = _outcome(lambda: _report(total, _naive_sweep(
+                        spec, k, alg, budget, product(range(k + 1), repeat=spec.n),
+                        cached=True)))
+                    report = _outcome(lambda: exhaustive_check(spec, k, alg, budget))
+                    assert report == expected, (spec, k, alg.name, budget)
+                    if isinstance(report, ExhaustiveReport):
+                        failing += not report.passed
 
-                seed = budget * 101 + k
-                sampler = random.Random(seed)
-                configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
-                           for _ in range(40)]
-                expected = _outcome(lambda: _report(40, _naive_sweep(
-                    spec, k, alg, budget, configs, cached=True)))
-                assert _outcome(lambda: sample_check(
-                    spec, k, alg, budget, samples=40, seed=seed)) == expected
+                    seed = budget * 101 + k
+                    sampler = random.Random(seed)
+                    configs = [tuple(sampler.randrange(k + 1) for _ in range(spec.n))
+                               for _ in range(40)]
+                    expected = _outcome(lambda: _report(40, _naive_sweep(
+                        spec, k, alg, budget, configs, cached=True)))
+                    assert _outcome(lambda: sample_check(
+                        spec, k, alg, budget, samples=40, seed=seed)) == expected
     assert failing  # flooding below its bound fails on some configurations
 
 

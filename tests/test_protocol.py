@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import re
 from collections import Counter
 from collections.abc import Callable
@@ -42,7 +43,7 @@ from knowall import check, protocol
 from knowall.dyngraph import closure_at
 from knowall.oracle import view_of
 
-from conftest import counting_min, random_spec, standard_family
+from conftest import counting_min, flooding_of_round, random_spec, standard_family
 import random
 
 
@@ -147,15 +148,15 @@ def test_views_indistinguishable_when_heard_inputs_agree(seed, budget):
             a[j - 1] if j in va.heard else b[j - 1] for j in range(1, spec.n + 1))
         vs = _run_views(spec, k, spliced, budget)[obs - 1]
         assert va == vs
-        # fixed-round flood variant: the derived-round one has no bound to
-        # derive on sparse random sequences
-        algs = [MIN_HEARD, MAX_HEARD, MAJORITY_HEARD, flood_dominator(max(budget, 1))]
-        for alg in algs:
-            assert alg.decide(spec, k, va) == alg.decide(spec, k, vs)
+        # flooding with a fixed round's dominators: the bound's may not exist
+        # on sparse random sequences
+        with flooding_of_round(max(budget, 1)) as flooding:
+            for alg in (MIN_HEARD, MAX_HEARD, MAJORITY_HEARD, flooding):
+                assert alg.decide(spec, k, va) == alg.decide(spec, k, vs)
 
 
 def test_run_scores_validity_and_agreement(c5):
-    all_zero = run(c5, 1, flood_dominator(4), (0,) * 5, 4)
+    all_zero = run(c5, 1, flood_dominator(), (0,) * 5, 4)
     assert all_zero.outputs == (0,) * 5
     assert all_zero.valid and all_zero.agreeing and all_zero.distinct_count == 1
 
@@ -306,7 +307,7 @@ def test_view_table_rejects_unknown_node(c5):
 def test_flood_solve_failure_raises(c5, monkeypatch):
     # an agreement-breaking stand-in for flooding: every node keeps its input
     own = AlgorithmSpec("own", lambda s, k, v: v.heard[v.observer])
-    monkeypatch.setattr(protocol, "flood_dominator", lambda r: own)
+    monkeypatch.setattr(protocol, "flood_dominator", lambda: own)
     with pytest.raises(LemmaFalsified, match="01201"):
         flood_solve(c5, 2, parse_inputs("01201", 5, 2))
 
@@ -355,9 +356,9 @@ def test_majority_heard_matches_a_counter_reference():
 def test_flood_dominator_below_budget_falls_back(c5):
     # at budget 1 node 5 hears {4, 5} and no member of D = {1, 3}
     cfg = parse_inputs("21100", 5, 2)
-    out = flood_dominator(2).decide(c5, 2, view_of(c5, cfg, 5, 1))
+    out = flood_dominator().decide(c5, 2, view_of(c5, cfg, 5, 1))
     assert out == 0  # own input
-    out = flood_dominator(2).decide(c5, 2, view_of(c5, cfg, 3, 2))
+    out = flood_dominator().decide(c5, 2, view_of(c5, cfg, 3, 2))
     assert out == 2  # hears dominator 1
 
 
@@ -367,6 +368,13 @@ def test_algorithm_registry():
     assert algorithm_by_name("min_heard") is MIN_HEARD
     with pytest.raises(ValueError):
         algorithm_by_name("nope")
+
+
+def test_builtins_are_a_name_and_a_decision():
+    # flooding derives everything else from the instance it is bound to
+    for alg in builtin_algorithms():
+        assert [f.name for f in dataclasses.fields(alg)] == ["name", "decide"], alg.name
+    assert inspect.signature(flood_dominator).parameters == {}
 
 
 def test_bound_function_equals_decide_on_every_view():
@@ -390,9 +398,8 @@ def test_flooding_binds_without_reading_a_closure(c5, monkeypatch):
 
     monkeypatch.setattr(protocol, "closure_at", no_closure)
     view = View(3, 1, {2: 1, 3: 2})  # node 3 hears node 2 and itself at budget 1
-    for alg, out in ((flood_dominator(), 2), (flood_dominator(1), 1)):
-        # D = {1, 3} at the bound 2, and D = {1, 2, 4} at round 1
-        assert alg.bind(Instance(c5, 2), 1)(view) == out
+    # D = {1, 3} at the bound 2
+    assert flood_dominator().bind(Instance(c5, 2), 1)(view) == 2
 
 
 def test_flooding_with_no_bound_raises_when_bound():
@@ -405,5 +412,3 @@ def test_flooding_with_no_bound_raises_when_bound():
                  lambda: run(islands, 1, flood_dominator(), (0, 1), 0)):
         with pytest.raises(NeverDominated, match="^no round suffices"):
             bind()
-    # a fixed round count needs no bound
-    assert flood_dominator(0).bind(Instance(islands, 1), 0)(View(1, 0, {1: 1})) == 1

@@ -55,7 +55,7 @@ CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 
 
 def test_refute_flood_dominator_below_bound(c5):
-    w = refute(c5, 2, flood_dominator(2), budget=1)
+    w = refute(c5, 2, flood_dominator(), budget=1)
     assert w.kind is WitnessKind.AGREEMENT_VIOLATION
     assert format_inputs(w.config) == "21100"
     assert w.nodes == (5, 3, 1)
@@ -105,10 +105,10 @@ def test_refute_colors_the_walk_path(c5, walked):
     # flood_dominator on c5: up the x1 axis to (2, 0), whose color 1
     # completes a cell of the edge, up into the triangle, and door to door
     # to the cell at (3, 1)
-    w = refute(c5, 2, flood_dominator(2), 1)
+    w = refute(c5, 2, flood_dominator(), 1)
     path = list(walked)
     assert path == [(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (3, 0), (4, 1), (4, 2)]
-    coloring = algorithm_coloring(c5, 2, 1, flood_dominator(2))
+    coloring = algorithm_coloring(c5, 2, 1, flood_dominator())
     assert [coloring(v) for v in path] == [0, 0, 1, 0, 0, 1, 1, 2]
     assert w.simplex == PrimitiveSimplex((3, 1), (1, 2)) and w.outputs == (0, 1, 2)
 
@@ -117,12 +117,12 @@ def test_a_validity_break_is_found_only_on_the_walk_path(c5, walked):
     # the honest walk colors (0, 0) but not (5, 0), and no vertex it colors
     # shares (5, 0)'s view: a break at (0, 0) is the witness, a break at
     # (5, 0) leaves the honest cell
-    honest = refute(c5, 2, flood_dominator(2), 1)
+    honest = refute(c5, 2, flood_dominator(), 1)
     path = list(walked)
     assert (0, 0) in path and (5, 0) not in path
     for v, expected_kind in (((5, 0), WitnessKind.AGREEMENT_VIOLATION),
                              ((0, 0), WitnessKind.VALIDITY_VIOLATION)):
-        alg = _breaks_validity_at(c5, 2, 1, flood_dominator(2), v)
+        alg = _breaks_validity_at(c5, 2, 1, flood_dominator(), v)
         violations = check_sperner(5, 2, algorithm_coloring(c5, 2, 1, alg)).violations
         assert [u for u, _, _ in violations] == [v]
         assert not run(c5, 2, alg, inp(v, 5), 1).valid
@@ -241,8 +241,8 @@ def test_walk_witnesses_match_the_brute_oracles(walked):
 
 
 def test_witness_reruns_through_protocol(c5):
-    w = refute(c5, 2, flood_dominator(2), budget=1)
-    report = run(c5, 2, flood_dominator(2), w.config, w.budget)
+    w = refute(c5, 2, flood_dominator(), budget=1)
+    report = run(c5, 2, flood_dominator(), w.config, w.budget)
     assert tuple(report.outputs[i - 1] for i in w.nodes) == w.outputs
     assert not report.agreeing
 
@@ -250,9 +250,9 @@ def test_witness_reruns_through_protocol(c5):
 def test_refute_rejects_budget_at_or_above_bound(c5):
     for budget in (2, 3, 7):
         with pytest.raises(BudgetNotBelowBound):
-            refute(c5, 2, flood_dominator(2), budget)
+            refute(c5, 2, flood_dominator(), budget)
     with pytest.raises(ValueError):
-        refute(c5, 2, flood_dominator(2), -1)
+        refute(c5, 2, flood_dominator(), -1)
     # with k >= n no round is needed, so not even budget 0 is refutable
     with pytest.raises(BudgetNotBelowBound, match="^budget 0 is not below the tight bound 0$"):
         refute(directed_cycle(3), 3, MIN_HEARD, 0)
@@ -280,8 +280,8 @@ def test_refute_sequence_with_no_bound():
 
 
 def test_refute_is_deterministic(c5):
-    a = refute(c5, 2, flood_dominator(2), 1)
-    b = refute(c5, 2, flood_dominator(2), 1)
+    a = refute(c5, 2, flood_dominator(), 1)
+    b = refute(c5, 2, flood_dominator(), 1)
     assert a == b
 
 
@@ -296,7 +296,7 @@ def test_refute_every_builtin_on_the_family():
 
 
 def test_witness_to_dict(c5):
-    w = refute(c5, 2, flood_dominator(2), 1)
+    w = refute(c5, 2, flood_dominator(), 1)
     assert w.to_dict() == {
         "kind": "AgreementViolation",
         "config": "21100",
@@ -353,7 +353,7 @@ def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
 
     monkeypatch.setattr(refuter, "run", agreeing_run)
     with pytest.raises(LemmaFalsified, match="reported agreement"):
-        refute(c5, 2, flood_dominator(2), budget=1)
+        refute(c5, 2, flood_dominator(), budget=1)
 
 
 def test_lemma_falsified_when_resimulation_claims_validity(c5, monkeypatch):
@@ -383,7 +383,7 @@ def test_lemma_falsified_when_resimulated_outputs_differ_from_the_coloring(c5, m
 
     monkeypatch.setattr(refuter, "run", reversed_run)
     with pytest.raises(LemmaFalsified, match=r"colored \(0, 1, 2\) re-simulated to outputs \(2, 1, 0\)"):
-        refute(c5, 2, flood_dominator(2), budget=1)
+        refute(c5, 2, flood_dominator(), budget=1)
     # a validity witness is held to the same check: the vertex (5, 0) is
     # colored 0, but here node 2 re-simulates to its own input 1
     monkeypatch.setattr(refuter, "run", lambda spec, k, alg, config, budget: dataclasses.replace(
@@ -409,7 +409,7 @@ def test_refute_releases_its_coloring(c5, monkeypatch):
     monkeypatch.setattr(refuter, "AlgorithmColoring", recorded(refuter.AlgorithmColoring))
     gc.disable()
     try:
-        witness = refute(c5, 2, flood_dominator(2), budget=1)
+        witness = refute(c5, 2, flood_dominator(), budget=1)
         alive = [ref() is not None for ref in refs]
     finally:
         gc.enable()
