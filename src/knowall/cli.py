@@ -12,7 +12,8 @@ table of each command's options, with argparse's grammar: `--name value`
 or `--name=value`, a unique prefix of a name, options in any order with
 the last repeat winning, and `-h`/`--help` on the program and on each
 command.  The usage and help text is built from the same table when it
-is printed.
+is printed.  `--k` takes any positive k, and configurations print in
+protocol.format_config's form, a digit string for k <= 9, else a JSON list.
 
 Importing this module loads only the graph, cover-search and error
 modules, which `bound` and `closure` need.  Each other command imports
@@ -63,15 +64,6 @@ def _positive(text: str) -> int:
     value = _integer(text)
     if value < 1:
         raise _UsageError(f"must be >= 1, got {value}")
-    return value
-
-
-def _digit_k(text: str) -> int:
-    # refute and check print configurations one digit per node
-    value = _positive(text)
-    if value > 9:
-        raise _UsageError(
-            f"must be <= 9, since configurations print one digit per node, got {value}")
     return value
 
 
@@ -129,7 +121,7 @@ def cmd_closure(args: SimpleNamespace) -> int:
 
 def cmd_check(args: SimpleNamespace) -> int:
     from .check import exhaustive_check, sample_check
-    from .protocol import algorithm_by_name, format_inputs, run
+    from .protocol import algorithm_by_name, format_config, run
 
     spec = load_graph_file(args.graph)
     alg = algorithm_by_name(args.alg)
@@ -146,9 +138,9 @@ def cmd_check(args: SimpleNamespace) -> int:
         outcome = run(spec, args.k, alg, cfg, args.budget)
         if outcome.valid and outcome.agreeing:
             raise LemmaFalsified(
-                f"the sweep failed {format_inputs(cfg)}, but run scored its outputs "
+                f"the sweep failed {format_config(cfg, args.k)}, but run scored its outputs "
                 f"{outcome.outputs} valid and agreeing")
-        first = {"config": format_inputs(cfg),
+        first = {"config": format_config(cfg, args.k),
                  "outputs": list(outcome.outputs),
                  "valid": outcome.valid,
                  "agreeing": outcome.agreeing}
@@ -166,23 +158,21 @@ _HELP_NAMES = ("-h", "--help")
 # dashes is the attribute its handler reads
 _COMMON = {"--pretty": (None, False, "indented JSON"),
            "--graph": (str, None, "graph sequence JSON file")}
+_K = (_positive, None, "at most k distinct outputs")
 _ALG = (str, None, "builtin algorithm name")
 _BUDGET = (_nonnegative, None, "rounds the algorithm may run")
 _COMMANDS = {
     "bound": (cmd_bound, "tight round bound and a witnessing dominating set", {
-        **_COMMON, "--k": (_positive, None, "at most k distinct outputs")}),
+        **_COMMON, "--k": _K}),
     "solve": (cmd_solve, "run the optimal flooding algorithm on given inputs", {
-        **_COMMON, "--k": (_positive, None, "at most k distinct outputs"),
-        "--inputs": (str, None, "digit string, node 1 first")}),
+        **_COMMON, "--k": _K, "--inputs": (str, None, "digit string, node 1 first")}),
     "refute": (cmd_refute, "counterexample against an algorithm run below the bound", {
-        **_COMMON, "--k": (_digit_k, None, "at most k distinct outputs, k <= 9"),
-        "--alg": _ALG, "--budget": _BUDGET}),
+        **_COMMON, "--k": _K, "--alg": _ALG, "--budget": _BUDGET}),
     "closure": (cmd_closure, "information-flow closure H_r of the sequence", {
         **_COMMON, "--r": (_nonnegative, None, "round of the closure"),
         "--dot": (None, False, "DOT text instead of JSON")}),
     "check": (cmd_check, "validity/agreement sweep of an algorithm at a budget", {
-        **_COMMON, "--k": (_digit_k, None, "at most k distinct outputs, k <= 9"),
-        "--alg": _ALG, "--budget": _BUDGET,
+        **_COMMON, "--k": _K, "--alg": _ALG, "--budget": _BUDGET,
         "--exhaustive": (None, False,
                          f"all (k+1)^n configurations (cap {EXHAUSTIVE_CONFIG_CAP})"),
         "--seed": (_integer, 0, "seed for the sampled mode")}),

@@ -64,10 +64,13 @@ def find_cover(covers: tuple[int, ...], dom: tuple[int, ...], uncovered: int, av
                slots: int, widest: int) -> list[int] | None:
     """Sorted members of at most `slots` nodes of `avail` that cover `uncovered`, or None.
 
-    Counting against `widest`, the largest cover, comes first.  The nodes to
-    cover are then sorted once (_order), which fails a node that no node of
-    avail dominates.  The failure memo lives as long as this call.
+    Nothing left to cover needs no member.  Counting against `widest`, the
+    largest cover, comes next.  The nodes to cover are then sorted once
+    (_order), which fails a node that no node of avail dominates.  The
+    failure memo lives as long as this call.
     """
+    if not uncovered:
+        return []
     if uncovered.bit_count() > slots * widest:
         return None
     order = _order(dom, uncovered, avail)
@@ -88,9 +91,8 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
     the fewest, and a mask it fails on goes into `failed` with its slots.
     Those entries hold only for these covers and the dominators the order
     offers, so `failed` lives for one round's searches or one decision.
+    `uncovered` is never empty: find_cover answers that case itself.
     """
-    if uncovered == 0:
-        return []
     if uncovered.bit_count() > slots * widest or failed.get(uncovered, -1) >= slots:
         return None
     # disjointly dominated nodes each need a slot, and a last slot needs no

@@ -65,14 +65,20 @@ def parse_inputs(text: str, n: int, k: int) -> InputConfig:
 
 
 def format_inputs(values: InputConfig) -> str:
-    """Digit-string form, node 1 first: one digit per node, so ValueError unless
-    every value is exactly an int in 0..9, as parse_inputs reads them back."""
+    """Digit-string form, node 1 first, format_config's up to k = 9: one digit per node,
+    so ValueError unless every value is exactly an int in 0..9, as parse_inputs reads."""
     for v in values:
         if type(v) is not int or v < 0:  # bool is a subclass of int: refuse it too
             raise ValueError(f"{values} has {v!r}, which is not a digit")
         if v > 9:
             raise ValueError(f"{values} has a value above 9, which one digit per node cannot show")
     return "".join(str(v) for v in values)
+
+
+def format_config(values: InputConfig, k: int) -> str | list[int]:
+    """How a configuration of inputs 0..k prints, node 1 first: format_inputs's digit
+    string for k <= 9, else a list of the n ints.  The form follows k, not the values."""
+    return format_inputs(values) if k <= 9 else list(values)
 
 
 View = namedtuple("View", ("observer", "budget", "heard"))
@@ -297,5 +303,5 @@ def flood_solve(spec: DynamicGraphSpec, k: int, inputs) -> OutcomeReport:
     if not (report.valid and report.agreeing):
         raise LemmaFalsified(
             f"flooding at the tight bound {r} failed on inputs "
-            f"{format_inputs(vals)}: outputs {report.outputs}")
+            f"{format_config(vals, k)}: outputs {report.outputs}")
     return report

@@ -16,7 +16,7 @@ from enum import Enum
 from .dyngraph import DynamicGraphSpec, Instance
 from .errors import LemmaFalsified
 from .kuhn import AlgorithmColoring, PrimitiveSimplex, inp, sperner_walk
-from .protocol import AlgorithmSpec, InputConfig, format_inputs, run
+from .protocol import AlgorithmSpec, InputConfig, format_config, run
 
 
 class WitnessKind(Enum):
@@ -31,6 +31,7 @@ class Witness:
 
     kind: WitnessKind
     config: InputConfig
+    k: int
     budget: int
     nodes: tuple[int, ...]
     outputs: tuple[int, ...]
@@ -40,7 +41,7 @@ class Witness:
     def to_dict(self) -> dict:
         return {
             "kind": self.kind.value,
-            "config": format_inputs(self.config),
+            "config": format_config(self.config, self.k),
             "budget": self.budget,
             "nodes": list(self.nodes),
             "outputs": list(self.outputs),
@@ -77,23 +78,24 @@ def refute(spec: DynamicGraphSpec, k: int, alg: AlgorithmSpec, budget: int) -> W
     nodes = tuple(map(coloring.node, corners))
     report = run(spec, k, alg, config, budget)
     outputs = tuple(report.outputs[w - 1] for w in nodes)
-    # only a tripwire formats the configuration: at k >= 10 it has no digit string
     if outputs != colors:
         raise LemmaFalsified(f"witness corners {corners} colored {colors} re-simulated to "
                              f"outputs {outputs} at nodes {nodes} in configuration "
-                             f"{format_inputs(config)}")
+                             f"{format_config(config, k)}")
     if simplex is None:
         kind = WitnessKind.VALIDITY_VIOLATION
         if outputs[0] in config or report.valid:
             raise LemmaFalsified(f"validity witness at vertex {corners[0]} did not re-simulate: "
-                                 f"node {nodes[0]} output {outputs[0]} on {format_inputs(config)}")
+                                 f"node {nodes[0]} output {outputs[0]} on "
+                                 f"{format_config(config, k)}")
     else:
         kind = WitnessKind.AGREEMENT_VIOLATION
         if len(set(outputs)) != k + 1:
             raise LemmaFalsified(f"panchromatic cell {simplex} decoded to outputs {outputs} in "
-                                 f"configuration {format_inputs(config)}; expected k+1 distinct")
+                                 f"configuration {format_config(config, k)}; "
+                                 "expected k+1 distinct")
         if report.agreeing:
-            raise LemmaFalsified(f"re-simulation of {format_inputs(config)} reported agreement "
+            raise LemmaFalsified(f"re-simulation of {format_config(config, k)} reported agreement "
                                  f"although nodes {nodes} output {outputs}")
-    return Witness(kind=kind, config=config, budget=budget, nodes=nodes,
+    return Witness(kind=kind, config=config, k=k, budget=budget, nodes=nodes,
                    outputs=outputs, simplex=simplex, verified=True)

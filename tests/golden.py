@@ -9,10 +9,11 @@ The replay regenerates the benchmark's graph files for seeds 1-3 into a
 temporary directory, with perfbench/workloads.py imported as is, and runs
 every `bound`, `check` and `refute` query of them through knowall.cli.main
 in this process. It also runs `closure` with and without `--dot` on a few
-of those files, the README's CLI examples and a fixed list of usage
-errors. Each query is one short digest of its argv, exit code, stdout and
-stderr, and the digests are grouped by (workload, seed), so a difference
-names the first argv that differs. A change that alters output on purpose
+of those files, `refute` and `check` at k >= 10 (large_k_queries), the
+README's CLI examples and a fixed list of usage errors. Each query is one
+short digest of its argv, exit code, stdout and stderr, and the digests
+are grouped by (workload, seed), so a difference names the first argv
+that differs. A change that alters output on purpose
 rewrites the file and names each changed argv in CHANGES.md.
 """
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import sys
@@ -50,9 +52,9 @@ USAGE_ERRORS = (
     _CHECK + ["--seed", " 3"],
     _CHECK + ["--seed", "+3"],
     _CHECK + ["--seed", "-"],
-    ["refute", "--graph", "x.json", "--k", "10", "--alg", "min_heard", "--budget", "0"],
-    ["check", "--graph", "x.json", "--k", "12", "--alg", "min_heard", "--budget", "1"],
 )
+# the k of the k >= 10 refute queries, one round below the bound
+LARGE_K = (10, 12, 16)
 
 
 def _workloads():
@@ -65,11 +67,49 @@ def _workloads():
     return workloads
 
 
+def large_k_specs() -> dict:
+    """The sequences of the k >= 10 queries by file name: directed cycles of 5,
+    24 and 32 nodes and a seeded random 32-node sequence of two rounds, cycled."""
+    from knowall import DynamicGraphSpec, Extension, directed_cycle
+
+    rng = random.Random(24)
+    rounds = tuple(frozenset((u, v) for u in range(1, 33) for v in range(1, 33)
+                             if u != v and rng.random() < 0.03) for _ in range(2))
+    return {"c5.json": directed_cycle(5), "c24.json": directed_cycle(24),
+            "c32.json": directed_cycle(32),
+            "r32.json": DynamicGraphSpec(32, rounds, extension=Extension.CYCLE)}
+
+
+def large_k_queries(directory: Path) -> list[list[str]]:
+    """Write large_k_specs into `directory`; the argv of the k >= 10 queries.
+
+    Every built-in is refuted one round below the bound at each k of LARGE_K
+    on the 24- and 32-node sequences.  `check` sweeps the 5-cycle
+    exhaustively at k = 10, and samples the 32-cycle at k = 12 with
+    min_heard at budget 0 and the random sequence with flooding at its bound.
+    """
+    from knowall import builtin_algorithms, min_rounds, save_graph_file
+
+    specs = large_k_specs()
+    for name, spec in specs.items():
+        save_graph_file(spec, str(directory / name))
+    argvs = [["refute", "--graph", name, "--k", str(k), "--alg", alg.name,
+              "--budget", str(min_rounds(spec, k) - 1)]
+             for name, spec in specs.items() if spec.n > 5
+             for k in LARGE_K for alg in builtin_algorithms()]
+    check = ["check", "--graph"]
+    return argvs + [
+        check + ["c5.json", "--k", "10", "--alg", "min_heard", "--budget", "1", "--exhaustive"],
+        check + ["c32.json", "--k", "12", "--alg", "min_heard", "--budget", "0"],
+        check + ["r32.json", "--k", "12", "--alg", "flood_dominator",
+                 "--budget", str(min_rounds(specs["r32.json"], 12))]]
+
+
 def _readme(directory: Path) -> list[list[str]]:
-    """Write the README's c5.json into `directory`; its `$ knowall` commands, pipes cut."""
+    """Write the README's graph files into `directory`; its `$ knowall` commands, pipes cut."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    graph = re.search(r"cat > c5\.json <<'EOF'\n(.*?)\nEOF\n", text, re.S)
-    (directory / "c5.json").write_text(graph.group(1) + "\n", encoding="utf-8")
+    for name, graph in re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n", text, re.S):
+        (directory / name).write_text(graph + "\n", encoding="utf-8")
     return [shlex.split(line[2:].split("|")[0])[1:] for line in text.splitlines()
             if line.startswith("$ knowall ")]
 
@@ -88,6 +128,9 @@ def _groups(root: Path) -> list[tuple[str, Path, list[list[str]]]]:
         groups.append((f"closure/{name}", root / f"{name}-{SEEDS[0]}",
                        [["closure", "--graph", graph, *options]
                         for graph in CLOSURE_FILES for options in CLOSURE_OPTIONS]))
+    large = root / "large_k"
+    large.mkdir()
+    groups.append(("large_k", large, large_k_queries(large)))
     readme = root / "readme"
     readme.mkdir()
     groups.append(("readme", readme, _readme(readme)))

@@ -35,6 +35,8 @@ from knowall import cli
 from knowall.cli import main
 from knowall.oracle import vertices
 
+import golden
+
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
@@ -290,20 +292,89 @@ def test_check_exhaustive_fail(capsys, c5_file):
                                         "valid": True, "agreeing": False}
 
 
-def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, monkeypatch):
+def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, tmp_path,
+                                                            monkeypatch):
     # the first failure is re-simulated through protocol.run; a sweep that
-    # fails a configuration run scores as a pass is a bug in the package
+    # fails a configuration run scores as a pass is a bug in the package.
+    # At k >= 10 the message shows the configuration as a list
     real_run = protocol.run
 
     def passing_run(*args):
         return dataclasses.replace(real_run(*args), valid=True, agreeing=True)
 
     monkeypatch.setattr(protocol, "run", passing_run)
-    for mode in ((), ("--exhaustive",)):
-        code, out, err = run_cli(capsys, "check", "--graph", c5_file, "--k", "2",
-                                 "--alg", "min_heard", "--budget", "1", *mode)
+    c32_file = str(tmp_path / "c32.json")
+    save_graph_file(directed_cycle(32), c32_file)
+    for graph, k, budget, mode, shown in ((c5_file, "2", "1", (), "22021, "),
+                                          (c5_file, "2", "1", ("--exhaustive",), "00122, "),
+                                          (c32_file, "12", "0", (), "[")):
+        code, out, err = run_cli(capsys, "check", "--graph", graph, "--k", k,
+                                 "--alg", "min_heard", "--budget", budget, *mode)
         assert (code, out) == (2, "")
-        assert err.startswith("internal error: LemmaFalsified: the sweep failed ")
+        assert err.startswith(f"internal error: LemmaFalsified: the sweep failed {shown}")
+
+
+def _listed(config, n: int, k: int) -> bool:
+    """Whether a printed configuration is the k >= 10 form: a list of n ints in 0..k."""
+    return type(config) is list and len(config) == n and \
+        all(type(x) is int and 0 <= x <= k for x in config)
+
+
+def test_refute_and_check_at_large_k_print_lists_that_re_simulate(capsys, tmp_path, monkeypatch):
+    # the golden replay's k >= 10 queries: every built-in's witness at
+    # k = 10, 12 and 16 on n = 24 and 32, and check's sweeps, print each
+    # configuration as a list that run re-simulates to the printed outputs
+    monkeypatch.chdir(tmp_path)
+    specs = golden.large_k_specs()
+    seen = {"refute": 0, "passed": 0, "failed": 0}
+    for argv in golden.large_k_queries(tmp_path):
+        command, args = cli._parse(argv)
+        spec, k, budget = specs[args["graph"]], args["k"], args["budget"]
+        alg = algorithm_by_name(args["alg"])
+        code, out, err = run_cli(capsys, *argv)
+        payload = json.loads(out)
+        assert err == "" and k >= 10, argv
+        if command == "refute":
+            assert code == 1 and _listed(payload["config"], spec.n, k), argv
+            report = run(spec, k, alg, payload["config"], budget)
+            outputs = [report.outputs[v - 1] for v in payload["nodes"]]
+            assert outputs == payload["outputs"] and len(set(outputs)) == k + 1, argv
+            assert payload["kind"] == "AgreementViolation" and not report.agreeing, argv
+            assert payload["verified"] and len(payload["simplex"]["base"]) == k, argv
+            seen["refute"] += 1
+            continue
+        first = payload["first_failure"]
+        if payload["passed"]:
+            assert (code, first, payload["failure_count"]) == (0, None, 0), argv
+            seen["passed"] += 1
+            continue
+        assert code == 1 and _listed(first["config"], spec.n, k), argv
+        report = run(spec, k, alg, first["config"], budget)
+        assert list(report.outputs) == first["outputs"], argv
+        assert (report.valid, report.agreeing) == (first["valid"], first["agreeing"]), argv
+        assert not (report.valid and report.agreeing), argv
+        seen["failed"] += 1
+    assert seen == {"refute": 36, "passed": 2, "failed": 1}
+
+
+def test_exhaustive_check_at_k_10_prints_its_first_failure_as_a_list(capsys, tmp_path,
+                                                                    monkeypatch):
+    # on 5 nodes at k = 10 no built-in can fail (each outputs a heard input,
+    # and 5 nodes output at most 5 values), so a node that outputs k minus
+    # its input stands in; the first failure is all zeros, a list at k >= 10
+    flipped = AlgorithmSpec("flipped", lambda spec, k, view: k - view.heard[view.observer])
+    monkeypatch.setattr(protocol, "algorithm_by_name", lambda name: flipped)
+    spec = directed_cycle(5)
+    path = tmp_path / "c5.json"
+    save_graph_file(spec, str(path))
+    code, out, err = run_cli(capsys, "check", "--graph", str(path), "--k", "10",
+                             "--alg", "flipped", "--budget", "1", "--exhaustive")
+    payload = json.loads(out)
+    assert (code, err, payload["configs_checked"]) == (1, "", 11 ** 5)
+    first = payload["first_failure"]
+    assert first == {"config": [0, 0, 0, 0, 0], "outputs": [10] * 5,
+                     "valid": False, "agreeing": True}
+    assert not run(spec, 10, flipped, first["config"], 1).valid
 
 
 def test_flooding_looks_up_its_dominators_once_per_bind(capsys, c5_file, monkeypatch):
@@ -536,7 +607,8 @@ def test_malformed_graph_file(capsys, tmp_path):
     assert (code, out) == (2, "") and err.startswith(f"error: {path}: Exceeds the limit")
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where no x.json exists
     check = ["check", "--graph", "x.json", "--k", "2", "--alg", "min_heard", "--budget", "1"]
     for argv in ([],
                  ["bound", "--graph", "x.json", "--k", "0"],
@@ -559,16 +631,15 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
-    # the commands that print configurations, one digit per node, take k <= 9
+    # refute and check take any positive k, as bound does: past the
+    # parser, a missing graph file is an operational error
     for argv in (["refute", "--graph", "x.json", "--k", "10", "--alg", "min_heard",
                   "--budget", "0"],
                  ["check", "--graph", "x.json", "--k", "12", "--alg", "min_heard",
                   "--budget", "1"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
-        err = capsys.readouterr().err
-        assert "usage:" in err and "one digit per node" in err, argv
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == \
+            "error: [Errno 2] No such file or directory: 'x.json'\n", argv
 
 
 def test_the_cli_offers_exactly_its_five_commands(capsys):
@@ -607,13 +678,6 @@ def reference_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
         return value
 
-    def _digit_k(text: str) -> int:
-        value = _positive(text)
-        if value > 9:
-            raise argparse.ArgumentTypeError(
-                f"must be <= 9, since configurations print one digit per node, got {value}")
-        return value
-
     def _nonnegative(text: str) -> int:
         value = _integer(text)
         if value < 0:
@@ -642,7 +706,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", parents=[common],
                        help="counterexample against an algorithm run below the bound")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_digit_k, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--alg", required=True, help="builtin algorithm name")
     p.add_argument("--budget", type=_nonnegative, required=True)
 
@@ -655,7 +719,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", parents=[common],
                        help="validity/agreement sweep of an algorithm at a budget")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=_digit_k, required=True)
+    p.add_argument("--k", type=_positive, required=True)
     p.add_argument("--alg", required=True)
     p.add_argument("--budget", type=_nonnegative, required=True)
     p.add_argument("--exhaustive", action="store_true",

@@ -13,7 +13,7 @@ def test_golden_replay_is_byte_identical():
     expected = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
     replayed = golden.replay()
     assert golden.differences(replayed, expected) == []
-    assert sum(map(len, expected.values())) == 1742
+    assert sum(map(len, expected.values())) == 1780
     # a changed digest is reported by group, position and argv
     expected["check/2"][5] = "0" * 16
     argv = shlex.join(replayed["check/2"][5][0])

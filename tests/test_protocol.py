@@ -61,6 +61,12 @@ def test_parse_and_format_inputs():
             format_inputs(values)
     with pytest.raises(ValueError):
         parse_inputs("012", 5, 2)
+    # a configuration prints as the digit string up to k = 9 and as a list of
+    # the n ints from k = 10 on, whatever its values
+    assert protocol.format_config((0, 1, 2, 0, 1), 2) == "01201"
+    assert protocol.format_config((9, 0), 9) == "90"
+    assert protocol.format_config((0, 1, 2, 0, 1), 10) == [0, 1, 2, 0, 1]
+    assert protocol.format_config((12, 0), 12) == [12, 0]
     with pytest.raises(ValueError):
         parse_inputs("01301", 5, 2)  # digit above k
     with pytest.raises(ValueError):
@@ -310,6 +316,10 @@ def test_flood_solve_failure_raises(c5, monkeypatch):
     monkeypatch.setattr(protocol, "flood_dominator", lambda: own)
     with pytest.raises(LemmaFalsified, match="01201"):
         flood_solve(c5, 2, parse_inputs("01201", 5, 2))
+    # at k >= 10 the message shows the inputs as a list
+    with pytest.raises(LemmaFalsified, match=re.escape("failed on inputs [10, 9, 8, 7, 6, 5, "
+                                                       "4, 3, 2, 1, 0]: outputs (10, 9,")):
+        flood_solve(directed_cycle(11), 10, tuple(range(10, -1, -1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -24,13 +24,13 @@ def readme_examples(text: str) -> list[tuple[str, str]]:
 
 def test_readme_examples_are_byte_identical(capsys, tmp_path, monkeypatch):
     text = README.read_text()
-    graph = re.search(r"cat > c5\.json <<'EOF'\n(.*?)\nEOF\n", text, re.S)
-    (tmp_path / "c5.json").write_text(graph.group(1) + "\n")
+    for name, graph in re.findall(r"cat > (\S+\.json) <<'EOF'\n(.*?)\nEOF\n", text, re.S):
+        (tmp_path / name).write_text(graph + "\n")
     monkeypatch.chdir(tmp_path)
 
     examples = readme_examples(text)
     assert [cmd.split()[1] for cmd, _ in examples] == [
-        "bound", "bound", "solve", "refute", "check", "check"]
+        "bound", "bound", "solve", "refute", "check", "check", "refute"]
     # a second pass in reverse order, in the same process, must print the
     # same bytes
     for cmd, expected in examples + examples[::-1]:

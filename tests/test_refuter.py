@@ -52,6 +52,7 @@ from knowall.oracle import (
 from conftest import random_spec, standard_family
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
+CONST_ONE = AlgorithmSpec("const1", lambda spec, k, view: 1)
 
 
 def test_refute_flood_dominator_below_bound(c5):
@@ -311,14 +312,64 @@ def test_witness_to_dict(c5):
     assert v.to_dict()["kind"] == "ValidityViolation"
 
 
-def test_refute_at_k_above_9_returns_a_witness_with_no_digit_string():
-    # a library refute at k >= 10 is verified as at any k; only its digit
-    # string, which one digit per node cannot show, is refused
+def test_refute_at_k_above_9_prints_its_configuration_as_a_list():
+    # a witness records k, and to_dict prints its configuration in the form k
+    # gives: from k = 10 on a list of n ints, whatever the values, with the
+    # keys of every other k
     w = refute(directed_cycle(13), 12, MIN_HEARD, 0)
-    assert w.verified and w.kind is WitnessKind.AGREEMENT_VIOLATION
+    assert w.verified and w.kind is WitnessKind.AGREEMENT_VIOLATION and w.k == 12
     assert w.config == tuple(range(12, -1, -1)) and len(set(w.outputs)) == 13
-    with pytest.raises(ValueError, match="has a value above 9"):
-        w.to_dict()
+    assert w.to_dict()["config"] == list(range(12, -1, -1))
+    v = refute(directed_cycle(13), 10, CONST_ONE, 0)
+    assert v.kind is WitnessKind.VALIDITY_VIOLATION and v.to_dict()["config"] == [0] * 13
+    assert list(v.to_dict()) == list(w.to_dict()) == [
+        "kind", "config", "budget", "nodes", "outputs", "simplex", "verified"]
+    spec = directed_cycle(24)
+    for k in range(10, 17):
+        for alg in builtin_algorithms():
+            config = refute(spec, k, alg, min_rounds(spec, k) - 1).to_dict()["config"]
+            assert type(config) is list and len(config) == 24, (k, alg.name)
+
+
+def test_refute_tripwires_at_k_12_show_the_configuration_as_a_list(monkeypatch):
+    # each operand of the re-simulation checks, made to fail by a patched run
+    # or, where run must agree with the colors, a patched walk; at k >= 10
+    # every message shows the configuration as a list, as a witness prints it
+    spec, k = directed_cycle(13), 12
+    descending, zeros = str(list(range(12, -1, -1))), str([0] * 13)
+    origin = (0,) * k
+    real_run, real_walk = refuter.run, refuter.sperner_walk
+
+    def patched_run(**changes):
+        return lambda *args: dataclasses.replace(real_run(*args), **changes)
+
+    def raises(message, alg=MIN_HEARD):
+        with pytest.raises(LemmaFalsified, match=f"^{re.escape(message)}$"):
+            refute(spec, k, alg, 0)
+        monkeypatch.setattr(refuter, "run", real_run)
+        monkeypatch.setattr(refuter, "sperner_walk", real_walk)
+
+    # outputs other than the colors
+    monkeypatch.setattr(refuter, "run", patched_run(outputs=tuple(range(13))))
+    cell = PrimitiveSimplex(tuple(range(12, 0, -1)), tuple(range(1, 13)))
+    raises(f"witness corners {cell.vertices()} colored {tuple(range(13))} re-simulated to "
+           f"outputs {tuple(range(12, -1, -1))} at nodes {tuple(range(13, 0, -1))} in "
+           f"configuration {descending}")
+    # validity: an output that some node holds, then a run that calls it valid
+    monkeypatch.setattr(refuter, "sperner_walk", lambda coloring: (origin, (0,)))
+    raises(f"validity witness at vertex {origin} did not re-simulate: node 1 output 0 on {zeros}")
+    monkeypatch.setattr(refuter, "run", patched_run(valid=True))
+    raises(f"validity witness at vertex {origin} did not re-simulate: node 1 output 1 on {zeros}",
+           CONST_ONE)
+    # agreement: a cell whose corners are not k+1 distinct colors, then a run
+    # that reports agreement
+    low = PrimitiveSimplex(origin, tuple(range(1, 13)))
+    monkeypatch.setattr(refuter, "sperner_walk", lambda coloring: (low, (0,) * 13))
+    raises(f"panchromatic cell {low} decoded to outputs {(0,) * 13} in configuration {zeros}; "
+           "expected k+1 distinct")
+    monkeypatch.setattr(refuter, "run", patched_run(agreeing=True))
+    raises(f"re-simulation of {descending} reported agreement although nodes "
+           f"{tuple(range(13, 0, -1))} output {tuple(range(13))}")
 
 
 def test_lemma_falsified_tripwire(c5, walked):
