@@ -16,25 +16,27 @@ block (_depth_first).
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import reduce
 from itertools import islice, product
 from operator import and_, or_
 
 from .dyngraph import EXHAUSTIVE_CONFIG_CAP, DynamicGraphSpec, Instance, checked_round
 from .errors import CapExceeded
-from .protocol import AlgorithmSpec, InputConfig, ViewTable
+from .protocol import AlgorithmSpec, InputConfig, Record, ViewTable
 
 # configurations settled at once by the exhaustive sweep: one bit each in
 # an int per output value, so this bounds the width of those ints
 BLOCK_BITS = 4096
 
 
-@dataclass(frozen=True)
-class ExhaustiveReport:
-    total_configs: int
-    failure_count: int
-    first_failure: InputConfig | None
+class ExhaustiveReport(Record):
+    """How many configurations a sweep ran, how many failed, and the first that did."""
+
+    __slots__ = ("total_configs", "failure_count", "first_failure")
+
+    def __init__(self, total_configs: int, failure_count: int,
+                 first_failure: InputConfig | None) -> None:
+        super().__init__(total_configs, failure_count, first_failure)
 
     @property
     def passed(self) -> bool:

@@ -29,8 +29,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .dyngraph import (
-    EXHAUSTIVE_CONFIG_CAP, Instance, closure, domination_numbers, load_graph_file, to_dot)
+from .dyngraph import EXHAUSTIVE_CONFIG_CAP, Instance, closure, load_graph_file, to_dot
 from .errors import (
     AlgorithmRangeError,
     BudgetNotBelowBound,
@@ -76,9 +75,10 @@ def _nonnegative(text: str) -> int:
 
 def cmd_bound(args: SimpleNamespace) -> int:
     query = Instance(load_graph_file(args.graph), args.k)
-    r = query.bound()
-    _emit({"r": r, "dominating_set": list(query.dominating_set()),
-           "gamma_by_round": list(domination_numbers(query.spec, r))}, args.pretty)
+    # the printed numbers find r themselves, cheaper than cover decisions first
+    gammas = query.gamma_by_round()
+    _emit({"r": len(gammas), "dominating_set": list(query.dominating_set()),
+           "gamma_by_round": list(gammas)}, args.pretty)
     return 0
 
 

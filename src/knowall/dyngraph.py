@@ -25,9 +25,14 @@ them, in a private memo that is freed with the spec.  Other modules read
 H_r through closure_at, or through an Instance, the query (spec, k),
 which keeps nothing else: building one is the package's one test of k,
 and its closure_below_bound first checks with one k-slot cover decision
-that no k nodes dominate H_r, the package's one refutability test.
-Building a spec builds no n-bit mask, and every exact search tests its
-round (checked_round), then EXACT_SEARCH_CAP, before it grows any.
+that no k nodes dominate H_r, the package's one refutability test.  Its
+bound decides too, by one such decision per changed round; only the
+bound command, which prints each round's domination number, counts
+(gamma_by_round).  Building a spec builds no n-bit mask, and every exact
+search tests its round (checked_round), then EXACT_SEARCH_CAP, before it
+grows any.  The spec is a plain __slots__ class, as protocol's Records
+are; protocol.AlgorithmSpec is the one dataclass left, because the
+benchmark's tracer rebuilds it with dataclasses.replace.
 """
 from __future__ import annotations
 
@@ -64,13 +69,16 @@ class Closure:
     senders[v] lists the nodes of into[v] 1-based and increasing, so a
     search that reads masks only builds none.  `dominating` is None until
     min_dominating_set rebuilds the closure's set, which every round
-    sharing the closure then reads.  A closure never refers to its spec.
+    sharing the closure then reads.  `upper` is the size of a dominating
+    set known to exist: n, until Instance.bound's cover decision finds a
+    smaller one.  A closure never refers to its spec.
     """
 
-    __slots__ = ("reach", "into", "_senders", "dominating")
+    __slots__ = ("reach", "into", "_senders", "dominating", "upper")
 
     def __init__(self, reach: tuple[int, ...], into: tuple[int, ...]) -> None:
         self.reach, self.into, self._senders, self.dominating = reach, into, None, None
+        self.upper = len(reach)
 
     @property
     def senders(self) -> tuple[tuple[int, ...], ...]:
@@ -90,7 +98,7 @@ class Closure:
 class _Memo:
     """A spec's derived data, grown on demand; it never refers to the spec."""
 
-    __slots__ = ("graphs", "closures", "quiet", "gammas", "bounds")
+    __slots__ = ("graphs", "closures", "quiet", "gammas", "bounds", "uncovered")
 
     def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
@@ -98,6 +106,8 @@ class _Memo:
         self.quiet = 0  # trailing stored rounds that added nothing
         self.gammas = [n]  # domination number of H_0, H_1, ...
         self.bounds: dict[int, int] = {}  # min(k, n) -> min_rounds(spec, k)
+        # k < n -> the last stored round a refutability decision found no k nodes dominate
+        self.uncovered: dict[int, int] = {}
 
 
 class DynamicGraphSpec:
@@ -328,18 +338,21 @@ def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """Sorted members of the lex-smallest minimum dominating set of H_r.
 
-    The size is _gamma(spec, r); each position of the sorted member list
-    then takes the smallest node that still allows completion with larger
-    ids only, one find_cover decision per node tried.  The answer is kept
-    on the closure, so rounds that share a closure share it.  Raises
+    The size is the domination number of H_r: the gamma memo's where it
+    reaches, else one domination_number search of H_r alone, down from
+    the closure's `upper`.  Each position of the sorted member list then
+    takes the smallest node that still allows completion with larger ids
+    only, one find_cover decision per node tried.  The answer is kept on
+    the closure, so rounds that share a closure share it.  Raises
     CapExceeded when n > EXACT_SEARCH_CAP.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
+    gammas = spec._memo.gammas
     h = spec._memo.closures[last]
     if h.dominating is not None:
         return h.dominating
     covers, dom = h.reach, h.into
-    size = _gamma(spec, last)
+    size = gammas[last] if last < len(gammas) else domination_number(covers, dom, h.upper)
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
@@ -385,24 +398,60 @@ class Instance:
     def bound(self) -> int:
         """Smallest r >= 0 with a dominating set of H_r no larger than k.
 
-        r is 0 exactly when n <= k.  Closures only grow, and once m =
-        len(spec.rounds) consecutive rounds change no reach mask, H_r is
-        fixed for good (see _grow): NeverDominated if it needs more than k
-        dominators.  So the search ends within about n^2 * m rounds.
+        r is 0 exactly when n <= k.  Gamma never increases with r, so the
+        gamma memo settles the rounds it reaches.  Past them, and past the
+        last round a refutability decision proved uncovered, each changed
+        round takes one k-slot cover decision, whose cover bounds that
+        closure's domination number (`upper`).  Once m = len(spec.rounds)
+        consecutive rounds change no reach mask, H_r is fixed for good
+        (see _grow): NeverDominated, by at most one exact search.  So the walk
+        ends within about n^2 * m rounds.
         """
         spec, k = self.spec, min(self.k, self.spec.n)  # every k >= n has bound 0
-        bounds = spec._memo.bounds
-        if k in bounds:
-            return bounds[k]
-        r = 0
-        while (g := _gamma(spec, r)) > k:
-            if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
+        memo = spec._memo
+        if k in memo.bounds:
+            return memo.bounds[k]
+        _search_round(spec, 0)  # checks the cap
+        closures, gammas = memo.closures, memo.gammas
+        r = next((t for t, g in enumerate(gammas) if g <= k), None)
+        if r is None:
+            r = max(len(gammas) - 1, memo.uncovered.get(k, 0))
+            h, full = closures[r], (1 << spec.n) - 1
+            while _grow(spec, r + 1) != r:
+                r += 1
+                h, prev = closures[r], h
+                if h is prev:  # as uncovered as the round before
+                    continue
+                found = find_cover(h.reach, h.into, full, full, k, max(map(int.bit_count, h.reach)))
+                if found is not None:
+                    h.upper = min(h.upper, len(found))
+                    break
+            else:  # H_r is the last stored closure: it is fixed
+                # proven already when the gamma memo reaches H_r (the bound command's walk)
+                g = gammas[r] if len(gammas) > r else domination_number(h.reach, h.into, h.upper)
+                if g <= k:
+                    raise LemmaFalsified(
+                        f"a {k}-slot cover decision found no dominating set of H_r, fixed "
+                        f"from round {r - len(spec.rounds)} on, but its domination number "
+                        f"is {g} <= k = {k}")
                 raise NeverDominated(
                     f"no round suffices: H_r is fixed from round {r - len(spec.rounds)} on "
                     f"and its domination number is {g} > k = {k}")
-            r += 1
-        bounds[k] = r
+        memo.bounds[k] = r
         return r
+
+    def gamma_by_round(self) -> tuple[int, ...]:
+        """Domination numbers of H_1, ..., H_r at the bound r, which they find.
+
+        The bound command's route, since it prints them: the gamma memo
+        grows round by round until a number is at most k or H_r is fixed,
+        and bound() reads r from it.
+        """
+        spec, k = self.spec, min(self.k, self.spec.n)
+        r = 0
+        while _gamma(spec, r) > k and _grow(spec, r + 1) != r:
+            r += 1
+        return domination_numbers(spec, self.bound())
 
     def dominating_set(self) -> tuple[int, ...]:
         """min_dominating_set of H_r at the bound r."""
@@ -411,18 +460,23 @@ class Instance:
     def closure_below_bound(self, budget: int) -> Closure:
         """H_budget, once one k-slot cover decision shows no k nodes dominate it.
 
-        The package's one refutability test, made on every call.  Gamma
-        never increases with r, so it holds exactly below the bound, or
-        always if none exists, and BudgetNotBelowBound's message cannot
-        raise.  Raises CapExceeded when n > EXACT_SEARCH_CAP.
+        The package's one refutability test, made on every call; bound()
+        starts after the last round it proved uncovered.  Gamma never
+        increases with r, so it holds exactly below the bound, or always
+        if none exists, and BudgetNotBelowBound's message cannot raise.
+        Raises CapExceeded when n > EXACT_SEARCH_CAP.
         """
         spec = self.spec
-        h = spec._memo.closures[_search_round(spec, budget)]  # tests budget first
+        last = _search_round(spec, budget)  # tests budget first
+        h = spec._memo.closures[last]
         full = (1 << spec.n) - 1
         if find_cover(h.reach, h.into, full, full, self.k,
                       max(map(int.bit_count, h.reach))) is not None:
             raise BudgetNotBelowBound(
                 f"budget {budget} is not below the tight bound {self.bound()}")
+        # k slots would cover n <= k nodes, so self.k is min(k, n) here
+        uncovered = spec._memo.uncovered
+        uncovered[self.k] = max(uncovered.get(self.k, 0), last)
         return h
 
 

@@ -31,11 +31,10 @@ the walk to are test baselines in oracle.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .dyngraph import DynamicGraphSpec, Instance
 from .errors import LemmaFalsified, NoPanchromaticCell
-from .protocol import AlgorithmSpec, InputConfig, ViewTable
+from .protocol import AlgorithmSpec, InputConfig, Record, ViewTable
 
 Vertex = tuple[int, ...]
 
@@ -53,12 +52,13 @@ def is_vertex(v: Vertex, n: int) -> bool:
     return all(a >= b for a, b in zip(v, v[1:]))
 
 
-@dataclass(frozen=True)
-class PrimitiveSimplex:
+class PrimitiveSimplex(Record):
     """Unit cell: base vertex plus one unit step per permutation entry."""
 
-    base: Vertex
-    perm: tuple[int, ...]
+    __slots__ = ("base", "perm")
+
+    def __init__(self, base: Vertex, perm: tuple[int, ...]) -> None:
+        super().__init__(base, perm)
 
     def vertices(self) -> tuple[Vertex, ...]:
         pts = [self.base]

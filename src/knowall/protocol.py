@@ -24,6 +24,12 @@ and for flooding one, its first heard dominator or else itself.  `run`
 never reads that declaration, so it stays an independent check of it.
 `run` and ViewTable are the package's only builders of views; the tests'
 independent one, over plain reach sets, is oracle.view_of.
+
+Results are Records, plain __slots__ classes compared by value:
+OutcomeReport here, and check's, kuhn's and refuter's records.
+AlgorithmSpec is the package's one dataclass, because the benchmark's
+tracer wraps an algorithm's decide with dataclasses.replace; so this
+module alone imports dataclasses, and no other runs its decorator.
 """
 from __future__ import annotations
 
@@ -114,12 +120,55 @@ class AlgorithmSpec:
         return self.bind(instance, budget), closure_at(instance.spec, budget).senders
 
 
-@dataclass(frozen=True)
-class OutcomeReport:
-    outputs: tuple[int, ...]
-    valid: bool
-    agreeing: bool
-    distinct_count: int
+class Record:
+    """A result: the fields named by __slots__, set once by __init__.
+
+    Records compare, hash and print by value, as a frozen dataclass does,
+    and refuse assignment with AttributeError.  A subclass's __init__
+    passes its fields here in __slots__ order; copies and pickles are
+    rebuilt through it.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+
+class OutcomeReport(Record):
+    """What `run` scored: the outputs of nodes 1..n, validity, agreement and
+    the number of distinct outputs."""
+
+    __slots__ = ("outputs", "valid", "agreeing", "distinct_count")
+
+    def __init__(self, outputs: tuple[int, ...], valid: bool, agreeing: bool,
+                 distinct_count: int) -> None:
+        super().__init__(outputs, valid, agreeing, distinct_count)
 
 
 def _checked_output(alg: AlgorithmSpec, k: int, node: int, out) -> int:

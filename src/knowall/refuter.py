@@ -10,13 +10,12 @@ vouch for itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .dyngraph import DynamicGraphSpec, Instance
 from .errors import LemmaFalsified
 from .kuhn import AlgorithmColoring, PrimitiveSimplex, inp, sperner_walk
-from .protocol import AlgorithmSpec, InputConfig, format_config, run
+from .protocol import AlgorithmSpec, InputConfig, Record, format_config, run
 
 
 class WitnessKind(Enum):
@@ -24,19 +23,16 @@ class WitnessKind(Enum):
     VALIDITY_VIOLATION = "ValidityViolation"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Verified counterexample; re-running the algorithm on `config` at
     `budget` reproduces outputs[i] at nodes[i]."""
 
-    kind: WitnessKind
-    config: InputConfig
-    k: int
-    budget: int
-    nodes: tuple[int, ...]
-    outputs: tuple[int, ...]
-    simplex: PrimitiveSimplex | None
-    verified: bool
+    __slots__ = ("kind", "config", "k", "budget", "nodes", "outputs", "simplex", "verified")
+
+    def __init__(self, kind: WitnessKind, config: InputConfig, k: int, budget: int,
+                 nodes: tuple[int, ...], outputs: tuple[int, ...],
+                 simplex: PrimitiveSimplex | None, verified: bool) -> None:
+        super().__init__(kind, config, k, budget, nodes, outputs, simplex, verified)
 
     def to_dict(self) -> dict:
         return {

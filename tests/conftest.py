@@ -90,6 +90,12 @@ def counting_min(decided: list) -> AlgorithmSpec:
     return AlgorithmSpec("counting_min", decide)
 
 
+def replaced(record, **changes):
+    """A copy of a package record (protocol.Record) with the named fields changed."""
+    return type(record)(*(changes.pop(name, value)
+                          for name, value in zip(record.__slots__, record._values())))
+
+
 @contextmanager
 def flooding_of_round(r: int | None):
     """flood_dominator(), named flood_dominator(r), whose dominators are the

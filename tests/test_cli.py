@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -19,6 +20,8 @@ from knowall import (
     AlgorithmSpec,
     DynamicGraphSpec,
     Extension,
+    Instance,
+    LemmaFalsified,
     WitnessKind,
     algorithm_by_name,
     algorithm_coloring,
@@ -33,9 +36,11 @@ from knowall import (
 from knowall import domination, dyngraph, protocol
 from knowall import cli
 from knowall.cli import main
+from knowall.dyngraph import closure_at
 from knowall.oracle import vertices
 
 import golden
+from conftest import replaced
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -172,24 +177,61 @@ def test_closure_dot(capsys, c5_file):
 
 
 def test_unassignable_vertex_is_an_internal_error(capsys, c5_file, monkeypatch):
-    # a cover decision claiming no two nodes dominate H_2 of the 5-cycle
-    # leaves the vertex (3, 1), whose senders 1 and 3 reach everyone,
-    # without a node; the dominating set's rebuild still decides truly
+    # a refutability decision claiming no two nodes dominate H_2 of the
+    # 5-cycle leaves the vertex (3, 1), whose senders 1 and 3 reach
+    # everyone, without a node.  refute makes that decision first; the
+    # decisions after it, flooding's bound walk among them, answer truly
     find_cover = dyngraph.find_cover
+    lies = []
 
-    def no_cover(covers, dom, uncovered, avail, slots, widest):
+    def no_cover_once(covers, dom, uncovered, avail, slots, widest):
         full = (1 << len(covers)) - 1
-        if (uncovered, avail, slots) == (full, full, 2):
+        if (uncovered, avail, slots) == (full, full, 2) and not lies:
+            lies.append(covers)
             return None
         return find_cover(covers, dom, uncovered, avail, slots, widest)
 
-    monkeypatch.setattr(dyngraph, "find_cover", no_cover)
+    monkeypatch.setattr(dyngraph, "find_cover", no_cover_once)
     # the Sperner walk meets that vertex under either algorithm
     for alg in ("flood_dominator", "max_heard"):
+        lies.clear()
         code, out, err = run_cli(capsys, "refute", "--graph", c5_file, "--k", "2",
                                  "--alg", alg, "--budget", "2")
         assert code == 2 and out == "", alg
         assert err.startswith("internal error: LemmaFalsified: the positive coordinates of (3, 1)")
+        assert lies == [closure_at(directed_cycle(5), 2).reach], alg
+
+
+def test_an_undominated_fixed_closure_that_gamma_dominates_is_an_internal_error(
+        capsys, c5_file, monkeypatch):
+    # cover decisions claiming no k nodes dominate any closure of the
+    # 5-cycle walk the bound to H_4, complete and fixed, whose one exact
+    # search finds a single dominator: the walk names both answers instead
+    # of calling the sequence never dominated.  bound's own route proves
+    # domination numbers, which need no such decision
+    find_cover = dyngraph.find_cover
+
+    def no_cover(covers, dom, uncovered, avail, slots, widest):
+        full = (1 << len(covers)) - 1
+        if (uncovered, avail) == (full, full):
+            return None
+        return find_cover(covers, dom, uncovered, avail, slots, widest)
+
+    monkeypatch.setattr(dyngraph, "find_cover", no_cover)
+    def message(k):
+        return (f"a {k}-slot cover decision found no dominating set of H_r, fixed from round "
+                f"4 on, but its domination number is 1 <= k = {k}")
+
+    for k in (1, 2):
+        with pytest.raises(LemmaFalsified, match=f"^{re.escape(message(k))}$"):
+            Instance(directed_cycle(5), k).bound()
+    for argv in (("solve", "--inputs", "01201"),
+                 ("refute", "--alg", "flood_dominator", "--budget", "1"),
+                 ("check", "--alg", "flood_dominator", "--budget", "2", "--exhaustive")):
+        code, out, err = run_cli(capsys, *argv[:1], "--graph", c5_file, "--k", "2", *argv[1:])
+        assert (code, out, err) == (2, "", f"internal error: LemmaFalsified: {message(2)}\n"), argv
+    code, out, _ = run_cli(capsys, "bound", "--graph", c5_file, "--k", "2")
+    assert code == 0 and json.loads(out)["r"] == 2
 
 
 def test_refutability_is_decided_once_per_command(monkeypatch):
@@ -300,7 +342,7 @@ def test_check_failure_that_run_passes_is_an_internal_error(capsys, c5_file, tmp
     real_run = protocol.run
 
     def passing_run(*args):
-        return dataclasses.replace(real_run(*args), valid=True, agreeing=True)
+        return replaced(real_run(*args), valid=True, agreeing=True)
 
     monkeypatch.setattr(protocol, "run", passing_run)
     c32_file = str(tmp_path / "c32.json")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from knowall import (
     MAX_HEARD,
     MIN_HEARD,
+    BudgetNotBelowBound,
     CapExceeded,
     DynamicGraphSpec,
     Extension,
@@ -29,10 +30,13 @@ from knowall import (
     directed_cycle,
     directed_path,
     domination_numbers,
+    exhaustive_check,
+    flood_dominator,
     graph_at,
     load_graph_file,
     min_dominating_set,
     min_rounds,
+    refute,
     save_graph_file,
     spec_from_dict,
     spec_to_dict,
@@ -642,15 +646,114 @@ def test_gamma_by_round_matches_brute_force(capsys, tmp_path):
     assert answered >= 30
 
 
-def test_never_dominated_32_node_relay():
+def _answer(route):
+    # a bound, or the message that refuses one
+    try:
+        return route()
+    except (NeverDominated, BudgetNotBelowBound) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_cover_decisions_and_domination_numbers_find_the_same_bound():
+    # bound() decides each changed round with k slots, after the rounds a
+    # refutability decision proved uncovered; the bound command proves
+    # each round's domination number.  Each route runs on a fresh spec
+    rng = random.Random(5772)
+    specs = [random_spec(rng, max_n=12, max_prefix=4) for _ in range(3000)]
+    specs += [family(n) for family in (directed_cycle, directed_path, complete_graph)
+              for n in range(2, 13)] + [staggered_relay()]
+    seen = set()
+    for spec in specs:
+        for k in (1, 2, 3):
+            gammas = _answer(lambda: Instance(copy.copy(spec), k).gamma_by_round())
+            walked = gammas if isinstance(gammas, str) else len(gammas)
+            assert _answer(Instance(copy.copy(spec), k).bound) == walked, (spec, k)
+            # a refutability decision first, as refute and the coloring make it
+            query = Instance(copy.copy(spec), k)
+            budget = rng.randint(0, 3 if isinstance(walked, str) else walked + 1)
+            below = _answer(lambda: query.closure_below_bound(budget))
+            if isinstance(below, str):
+                assert below == f"BudgetNotBelowBound: budget {budget} is not below the tight " \
+                                f"bound {walked}", (spec, k, budget)
+            assert _answer(query.bound) == walked, (spec, k, budget)
+            seen.add((spec.extension, isinstance(walked, str), isinstance(below, str)))
+    # both rules, with bounds and without, and budgets on both sides of them
+    assert len(seen) == 6, seen
+
+
+def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
+    # bound() makes one k-slot decision per changed round after the last
+    # round known to be uncovered, by the gamma memo or by a refutability
+    # decision, and the cover it finds bounds that closure's domination
+    # number from above
+    decided = []
+    find_cover = dyngraph.find_cover
+
+    def recording(covers, dom, uncovered, avail, slots, widest):
+        if uncovered == avail == (1 << len(covers)) - 1:
+            decided.append(covers)
+        return find_cover(covers, dom, uncovered, avail, slots, widest)
+
+    monkeypatch.setattr(dyngraph, "find_cover", recording)
+
+    def walked(spec, k, first, rounds, bound):
+        decided.clear()
+        first(spec)
+        assert Instance(spec, k).bound() == bound
+        assert decided == [closure_at(spec, t).reach for t in rounds], (spec, k)
+
+    # round 4 of the relay adds nothing
+    walked(staggered_relay(), 1, lambda spec: None, [1, 2, 3, 5], 5)
+    walked(directed_cycle(9), 2, lambda spec: None, [1, 2, 3, 4], 4)
+    walked(directed_cycle(9), 2, lambda spec: domination_numbers(spec, 2), [3, 4], 4)
+    for budgets in ((2,), (1, 2, 1)):
+        walked(directed_cycle(9), 2,
+               lambda spec: [Instance(spec, 2).closure_below_bound(b) for b in budgets],
+               [*budgets, 3, 4], 4)
+    spec = directed_cycle(9)
+    assert [h.upper for h in spec._memo.closures] == []
+    assert min_rounds(spec, 2) == 4
+    assert [h.upper for h in spec._memo.closures] == [9, 9, 9, 9, 2]
+    # every k >= n has bound 0 and grows no closure past H_0, on either route
+    walked(spec := directed_cycle(9), 9, lambda spec: None, [], 0)
+    assert len(spec._memo.closures) == 1
+    spec = directed_cycle(9)
+    assert Instance(spec, 9).gamma_by_round() == () and len(spec._memo.closures) == 1
+
+
+def test_flooding_proves_no_domination_number_below_the_bound():
+    # refute and check bind flooding through the cover-decision bound, so the
+    # gamma memo keeps only H_0's number; the bound command fills it
+    for spec, k, budget in ((directed_cycle(9), 2, 3), (staggered_relay(), 1, 4)):
+        spec = copy.copy(spec)
+        refute(spec, k, flood_dominator(), budget)
+        assert spec._memo.gammas == [spec.n]
+        spec = copy.copy(spec)
+        assert exhaustive_check(spec, k, flood_dominator(), budget + 1).passed
+        assert spec._memo.gammas == [spec.n]
+        assert len(Instance(spec, k).gamma_by_round()) == budget + 1
+        # the gamma walk grows no closure past the bound
+        assert len(spec._memo.gammas) == len(spec._memo.closures) == budget + 2
+
+
+def test_never_dominated_32_node_relay(monkeypatch):
     # the closure of the reversed relay over nodes 1..31 last changes in
     # round 871, and node 32 never hears anyone
     spec = DynamicGraphSpec(32, tuple(frozenset({(j, j + 1)}) for j in range(30, 0, -1)),
                             Extension.CYCLE)
-    with pytest.raises(NeverDominated, match=(
-            r"^no round suffices: H_r is fixed from round 871 on and its "
-            r"domination number is 2 > k = 1$")):
-        min_rounds(spec, 1)
+    message = (r"^no round suffices: H_r is fixed from round 871 on and its "
+               r"domination number is 2 > k = 1$")
+    with pytest.raises(NeverDominated, match=message):
+        min_rounds(copy.copy(spec), 1)
+    # the bound command's walk proves each changed round's number once, the
+    # fixed closure's among them, and the bound reads that one from the memo
+    searched = []
+    search = dyngraph.domination_number
+    monkeypatch.setattr(dyngraph, "domination_number",
+                        lambda *args: searched.append(args) or search(*args))
+    with pytest.raises(NeverDominated, match=message):
+        Instance(spec, 1).gamma_by_round()
+    assert len(searched) == len({id(h) for h in spec._memo.closures}) - 1
 
 
 def test_min_rounds_validates():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import inspect
+import pickle
 import re
 from collections import Counter
 from collections.abc import Callable
@@ -43,7 +45,7 @@ from knowall import check, protocol
 from knowall.dyngraph import closure_at
 from knowall.oracle import view_of
 
-from conftest import counting_min, flooding_of_round, random_spec, standard_family
+from conftest import counting_min, flooding_of_round, random_spec, replaced, standard_family
 import random
 
 
@@ -378,6 +380,31 @@ def test_algorithm_registry():
     assert algorithm_by_name("min_heard") is MIN_HEARD
     with pytest.raises(ValueError):
         algorithm_by_name("nope")
+
+
+def test_records_compare_hash_print_and_copy_by_value(c5):
+    # the result records show what a frozen dataclass of the same fields
+    # would, refuse assignment, and survive copying and pickling
+    report = run(c5, 2, MIN_HEARD, (0, 0, 1, 2, 2), 1)
+    witness = refute(c5, 2, flood_dominator(), 1)
+    records = [report, exhaustive_check(c5, 2, MIN_HEARD, 1), witness.simplex, witness]
+    assert repr(report) == ("OutcomeReport(outputs=(0, 0, 0, 1, 2), valid=True, agreeing=False, "
+                            "distinct_count=3)")
+    assert repr(witness.simplex) == "PrimitiveSimplex(base=(3, 1), perm=(1, 2))"
+    assert repr(witness).startswith("Witness(kind=<WitnessKind.AGREEMENT_VIOLATION: ")
+    for record in records:
+        fields = record.__slots__
+        twin = type(record)(*(getattr(record, name) for name in fields))
+        assert twin == record and hash(twin) == hash(record) and twin is not record
+        assert record != tuple(getattr(record, name) for name in fields)
+        for made in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+            assert type(made) is type(record) and made == record
+        for name in (fields[0], "other"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    assert report != replaced(report, valid=False)
 
 
 def test_builtins_are_a_name_and_a_decision():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
 import random
@@ -49,7 +48,7 @@ from knowall.oracle import (
     view_of,
 )
 
-from conftest import random_spec, standard_family
+from conftest import random_spec, replaced, standard_family
 
 CONST_ZERO = AlgorithmSpec("const0", lambda spec, k, view: 0)
 CONST_ONE = AlgorithmSpec("const1", lambda spec, k, view: 1)
@@ -341,7 +340,7 @@ def test_refute_tripwires_at_k_12_show_the_configuration_as_a_list(monkeypatch):
     real_run, real_walk = refuter.run, refuter.sperner_walk
 
     def patched_run(**changes):
-        return lambda *args: dataclasses.replace(real_run(*args), **changes)
+        return lambda *args: replaced(real_run(*args), **changes)
 
     def raises(message, alg=MIN_HEARD):
         with pytest.raises(LemmaFalsified, match=f"^{re.escape(message)}$"):
@@ -400,7 +399,7 @@ def test_lemma_falsified_when_resimulation_claims_agreement(c5, monkeypatch):
     real_run = refuter.run
 
     def agreeing_run(*args):
-        return dataclasses.replace(real_run(*args), agreeing=True)
+        return replaced(real_run(*args), agreeing=True)
 
     monkeypatch.setattr(refuter, "run", agreeing_run)
     with pytest.raises(LemmaFalsified, match="reported agreement"):
@@ -414,7 +413,7 @@ def test_lemma_falsified_when_resimulation_claims_validity(c5, monkeypatch):
     real_run = refuter.run
 
     def valid_run(*args):
-        return dataclasses.replace(real_run(*args), valid=True)
+        return replaced(real_run(*args), valid=True)
 
     monkeypatch.setattr(refuter, "run", valid_run)
     with pytest.raises(LemmaFalsified, match=re.escape(
@@ -430,14 +429,14 @@ def test_lemma_falsified_when_resimulated_outputs_differ_from_the_coloring(c5, m
 
     def reversed_run(*args):
         report = real_run(*args)
-        return dataclasses.replace(report, outputs=report.outputs[::-1])
+        return replaced(report, outputs=report.outputs[::-1])
 
     monkeypatch.setattr(refuter, "run", reversed_run)
     with pytest.raises(LemmaFalsified, match=r"colored \(0, 1, 2\) re-simulated to outputs \(2, 1, 0\)"):
         refute(c5, 2, flood_dominator(), budget=1)
     # a validity witness is held to the same check: the vertex (5, 0) is
     # colored 0, but here node 2 re-simulates to its own input 1
-    monkeypatch.setattr(refuter, "run", lambda spec, k, alg, config, budget: dataclasses.replace(
+    monkeypatch.setattr(refuter, "run", lambda spec, k, alg, config, budget: replaced(
         real_run(spec, k, alg, config, budget), outputs=config))
     with pytest.raises(LemmaFalsified, match=r"colored \(0,\) re-simulated to outputs \(1,\)"):
         refute(c5, 2, CONST_ZERO, budget=1)
@@ -572,8 +571,9 @@ def test_sample_check_refuses_samples_that_are_not_an_int():
 def test_an_instance_is_the_query_and_a_coloring_decides_once(monkeypatch):
     # the instance keeps its spec and k and nothing else; a coloring built
     # on it makes one k-slot decision and colors as a fresh coloring does.
-    # A refutability decision offers all n nodes to cover all n in k slots;
-    # the dominating set's rebuild decides through find_cover too
+    # A refutability decision offers all n nodes to cover all n in k slots,
+    # and so does the bound's walk, once per changed round (H_1 and H_2
+    # here); the dominating set's rebuild decides through find_cover too
     decisions = []
     find_cover = dyngraph.find_cover
 
@@ -588,11 +588,12 @@ def test_an_instance_is_the_query_and_a_coloring_decides_once(monkeypatch):
     assert Instance.__slots__ == ("spec", "k")
     assert (query.spec, query.k) == (directed_cycle(5), 2)
     assert query.bound() == 2 and query.dominating_set() == (1, 3)
+    assert len(decisions) == 2
     coloring = kuhn.AlgorithmColoring(query, 1, MIN_HEARD)
-    assert len(decisions) == 1
+    assert len(decisions) == 3
     fresh = algorithm_coloring(directed_cycle(5), 2, 1, MIN_HEARD)
     assert [coloring(v) for v in vertices(5, 2)] == [fresh(v) for v in vertices(5, 2)]
-    assert len(decisions) == 2
+    assert len(decisions) == 4
     with pytest.raises(BudgetNotBelowBound, match="^budget 2 is not below the tight bound 2$"):
         query.closure_below_bound(2)
 

@@ -322,11 +322,12 @@ def test_a_round_number_is_tested_in_one_place():
 def test_few_functions_take_both_k_and_budget():
     # a query's spec and k travel together in an Instance; only the
     # documented library entry points still take both k and a budget.  The
-    # tests' oracle module keeps its baselines' own signatures
+    # tests' oracle module keeps its baselines' own signatures, and a
+    # record's constructor (Witness's) names its fields
     both = sorted(f"{name}:{node.name}" for name, tree in _package_trees()
                   if name != "oracle.py"
                   for node in ast.walk(tree)
-                  if isinstance(node, ast.FunctionDef)
+                  if isinstance(node, ast.FunctionDef) and node.name != "__init__"
                   and {"k", "budget"} <= {a.arg for a in node.args.args + node.args.kwonlyargs})
     assert both == ["check.py:exhaustive_check", "check.py:sample_check",
                     "kuhn.py:algorithm_coloring", "protocol.py:run", "refuter.py:refute"]
@@ -370,5 +371,23 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
                if callable(obj) and str(getattr(obj, "__module__", "")).startswith("knowall")}
     missing = sorted(names - defined)
     assert missing == []
-    # the tracer wraps decide functions with dataclasses.replace
-    assert dataclasses.is_dataclass(importlib.import_module("knowall.protocol").AlgorithmSpec)
+
+
+def test_algorithm_spec_is_the_one_dataclass():
+    # the benchmark's tracer wraps decide functions with dataclasses.replace,
+    # so AlgorithmSpec stays a dataclass; the result records are plain
+    # __slots__ classes, so that no other module runs the decorator, and
+    # only protocol and the tests' oracle import dataclasses
+    protocol = importlib.import_module("knowall.protocol")
+    assert dataclasses.is_dataclass(protocol.AlgorithmSpec)
+    records = [protocol.OutcomeReport, importlib.import_module("knowall.check").ExhaustiveReport,
+               importlib.import_module("knowall.kuhn").PrimitiveSimplex,
+               importlib.import_module("knowall.refuter").Witness]
+    assert [cls for cls in records if dataclasses.is_dataclass(cls)] == []
+    assert all(issubclass(cls, protocol.Record) and "__slots__" in vars(cls) for cls in records)
+    assert protocol.Record.__slots__ == ()
+    importers = sorted(name for name, tree in _package_trees() for node in ast.walk(tree)
+                       if isinstance(node, ast.Import) and "dataclasses" in
+                       [alias.name for alias in node.names]
+                       or isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    assert importers == ["oracle.py", "protocol.py"]
