@@ -76,9 +76,9 @@ def _nonnegative(text: str) -> int:
 def cmd_bound(args: SimpleNamespace) -> int:
     query = Instance(load_graph_file(args.graph), args.k)
     # the printed numbers find r themselves, cheaper than cover decisions first
-    gammas = query.gamma_by_round()
-    _emit({"r": len(gammas), "dominating_set": list(query.dominating_set()),
-           "gamma_by_round": list(gammas)}, args.pretty)
+    numbers = query.gamma_by_round()
+    _emit({"r": len(numbers), "dominating_set": list(query.dominating_set()),
+           "gamma_by_round": list(numbers)}, args.pretty)
     return 0
 
 

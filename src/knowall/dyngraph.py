@@ -19,19 +19,21 @@ below it (domination).  Every answer is derived from one Closure object
 per H_r.  Its reach masks are its cover masks: entry u is the bitmask of
 nodes u's token can occupy after rounds 1..r.  Its in-masks are its
 dominator masks: entry v is the bitmask of nodes v has heard from, the
-nodes that dominate v.  Each spec keeps its closures (grown by _grow),
-and the domination numbers, dominating sets and bounds derived from
-them, in a private memo that is freed with the spec.  Other modules read
-H_r through closure_at, or through an Instance, the query (spec, k),
-which keeps nothing else: building one is the package's one test of k,
-and its closure_below_bound first checks with one k-slot cover decision
-that no k nodes dominate H_r, the package's one refutability test.  Its
-bound decides too, by one such decision per changed round; only the
-bound command, which prints each round's domination number, counts
-(gamma_by_round).  Building a spec builds no n-bit mask, and every exact
-search tests its round (checked_round), then EXACT_SEARCH_CAP, before it
-grows any.  The spec is a plain __slots__ class, as protocol's Records
-are; protocol.AlgorithmSpec is the one dataclass left, because the
+nodes that dominate v.  Each spec keeps its closures (grown by _grow) in
+a private memo that is freed with the spec; each closure keeps its
+dominating set and an interval lower <= gamma(H_r) <= upper, which every
+search and decision narrows, so what one k learns serves every k.  Other
+modules read H_r through closure_at, or through an Instance, the query
+(spec, k), which keeps nothing else: building one is the package's one
+test of k, and its closure_below_bound first checks with one k-slot
+cover decision that no k nodes dominate H_r, the package's one
+refutability test.  Its bound decides too, one such decision per round
+its interval leaves open; only the bound command, which prints each
+round's domination number, counts (gamma_by_round).  Building a spec
+builds no n-bit mask, and every exact search tests its round
+(checked_round), then EXACT_SEARCH_CAP, before it grows any.  The spec
+is a plain __slots__ class, as protocol's Records are;
+protocol.AlgorithmSpec is the one dataclass left, because the
 benchmark's tracer rebuilds it with dataclasses.replace.
 """
 from __future__ import annotations
@@ -69,16 +71,18 @@ class Closure:
     senders[v] lists the nodes of into[v] 1-based and increasing, so a
     search that reads masks only builds none.  `dominating` is None until
     min_dominating_set rebuilds the closure's set, which every round
-    sharing the closure then reads.  `upper` is the size of a dominating
-    set known to exist: n, until Instance.bound's cover decision finds a
-    smaller one.  A closure never refers to its spec.
+    sharing the closure then reads.  lower <= gamma(H) <= upper always
+    holds: (1, n) at first, (n, n) for H_0.  A failed k-slot cover
+    decision raises lower to k + 1, a cover found lowers upper to its
+    size, and the one exact search (_exact) closes the interval.  A
+    closure never refers to its spec.
     """
 
-    __slots__ = ("reach", "into", "_senders", "dominating", "upper")
+    __slots__ = ("reach", "into", "_senders", "dominating", "lower", "upper")
 
-    def __init__(self, reach: tuple[int, ...], into: tuple[int, ...]) -> None:
+    def __init__(self, reach: tuple[int, ...], into: tuple[int, ...], lower: int = 1) -> None:
         self.reach, self.into, self._senders, self.dominating = reach, into, None, None
-        self.upper = len(reach)
+        self.lower, self.upper = lower, len(reach)
 
     @property
     def senders(self) -> tuple[tuple[int, ...], ...]:
@@ -96,18 +100,14 @@ class Closure:
 
 
 class _Memo:
-    """A spec's derived data, grown on demand; it never refers to the spec."""
+    """A spec's closures, which keep what is derived from them; it never refers to the spec."""
 
-    __slots__ = ("graphs", "closures", "quiet", "gammas", "bounds", "uncovered")
+    __slots__ = ("graphs", "closures", "quiet")
 
-    def __init__(self, n: int, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
+    def __init__(self, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
         self.closures: list[Closure] = []  # H_0, H_1, ... until they are fixed (see _grow)
         self.quiet = 0  # trailing stored rounds that added nothing
-        self.gammas = [n]  # domination number of H_0, H_1, ...
-        self.bounds: dict[int, int] = {}  # min(k, n) -> min_rounds(spec, k)
-        # k < n -> the last stored round a refutability decision found no k nodes dominate
-        self.uncovered: dict[int, int] = {}
 
 
 class DynamicGraphSpec:
@@ -155,7 +155,7 @@ class DynamicGraphSpec:
         init(self, "n", n)
         init(self, "rounds", tuple(frozenset(rnd) for rnd in rounds))
         init(self, "extension", Extension(extension))
-        init(self, "_memo", _Memo(n, tuple(graphs)))
+        init(self, "_memo", _Memo(tuple(graphs)))
 
     def _key(self) -> tuple:
         return self.n, self.rounds, self.extension
@@ -240,7 +240,7 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
     closures = memo.closures
     if not closures:
         identity = tuple(1 << i for i in range(spec.n))
-        closures.append(Closure(identity, identity))
+        closures.append(Closure(identity, identity, spec.n))
     period = len(spec.rounds)
     while len(closures) <= r and memo.quiet < period:
         prev = closures[-1]
@@ -304,33 +304,33 @@ def _search_round(spec: DynamicGraphSpec, r: int) -> int:
     return _grow(spec, r)
 
 
-def _gamma(spec: DynamicGraphSpec, r: int) -> int:
-    """Domination number of H_r, memoized on the spec round by round: a changed
-    round searches down from the round before, an unchanged one copies it."""
-    last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
-    memo = spec._memo
-    while (t := len(memo.gammas)) <= last:
-        g = memo.gammas[-1]
-        h = memo.closures[t]
-        if h is not memo.closures[t - 1]:
-            g = domination_number(h.reach, h.into, g)
-        memo.gammas.append(g)
-    return memo.gammas[last]
+def _exact(closures: list[Closure], t: int) -> int:
+    """Domination number of closures[t], searched at most once per closure.
+
+    Closures only grow, so a set dominating the round before dominates
+    this one: the search starts from the smaller of the two uppers, and
+    leaves the closure's interval closed.  Its caller has grown the
+    closures through _search_round.
+    """
+    h = closures[t]
+    if h.lower < h.upper:  # H_0 is known, so t >= 1 here
+        h.upper = h.lower = domination_number(h.reach, h.into,
+                                              min(closures[t - 1].upper, h.upper))
+    return h.upper
 
 
 def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
-    """Domination numbers of H_1, ..., H_r, read from the spec's memo.
+    """Domination numbers of H_1, ..., H_r, each searched in round order.
 
-    One _gamma call fills the memo up to H_r, or up to the round from
-    which the closures are fixed, whose number every later round shares.
-    Raises CapExceeded when n > EXACT_SEARCH_CAP, and ValueError when r is
-    past what a tuple can index.
+    Rounds past the one from which the closures are fixed share its
+    number.  Raises CapExceeded when n > EXACT_SEARCH_CAP, and ValueError
+    when r is past what a tuple can index.
     """
-    _gamma(spec, r)
-    gammas = spec._memo.gammas
-    head = gammas[1:r + 1]
+    last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
+    closures = spec._memo.closures
+    head = tuple([_exact(closures, t) for t in range(1, last + 1)])
     try:
-        return tuple(head) + (gammas[-1],) * (r - len(head))
+        return head + (closures[last].upper,) * (r - last)
     except OverflowError:  # r is past what a tuple can index
         raise ValueError(f"r = {r} is too large to list one number per round") from None
 
@@ -338,21 +338,20 @@ def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
 def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     """Sorted members of the lex-smallest minimum dominating set of H_r.
 
-    The size is the domination number of H_r: the gamma memo's where it
-    reaches, else one domination_number search of H_r alone, down from
-    the closure's `upper`.  Each position of the sorted member list then
-    takes the smallest node that still allows completion with larger ids
-    only, one find_cover decision per node tried.  The answer is kept on
-    the closure, so rounds that share a closure share it.  Raises
-    CapExceeded when n > EXACT_SEARCH_CAP.
+    The size is the domination number of H_r, searched once (_exact) if
+    its closure does not know it yet.  Each position of the sorted member
+    list then takes the smallest node that still allows completion with
+    larger ids only, one find_cover decision per node tried.  The answer
+    is kept on the closure, so rounds that share a closure share it.
+    Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
-    gammas = spec._memo.gammas
-    h = spec._memo.closures[last]
+    closures = spec._memo.closures
+    h = closures[last]
     if h.dominating is not None:
         return h.dominating
     covers, dom = h.reach, h.into
-    size = gammas[last] if last < len(gammas) else domination_number(covers, dom, h.upper)
+    size = _exact(closures, last)
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
@@ -386,8 +385,9 @@ class Instance:
 
     Building one tests k and nothing else, so every entry point refuses a
     bad k with the same ValueError first.  The instance keeps nothing but
-    the two: its bound and dominating set are read from the spec's memo,
-    and each refutability decision is made afresh when asked for.
+    the two: its bound and dominating set are read from the spec's
+    closures, and each refutability decision is made afresh when asked
+    for.
     """
 
     __slots__ = ("spec", "k")
@@ -399,36 +399,25 @@ class Instance:
         """Smallest r >= 0 with a dominating set of H_r no larger than k.
 
         r is 0 exactly when n <= k.  Gamma never increases with r, so the
-        gamma memo settles the rounds it reaches.  Past them, and past the
-        last round a refutability decision proved uncovered, each changed
-        round takes one k-slot cover decision, whose cover bounds that
-        closure's domination number (`upper`).  Once m = len(spec.rounds)
-        consecutive rounds change no reach mask, H_r is fixed for good
-        (see _grow): NeverDominated, by at most one exact search.  So the walk
-        ends within about n^2 * m rounds.
+        walk starts at the last stored closure whose `lower` exceeds k,
+        or at H_0.  Past it, a closure whose `lower` exceeds k is skipped,
+        the walk stops at the first whose `upper` is at most k, and any
+        other closure takes one k-slot cover decision, which narrows its
+        interval either way.  Once m = len(spec.rounds) consecutive
+        rounds change no reach mask, H_r is fixed for good (see _grow):
+        NeverDominated, by at most one exact search.  So the walk ends
+        within about n^2 * m rounds.
         """
         spec, k = self.spec, min(self.k, self.spec.n)  # every k >= n has bound 0
-        memo = spec._memo
-        if k in memo.bounds:
-            return memo.bounds[k]
         _search_round(spec, 0)  # checks the cap
-        closures, gammas = memo.closures, memo.gammas
-        r = next((t for t, g in enumerate(gammas) if g <= k), None)
-        if r is None:
-            r = max(len(gammas) - 1, memo.uncovered.get(k, 0))
-            h, full = closures[r], (1 << spec.n) - 1
-            while _grow(spec, r + 1) != r:
-                r += 1
-                h, prev = closures[r], h
-                if h is prev:  # as uncovered as the round before
-                    continue
-                found = find_cover(h.reach, h.into, full, full, k, max(map(int.bit_count, h.reach)))
-                if found is not None:
-                    h.upper = min(h.upper, len(found))
-                    break
-            else:  # H_r is the last stored closure: it is fixed
-                # proven already when the gamma memo reaches H_r (the bound command's walk)
-                g = gammas[r] if len(gammas) > r else domination_number(h.reach, h.into, h.upper)
+        closures = spec._memo.closures
+        r = len(closures) - 1
+        while r and closures[r].lower <= k:
+            r -= 1
+        full = (1 << spec.n) - 1
+        while closures[r].upper > k:
+            if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
+                g = _exact(closures, r)
                 if g <= k:
                     raise LemmaFalsified(
                         f"a {k}-slot cover decision found no dominating set of H_r, fixed "
@@ -437,19 +426,27 @@ class Instance:
                 raise NeverDominated(
                     f"no round suffices: H_r is fixed from round {r - len(spec.rounds)} on "
                     f"and its domination number is {g} > k = {k}")
-        memo.bounds[k] = r
+            r += 1
+            h = closures[r]
+            if h.lower <= k < h.upper:
+                found = find_cover(h.reach, h.into, full, full, k, max(map(int.bit_count, h.reach)))
+                if found is None:
+                    h.lower = k + 1
+                else:
+                    h.upper = len(found)
         return r
 
     def gamma_by_round(self) -> tuple[int, ...]:
         """Domination numbers of H_1, ..., H_r at the bound r, which they find.
 
-        The bound command's route, since it prints them: the gamma memo
-        grows round by round until a number is at most k or H_r is fixed,
-        and bound() reads r from it.
+        The bound command's route, since it prints them: each round's
+        number is searched in turn (_exact) until one is at most k or H_r
+        is fixed, and bound() then reads r from the closed intervals.
         """
         spec, k = self.spec, min(self.k, self.spec.n)
-        r = 0
-        while _gamma(spec, r) > k and _grow(spec, r + 1) != r:
+        r = _search_round(spec, 0)  # checks the cap
+        closures = spec._memo.closures
+        while _exact(closures, r) > k and _grow(spec, r + 1) != r:
             r += 1
         return domination_numbers(spec, self.bound())
 
@@ -460,10 +457,11 @@ class Instance:
     def closure_below_bound(self, budget: int) -> Closure:
         """H_budget, once one k-slot cover decision shows no k nodes dominate it.
 
-        The package's one refutability test, made on every call; bound()
-        starts after the last round it proved uncovered.  Gamma never
-        increases with r, so it holds exactly below the bound, or always
-        if none exists, and BudgetNotBelowBound's message cannot raise.
+        The package's one refutability test, made on every call.  A failed
+        decision raises the closure's `lower` past k, which every later
+        bound() at k or below reads.  Gamma never increases with r, so it
+        holds exactly below the bound, or always if none exists, and
+        BudgetNotBelowBound's message cannot raise.
         Raises CapExceeded when n > EXACT_SEARCH_CAP.
         """
         spec = self.spec
@@ -474,9 +472,8 @@ class Instance:
                       max(map(int.bit_count, h.reach))) is not None:
             raise BudgetNotBelowBound(
                 f"budget {budget} is not below the tight bound {self.bound()}")
-        # k slots would cover n <= k nodes, so self.k is min(k, n) here
-        uncovered = spec._memo.uncovered
-        uncovered[self.k] = max(uncovered.get(self.k, 0), last)
+        # k slots would cover n <= k nodes, so self.k < n here
+        h.lower = max(h.lower, self.k + 1)
         return h
 
 

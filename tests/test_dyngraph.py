@@ -46,7 +46,7 @@ from knowall import (
 from knowall import domination, dyngraph
 from knowall.cli import main
 from knowall.domination import _greedy_members, domination_number, find_cover
-from knowall.dyngraph import _gamma, closure_at
+from knowall.dyngraph import closure_at
 from knowall.oracle import brute_domination, reach_sets
 
 from conftest import random_spec
@@ -54,6 +54,11 @@ from conftest import random_spec
 
 def arcs_of(spec, t):
     return sorted(graph_at(spec, t))
+
+
+def gamma_of(spec, r):
+    # the domination number of H_r, H_0's being n
+    return (spec.n, *domination_numbers(spec, r))[r]
 
 
 @st.composite
@@ -374,9 +379,9 @@ def test_cycles_are_settled_without_branching(monkeypatch):
         for t in range(1, n):
             for seen in calls.values():
                 seen.clear()
-            g = _gamma(spec, t)
+            g = gamma_of(spec, t)
             assert g == -(-n // (t + 1)), (n, t)
-            if g == _gamma(spec, t - 1):
+            if g == gamma_of(spec, t - 1):
                 assert not any(calls.values()), (n, t)
                 settled += 1
             else:
@@ -517,7 +522,7 @@ def test_domination_number_matches_brute_force_on_forced_heavy_specs():
             forced_some += 0 < len(forced) < gamma
             for upper in range(gamma, n + 1):
                 assert domination_number(covers, dom, upper) == gamma, (spec, r, upper)
-            assert _gamma(spec, r) == gamma
+            assert gamma_of(spec, r) == gamma
             assert len(min_dominating_set(spec, r)) == gamma
     assert forced_all >= 20 and forced_some >= 20
 
@@ -620,7 +625,7 @@ def test_gamma_matches_brute_force_on_random_specs():
         spec = random_spec(rng, max_n=14)
         for r in range(3 * spec.n + 1):
             expected = brute_domination(spec.n, closure(spec, r))
-            assert _gamma(spec, r) == expected, (spec, r)
+            assert gamma_of(spec, r) == expected, (spec, r)
             assert len(min_dominating_set(spec, r)) == expected, (spec, r)
             if r == 1 and spec.n >= 12 and expected >= 6:
                 deep += 1
@@ -681,11 +686,8 @@ def test_cover_decisions_and_domination_numbers_find_the_same_bound():
     assert len(seen) == 6, seen
 
 
-def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
-    # bound() makes one k-slot decision per changed round after the last
-    # round known to be uncovered, by the gamma memo or by a refutability
-    # decision, and the cover it finds bounds that closure's domination
-    # number from above
+def _recording_decisions(monkeypatch):
+    # the covers of each k-slot decision on a whole closure, in call order
     decided = []
     find_cover = dyngraph.find_cover
 
@@ -695,6 +697,15 @@ def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
         return find_cover(covers, dom, uncovered, avail, slots, widest)
 
     monkeypatch.setattr(dyngraph, "find_cover", recording)
+    return decided
+
+
+def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
+    # bound() makes one k-slot decision per changed round after the last
+    # round known to be uncovered, by an exact search or by a refutability
+    # decision, and the cover it finds bounds that closure's domination
+    # number from above
+    decided = _recording_decisions(monkeypatch)
 
     def walked(spec, k, first, rounds, bound):
         decided.clear()
@@ -714,6 +725,7 @@ def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
     assert [h.upper for h in spec._memo.closures] == []
     assert min_rounds(spec, 2) == 4
     assert [h.upper for h in spec._memo.closures] == [9, 9, 9, 9, 2]
+    assert [h.lower for h in spec._memo.closures] == [9, 3, 3, 3, 1]
     # every k >= n has bound 0 and grows no closure past H_0, on either route
     walked(spec := directed_cycle(9), 9, lambda spec: None, [], 0)
     assert len(spec._memo.closures) == 1
@@ -721,19 +733,79 @@ def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
     assert Instance(spec, 9).gamma_by_round() == () and len(spec._memo.closures) == 1
 
 
-def test_flooding_proves_no_domination_number_below_the_bound():
-    # refute and check bind flooding through the cover-decision bound, so the
-    # gamma memo keeps only H_0's number; the bound command fills it
-    for spec, k, budget in ((directed_cycle(9), 2, 3), (staggered_relay(), 1, 4)):
+def test_what_one_k_learns_serves_every_k(monkeypatch):
+    # a refutability decision at k = 3 proves H_1 of the 9-cycle needs 4
+    # nodes, so bound() at k = 2 starts after it; that walk's failed
+    # decision on H_2 proves it needs 3, so bound() at k = 3 decides H_2 alone
+    decided = _recording_decisions(monkeypatch)
+    spec = directed_cycle(9)
+    Instance(spec, 3).closure_below_bound(1)
+    decided.clear()
+    assert Instance(spec, 2).bound() == 4
+    assert decided == [closure_at(spec, t).reach for t in (2, 3, 4)]
+    decided.clear()
+    assert Instance(spec, 3).bound() == 2
+    assert decided == [closure_at(spec, 2).reach]
+
+
+def test_every_call_keeps_each_closure_interval_around_its_number():
+    # bounds at k 1-4, refutability decisions, domination numbers and
+    # dominating sets, asked in random order: after each call every stored
+    # closure has lower <= gamma <= upper, and each answer is the one the
+    # same call gives on a fresh spec, so what was asked before changes none
+    rng = random.Random(1732)
+    calls = (lambda spec, k, r: Instance(spec, k).bound(),
+             lambda spec, k, r: Instance(spec, k).closure_below_bound(r).reach,
+             lambda spec, k, r: domination_numbers(spec, r),
+             lambda spec, k, r: min_dominating_set(spec, r))
+    asked = set()
+    narrowed = 0  # intervals a decision narrowed but left open
+    for _ in range(300):
+        spec = random_spec(rng, max_n=12)
+        gammas = {}
+        for _ in range(8):
+            # domination numbers close every interval they reach, so decisions come first
+            i, k, r = rng.choice((0, 0, 0, 1, 1, 1, 2, 3)), rng.randint(1, 4), rng.randint(0, 6)
+            call = calls[i]
+            answer = _answer(lambda: call(spec, k, r))
+            assert answer == _answer(lambda: call(copy.copy(spec), k, r)), (spec, i, k, r)
+            asked.add((i, isinstance(answer, str)))
+            for h in spec._memo.closures:
+                if id(h) not in gammas:
+                    arcs = [(u + 1, v + 1) for v, heard in enumerate(h.into)
+                            for u in range(spec.n) if heard >> u & 1]
+                    gammas[id(h)] = brute_domination(spec.n, arcs)
+                assert h.lower <= gammas[id(h)] <= h.upper, (spec, i, k, r)
+                narrowed += 1 < h.lower < h.upper or h.lower < h.upper < spec.n
+    # every call, and bounds and budgets refused as well as answered
+    assert narrowed >= 1000
+    assert asked == {(0, False), (0, True), (1, False), (1, True), (2, False), (3, False)}
+
+
+def test_flooding_proves_no_domination_number_below_the_bound(monkeypatch):
+    # refute and check bind flooding through the cover-decision bound, so
+    # the only exact search they may make sizes H_r's dominating set, and
+    # none when the bound's cover closed H_r's interval (the relay's single
+    # dominator); the bound command proves every round's number
+    searched = []
+    search = dyngraph.domination_number
+    monkeypatch.setattr(dyngraph, "domination_number",
+                        lambda *args: searched.append(args[0]) or search(*args))
+    for spec, k, budget, searches in ((directed_cycle(9), 2, 3, 1), (staggered_relay(), 1, 4, 0)):
         spec = copy.copy(spec)
+        searched.clear()
         refute(spec, k, flood_dominator(), budget)
-        assert spec._memo.gammas == [spec.n]
+        assert searched == [closure_at(spec, budget + 1).reach] * searches
         spec = copy.copy(spec)
+        searched.clear()
         assert exhaustive_check(spec, k, flood_dominator(), budget + 1).passed
-        assert spec._memo.gammas == [spec.n]
+        assert searched == [closure_at(spec, budget + 1).reach] * searches
         assert len(Instance(spec, k).gamma_by_round()) == budget + 1
-        # the gamma walk grows no closure past the bound
-        assert len(spec._memo.gammas) == len(spec._memo.closures) == budget + 2
+        # the gamma walk grows no closure past the bound, and closes each
+        # one's interval
+        closures = spec._memo.closures
+        assert len(closures) == budget + 2
+        assert all(h.lower == h.upper for h in closures)
 
 
 def test_never_dominated_32_node_relay(monkeypatch):
@@ -880,10 +952,11 @@ def test_dominating_sets_are_kept_once_per_closure():
 
 
 def test_bounds_are_kept_once_per_k_below_n():
-    # every k >= n has bound 0, so the spec keeps one bound per k up to n
+    # every k >= n has bound 0, and bounds are read from the closures'
+    # intervals, so asking for many k keeps nothing per k
     spec = directed_cycle(8)
     assert [min_rounds(spec, k) for k in range(1, 300)] == [7, 3, 2, 1, 1, 1, 1] + [0] * 292
-    assert sorted(spec._memo.bounds) == list(range(1, 9))
+    assert type(spec._memo).__slots__ == ("graphs", "closures", "quiet")
 
 
 def test_closures_stop_growing_once_they_are_fixed():
@@ -896,8 +969,9 @@ def test_closures_stop_growing_once_they_are_fixed():
     memo = spec._memo
     assert len(memo.closures) == 6
     assert closure_at(spec, 10 ** 9).into == closure_at(spec, 4).into
-    assert _gamma(spec, 10 ** 9) == 1 and len(memo.gammas) == 6
     assert domination_numbers(spec, 7) == (3, 2, 2, 1, 1, 1, 1)
+    # each of the 6 stored closures knows its number exactly
+    assert len(memo.closures) == 6 and all(h.lower == h.upper for h in memo.closures)
     assert domination_numbers(spec, 0) == ()
     assert min_dominating_set(spec, 10 ** 9) == (1,) and len(memo.closures) == 6
     # a sequence that is never dominated stores at most about n^2 * m rounds

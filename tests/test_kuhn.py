@@ -22,13 +22,13 @@ from knowall import (
     closure,
     complete_graph,
     directed_cycle,
+    domination_numbers,
     format_inputs,
     inp,
     is_vertex,
     min_rounds,
 )
 from knowall import kuhn, oracle
-from knowall.dyngraph import _gamma
 from knowall.oracle import (
     SpernerReport,
     assign_node,
@@ -306,7 +306,7 @@ def test_negative_budget_is_rejected_whatever_was_asked_before():
     with pytest.raises(ValueError, match="^closure needs r >= 0, got -1$"):
         algorithm_coloring(spec, 2, -1, MIN_HEARD)
     with pytest.raises(ValueError, match="^closure needs r >= 0, got -7$"):
-        _gamma(spec, -7)
+        domination_numbers(spec, -7)
 
 
 def test_assigned_node_hears_no_positive_coordinate():

@@ -224,7 +224,7 @@ def test_searches_keep_no_module_state():
     for _ in range(50):
         spec = random_spec(rng, max_n=14)
         r = rng.randint(0, 4)
-        dyngraph._gamma(spec, r)
+        dyngraph.domination_numbers(spec, r)
         dyngraph.min_dominating_set(spec, r)
     assert (set(vars(dyngraph)), set(vars(domination))) == names
     assert containers() == before
