@@ -7,11 +7,12 @@ returns the members it found, 1-based, so a caller can go on from them.
 
 Closures only grow, so the domination number never increases with r:
 each round whose closure changed starts from the round before
-(domination_number), and its number is proven by the cheapest of three
-proofs: counting, the forced members (nodes that hear nobody else)
-covering everyone, or one failing cover decision (_cover) on the nodes
-they leave uncovered.  Only the round a caller asks for rebuilds its
-member list (dyngraph.min_dominating_set).
+(domination_number), and its number is proven by the cheapest of four
+proofs: counting; one circle-cover pass (_ring_number) when the caller
+gives a ring of which every cover is a forward arc; the forced members
+(nodes that hear nobody else) covering everyone; or one failing cover
+decision (_cover) on the nodes they leave uncovered.  Only the round a
+caller asks for rebuilds its member list (dyngraph.min_dominating_set).
 """
 from __future__ import annotations
 
@@ -121,14 +122,53 @@ def _cover(covers: tuple[int, ...], order: list[tuple[int, int, int]],
     return None
 
 
-def domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int) -> int:
+def _ring_number(covers: tuple[int, ...], dom: tuple[int, ...], ring: tuple[int, ...],
+                 upper: int) -> int:
+    """Domination number, at most `upper`, which must be attained, of arcs of a ring.
+
+    Node u covers the ring[u]-th place and the places after it, wrapping
+    from the last place to the first, and no arc ends before the arc of
+    the place before it: so it is for closures, since a token can wait
+    for the token of the node before it and follow it.  Some member covers
+    the node with the fewest dominators, so each of them is tried as the
+    first member.  What its arc leaves of the circle is one interval, and
+    the greedy that takes the arc reaching farthest from the first place
+    left uncovered, the arc that starts there, covers that interval with
+    the fewest arcs (C. C. Lee and D. T. Lee, "On a circle-cover
+    minimization problem", IPL 18(2), 1984).  A try stops once it uses as
+    many arcs as the best so far.
+    """
+    n = len(covers)
+    widths = [0] * n
+    for u, cover in enumerate(covers):
+        widths[ring[u]] = cover.bit_count()
+    best = upper
+    heard = min(dom, key=int.bit_count)
+    while heard:
+        low = heard & -heard
+        heard ^= low
+        p = ring[low.bit_length() - 1]
+        used, left, p = 1, n - widths[p], p + widths[p]
+        while left > 0 and used < best:
+            used += 1
+            left -= widths[p % n]
+            p += widths[p % n]
+        best = used  # a try cut off at best arcs leaves best as it is
+    return best
+
+
+def domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int,
+                      ring: tuple[int, ...] | None = None) -> int:
     """Domination number, at most `upper`, which must be attained.
 
     The cheapest proof comes first.  Counting: more than (upper - 1) *
-    widest nodes need upper members.  Forced members: the set F of nodes
-    that hear nobody else lies in every dominating set (the first rule of
-    Alber, Fellows and Niedermeier, J. ACM 2004), and is the answer when it
-    covers everyone.  Otherwise the greedy cover of `rest`, the nodes F
+    widest nodes need upper members.  The ring: when `ring` places every
+    cover as a forward arc of one circle, as on the closures of dyngraph's
+    ring-shaped sequences, one circle-cover pass settles the number
+    (_ring_number).  Forced members: the set F of nodes that hear nobody
+    else lies in every dominating set (the first rule of Alber, Fellows
+    and Niedermeier, J. ACM 2004), and is the answer when it covers
+    everyone.  Otherwise the greedy cover of `rest`, the nodes F
     leaves uncovered, cut off at upper - |F|, is the start, and the size
     steps down to each cover of rest found with one node fewer: a number g
     is then proven by one failing root decision (_cover on rest, g - |F| -
@@ -139,6 +179,8 @@ def domination_number(covers: tuple[int, ...], dom: tuple[int, ...], upper: int)
     widest = max(map(int.bit_count, covers))
     if n > (upper - 1) * widest:
         return upper
+    if ring is not None:
+        return _ring_number(covers, dom, ring, upper)
     forced = taken = 0
     for v, heard in enumerate(dom):
         if heard == 1 << v:

@@ -22,7 +22,11 @@ dominator masks: entry v is the bitmask of nodes v has heard from, the
 nodes that dominate v.  Each spec keeps its closures (grown by _grow) in
 a private memo that is freed with the spec; each closure keeps its
 dominating set and an interval lower <= gamma(H_r) <= upper, which every
-search and decision narrows, so what one k learns serves every k.  Other
+search and decision narrows, so what one k learns serves every k.  A
+sequence is ring-shaped when the union of its round graphs is one cycle
+through all n nodes or has at most one arc out of and into each node and
+no cycle: every reach mask is then a forward arc of that ring (_ring, kept
+on the memo), and each exact search is one circle-cover pass.  Other
 modules read H_r through closure_at, or through an Instance, the query
 (spec, k), which keeps nothing else: building one is the package's one
 test of k, and its closure_below_bound first checks with one k-slot
@@ -102,12 +106,13 @@ class Closure:
 class _Memo:
     """A spec's closures, which keep what is derived from them; it never refers to the spec."""
 
-    __slots__ = ("graphs", "closures", "quiet")
+    __slots__ = ("graphs", "closures", "quiet", "ring")
 
     def __init__(self, graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> None:
         self.graphs = graphs  # (target, sources) in-neighbour lists of each stored round graph
         self.closures: list[Closure] = []  # H_0, H_1, ... until they are fixed (see _grow)
         self.quiet = 0  # trailing stored rounds that added nothing
+        self.ring: tuple[int, ...] | None = None  # _ring's places, set with H_0
 
 
 class DynamicGraphSpec:
@@ -218,6 +223,40 @@ def graph_at(spec: DynamicGraphSpec, t: int) -> frozenset[Arc]:
     return spec.rounds[_round_index(spec, t)]
 
 
+def _ring(n: int,
+          graphs: tuple[tuple[tuple[int, list[int]], ...], ...]) -> tuple[int, ...] | None:
+    """Each node's place on a ring along which every token only moves forward, or None.
+
+    The union of the round graphs must give every node at most one
+    out-neighbour and at most one in-neighbour, and be either one cycle
+    through all n nodes or free of cycles.  Its paths are then laid end to
+    end, in order of their first nodes.  A token moves at most one arc a
+    round, so every reach mask of every closure is a forward arc of the ring.
+    """
+    succ, pred = [-1] * n, [-1] * n
+    for graph in graphs:
+        for v, senders in graph:
+            for u in senders:
+                if succ[u] not in (-1, v) or pred[v] not in (-1, u):
+                    return None
+                succ[u], pred[v] = v, u
+    order = []
+    # with no first node the union is a permutation: start the cycle at node 1
+    for head in [v for v in range(n) if pred[v] < 0] or [0]:
+        v = head
+        while True:
+            order.append(v)
+            v = succ[v]
+            if v in (-1, head):
+                break
+    if len(order) < n:  # a cycle beside the paths, or more than one cycle
+        return None
+    ring = [0] * n
+    for place, v in enumerate(order):
+        ring[v] = place
+    return tuple(ring)
+
+
 def _grow(spec: DynamicGraphSpec, r: int) -> int:
     """The stored round whose closure is H_r, once the memo's closures reach it.
 
@@ -241,6 +280,7 @@ def _grow(spec: DynamicGraphSpec, r: int) -> int:
     if not closures:
         identity = tuple(1 << i for i in range(spec.n))
         closures.append(Closure(identity, identity, spec.n))
+        memo.ring = _ring(spec.n, memo.graphs)
     period = len(spec.rounds)
     while len(closures) <= r and memo.quiet < period:
         prev = closures[-1]
@@ -304,18 +344,20 @@ def _search_round(spec: DynamicGraphSpec, r: int) -> int:
     return _grow(spec, r)
 
 
-def _exact(closures: list[Closure], t: int) -> int:
-    """Domination number of closures[t], searched at most once per closure.
+def _exact(memo: _Memo, t: int) -> int:
+    """Domination number of H_t, searched at most once per closure.
 
     Closures only grow, so a set dominating the round before dominates
     this one: the search starts from the smaller of the two uppers, and
-    leaves the closure's interval closed.  Its caller has grown the
-    closures through _search_round.
+    leaves the closure's interval closed.  On a ring-shaped sequence it is
+    one circle-cover pass.  Its caller has grown the closures through
+    _search_round.
     """
+    closures = memo.closures
     h = closures[t]
     if h.lower < h.upper:  # H_0 is known, so t >= 1 here
         h.upper = h.lower = domination_number(h.reach, h.into,
-                                              min(closures[t - 1].upper, h.upper))
+                                              min(closures[t - 1].upper, h.upper), memo.ring)
     return h.upper
 
 
@@ -327,10 +369,10 @@ def domination_numbers(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     when r is past what a tuple can index.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
-    closures = spec._memo.closures
-    head = tuple([_exact(closures, t) for t in range(1, last + 1)])
+    memo = spec._memo
+    head = tuple([_exact(memo, t) for t in range(1, last + 1)])
     try:
-        return head + (closures[last].upper,) * (r - last)
+        return head + (memo.closures[last].upper,) * (r - last)
     except OverflowError:  # r is past what a tuple can index
         raise ValueError(f"r = {r} is too large to list one number per round") from None
 
@@ -346,12 +388,11 @@ def min_dominating_set(spec: DynamicGraphSpec, r: int) -> tuple[int, ...]:
     Raises CapExceeded when n > EXACT_SEARCH_CAP.
     """
     last = _search_round(spec, r)  # tests r, checks the cap, grows the closures
-    closures = spec._memo.closures
-    h = closures[last]
+    h = spec._memo.closures[last]
     if h.dominating is not None:
         return h.dominating
     covers, dom = h.reach, h.into
-    size = _exact(closures, last)
+    size = _exact(spec._memo, last)
     widest = max(map(int.bit_count, covers))
     uncovered = full = (1 << spec.n) - 1
     members: list[int] = []
@@ -417,7 +458,7 @@ class Instance:
         full = (1 << spec.n) - 1
         while closures[r].upper > k:
             if _grow(spec, r + 1) == r:  # H_r is the last stored closure: it is fixed
-                g = _exact(closures, r)
+                g = _exact(spec._memo, r)
                 if g <= k:
                     raise LemmaFalsified(
                         f"a {k}-slot cover decision found no dominating set of H_r, fixed "
@@ -445,8 +486,7 @@ class Instance:
         """
         spec, k = self.spec, min(self.k, self.spec.n)
         r = _search_round(spec, 0)  # checks the cap
-        closures = spec._memo.closures
-        while _exact(closures, r) > k and _grow(spec, r + 1) != r:
+        while _exact(spec._memo, r) > k and _grow(spec, r + 1) != r:
             r += 1
         return domination_numbers(spec, self.bound())
 
@@ -468,8 +508,9 @@ class Instance:
         last = _search_round(spec, budget)  # tests budget first
         h = spec._memo.closures[last]
         full = (1 << spec.n) - 1
-        if find_cover(h.reach, h.into, full, full, self.k,
-                      max(map(int.bit_count, h.reach))) is not None:
+        found = find_cover(h.reach, h.into, full, full, self.k, max(map(int.bit_count, h.reach)))
+        if found is not None:
+            h.upper = min(h.upper, len(found))  # so that bound() need not decide it again
             raise BudgetNotBelowBound(
                 f"budget {budget} is not below the tight bound {self.bound()}")
         # k slots would cover n <= k nodes, so self.k < n here

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import math
 import pickle
 import random
 import re
@@ -365,12 +366,11 @@ def _forced(covers, dom):
 
 
 def test_cycles_are_settled_without_branching(monkeypatch):
-    # on a directed cycle each node of H_t covers t + 1 nodes and every node
-    # hears another, so gamma is ceil(n / (t + 1)) and no member is forced: a
-    # round whose number stays is settled by counting before any sort or
-    # search, and one whose number drops by one root decision that fails on
-    # counting, since the greedy start is optimal
-    calls = {name: [] for name in ("_cover", "_order", "_greedy_members")}
+    # on a directed cycle each node of H_t covers t + 1 nodes, so gamma is
+    # ceil(n / (t + 1)): a round whose number stays is settled by counting
+    # before any other proof, and one whose number drops by one pass of the
+    # ring proof; no round sorts, runs the greedy or searches
+    calls = {name: [] for name in ("_cover", "_order", "_greedy_members", "_ring_number")}
     for name, seen in calls.items():
         _counting(monkeypatch, name, seen)
     settled = dropped = 0
@@ -385,8 +385,9 @@ def test_cycles_are_settled_without_branching(monkeypatch):
                 assert not any(calls.values()), (n, t)
                 settled += 1
             else:
-                [(args, found)] = calls["_cover"]
-                assert (args[2], args[3], found) == ((1 << n) - 1, g - 1, None), (n, t)
+                [(args, found)] = calls["_ring_number"]
+                assert (args[0], found) == (closure_at(spec, t).reach, g), (n, t)
+                assert not any(seen for name, seen in calls.items() if name != "_ring_number")
                 dropped += 1
     assert (settled, dropped) == (300, 190)
 
@@ -553,6 +554,105 @@ def test_counting_rules_out_a_decision_before_any_order(monkeypatch, c5):
     spec = DynamicGraphSpec(5, [[(1, 2), (1, 3), (1, 4)]])
     assert min_dominating_set(spec, 1) == (1, 5)
     assert [args[1] for args, _ in orders] == [1 << 4]
+
+
+def _ring_spec(rng):
+    # a seeded sequence whose round graphs' union is one cycle through all
+    # n nodes, one path, or several paths, on shuffled node ids; every arc
+    # of the union occurs in at least one round
+    n = rng.randint(2, 32)
+    nodes = rng.sample(range(1, n + 1), n)
+    kind = rng.choice(("cycle", "path", "forest"))
+    arcs = list(zip(nodes, nodes[1:] + nodes[:1]))
+    if kind != "cycle":
+        arcs.pop()
+    if kind == "forest":
+        arcs = [arc for arc in arcs if rng.random() < 0.8]
+    rounds = [set() for _ in range(rng.randint(1, 4))]
+    density = rng.choice((0.2, 0.5, 0.9))
+    for arc in arcs:
+        rng.choice(rounds).add(arc)
+        for rnd in rounds:
+            if rng.random() < density:
+                rnd.add(arc)
+    spec = DynamicGraphSpec(n, tuple(map(frozenset, rounds)), rng.choice(list(Extension)))
+    return spec, kind, arcs
+
+
+def test_the_ring_proof_matches_the_search_and_brute_force():
+    # on every stored closure of ring-shaped sequences, the ring proof gives
+    # the number the search without the ring gives, from upper = gamma and
+    # upper = n, and brute force agrees for n <= 20 where it enumerates at
+    # most 30,000 node sets
+    rng = random.Random(4040)
+    kinds, closures, brutes = set(), 0, 0
+    for _ in range(150):
+        spec, kind, arcs = _ring_spec(rng)
+        n = spec.n
+        closure_at(spec, 10 ** 6)  # every closure, up to the fixed one
+        ring = spec._memo.ring
+        assert ring is not None and sorted(ring) == list(range(n)), (spec, kind)
+        assert all(ring[v - 1] == (ring[u - 1] + 1) % n for u, v in arcs), (spec, kind)
+        kinds.add((kind, spec.extension))
+        for h in {id(h): h for h in spec._memo.closures[1:]}.values():
+            gamma = domination_number(h.reach, h.into, n)
+            for upper in (gamma, n):
+                assert domination_number(h.reach, h.into, upper, ring) == gamma, (spec, upper)
+            closures += 1
+            if n <= 20 and sum(math.comb(n, size) for size in range(gamma + 1)) <= 30000:
+                arcs_h = [(u + 1, v + 1) for u in range(n) for v in range(n) if h.reach[u] >> v & 1]
+                assert brute_domination(n, arcs_h) == gamma, spec
+                brutes += 1
+    assert len(kinds) == 6
+    assert closures >= 1500 and brutes >= 600, (closures, brutes)
+
+
+def test_the_ring_proof_tries_the_dominators_of_a_node_with_the_fewest():
+    # node 1 of H_1 of the path 1 -> ... -> 6 hears only itself, and every
+    # other node of the path, and every node of the 6-cycle, hears two: the
+    # ring is read once per place and once per first member tried
+    for spec, tries in ((directed_path(6), 1), (directed_cycle(6), 2)):
+        h = closure_at(spec, 1)
+        ring = _CountedReads(spec._memo.ring)
+        assert domination_number(h.reach, h.into, 6, ring) == 3
+        assert ring.reads == 6 + tries
+
+
+def test_only_ring_shaped_sequences_get_a_ring():
+    def ring(n, *rounds):
+        spec = DynamicGraphSpec(n, tuple(map(frozenset, rounds)))
+        closure_at(spec, 0)
+        return spec._memo.ring
+
+    # ring[v - 1] is node v's place: the cycle 1 -> 4 -> 2 -> 3 is read from
+    # node 1, and the paths 4 -> 3, 5 -> 2 -> 1 and 6 are laid end to end in
+    # order of their first nodes, a node without arcs being a path of its own
+    assert ring(4, {(3, 1)}, {(1, 4), (4, 2), (2, 3)}) == (0, 2, 3, 1)
+    assert ring(6, {(5, 2), (4, 3)}, {(2, 1)}) == (4, 3, 1, 0, 2, 5)
+    assert ring(3, set()) == (0, 1, 2)
+    # two out-neighbours, two in-neighbours, a short cycle beside a path,
+    # and two disjoint cycles
+    assert ring(4, {(1, 2)}, {(1, 3)}) is None
+    assert ring(4, {(1, 3), (2, 3)}) is None
+    assert ring(5, {(1, 2), (2, 3), (3, 1), (4, 5)}) is None
+    assert ring(4, {(1, 2), (2, 1), (3, 4), (4, 3)}) is None
+
+
+def test_a_sequence_that_is_not_ring_shaped_never_reaches_the_ring_proof(monkeypatch):
+    rings, searched = [], []
+    _counting(monkeypatch, "_ring_number", rings)
+    _counting(monkeypatch, "_cover", searched)
+    rng = random.Random(5051)
+    specs = [complete_graph(6), DynamicGraphSpec(5, [[(1, 2), (2, 3), (3, 1), (4, 5)]])]
+    specs += [random_spec(rng, max_n=12) for _ in range(40)]
+    kept = 0
+    for spec in specs:
+        closure_at(spec, 0)
+        if spec._memo.ring is None:
+            domination_numbers(spec, 4)
+            min_dominating_set(spec, 4)
+            kept += 1
+    assert rings == [] and searched and kept >= 30, kept
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +833,17 @@ def test_the_bound_walk_decides_changed_rounds_past_what_is_known(monkeypatch):
     assert Instance(spec, 9).gamma_by_round() == () and len(spec._memo.closures) == 1
 
 
+def test_a_refused_budget_keeps_the_cover_it_found(monkeypatch):
+    # the 9-cycle's bound at k = 2 is 4: refusing budget 4 decides H_4 once,
+    # and the bound that its message names then decides H_1 to H_3 alone
+    decided = _recording_decisions(monkeypatch)
+    spec = directed_cycle(9)
+    with pytest.raises(BudgetNotBelowBound, match="^budget 4 is not below the tight bound 4$"):
+        Instance(spec, 2).closure_below_bound(4)
+    assert decided == [closure_at(spec, t).reach for t in (4, 1, 2, 3)]
+    assert (closure_at(spec, 4).lower, closure_at(spec, 4).upper) == (1, 2)
+
+
 def test_what_one_k_learns_serves_every_k(monkeypatch):
     # a refutability decision at k = 3 proves H_1 of the 9-cycle needs 4
     # nodes, so bound() at k = 2 starts after it; that walk's failed
@@ -786,20 +897,32 @@ def test_flooding_proves_no_domination_number_below_the_bound(monkeypatch):
     # refute and check bind flooding through the cover-decision bound, so
     # the only exact search they may make sizes H_r's dominating set, and
     # none when the bound's cover closed H_r's interval (the relay's single
-    # dominator); the bound command proves every round's number
-    searched = []
+    # dominator); the bound command proves every round's number.  On these
+    # ring-shaped sequences the sizing is settled by counting (the 9-cycle
+    # at k = 2) or by the ring proof (the 6-cycle at k = 4, whose decision
+    # found 4 nodes where 3 suffice), never by the greedy start of a search
+    searched, rings, greedy = [], [], []
     search = dyngraph.domination_number
     monkeypatch.setattr(dyngraph, "domination_number",
                         lambda *args: searched.append(args[0]) or search(*args))
-    for spec, k, budget, searches in ((directed_cycle(9), 2, 3, 1), (staggered_relay(), 1, 4, 0)):
+    _counting(monkeypatch, "_ring_number", rings)
+    _counting(monkeypatch, "_greedy_members", greedy)
+    for spec, k, budget, searches, proofs in ((directed_cycle(9), 2, 3, 1, 0),
+                                              (staggered_relay(), 1, 4, 0, 0),
+                                              (directed_cycle(6), 4, 0, 1, 1)):
         spec = copy.copy(spec)
         searched.clear()
+        rings.clear()
         refute(spec, k, flood_dominator(), budget)
         assert searched == [closure_at(spec, budget + 1).reach] * searches
+        assert [args[0] for args, _ in rings] == searched[:proofs]
         spec = copy.copy(spec)
         searched.clear()
+        rings.clear()
         assert exhaustive_check(spec, k, flood_dominator(), budget + 1).passed
         assert searched == [closure_at(spec, budget + 1).reach] * searches
+        assert [args[0] for args, _ in rings] == searched[:proofs]
+        assert greedy == []
         assert len(Instance(spec, k).gamma_by_round()) == budget + 1
         # the gamma walk grows no closure past the bound, and closes each
         # one's interval
@@ -819,13 +942,17 @@ def test_never_dominated_32_node_relay(monkeypatch):
         min_rounds(copy.copy(spec), 1)
     # the bound command's walk proves each changed round's number once, the
     # fixed closure's among them, and the bound reads that one from the memo
-    searched = []
+    searched, greedy = [], []
     search = dyngraph.domination_number
     monkeypatch.setattr(dyngraph, "domination_number",
                         lambda *args: searched.append(args) or search(*args))
+    _counting(monkeypatch, "_greedy_members", greedy)
     with pytest.raises(NeverDominated, match=message):
         Instance(spec, 1).gamma_by_round()
     assert len(searched) == len({id(h) for h in spec._memo.closures}) - 1
+    # the relay's arcs lie on one path, so every number is settled by
+    # counting or the ring proof, and no search starts from a greedy cover
+    assert spec._memo.ring is not None and greedy == []
 
 
 def test_min_rounds_validates():
@@ -956,7 +1083,7 @@ def test_bounds_are_kept_once_per_k_below_n():
     # intervals, so asking for many k keeps nothing per k
     spec = directed_cycle(8)
     assert [min_rounds(spec, k) for k in range(1, 300)] == [7, 3, 2, 1, 1, 1, 1] + [0] * 292
-    assert type(spec._memo).__slots__ == ("graphs", "closures", "quiet")
+    assert type(spec._memo).__slots__ == ("graphs", "closures", "quiet", "ring")
 
 
 def test_closures_stop_growing_once_they_are_fixed():
